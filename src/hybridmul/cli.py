@@ -173,10 +173,13 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     trace_rows: list[str] = []
 
-    def tracer(index: int, delta) -> None:
-        for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
-            trace_rows.append(f"{index},{row},{bits + cells}")
-        trace_rows.append(f"{index},final,{delta.cpa_toggles}")
+    def tracer_for(arch: Architecture):
+        def tracer(index: int, delta) -> None:
+            for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
+                trace_rows.append(f"{index},{row},{bits + cells},{arch.value}")
+            trace_rows.append(f"{index},final,{delta.cpa_toggles},{arch.value}")
+
+        return tracer
 
     reports = []
     for arch in archs:
@@ -186,7 +189,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 arch,
                 args.width,
                 args.ssst,
-                trace=tracer if args.trace_toggles else None,
+                trace=tracer_for(arch) if args.trace_toggles else None,
             )
         )
 
@@ -215,7 +218,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
     if args.trace_toggles:
         Path(args.trace_toggles).write_text(
-            "operation,row,toggles\n" + "\n".join(trace_rows) + "\n"
+            "operation,row,toggles,arch\n" + "\n".join(trace_rows) + "\n"
         )
     return 0
 

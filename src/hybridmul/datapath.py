@@ -25,13 +25,24 @@ so they contribute zero toggles; the arithmetic is untouched because a
 bypassed row/column would not have changed the running total anyway.
 
 Evaluation is zero-delay combinational: one value per node per evaluation,
-no glitch modeling.  Per column the cells are evaluated bit-parallel on
-Python integers, one integer per node class per row.
+no glitch modeling.  The cells of a row are evaluated bit-parallel across
+columns and, for a run of evaluations, across time as well (SWAR: Knuth,
+TAOCP 4A, 7.1.3): evaluation ``i`` of a run is lane ``i`` of a Python
+integer, ``2*width`` column bits plus one guard bit that catches the final
+adder's carry-out, so one ``+`` resolves every lane without crossing into
+the next.  Each node class (a row's bits, a cell row's a/b/cin/sum/cout) is
+one such integer; its toggles are ``popcount(x ^ (x << lane))``.  Under
+gating, a frozen node holds its last value, which a log-doubling
+fill-forward over the lanes reproduces (Chen & Chu, IEEE TVLSI 15(7), 2007,
+for the freeze semantics).  A single evaluation is a run of one lane.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import islice
+from typing import NamedTuple
 
 from .bitnum import Word, check_operand_width, to_sign_magnitude
 from .encoding import (
@@ -41,11 +52,19 @@ from .encoding import (
     booth_recode,
     conventional_pp,
     hybrid_pp,
+    unsigned_product,
 )
 
+# Evaluations per kernel call in simulate_stream: bounds the size of the
+# lane-packed integers, so memory stays O(chunk) for any stream length.
+STREAM_CHUNK = 256
 
-class GeometryError(ValueError):
-    """Partial-product matrix does not fit the array it was offered to."""
+
+class GeometryError(RuntimeError):
+    """Partial-product matrix does not fit the array it was offered to.
+
+    An internal model fault, not bad user input.
+    """
 
 
 class ProductMismatchError(RuntimeError):
@@ -116,12 +135,154 @@ class ArrayGeometry:
         return self.rows * self.cols + (self.rows - 1) * 5 * self.cols + 5 * self.cols
 
 
+# -- lanes ----------------------------------------------------------------------
+
+
+class _Layout:
+    """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit."""
+
+    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "top", "last")
+
+    def __init__(self, cols: int, count: int):
+        lane = cols + 1
+        self.cols = cols
+        self.count = count
+        self.lane = lane
+        self.full = (1 << lane * count) - 1  # every bit of every lane
+        self.ones = self.full // ((1 << lane) - 1)  # bit 0 of every lane
+        self.cmask = self.ones * ((1 << cols) - 1)  # the column bits of every lane
+        self.top = self.ones << (cols - 1)  # the top column bit of every lane
+        self.last = lane * (count - 1)  # offset of the last lane
+
+
+_layout = lru_cache(maxsize=32)(_Layout)
+
+
+def _pack(values, lane: int) -> int:
+    """Lane-pack non-negative ints, the first value in lane 0.
+
+    Merges neighbours pairwise, so no step rebuilds a long integer per value.
+    """
+    values = list(values)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        pairs = iter(values)
+        values = [lo | (hi << lane) for lo, hi in zip(pairs, pairs)]
+        lane *= 2
+    return values[0] if values else 0
+
+
+def _spread(flags: int, lay: _Layout) -> int:
+    """Column mask of the lanes whose bit 0 is set in ``flags``."""
+    return (flags << lay.cols) - flags
+
+
+def _nonzero(x: int, lay: _Layout) -> int:
+    """Bit 0 set in each lane of ``x`` that holds a nonzero value.
+
+    Adding 2**cols - 1 carries into a lane's guard bit iff the lane is nonzero.
+    """
+    return ((x + lay.cmask) >> lay.cols) & lay.ones
+
+
+def _settle(new: int, live: int | None, old: int, lay: _Layout) -> tuple[int, int]:
+    """One node class over a run: (toggled bits per lane, value after the run).
+
+    ``new`` holds the values the cells compute, ``old`` the value before
+    lane 0.  Bits outside ``live`` (``None``: all live) hold the previous
+    lane's value, found by a log-doubling fill-forward.
+    """
+    lane = lay.lane
+    if live is None:
+        return (new ^ ((new << lane) | old)) & lay.full, new >> lay.last
+    # lane 0 carries the incoming value; evaluation i sits in lane i + 1
+    seq = ((new & live) << lane) | old
+    hole = (lay.cmask ^ live) << lane
+    shift = lane
+    while hole:
+        seq |= (seq << shift) & hole
+        hole &= hole << shift
+        shift <<= 1
+    return (seq ^ (seq >> lane)) & lay.full, seq >> (lay.last + lane)
+
+
+@dataclass(frozen=True, slots=True)
+class Lanes:
+    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane."""
+
+    values: tuple[int, ...]
+    width: int
+
+
+@dataclass(frozen=True, slots=True)
+class PPLanes:
+    """Folded PP rows of ``count`` evaluations, lane-packed.
+
+    ``rows[r]`` holds row r's contribution to evaluation i in bits
+    ``[i*(cols+1), i*(cols+1) + cols)``, the Booth correction row included.
+    """
+
+    rows: tuple[int, ...]
+    count: int
+
+
+def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
+    """The row contributions :func:`_fold_rows` gives, built for all lanes at once."""
+    w = multiplicand.width
+    g = ArrayGeometry.create(w, arch)
+    lay = _layout(g.cols, len(multiplicand.values))
+    if arch is Architecture.HYBRID:
+        # row 0 is the encoder's own chain result, so the oracle checks it
+        products = [
+            unsigned_product(Word(a, w), Word(b, w), arch)[0]
+            for a, b in zip(multiplicand.values, multiplier.values)
+        ]
+        return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay.count)
+    a = _pack(multiplicand.values, lay.lane)
+    b = _pack(multiplier.values, lay.lane)
+    ones = lay.ones
+    if arch is Architecture.CONVENTIONAL:
+        rows = tuple((a << r) & _spread((b >> r) & ones, lay) for r in range(w))
+        return PPLanes(rows, lay.count)
+    # Radix-4 digit k reads bits (2k+1, 2k, 2k-1) of the multiplier, with
+    # bit -1 and the bits above the width zero; the top digit is never
+    # negative.  Negated rows enter as 2**(w+1) - |d|*M and owe
+    # 2**(w+1+2k) to the correction row.
+    nonzero_a = _nonzero(a, lay)
+    window = b << 1
+    rows = []
+    debt = 0
+    for k in range(g.rows - 1):
+        b0 = window & ones
+        b1 = (window >> 1) & ones
+        b2 = (window >> 2) & ones
+        window >>= 2
+        mag = (a & _spread(b0 ^ b1, lay)) | ((a << 1) & _spread((b2 ^ b1) & ~(b1 ^ b0), lay))
+        neg = b2 & ~(b1 & b0) & nonzero_a
+        neg_cols = _spread(neg, lay)
+        value = (mag & ~neg_cols) | ((neg << (w + 1)) - (mag & neg_cols))
+        rows.append(value << 2 * k)
+        debt += neg << (w + 1 + 2 * k)
+    rows.append(((ones << g.cols) - debt) & lay.cmask)
+    return PPLanes(tuple(rows), lay.count)
+
+
+# -- freeze masks and toggle accounting -------------------------------------------
+
+
 @dataclass(frozen=True, slots=True)
 class FreezeMask:
-    """Row-bypass flags plus a column bitmask for the final adder."""
+    """Row-bypass flags plus a column bitmask for the final adder.
 
-    row_frozen: tuple[bool, ...]
-    col_frozen: int
+    For a :class:`PPLanes` run, ``row_frozen[r]`` is instead the column mask
+    of the lanes in which row r is frozen, and ``col_frozen`` is ``None``:
+    the column detector reads the final adder's own summand bits, so the
+    array applies it in the same pass.
+    """
+
+    row_frozen: tuple
+    col_frozen: int | None
 
     @classmethod
     def disabled(cls, geometry: ArrayGeometry) -> "FreezeMask":
@@ -172,37 +333,72 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
     return contributions
 
 
-def detect_freeze(pp: PPMatrix, geometry: ArrayGeometry) -> FreezeMask:
-    """Build the freeze mask the detection logic would assert for this input.
+def _frozen_rows(rows, lay: _Layout) -> tuple[int, ...]:
+    """Column masks of the lanes in which each row contributes nothing."""
+    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in rows)
 
-    A row freezes iff its bits are all zero.  Final-adder columns freeze iff
-    both summand bits arriving there are zero, which requires replaying the
-    carry-save reduction (with the frozen rows bypassed) at value level.
+
+def detect_freeze(pp: PPMatrix | PPLanes, geometry: ArrayGeometry) -> FreezeMask:
+    """The freeze mask the detection logic asserts for this input.
+
+    A row freezes iff its contribution is zero.  Final-adder columns freeze
+    iff both summand bits arriving there are zero; those bits exist only
+    after the carry-save pass with the frozen rows bypassed, so for a single
+    PP matrix they are the masks a one-lane array run applied.
     """
-    contributions = _fold_rows(pp, geometry)
-    row_frozen = tuple(c == 0 for c in contributions)
+    if isinstance(pp, PPLanes):
+        return FreezeMask(_frozen_rows(pp.rows, _layout(geometry.cols, pp.count)), None)
+    rows, lay = _fold_rows(pp, geometry), _layout(geometry.cols, 1)
+    frozen = _frozen_rows(rows, lay)
+    _, delta = ArrayState(geometry.width, geometry.arch)._run(rows, lay, frozen, None)
+    return FreezeMask(tuple(bool(z) for z in frozen), delta.lanes.col_frozen)
 
-    mask = (1 << geometry.cols) - 1
-    s, c = contributions[0], 0
-    for r in range(1, geometry.rows):
-        if row_frozen[r]:
-            continue
-        b = contributions[r]
-        carry = (s & b) | (b & c) | (c & s)
-        s = s ^ b ^ c
-        c = (carry << 1) & mask
-    return FreezeMask(row_frozen=row_frozen, col_frozen=~(s | c) & mask)
+
+class _LaneToggles(NamedTuple):
+    """Toggled bits of one array run, lane-packed, kept to split it by evaluation."""
+
+    layout: _Layout
+    rows: list[int]
+    csa: list[tuple[int, ...]]  # a/b/cin/sum/cout per adder row; () for row 0
+    cpa: tuple[int, ...]
+    row_frozen: tuple[int, ...]
+    col_frozen: int
 
 
 @dataclass(slots=True)
 class ToggleDelta:
-    """Node transitions caused by one evaluation."""
+    """Node transitions caused by one evaluation, or summed over a run of them."""
 
     total: int
     row_bit_toggles: tuple[int, ...]
     csa_toggles: tuple[int, ...]  # index r = cells of the adder row fed by PP row r; [0] is 0
     cpa_toggles: int
     frozen_cell_evaluations: int
+    evaluations: int = 1
+    lanes: _LaneToggles | None = field(default=None, repr=False, compare=False)
+
+    def split(self) -> list["ToggleDelta"]:
+        """One delta per evaluation, in order."""
+        if self.evaluations == 1:
+            return [self]
+        lay, rows, csa, cpa, row_frozen, col_frozen = self.lanes
+        cells = (1 << lay.cols) - 1
+        deltas = []
+        for at in range(0, lay.lane * lay.count, lay.lane):
+            row_bits = tuple(((x >> at) & cells).bit_count() for x in rows)
+            csa_bits = tuple(sum(((x >> at) & cells).bit_count() for x in xs) for xs in csa)
+            cpa_bits = sum(((x >> at) & cells).bit_count() for x in cpa)
+            frozen = lay.cols * sum((z >> at) & 1 for z in row_frozen[1:])
+            deltas.append(
+                ToggleDelta(
+                    total=sum(row_bits) + sum(csa_bits) + cpa_bits,
+                    row_bit_toggles=row_bits,
+                    csa_toggles=csa_bits,
+                    cpa_toggles=cpa_bits,
+                    frozen_cell_evaluations=frozen + ((col_frozen >> at) & cells).bit_count(),
+                )
+            )
+        return deltas
 
 
 @dataclass(slots=True)
@@ -225,126 +421,139 @@ class ToggleReport:
         self.per_row_toggles[-1] += delta.cpa_toggles
         self.total_toggles += delta.total
         self.frozen_cell_evaluations += delta.frozen_cell_evaluations
-        self.operations_simulated += 1
+        self.operations_simulated += delta.evaluations
 
 
-class _CellRow:
-    """Bit-parallel node storage for one row of full-adder cells."""
-
-    __slots__ = ("a", "b", "cin", "sum", "cout")
-
-    def __init__(self) -> None:
-        self.a = self.b = self.cin = self.sum = self.cout = 0
-
-    def toggles_against(self, a: int, b: int, cin: int, s: int, cout: int) -> int:
-        return (
-            (self.a ^ a).bit_count()
-            + (self.b ^ b).bit_count()
-            + (self.cin ^ cin).bit_count()
-            + (self.sum ^ s).bit_count()
-            + (self.cout ^ cout).bit_count()
-        )
-
-    def store(self, a: int, b: int, cin: int, s: int, cout: int) -> None:
-        self.a, self.b, self.cin, self.sum, self.cout = a, b, cin, s, cout
-
-    def splice(self, keep_mask: int, a: int, b: int, cin: int, s: int, cout: int) -> tuple[int, int, int, int, int]:
-        """New node values with ``keep_mask`` columns latched at old values."""
-        live = ~keep_mask
-        return (
-            (a & live) | (self.a & keep_mask),
-            (b & live) | (self.b & keep_mask),
-            (cin & live) | (self.cin & keep_mask),
-            (s & live) | (self.sum & keep_mask),
-            (cout & live) | (self.cout & keep_mask),
-        )
+# -- the array ---------------------------------------------------------------------
 
 
 class ArrayState:
     """Node values of one array instance across a stream of evaluations.
 
     Single-owner and order-dependent: one stream drives one state.  The
-    initial state is all zeros, matching a reset.
+    initial state is all zeros, matching a reset.  Each node class holds
+    one integer of ``cols`` bits: the value after the latest evaluation.
     """
 
     def __init__(self, width: int, arch: Architecture):
         self.geometry = ArrayGeometry.create(width, arch)
         g = self.geometry
         self._row_bits = [0] * g.rows
-        self._csa = [_CellRow() for _ in range(g.rows - 1)]
-        self._cpa = _CellRow()
+        self._csa = [[0] * 5 for _ in range(g.rows - 1)]  # a, b, cin, sum, cout
+        self._cpa = [0] * 5
 
-    def evaluate(self, pp: PPMatrix, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
+    def evaluate(self, pp: PPMatrix | PPLanes, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
         """Evaluate the array on one PP matrix; returns (product, delta).
 
         With ``mask`` from :func:`detect_freeze` the product is exact and
         frozen cells keep their node values.  ``None`` means no freezing.
+        A :class:`PPLanes` run evaluates lane after lane from the current
+        state: the product packs one product per lane, the delta sums the
+        run and splits by evaluation.
         """
         g = self.geometry
-        if mask is None:
-            mask = FreezeMask.disabled(g)
-        if len(mask.row_frozen) != g.rows:
+        if mask is not None and len(mask.row_frozen) != g.rows:
             raise GeometryError("freeze mask row count does not match array geometry")
-        contributions = _fold_rows(pp, g)
-        span_mask = (1 << g.cols) - 1
+        if isinstance(pp, PPLanes):
+            rows, lay = pp.rows, _layout(g.cols, pp.count)
+            if len(rows) != g.rows:
+                raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
+        else:
+            rows, lay = _fold_rows(pp, g), _layout(g.cols, 1)
+            if mask is not None:
+                frozen = tuple(lay.cmask if f else 0 for f in mask.row_frozen)
+                mask = FreezeMask(frozen, mask.col_frozen & lay.cmask)
+        if mask is None:
+            return self._run(rows, lay, None, 0)
+        return self._run(rows, lay, mask.row_frozen, mask.col_frozen)
 
+    def _run(self, rows, lay: _Layout, row_frozen, col_frozen) -> tuple[int, ToggleDelta]:
+        """The kernel: one carry-save pass and one carry-propagate add for all lanes.
+
+        ``row_frozen`` None means ungated; ``col_frozen`` None means the
+        final adder's quiet columns freeze, detected from its summand bits.
+        """
+        cmask = lay.cmask
+        row_x = []
+        for r, x in enumerate(rows):
+            toggled, self._row_bits[r] = _settle(x, None, self._row_bits[r], lay)
+            row_x.append(toggled)
+
+        csa_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
         frozen_cells = 0
-        row_bit_toggles = []
-        for r, contrib in enumerate(contributions):
-            row_bit_toggles.append((self._row_bits[r] ^ contrib).bit_count())
-            self._row_bits[r] = contrib
-
-        # Carry-save reduction: one 3:2 row per PP row after the first.
-        csa_toggles = [0]
-        s_bus, c_bus = contributions[0], 0
-        for r in range(1, g.rows):
-            cells = self._csa[r - 1]
-            if mask.row_frozen[r]:
-                # Bypass: busses pass unchanged, cells hold their values.
-                csa_toggles.append(0)
-                frozen_cells += g.cols
+        s_bus, c_bus = rows[0], 0
+        for r in range(1, len(rows)):
+            z = row_frozen[r] if row_frozen is not None else 0
+            if z == cmask:
+                # every lane bypasses this row: busses pass, cells hold
+                csa_x.append(())
+                frozen_cells += z.bit_count()
                 continue
-            a, b, cin = s_bus, contributions[r], c_bus
+            a, b, cin = s_bus, rows[r], c_bus
             s = a ^ b ^ cin
-            carry = (a & b) | (b & cin) | (cin & a)
-            csa_toggles.append(cells.toggles_against(a, b, cin, s, carry))
-            cells.store(a, b, cin, s, carry)
-            s_bus, c_bus = s, (carry << 1) & span_mask
+            cout = (a & b) | (cin & (a ^ b))
+            live = cmask ^ z if z else None
+            cells = self._csa[r - 1]
+            toggled = []
+            for k, node in enumerate((a, b, cin, s, cout)):
+                t, cells[k] = _settle(node, live, cells[k], lay)
+                toggled.append(t)
+            csa_x.append(tuple(toggled))
+            carry = (cout << 1) & cmask
+            if z:
+                s_bus ^= (s_bus ^ s) & live
+                c_bus ^= (c_bus ^ carry) & live
+                frozen_cells += z.bit_count()
+            else:
+                s_bus, c_bus = s, carry
 
-        # Final carry-propagate adder over the surviving sum/carry pair.
+        # Final carry-propagate adder; a lane's carry-out lands in its guard bit.
         a, b = s_bus, c_bus
         total = a + b
-        sum_vec = total & span_mask
-        cin_vec = (a ^ b ^ total) & span_mask
-        cout_vec = (cin_vec >> 1) | (((total >> g.cols) & 1) << (g.cols - 1))
-        product = sum_vec
+        s = total & cmask
+        cin = (a ^ b ^ total) & cmask
+        cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
+        if col_frozen is None:
+            col_frozen = cmask ^ (a | b)
+        live = cmask ^ col_frozen if col_frozen else None
+        cpa_x = []
+        for k, node in enumerate((a, b, cin, s, cout)):
+            t, self._cpa[k] = _settle(node, live, self._cpa[k], lay)
+            cpa_x.append(t)
+        frozen_cells += col_frozen.bit_count()
 
-        keep = mask.col_frozen
-        nodes = self._cpa.splice(keep, a, b, cin_vec, sum_vec, cout_vec)
-        cpa_toggles = self._cpa.toggles_against(*nodes)
-        self._cpa.store(*nodes)
-        frozen_cells += keep.bit_count()
-
+        row_bits = tuple(x.bit_count() for x in row_x)
+        csa = tuple(sum(x.bit_count() for x in xs) for xs in csa_x)
+        cpa = sum(x.bit_count() for x in cpa_x)
         delta = ToggleDelta(
-            total=sum(row_bit_toggles) + sum(csa_toggles) + cpa_toggles,
-            row_bit_toggles=tuple(row_bit_toggles),
-            csa_toggles=tuple(csa_toggles),
-            cpa_toggles=cpa_toggles,
+            total=sum(row_bits) + sum(csa) + cpa,
+            row_bit_toggles=row_bits,
+            csa_toggles=csa,
+            cpa_toggles=cpa,
             frozen_cell_evaluations=frozen_cells,
+            evaluations=lay.count,
+            lanes=_LaneToggles(
+                lay, row_x, csa_x, tuple(cpa_x), row_frozen or (0,) * len(rows), col_frozen
+            ),
         )
-        return product, delta
+        return s, delta
 
     def snapshot(self) -> tuple[int, ...]:
         """Current node vectors, for tests and debugging."""
         vals: list[int] = list(self._row_bits)
         for cells in self._csa:
-            vals += [cells.a, cells.b, cells.cin, cells.sum, cells.cout]
-        vals += [self._cpa.a, self._cpa.b, self._cpa.cin, self._cpa.sum, self._cpa.cout]
+            vals += cells
+        vals += self._cpa
         return tuple(vals)
 
 
-def build_pp(multiplicand: Word, multiplier: Word, arch: Architecture) -> PPMatrix:
-    """Architecture-specific PP placement for the array."""
+def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPMatrix | PPLanes:
+    """Architecture-specific PP placement for the array.
+
+    Two :class:`Lanes` give the folded rows of the whole run, lane-packed.
+    """
+    if isinstance(multiplicand, Lanes):
+        return _lane_rows(multiplicand, multiplier, arch)
     if arch is Architecture.CONVENTIONAL:
         return conventional_pp(multiplicand, multiplier)
     if arch is Architecture.BOOTH:
@@ -361,27 +570,44 @@ def simulate_stream(
 ) -> ToggleReport:
     """Drive one array through a stream of signed operand pairs.
 
-    Builds the architecture's PP per pair, applies the freeze detector when
-    ``ssst_enabled``, and accumulates node toggles from an all-zero reset
-    state.  Every product is checked against the native-multiply oracle;
-    a mismatch raises :class:`ProductMismatchError`.  ``trace``, if given,
-    is called as ``trace(index, delta)`` after each evaluation.
+    Consumes ``pairs`` in runs of :data:`STREAM_CHUNK`, each one lane-packed
+    array run from the state the previous run left.  Applies the freeze
+    detector when ``ssst_enabled`` and accumulates node toggles from an
+    all-zero reset state.  Every product is checked against the
+    native-multiply oracle; a mismatch raises :class:`ProductMismatchError`
+    for the first bad pair.  ``trace``, if given, is called as
+    ``trace(index, delta)`` for each evaluation.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("input stream must not be empty")
     state = ArrayState(width, arch)
     geometry = state.geometry
+    lane = geometry.cols + 1
+    top = 1 << width
     report = ToggleReport(width=width, arch=arch, ssst_enabled=ssst_enabled)
-    for index, (a, b) in enumerate(pairs):
-        ma = to_sign_magnitude(a, width).magnitude
-        mb = to_sign_magnitude(b, width).magnitude
-        pp = build_pp(ma, mb, arch)
+    stream = iter(pairs)
+    done = 0
+    while chunk := list(islice(stream, STREAM_CHUNK)):
+        ma = tuple(abs(a) for a, _ in chunk)
+        mb = tuple(abs(b) for _, b in chunk)
+        if max(ma) >= top or max(mb) >= top:
+            # raises OverflowError for the first operand out of range
+            for a, b in chunk:
+                to_sign_magnitude(a, width)
+                to_sign_magnitude(b, width)
+        pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
         mask = detect_freeze(pp, geometry) if ssst_enabled else None
-        product, delta = state.evaluate(pp, mask)
-        if product != abs(a * b):
-            raise ProductMismatchError(a, b, product, abs(a * b))
+        products, delta = state.evaluate(pp, mask)
+        expected = _pack([x * y for x, y in zip(ma, mb)], lane)
+        if products != expected:
+            bad = products ^ expected
+            i = ((bad & -bad).bit_length() - 1) // lane
+            a, b = chunk[i]
+            got = (products >> i * lane) & ((1 << geometry.cols) - 1)
+            raise ProductMismatchError(a, b, got, abs(a * b))
         report.accumulate(delta)
         if trace is not None:
-            trace(index, delta)
+            for index, one in enumerate(delta.split(), start=done):
+                trace(index, one)
+        done += len(chunk)
+    if not done:
+        raise ValueError("input stream must not be empty")
     return report

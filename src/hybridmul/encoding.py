@@ -393,6 +393,11 @@ def _as_sign_magnitude(operand: int | SignMag, width: int | None) -> SignMag:
     return to_sign_magnitude(operand, width)
 
 
+def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
+    """Whether ``prefer_sparse`` swaps these operands: the multiplicand has fewer set bits."""
+    return abs(multiplicand).bit_count() < abs(multiplier).bit_count()
+
+
 def multiply(
     a: int | SignMag,
     b: int | SignMag,
@@ -413,7 +418,7 @@ def multiply(
     check_operand_width(sb.magnitude.width)
 
     multiplicand, multiplier = sa.magnitude, sb.magnitude
-    if prefer_sparse and multiplicand.popcount() < multiplier.popcount():
+    if prefer_sparse and swaps_for_sparsity(multiplicand.bits, multiplier.bits):
         multiplicand, multiplier = multiplier, multiplicand
 
     magnitude, counts = unsigned_product(multiplicand, multiplier, arch)

@@ -33,6 +33,7 @@ from .encoding import (
     hybrid_plan,
     multiply,
     split,
+    swaps_for_sparsity,
 )
 from .metrics import CostGrid, CostModel, delay_estimate, power_estimate, reduction_percent
 
@@ -41,6 +42,11 @@ ALL_ARCHITECTURES = (Architecture.CONVENTIONAL, Architecture.BOOTH, Architecture
 
 class InputFormatError(ValueError):
     """An input file or input spec could not be parsed."""
+
+
+# Exhaustive input is materialized as a list of pairs; every pair of width 8
+# fits, wider sweeps would hold millions of tuples.
+MAX_EXHAUSTIVE_PAIRS = 1 << 16
 
 
 # -- input sources ----------------------------------------------------------
@@ -146,6 +152,11 @@ def gen_inputs(source: InputSource, width: int, seed: int = 0) -> list[tuple[int
     check_operand_width(width)
     if isinstance(source, ExhaustiveSource):
         top = 1 << width
+        if top * top > MAX_EXHAUSTIVE_PAIRS:
+            raise InputFormatError(
+                f"exhaustive input at width {width} is {top * top} pairs, over the "
+                f"{MAX_EXHAUSTIVE_PAIRS}-pair limit (width 8); use random:N or file:PATH"
+            )
         return [(a, b) for a in range(top) for b in range(top)]
     if isinstance(source, RandomSource):
         return _random_pairs(source, width, seed)
@@ -235,6 +246,10 @@ def run_campaign(
     """Run a campaign; raises ProductMismatchError on any oracle mismatch."""
     model = model or CostModel.default()
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
+    # the array sees each pair in the operand order multiply used
+    stream_pairs = pairs
+    if campaign.prefer_sparse:
+        stream_pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     summaries = []
     for arch in campaign.architectures:
         pp_total = add_total = shift_total = 0
@@ -255,7 +270,7 @@ def run_campaign(
             shift_total=shift_total,
         )
         if campaign.simulate_toggles:
-            toggle_report = simulate_stream(pairs, arch, campaign.width, campaign.ssst)
+            toggle_report = simulate_stream(stream_pairs, arch, campaign.width, campaign.ssst)
             summary.toggles = toggle_report.total_toggles
             summary.frozen_cell_evaluations = toggle_report.frozen_cell_evaluations
         for vdd in campaign.vdds:

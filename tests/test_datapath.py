@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,13 +8,17 @@ from reference_array import ReferenceArray
 
 from hybridmul.bitnum import Word, to_sign_magnitude
 from hybridmul.encoding import Architecture, PPMatrix, PPRow
+import hybridmul.datapath as dp
 from hybridmul.datapath import (
+    STREAM_CHUNK,
     ArrayGeometry,
     ArrayState,
     FACell,
     FreezeMask,
     GeometryError,
+    Lanes,
     ProductMismatchError,
+    _fold_rows,
     build_pp,
     detect_freeze,
     full_adder,
@@ -267,14 +272,19 @@ class TestSimulateStream:
         assert delta_xy.total == delta_yx.total
 
     def test_oracle_mismatch_aborts(self, monkeypatch):
-        import hybridmul.datapath as dp
+        lane_rows = dp._lane_rows
 
-        def broken_build_pp(multiplicand, multiplier, arch):
-            return build_pp(multiplicand, Word(multiplier.bits ^ 1, multiplier.width), arch)
+        def broken_lane_rows(multiplicand, multiplier, arch):
+            # flip the multiplier's low bit from lane 2 on
+            flipped = tuple(b ^ (i >= 2) for i, b in enumerate(multiplier.values))
+            return lane_rows(multiplicand, Lanes(flipped, multiplier.width), arch)
 
-        monkeypatch.setattr(dp, "build_pp", broken_build_pp)
-        with pytest.raises(ProductMismatchError):
-            dp.simulate_stream([(65, 34)], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+        monkeypatch.setattr(dp, "_lane_rows", broken_lane_rows)
+        pairs = [(65, 34), (3, 5), (7, 9), (11, 13)]
+        with pytest.raises(ProductMismatchError) as excinfo:
+            dp.simulate_stream(pairs, Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+        assert excinfo.value.pair == (7, 9)
+        assert (excinfo.value.got, excinfo.value.expected) == (56, 63)
 
     def test_per_eval_trace_hook(self):
         seen = []
@@ -293,3 +303,95 @@ class TestSimulateStream:
         bad_mask = FreezeMask(row_frozen=(False,) * 4, col_frozen=0)
         with pytest.raises(GeometryError):
             state.evaluate(pp, bad_mask)
+
+
+# -- the lane kernel against the straight-line reference ---------------------------
+
+
+@st.composite
+def streams(draw, max_pairs=6):
+    """(width, arch, gated, signed pairs) over every width 4-32."""
+    width = draw(st.integers(4, 32))
+    top = (1 << width) - 1
+    operand = st.integers(-top, top)
+    pairs = draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=max_pairs))
+    return width, draw(st.sampled_from(list(Architecture))), draw(st.booleans()), pairs
+
+
+def reference_run(pairs, arch, width, gated):
+    """(total, per-row toggles, frozen cells) and per-pair rows from the reference."""
+    reference = ReferenceArray(width, arch, ssst=gated)
+    per_pair = []
+    for a, b in pairs:
+        product, toggles = reference.evaluate(build_pp(*magnitudes(a, b, width), arch))
+        assert product == abs(a * b)
+        per_pair.append((toggles, reference.row_toggles, reference.frozen_cells))
+    per_row = [sum(rows) for rows in zip(*(rows for _, rows, _ in per_pair))]
+    totals = (sum(t for t, _, _ in per_pair), per_row, sum(f for _, _, f in per_pair))
+    return totals, per_pair
+
+
+def delta_rows(delta):
+    rows = [bits + cells for bits, cells in zip(delta.row_bit_toggles, delta.csa_toggles)]
+    return rows + [delta.cpa_toggles]
+
+
+class TestLaneKernel:
+    @given(streams())
+    @settings(max_examples=80, deadline=None)
+    def test_stream_matches_reference_pair_by_pair(self, stream):
+        width, arch, gated, pairs = stream
+        seen = []
+        report = simulate_stream(pairs, arch, width, gated, trace=lambda i, d: seen.append(d))
+        totals, per_pair = reference_run(pairs, arch, width, gated)
+        assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
+        assert [(d.total, delta_rows(d), d.frozen_cell_evaluations) for d in seen] == per_pair
+
+    @given(streams(max_pairs=8))
+    @settings(max_examples=80, deadline=None)
+    def test_lane_rows_equal_folded_rows(self, stream):
+        width, arch, _, pairs = stream
+        geometry = ArrayGeometry.create(width, arch)
+        ma = tuple(abs(a) for a, _ in pairs)
+        mb = tuple(abs(b) for _, b in pairs)
+        lanes = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
+        lane = geometry.cols + 1
+        for i, (a, b) in enumerate(zip(ma, mb)):
+            folded = _fold_rows(build_pp(Word(a, width), Word(b, width), arch), geometry)
+            assert [(row >> i * lane) & ((1 << lane) - 1) for row in lanes.rows] == folded
+
+    @given(streams(max_pairs=10), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_small_chunks_match_reference(self, stream, chunk):
+        width, arch, gated, pairs = stream
+        with mock.patch.object(dp, "STREAM_CHUNK", chunk):
+            report = dp.simulate_stream(pairs, arch, width, gated)
+        totals, _ = reference_run(pairs, arch, width, gated)
+        assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_stream_longer_than_a_chunk_matches_reference(self, arch, gated):
+        pairs = gen_inputs(RandomSource(STREAM_CHUNK + 7, "uniform"), 5, seed=17)
+        report = simulate_stream(pairs, arch, 5, gated)
+        totals, _ = reference_run(pairs, arch, 5, gated)
+        assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
+        assert report.operations_simulated == len(pairs)
+
+    @given(streams())
+    @settings(max_examples=60, deadline=None)
+    def test_trace_deltas_equal_successive_evaluations(self, stream):
+        width, arch, gated, pairs = stream
+        seen = []
+        simulate_stream(pairs, arch, width, gated, trace=lambda i, d: seen.append((i, d)))
+        state = ArrayState(width, arch)
+        expected = []
+        for index, (a, b) in enumerate(pairs):
+            pp = build_pp(*magnitudes(a, b, width), arch)
+            mask = detect_freeze(pp, state.geometry) if gated else None
+            expected.append((index, state.evaluate(pp, mask)[1]))
+        assert seen == expected
+
+    def test_out_of_range_operand_rejected(self):
+        with pytest.raises(OverflowError):
+            simulate_stream([(1, 2), (256, 1)], Architecture.CONVENTIONAL, 8, ssst_enabled=False)

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
+from hybridmul.datapath import GeometryError, simulate_stream
 from hybridmul.encoding import Architecture, CategoryKind
 from hybridmul.harness import (
     ALL_ARCHITECTURES,
+    MAX_EXHAUSTIVE_PAIRS,
     Campaign,
     CSV_HEADER,
     ExhaustiveSource,
@@ -45,6 +47,12 @@ class TestGenInputs:
         assert len(pairs) == 256
         assert pairs[:2] == [(0, 0), (0, 1)]
         assert pairs[-1] == (15, 15)
+
+    def test_exhaustive_bounded(self):
+        assert len(gen_inputs(ExhaustiveSource(), 8)) == MAX_EXHAUSTIVE_PAIRS
+        with pytest.raises(InputFormatError, match="limit"):
+            gen_inputs(ExhaustiveSource(), 9)
+        assert main(["compare", "--width", "9", "--inputs", "exhaustive"]) == 2
 
     def test_random_is_reproducible(self):
         source = RandomSource(30, "uniform8")
@@ -150,6 +158,24 @@ class TestRunCampaign:
         red = run_campaign(pixel_campaign).reductions()
         assert red["add_total"]["hybrid_vs_conventional"] == pytest.approx(100 * (1 - 1 / 7))
         assert red["add_total"]["booth_vs_conventional"] == pytest.approx(100 * (1 - 3 / 7))
+
+    def test_prefer_sparse_toggles_use_the_swapped_order(self):
+        # Booth's rows depend on which operand is the multiplier, so toggles
+        # must follow the order multiply used, as the add counts do.
+        source = RandomSource(200, "uniform8")
+        campaign = Campaign(
+            width=8,
+            architectures=(Architecture.BOOTH,),
+            source=source,
+            seed=1,
+            simulate_toggles=True,
+            prefer_sparse=True,
+        )
+        pairs = gen_inputs(source, 8, seed=1)
+        swapped = [(b, a) if bin(a).count("1") < bin(b).count("1") else (a, b) for a, b in pairs]
+        toggles = run_campaign(campaign).summaries[0].toggles
+        assert toggles == simulate_stream(swapped, Architecture.BOOTH, 8, False).total_toggles == 29369
+        assert simulate_stream(pairs, Architecture.BOOTH, 8, False).total_toggles == 29861
 
     def test_exhaustive_small_width(self):
         report = run_campaign(
@@ -330,8 +356,28 @@ class TestCli:
         out = capsys.readouterr().out
         assert "hybrid" in out
         header, first_row = trace_csv.read_text().split("\n")[:2]
-        assert header == "operation,row,toggles"
+        assert header == "operation,row,toggles,arch"
         assert first_row.startswith("0,")
+
+    def test_stream_trace_separates_archs(self, capsys, tmp_path):
+        trace_csv = tmp_path / "toggles.csv"
+        argv = [
+            "stream", "--width", "8", "--inputs", "random:30", "--seed", "5",
+            "--dist", "sparse3", "--arch", "booth", "--arch", "hybrid",
+            "--trace-toggles", str(trace_csv),
+        ]
+        assert main(argv) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            fields = line.split()
+            if fields and fields[0] in ("booth", "hybrid"):
+                printed[fields[0]] = int(fields[1])
+        sums = {}
+        for row in trace_csv.read_text().splitlines()[1:]:
+            _, _, toggles, arch = row.split(",")
+            sums[arch] = sums.get(arch, 0) + int(toggles)
+        assert sums == printed
+        assert set(sums) == {"booth", "hybrid"}
 
     def test_stream_prints_reference_claims(self, capsys):
         assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
@@ -359,6 +405,16 @@ class TestCli:
 
     def test_off_grid_vdd_with_interpolate(self):
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.1", "--interpolate"]) == 0
+
+    def test_geometry_error_is_not_reported_as_bad_input(self, monkeypatch):
+        import hybridmul.cli as cli
+
+        def faulty_stream(*args, **kwargs):
+            raise GeometryError("9 PP rows offered to a 8-row array")
+
+        monkeypatch.setattr(cli, "simulate_stream", faulty_stream)
+        with pytest.raises(GeometryError):
+            main(["stream", "--inputs", "random:3"])
 
     def test_product_mismatch_exit_code(self, monkeypatch):
         import hybridmul.harness as harness
