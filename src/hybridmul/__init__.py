@@ -29,12 +29,10 @@ from .encoding import (
 from .datapath import (
     ArrayGeometry,
     ArrayState,
-    FACell,
     FreezeMask,
     ProductMismatchError,
     ToggleReport,
     detect_freeze,
-    full_adder,
     simulate_stream,
 )
 from .metrics import (
@@ -55,7 +53,6 @@ __all__ = [
     "Category",
     "CategoryKind",
     "CostModel",
-    "FACell",
     "FreezeMask",
     "HybridPlan",
     "MultiplyResult",
@@ -73,7 +70,6 @@ __all__ = [
     "delay_estimate",
     "detect_freeze",
     "execute_plan",
-    "full_adder",
     "gen_inputs",
     "hybrid_plan",
     "hybrid_pp",

@@ -8,16 +8,12 @@ has weight 2**0.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 # Operand words entering a multiplier stay desk-checkable.  Shift/add results
 # grow past 32 bits freely (a product needs 2x the operand width).
 MIN_OPERAND_WIDTH = 4
 MAX_OPERAND_WIDTH = 32
-
-_VERILOG_RE = re.compile(r"^\s*(\d+)'([bdh])\s*([0-9a-fA-F_]+)\s*$")
-_BASES = {"b": 2, "d": 10, "h": 16}
 
 
 def check_operand_width(width: int) -> int:
@@ -95,39 +91,8 @@ class Word:
     def decimal(self) -> str:
         return f"{self.width}'d{self.bits}"
 
-    def hexadecimal(self) -> str:
-        digits = (self.width + 3) // 4
-        return f"{self.width}'h{self.bits:0{digits}x}"
-
     def __str__(self) -> str:
         return self.binary()
-
-    @classmethod
-    def parse(cls, text: str, width: int | None = None) -> "Word":
-        """Parse a word from text.
-
-        Accepts width-explicit forms ("8'b00100010", "8'd34", "8'h22") and
-        plain Python literals ("0b100010", "0x22", "34"), the latter needing
-        the ``width`` argument.  An explicit width in the text wins over the
-        argument only if the two agree.
-        """
-        m = _VERILOG_RE.match(text)
-        if m:
-            w = int(m.group(1))
-            value = int(m.group(3).replace("_", ""), _BASES[m.group(2)])
-            if width is not None and width != w:
-                raise ValueError(f"width {width} conflicts with textual width {w} in {text!r}")
-        else:
-            try:
-                value = int(text.strip(), 0)
-            except ValueError:
-                raise ValueError(f"cannot parse word from {text!r}") from None
-            if width is None:
-                raise ValueError(f"no width given for plain literal {text!r}")
-            w = width
-        if value >= 1 << w:
-            raise ValueError(f"value {value} does not fit in {w} bits")
-        return cls(value, w)
 
 
 @dataclass(frozen=True, slots=True)

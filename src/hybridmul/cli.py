@@ -16,8 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .bitnum import check_operand_width
-from .datapath import ProductMismatchError, simulate_stream
+from .datapath import ProductMismatchError
 from .encoding import Architecture
 from .harness import (
     Campaign,
@@ -32,22 +31,23 @@ from .harness import (
     render_cost_grid_svg,
     render_csv,
     render_json,
+    reductions,
     render_svg,
     run_campaign,
+    toggle_reports,
     trace,
 )
 from .metrics import (
     REFERENCE_SWITCHING_REDUCTION_PCT,
     CostModel,
     OffGridVoltageError,
-    reduction_percent,
     table2_report,
 )
 
 _ARCH_BY_NAME = {a.value: a for a in Architecture}
 
 
-def _add_stream_args(p: argparse.ArgumentParser) -> None:
+def _add_campaign_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=int, default=8, help="operand width in bits (4-32)")
     p.add_argument(
         "--inputs",
@@ -59,6 +59,29 @@ def _add_stream_args(p: argparse.ArgumentParser) -> None:
         "--dist",
         default="uniform",
         help="random distribution: uniform, uniform8, or sparseK (e.g. sparse3)",
+    )
+    p.add_argument(
+        "--arch",
+        action="append",
+        choices=sorted(_ARCH_BY_NAME),
+        help="architecture to include (repeatable; default: all three)",
+    )
+    p.add_argument("--ssst", action="store_true", help="enable freeze gating in the toggle simulation")
+
+
+def _campaign(args: argparse.Namespace, **options) -> Campaign:
+    """The campaign both ``compare`` and ``stream`` run, from their shared arguments."""
+    source = parse_input_spec(args.inputs)
+    if isinstance(source, RandomSource):
+        source = RandomSource(source.count, args.dist)
+    names = dict.fromkeys(args.arch or sorted(_ARCH_BY_NAME))  # each once, in order
+    return Campaign(
+        width=args.width,
+        architectures=tuple(_ARCH_BY_NAME[name] for name in names),
+        source=source,
+        seed=args.seed,
+        ssst=args.ssst,
+        **options,
     )
 
 
@@ -77,15 +100,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compare = sub.add_parser("compare", help="compare architectures over an input campaign")
-    _add_stream_args(compare)
-    compare.add_argument(
-        "--arch",
-        action="append",
-        choices=sorted(_ARCH_BY_NAME),
-        help="architecture to include (repeatable; default: all three)",
-    )
+    _add_campaign_args(compare)
     compare.add_argument("--toggles", action="store_true", help="also run the cell-level toggle simulation")
-    compare.add_argument("--ssst", action="store_true", help="enable freeze gating in the toggle simulation")
     compare.add_argument("--vdd", action="append", type=float, help="supply voltage for cost estimates (repeatable)")
     compare.add_argument("--interpolate", action="store_true", help="allow off-grid voltages via linear interpolation")
     compare.add_argument("--model", help="cost-model config file (vdd power_uW delay_ns per line)")
@@ -104,30 +120,15 @@ def _build_parser() -> argparse.ArgumentParser:
     t2.add_argument("--out", help="write the grid to a file instead of stdout")
 
     st = sub.add_parser("stream", help="cell-level toggle simulation over a stream")
-    _add_stream_args(st)
-    st.add_argument(
-        "--arch",
-        action="append",
-        choices=sorted(_ARCH_BY_NAME),
-        help="architecture to simulate (repeatable; default: all three)",
-    )
-    st.add_argument("--ssst", action="store_true", help="enable freeze gating")
+    _add_campaign_args(st)
     st.add_argument("--trace-toggles", help="write a per-evaluation toggle CSV to this path")
 
     return parser
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    archs = tuple(_ARCH_BY_NAME[name] for name in (args.arch or sorted(_ARCH_BY_NAME)))
-    source = parse_input_spec(args.inputs)
-    if isinstance(source, RandomSource):
-        source = RandomSource(source.count, args.dist)
-    campaign = Campaign(
-        width=args.width,
-        architectures=archs,
-        source=source,
-        seed=args.seed,
-        ssst=args.ssst,
+    campaign = _campaign(
+        args,
         simulate_toggles=args.toggles,
         vdds=tuple(args.vdd) if args.vdd else (1.2,),
         prefer_sparse=args.prefer_sparse,
@@ -164,55 +165,32 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    check_operand_width(args.width)
-    source = parse_input_spec(args.inputs)
-    if isinstance(source, RandomSource):
-        source = RandomSource(source.count, args.dist)
-    pairs = gen_inputs(source, args.width, args.seed)
-    archs = tuple(_ARCH_BY_NAME[name] for name in (args.arch or sorted(_ARCH_BY_NAME)))
-
+    campaign = _campaign(args)
+    pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
     trace_rows: list[str] = []
 
-    def tracer_for(arch: Architecture):
-        def tracer(index: int, delta) -> None:
-            for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
-                trace_rows.append(f"{index},{row},{bits + cells},{arch.value}")
-            trace_rows.append(f"{index},final,{delta.cpa_toggles},{arch.value}")
+    def record(arch: Architecture, index: int, delta) -> None:
+        for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
+            trace_rows.append(f"{index},{row},{bits + cells},{arch.value}")
+        trace_rows.append(f"{index},final,{delta.cpa_toggles},{arch.value}")
 
-        return tracer
-
-    reports = []
-    for arch in archs:
-        reports.append(
-            simulate_stream(
-                pairs,
-                arch,
-                args.width,
-                args.ssst,
-                trace=tracer_for(arch) if args.trace_toggles else None,
-            )
-        )
-
+    reports = toggle_reports(campaign, pairs, record if args.trace_toggles else None)
     lines = [
         f"stream: width={args.width} inputs={args.inputs} pairs={len(pairs)} "
         f"ssst={'on' if args.ssst else 'off'}",
         f"{'arch':<14}{'toggles':>12}{'frozen_evals':>14}{'ops':>8}",
     ]
-    for report in reports:
+    for report in reports.values():
         lines.append(
             f"{report.arch.value:<14}{report.total_toggles:>12}"
             f"{report.frozen_cell_evaluations:>14}{report.operations_simulated:>8}"
         )
-    by_arch = {r.arch: r for r in reports}
-    hybrid = by_arch.get(Architecture.HYBRID)
-    for base_arch in (Architecture.CONVENTIONAL, Architecture.BOOTH):
-        base = by_arch.get(base_arch)
-        if hybrid and base and base.total_toggles > 0:
-            measured = reduction_percent(base.total_toggles, hybrid.total_toggles)
-            claim = REFERENCE_SWITCHING_REDUCTION_PCT[base_arch.value]
+    measured = reductions({arch: r.total_toggles for arch, r in reports.items()})
+    for base, claim in REFERENCE_SWITCHING_REDUCTION_PCT.items():
+        pct = measured.get(f"hybrid_vs_{base}")
+        if pct is not None:
             lines.append(
-                f"toggle reduction hybrid vs {base_arch.value}: {measured:.2f}% "
-                f"(reference claim: {claim:.0f}%)"
+                f"toggle reduction hybrid vs {base}: {pct:.2f}% (reference claim: {claim:.0f}%)"
             )
     sys.stdout.write("\n".join(lines) + "\n")
 

@@ -77,38 +77,6 @@ class ProductMismatchError(RuntimeError):
         self.expected = expected
 
 
-def full_adder(a: int, b: int, cin: int) -> tuple[int, int]:
-    """One-bit full adder: carry is the majority, sum the odd parity.
-
-    Written in the two canonical sum-of-products forms so the truth table is
-    explicit: cout = ab + b*cin + cin*a and
-    sum = a'b'c + a'bc' + ab'c' + abc.
-    """
-    na, nb, nc = a ^ 1, b ^ 1, cin ^ 1
-    cout = (a & b) | (b & cin) | (cin & a)
-    s = (na & nb & cin) | (na & b & nc) | (a & nb & nc) | (a & b & cin)
-    return s, cout
-
-
-@dataclass(slots=True)
-class FACell:
-    """Stateful full-adder cell; when frozen it latches its last values."""
-
-    a: int = 0
-    b: int = 0
-    cin: int = 0
-    sum: int = 0
-    cout: int = 0
-    frozen: bool = False
-
-    def step(self, a: int, b: int, cin: int) -> tuple[int, int]:
-        if self.frozen:
-            return self.sum, self.cout
-        self.a, self.b, self.cin = a, b, cin
-        self.sum, self.cout = full_adder(a, b, cin)
-        return self.sum, self.cout
-
-
 @dataclass(frozen=True, slots=True)
 class ArrayGeometry:
     """Fixed array shape for one (width, architecture) pair."""
@@ -273,28 +241,14 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
 
 @dataclass(frozen=True, slots=True)
 class FreezeMask:
-    """Row-bypass flags plus a column bitmask for the final adder.
+    """Row-bypass masks of one array run.
 
-    For a :class:`PPLanes` run, ``row_frozen[r]`` is instead the column mask
-    of the lanes in which row r is frozen, and ``col_frozen`` is ``None``:
-    the column detector reads the final adder's own summand bits, so the
-    array applies it in the same pass.
+    ``row_frozen[r]`` is the column mask of the lanes in which row r is
+    frozen.  The final adder's quiet columns are not listed: their detector
+    reads the adder's own summand bits, so the array finds them in its pass.
     """
 
-    row_frozen: tuple
-    col_frozen: int | None
-
-    @classmethod
-    def disabled(cls, geometry: ArrayGeometry) -> "FreezeMask":
-        return cls(row_frozen=(False,) * geometry.rows, col_frozen=0)
-
-    @property
-    def frozen_row_count(self) -> int:
-        return sum(self.row_frozen)
-
-    @property
-    def frozen_col_count(self) -> int:
-        return self.col_frozen.bit_count()
+    row_frozen: tuple[int, ...]
 
 
 def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
@@ -333,25 +287,18 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
     return contributions
 
 
-def _frozen_rows(rows, lay: _Layout) -> tuple[int, ...]:
-    """Column masks of the lanes in which each row contributes nothing."""
-    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in rows)
+def _as_lanes(pp: PPMatrix | PPLanes, geometry: ArrayGeometry) -> PPLanes:
+    """A run of lanes; a single PP matrix is a run of one."""
+    if isinstance(pp, PPLanes):
+        return pp
+    return PPLanes(tuple(_fold_rows(pp, geometry)), 1)
 
 
 def detect_freeze(pp: PPMatrix | PPLanes, geometry: ArrayGeometry) -> FreezeMask:
-    """The freeze mask the detection logic asserts for this input.
-
-    A row freezes iff its contribution is zero.  Final-adder columns freeze
-    iff both summand bits arriving there are zero; those bits exist only
-    after the carry-save pass with the frozen rows bypassed, so for a single
-    PP matrix they are the masks a one-lane array run applied.
-    """
-    if isinstance(pp, PPLanes):
-        return FreezeMask(_frozen_rows(pp.rows, _layout(geometry.cols, pp.count)), None)
-    rows, lay = _fold_rows(pp, geometry), _layout(geometry.cols, 1)
-    frozen = _frozen_rows(rows, lay)
-    _, delta = ArrayState(geometry.width, geometry.arch)._run(rows, lay, frozen, None)
-    return FreezeMask(tuple(bool(z) for z in frozen), delta.lanes.col_frozen)
+    """The row masks the detection logic asserts: a row freezes iff it contributes zero."""
+    pp = _as_lanes(pp, geometry)
+    lay = _layout(geometry.cols, pp.count)
+    return FreezeMask(tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in pp.rows))
 
 
 class _LaneToggles(NamedTuple):
@@ -443,36 +390,23 @@ class ArrayState:
         self._cpa = [0] * 5
 
     def evaluate(self, pp: PPMatrix | PPLanes, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
-        """Evaluate the array on one PP matrix; returns (product, delta).
+        """Evaluate the array on a run of lanes (a PP matrix is a run of one).
 
-        With ``mask`` from :func:`detect_freeze` the product is exact and
-        frozen cells keep their node values.  ``None`` means no freezing.
-        A :class:`PPLanes` run evaluates lane after lane from the current
-        state: the product packs one product per lane, the delta sums the
-        run and splits by evaluation.
+        Returns (products, delta).  One carry-save pass and one carry-propagate add serve every lane,
+        evaluated in order from the current state.  The products pack one
+        product per lane; the delta sums the run and splits by evaluation.
+        With ``mask`` from :func:`detect_freeze` the products are exact,
+        frozen rows and the final adder's quiet columns keep their node
+        values.  ``None`` means no freezing.
         """
         g = self.geometry
+        pp = _as_lanes(pp, g)
+        rows, lay = pp.rows, _layout(g.cols, pp.count)
+        if len(rows) != g.rows:
+            raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
         if mask is not None and len(mask.row_frozen) != g.rows:
             raise GeometryError("freeze mask row count does not match array geometry")
-        if isinstance(pp, PPLanes):
-            rows, lay = pp.rows, _layout(g.cols, pp.count)
-            if len(rows) != g.rows:
-                raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
-        else:
-            rows, lay = _fold_rows(pp, g), _layout(g.cols, 1)
-            if mask is not None:
-                frozen = tuple(lay.cmask if f else 0 for f in mask.row_frozen)
-                mask = FreezeMask(frozen, mask.col_frozen & lay.cmask)
-        if mask is None:
-            return self._run(rows, lay, None, 0)
-        return self._run(rows, lay, mask.row_frozen, mask.col_frozen)
-
-    def _run(self, rows, lay: _Layout, row_frozen, col_frozen) -> tuple[int, ToggleDelta]:
-        """The kernel: one carry-save pass and one carry-propagate add for all lanes.
-
-        ``row_frozen`` None means ungated; ``col_frozen`` None means the
-        final adder's quiet columns freeze, detected from its summand bits.
-        """
+        row_frozen = mask.row_frozen if mask is not None else (0,) * len(rows)
         cmask = lay.cmask
         row_x = []
         for r, x in enumerate(rows):
@@ -483,7 +417,7 @@ class ArrayState:
         frozen_cells = 0
         s_bus, c_bus = rows[0], 0
         for r in range(1, len(rows)):
-            z = row_frozen[r] if row_frozen is not None else 0
+            z = row_frozen[r]
             if z == cmask:
                 # every lane bypasses this row: busses pass, cells hold
                 csa_x.append(())
@@ -513,8 +447,7 @@ class ArrayState:
         s = total & cmask
         cin = (a ^ b ^ total) & cmask
         cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
-        if col_frozen is None:
-            col_frozen = cmask ^ (a | b)
+        col_frozen = cmask ^ (a | b) if mask is not None else 0
         live = cmask ^ col_frozen if col_frozen else None
         cpa_x = []
         for k, node in enumerate((a, b, cin, s, cout)):
@@ -532,9 +465,7 @@ class ArrayState:
             cpa_toggles=cpa,
             frozen_cell_evaluations=frozen_cells,
             evaluations=lay.count,
-            lanes=_LaneToggles(
-                lay, row_x, csa_x, tuple(cpa_x), row_frozen or (0,) * len(rows), col_frozen
-            ),
+            lanes=_LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen),
         )
         return s, delta
 

@@ -16,11 +16,12 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .bitnum import Word, check_operand_width, to_sign_magnitude
-from .datapath import ProductMismatchError, simulate_stream
+from .datapath import ProductMismatchError, ToggleReport, simulate_stream
 from .encoding import (
     Architecture,
     BoothDigits,
@@ -35,9 +36,16 @@ from .encoding import (
     split,
     swaps_for_sparsity,
 )
-from .metrics import CostGrid, CostModel, delay_estimate, power_estimate, reduction_percent
+from .metrics import CostGrid, CostModel, delay_estimate, power_estimate, reduction_percent, vdd_label
 
 ALL_ARCHITECTURES = (Architecture.CONVENTIONAL, Architecture.BOOTH, Architecture.HYBRID)
+
+# (candidate, baseline) pairs every report compares, in print order.
+REDUCTION_PAIRS = (
+    (Architecture.HYBRID, Architecture.CONVENTIONAL),
+    (Architecture.HYBRID, Architecture.BOOTH),
+    (Architecture.BOOTH, Architecture.CONVENTIONAL),
+)
 
 
 class InputFormatError(ValueError):
@@ -199,43 +207,48 @@ class ArchSummary:
         return self.add_total / self.pairs
 
 
+def reductions(values: dict[Architecture, float | None]) -> dict[str, float]:
+    """Percent reduction of each candidate against its baseline, keyed ``cand_vs_base``.
+
+    A pair is left out unless both values are present and the baseline is positive.
+    """
+    out = {}
+    for cand, base in REDUCTION_PAIRS:
+        baseline, candidate = values.get(base), values.get(cand)
+        if baseline is not None and candidate is not None and baseline > 0:
+            out[f"{cand.value}_vs_{base.value}"] = reduction_percent(baseline, candidate)
+    return out
+
+
 @dataclass
 class CampaignReport:
     campaign: Campaign
     summaries: list[ArchSummary]
 
-    def summary_for(self, arch: Architecture) -> ArchSummary:
-        for s in self.summaries:
-            if s.arch is arch:
-                return s
-        raise KeyError(arch.value)
-
     def reductions(self) -> dict[str, dict[str, float]]:
         """Pairwise reduction percentages on add counts and toggles."""
-        out: dict[str, dict[str, float]] = {"add_total": {}, "toggles": {}}
-        by_arch = {s.arch: s for s in self.summaries}
-        pairs = [
-            (Architecture.HYBRID, Architecture.CONVENTIONAL),
-            (Architecture.HYBRID, Architecture.BOOTH),
-            (Architecture.BOOTH, Architecture.CONVENTIONAL),
-        ]
-        for cand, base in pairs:
-            if cand not in by_arch or base not in by_arch:
-                continue
-            key = f"{cand.value}_vs_{base.value}"
-            if by_arch[base].add_total > 0:
-                out["add_total"][key] = reduction_percent(
-                    by_arch[base].add_total, by_arch[cand].add_total
-                )
-            if (
-                by_arch[base].toggles is not None
-                and by_arch[cand].toggles is not None
-                and by_arch[base].toggles > 0
-            ):
-                out["toggles"][key] = reduction_percent(
-                    by_arch[base].toggles, by_arch[cand].toggles
-                )
-        return out
+        return {
+            metric: reductions({s.arch: getattr(s, metric) for s in self.summaries})
+            for metric in ("add_total", "toggles")
+        }
+
+
+def toggle_reports(campaign: Campaign, pairs, trace=None) -> dict[Architecture, ToggleReport]:
+    """Run the cell-level toggle simulation of ``pairs`` on each campaign architecture.
+
+    The array sees each pair in the operand order :func:`multiply` uses, so
+    under ``prefer_sparse`` toggles and operation counts describe the same
+    multiplications.  ``trace``, if given, is called as
+    ``trace(arch, index, delta)`` for every evaluation.
+    """
+    if campaign.prefer_sparse:
+        pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
+    return {
+        arch: simulate_stream(
+            pairs, arch, campaign.width, campaign.ssst, trace=partial(trace, arch) if trace else None
+        )
+        for arch in campaign.architectures
+    }
 
 
 def run_campaign(
@@ -246,10 +259,6 @@ def run_campaign(
     """Run a campaign; raises ProductMismatchError on any oracle mismatch."""
     model = model or CostModel.default()
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
-    # the array sees each pair in the operand order multiply used
-    stream_pairs = pairs
-    if campaign.prefer_sparse:
-        stream_pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     summaries = []
     for arch in campaign.architectures:
         pp_total = add_total = shift_total = 0
@@ -269,16 +278,17 @@ def run_campaign(
             add_total=add_total,
             shift_total=shift_total,
         )
-        if campaign.simulate_toggles:
-            toggle_report = simulate_stream(stream_pairs, arch, campaign.width, campaign.ssst)
-            summary.toggles = toggle_report.total_toggles
-            summary.frozen_cell_evaluations = toggle_report.frozen_cell_evaluations
         for vdd in campaign.vdds:
             summary.per_vdd[vdd] = (
                 power_estimate(1, vdd, model, interpolate) * summary.mean_adds,
                 delay_estimate(1, vdd, model, interpolate) * summary.mean_adds,
             )
         summaries.append(summary)
+    if campaign.simulate_toggles:
+        reports = toggle_reports(campaign, pairs)
+        for summary in summaries:
+            summary.toggles = reports[summary.arch].total_toggles
+            summary.frozen_cell_evaluations = reports[summary.arch].frozen_cell_evaluations
     return CampaignReport(campaign=campaign, summaries=summaries)
 
 
@@ -386,7 +396,7 @@ def render_csv(report: CampaignReport) -> str:
             power, delay = s.per_vdd[vdd]
             lines.append(
                 f"{s.arch.value},{s.pairs},{s.pp_total},{s.add_total},"
-                f"{toggles},{power:.4f},{delay:.4f},{vdd:.1f}"
+                f"{toggles},{power:.4f},{delay:.4f},{vdd_label(vdd)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -455,7 +465,7 @@ def render_ascii(report: CampaignReport) -> str:
             f"{s.arch.value} {s.per_vdd[vdd][0]:.4f} uW / {s.per_vdd[vdd][1]:.4f} ns"
             for s in report.summaries
         )
-        lines.append(f"@ {vdd:.1f} V: {cells}")
+        lines.append(f"@ {vdd_label(vdd)} V: {cells}")
     reductions = report.reductions()
     for metric, vals in reductions.items():
         for key, pct in vals.items():
@@ -506,7 +516,7 @@ def svg_power_chart(series: dict[str, list[tuple[float, float]]], title: str) ->
     for x in sorted({p[0] for p in points}):
         parts.append(
             f'<text x="{sx(x):.1f}" y="{height - pad + 16}" text-anchor="middle" '
-            f'font-size="10" font-family="monospace">{x:.1f}</text>'
+            f'font-size="10" font-family="monospace">{vdd_label(x)}</text>'
         )
     for i, (name, pts) in enumerate(sorted(series.items())):
         color = colors.get(name, "#7f8c8d")
@@ -527,7 +537,7 @@ def svg_power_chart(series: dict[str, list[tuple[float, float]]], title: str) ->
 
 
 def render_cost_grid_ascii(grid: CostGrid) -> str:
-    head = "vdd (V)".ljust(22) + "".join(f"{v:>9.1f}" for v in grid.voltages)
+    head = "vdd (V)".ljust(22) + "".join(f"{vdd_label(v):>9}" for v in grid.voltages)
     lines = [head]
     for arch in ("conventional", "booth", "hybrid"):
         adds = grid.add_counts[arch]
@@ -545,7 +555,7 @@ def render_cost_grid_csv(grid: CostGrid) -> str:
     for arch in ("conventional", "booth", "hybrid"):
         for v in grid.voltages:
             lines.append(
-                f"{arch},{grid.add_counts[arch]},{v:.1f},"
+                f"{arch},{grid.add_counts[arch]},{vdd_label(v)},"
                 f"{grid.power[arch][v]:.4f},{grid.delay[arch][v]:.4f}"
             )
     return "\n".join(lines) + "\n"
@@ -557,8 +567,8 @@ def render_cost_grid_json(grid: CostGrid) -> str:
         "archs": {
             arch: {
                 "adds": grid.add_counts[arch],
-                "power_uW": {f"{v:.1f}": round(grid.power[arch][v], 6) for v in grid.voltages},
-                "delay_ns": {f"{v:.1f}": round(grid.delay[arch][v], 6) for v in grid.voltages},
+                "power_uW": {vdd_label(v): round(grid.power[arch][v], 6) for v in grid.voltages},
+                "delay_ns": {vdd_label(v): round(grid.delay[arch][v], 6) for v in grid.voltages},
             }
             for arch in grid.add_counts
         },

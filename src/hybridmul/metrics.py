@@ -10,6 +10,7 @@ at 7 (conventional, 8 PP), 3 (Booth, 4 PP) and 1 (hybrid, 1 PP) additions for
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -71,10 +72,13 @@ class CostModel:
             raise ValueError("power and delay tables must cover the same voltages")
         if not self.unit_power:
             raise ValueError("cost model must define at least one voltage")
+        for vdd in self.unit_power:
+            if not (math.isfinite(vdd) and vdd > 0):
+                raise ValueError(f"supply voltage must be positive and finite, got {vdd}")
         for table in (self.unit_power, self.unit_delay):
             for vdd, value in table.items():
-                if value <= 0:
-                    raise ValueError(f"unit cost at {vdd} V must be positive, got {value}")
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"unit cost at {vdd} V must be positive and finite, got {value}")
 
     @classmethod
     def default(cls) -> "CostModel":
@@ -92,6 +96,7 @@ class CostModel:
         """
         power: dict[float, float] = {}
         delay: dict[float, float] = {}
+        line_of: dict[float, int] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -103,6 +108,9 @@ class CostModel:
                 vdd, p, d = (float(f) for f in fields)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+            if vdd in line_of:
+                raise ValueError(f"{path}:{lineno}: {vdd} V repeats line {line_of[vdd]}")
+            line_of[vdd] = lineno
             power[vdd] = p
             delay[vdd] = d
         return cls(unit_power=MappingProxyType(power), unit_delay=MappingProxyType(delay))
@@ -146,6 +154,12 @@ def delay_estimate(
         raise ValueError("add_count must be non-negative")
     model = model or CostModel.default()
     return add_count * model._lookup(model.unit_delay, vdd, interpolate)
+
+
+def vdd_label(vdd: float) -> str:
+    """A supply voltage as printed: one decimal when that is exact, else in full."""
+    short = f"{vdd:.1f}"
+    return short if float(short) == vdd else repr(vdd)
 
 
 def reduction_percent(baseline: float, candidate: float) -> float:

@@ -150,33 +150,6 @@ class TestTextForms:
 
     def test_decimal_and_hex_forms(self):
         assert Word(34, 8).decimal() == "8'd34"
-        assert Word(34, 8).hexadecimal() == "8'h22"
-
-    def test_parse_width_explicit(self):
-        assert Word.parse("8'b00100010") == Word(34, 8)
-        assert Word.parse("8'd34") == Word(34, 8)
-        assert Word.parse("8'h22") == Word(34, 8)
-
-    def test_parse_plain_literals(self):
-        assert Word.parse("0b100010", width=8) == Word(34, 8)
-        assert Word.parse("0x22", width=8) == Word(34, 8)
-        assert Word.parse("34", width=8) == Word(34, 8)
-
-    def test_parse_round_trip(self):
-        for w in (Word(34, 8), Word(0, 4), Word(65535, 16)):
-            assert Word.parse(w.binary()) == w
-            assert Word.parse(w.decimal()) == w
-            assert Word.parse(w.hexadecimal()) == w
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            Word.parse("34")  # no width anywhere
-        with pytest.raises(ValueError):
-            Word.parse("8'b00100010", width=9)  # conflicting widths
-        with pytest.raises(ValueError):
-            Word.parse("4'd34")  # does not fit
-        with pytest.raises(ValueError):
-            Word.parse("8'bxyz")
 
 
 class TestOperandWidth:

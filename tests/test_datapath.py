@@ -1,4 +1,3 @@
-import itertools
 from unittest import mock
 
 import pytest
@@ -13,7 +12,6 @@ from hybridmul.datapath import (
     STREAM_CHUNK,
     ArrayGeometry,
     ArrayState,
-    FACell,
     FreezeMask,
     GeometryError,
     Lanes,
@@ -21,7 +19,6 @@ from hybridmul.datapath import (
     _fold_rows,
     build_pp,
     detect_freeze,
-    full_adder,
     simulate_stream,
 )
 from hybridmul.harness import RandomSource, gen_inputs
@@ -51,35 +48,6 @@ def seed42_pairs():
 
 def magnitudes(a, b, width=8):
     return to_sign_magnitude(a, width).magnitude, to_sign_magnitude(b, width).magnitude
-
-
-class TestFullAdder:
-    def test_truth_table(self):
-        for a, b, cin in itertools.product((0, 1), repeat=3):
-            s, cout = full_adder(a, b, cin)
-            total = a + b + cin
-            assert (s, cout) == (total & 1, total >> 1)
-
-    def test_named_rows(self):
-        assert full_adder(1, 1, 0) == (0, 1)
-        assert full_adder(0, 0, 0) == (0, 0)
-        assert full_adder(1, 1, 1) == (1, 1)
-
-
-class TestFACell:
-    def test_computes_and_stores(self):
-        cell = FACell()
-        assert cell.step(1, 1, 0) == (0, 1)
-        assert (cell.a, cell.b, cell.cin) == (1, 1, 0)
-
-    def test_frozen_cell_latches(self):
-        cell = FACell()
-        cell.step(1, 1, 0)
-        cell.frozen = True
-        assert cell.step(0, 0, 0) == (0, 1)  # held outputs
-        assert (cell.a, cell.b, cell.cin) == (1, 1, 0)  # inputs not captured
-        cell.frozen = False
-        assert cell.step(0, 0, 0) == (0, 0)
 
 
 class TestGeometry:
@@ -166,32 +134,33 @@ class TestEvaluate:
 
 
 class TestDetectFreeze:
+    @staticmethod
+    def gated(arch, a, b):
+        """(mask, delta) of one gated width-8 evaluation from the reset state."""
+        state = ArrayState(8, arch)
+        pp = build_pp(*magnitudes(a, b), arch)
+        mask = detect_freeze(pp, state.geometry)
+        return mask, state.evaluate(pp, mask)[1]
+
     def test_hybrid_single_live_row(self):
-        geometry = ArrayGeometry.create(8, Architecture.HYBRID)
-        pp = build_pp(*magnitudes(65, 34), Architecture.HYBRID)
-        mask = detect_freeze(pp, geometry)
-        assert mask.frozen_row_count == 7
-        assert mask.row_frozen[0] is False
+        mask, _ = self.gated(Architecture.HYBRID, 65, 34)
+        assert sum(1 for z in mask.row_frozen if z) == 7
+        assert mask.row_frozen[0] == 0
 
     def test_all_zero_pp_freezes_everything(self):
         geometry = ArrayGeometry.create(8, Architecture.CONVENTIONAL)
-        pp = build_pp(*magnitudes(0, 0), Architecture.CONVENTIONAL)
-        mask = detect_freeze(pp, geometry)
+        mask, delta = self.gated(Architecture.CONVENTIONAL, 0, 0)
         assert all(mask.row_frozen)
-        assert mask.frozen_col_count == geometry.cols
+        assert delta.lanes.col_frozen.bit_count() == geometry.cols
 
     def test_dense_pp_freezes_nothing(self):
-        geometry = ArrayGeometry.create(8, Architecture.CONVENTIONAL)
-        pp = build_pp(*magnitudes(255, 255), Architecture.CONVENTIONAL)
-        mask = detect_freeze(pp, geometry)
-        assert mask.frozen_row_count == 0
+        mask, _ = self.gated(Architecture.CONVENTIONAL, 255, 255)
+        assert not any(mask.row_frozen)
 
     def test_column_flags_cover_quiet_columns(self):
-        geometry = ArrayGeometry.create(8, Architecture.HYBRID)
-        pp = build_pp(*magnitudes(65, 34), Architecture.HYBRID)
-        mask = detect_freeze(pp, geometry)
+        _, delta = self.gated(Architecture.HYBRID, 65, 34)
         # single live row: the final adder sees exactly the product bits
-        assert mask.col_frozen == ~2210 & (2**16 - 1)
+        assert delta.lanes.col_frozen == ~2210 & (2**16 - 1)
 
 
 class TestSimulateStream:
@@ -300,7 +269,7 @@ class TestSimulateStream:
     def test_freeze_mask_geometry_checked(self):
         state = ArrayState(8, Architecture.CONVENTIONAL)
         pp = build_pp(*magnitudes(65, 34), Architecture.CONVENTIONAL)
-        bad_mask = FreezeMask(row_frozen=(False,) * 4, col_frozen=0)
+        bad_mask = FreezeMask(row_frozen=(0,) * 4)
         with pytest.raises(GeometryError):
             state.evaluate(pp, bad_mask)
 

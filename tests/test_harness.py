@@ -16,6 +16,7 @@ from hybridmul.harness import (
     gen_inputs,
     parse_input_spec,
     parse_pairs_file,
+    reductions,
     render_ascii,
     render_csv,
     render_json,
@@ -158,6 +159,15 @@ class TestRunCampaign:
         red = run_campaign(pixel_campaign).reductions()
         assert red["add_total"]["hybrid_vs_conventional"] == pytest.approx(100 * (1 - 1 / 7))
         assert red["add_total"]["booth_vs_conventional"] == pytest.approx(100 * (1 - 3 / 7))
+
+    def test_reductions_skip_missing_and_zero_baselines(self):
+        H, B, C = Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL
+        assert reductions({H: 1, B: 4, C: 8}) == {
+            "hybrid_vs_conventional": 87.5,
+            "hybrid_vs_booth": 75.0,
+            "booth_vs_conventional": 50.0,
+        }
+        assert reductions({H: 1, B: None, C: 0}) == {}
 
     def test_prefer_sparse_toggles_use_the_swapped_order(self):
         # Booth's rows depend on which operand is the multiplier, so toggles
@@ -407,14 +417,66 @@ class TestCli:
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.1", "--interpolate"]) == 0
 
     def test_geometry_error_is_not_reported_as_bad_input(self, monkeypatch):
-        import hybridmul.cli as cli
+        import hybridmul.harness as harness
 
         def faulty_stream(*args, **kwargs):
             raise GeometryError("9 PP rows offered to a 8-row array")
 
-        monkeypatch.setattr(cli, "simulate_stream", faulty_stream)
+        monkeypatch.setattr(harness, "simulate_stream", faulty_stream)
         with pytest.raises(GeometryError):
             main(["stream", "--inputs", "random:3"])
+
+    def test_stream_runs_no_count_pass(self, monkeypatch):
+        import hybridmul.harness as harness
+
+        def no_multiply(*args, **kwargs):
+            raise AssertionError("stream must not count operations")
+
+        monkeypatch.setattr(harness, "multiply", no_multiply)
+        assert main(["stream", "--inputs", "random:20", "--seed", "2", "--ssst"]) == 0
+        with pytest.raises(AssertionError):  # the patch does reach a count pass
+            main(["compare", "--inputs", "random:3"])
+
+    def test_stream_lists_a_repeated_arch_once(self, capsys):
+        argv = ["stream", "--inputs", "random:10", "--arch", "hybrid", "--arch", "booth", "--arch", "hybrid"]
+        assert main(argv) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:4]]
+        assert rows == ["hybrid", "booth"]
+
+    def test_fine_vdd_keeps_its_digits(self, capsys):
+        argv = ["compare", "--inputs", "random:5", "--vdd", "1.2", "--vdd", "1.25", "--interpolate"]
+        assert main(argv) == 0
+        assert "@ 1.25 V:" in capsys.readouterr().out
+        assert main(argv + ["--format", "csv"]) == 0
+        vdds = [row.split(",")[-1] for row in capsys.readouterr().out.splitlines()[1:]]
+        assert vdds == ["1.2", "1.25"] * 3
+
+    def test_table2_json_keys_every_model_voltage(self, tmp_path, capsys):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text("1.2 17.5 0.595\n1.25 20 0.5\n")
+        assert main(["table2", "--model", str(cfg), "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["archs"]["hybrid"]["power_uW"] == {"1.2": 17.5, "1.25": 20.0}
+        assert payload["archs"]["hybrid"]["delay_ns"] == {"1.2": 0.595, "1.25": 0.5}
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1.2 nan 1\n", "positive and finite"),
+            ("1.2 inf 1\n", "positive and finite"),
+            ("1.2 1 nan\n", "positive and finite"),
+            ("0 1 1\n", "supply voltage"),
+            ("-1.2 1 1\n", "supply voltage"),
+            ("inf 1 1\n", "supply voltage"),
+            ("nan 1 1\n", "supply voltage"),
+            ("1.2 1 1\n# again\n1.2 2 2\n", "model.cfg:3: 1.2 V repeats line 1"),
+        ],
+    )
+    def test_bad_cost_model_is_input_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "model.cfg"
+        cfg.write_text(text)
+        assert main(["table2", "--model", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_product_mismatch_exit_code(self, monkeypatch):
         import hybridmul.harness as harness

@@ -12,6 +12,7 @@ from hybridmul.metrics import (
     power_estimate,
     reduction_percent,
     table2_report,
+    vdd_label,
 )
 
 
@@ -84,6 +85,20 @@ class TestReductionPercent:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             reduction_percent(0.0, 1.0)
+
+
+class TestVddLabel:
+    def test_grid_voltages_keep_one_decimal(self):
+        assert [vdd_label(v) for v in TABLE_VOLTAGES] == [f"{v:.1f}" for v in TABLE_VOLTAGES]
+        assert vdd_label(1.0) == "1.0"
+
+    def test_finer_voltages_print_in_full(self):
+        assert vdd_label(1.25) == "1.25"
+        assert vdd_label(0.825) == "0.825"
+
+    @given(st.floats(min_value=0.01, max_value=10.0))
+    def test_label_round_trips(self, vdd):
+        assert float(vdd_label(vdd)) == vdd
 
 
 class TestCostModel:
