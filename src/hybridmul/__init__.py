@@ -20,7 +20,6 @@ from .encoding import (
     booth_recode,
     classify,
     conventional_pp,
-    execute_plan,
     hybrid_plan,
     hybrid_pp,
     multiply,
@@ -69,7 +68,6 @@ __all__ = [
     "conventional_pp",
     "delay_estimate",
     "detect_freeze",
-    "execute_plan",
     "gen_inputs",
     "hybrid_plan",
     "hybrid_pp",

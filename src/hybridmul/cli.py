@@ -54,11 +54,10 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
         default="random:1000",
         help="input source: exhaustive, random:N, or file:PATH",
     )
-    p.add_argument("--seed", type=int, default=0, help="seed for random inputs")
+    p.add_argument("--seed", type=int, help="seed for random:N inputs (default 0)")
     p.add_argument(
         "--dist",
-        default="uniform",
-        help="random distribution: uniform, uniform8, or sparseK (e.g. sparse3)",
+        help="distribution of random:N inputs: uniform (default), uniform8, or sparseK (e.g. sparse3)",
     )
     p.add_argument(
         "--arch",
@@ -73,13 +72,17 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
     """The campaign both ``compare`` and ``stream`` run, from their shared arguments."""
     source = parse_input_spec(args.inputs)
     if isinstance(source, RandomSource):
-        source = RandomSource(source.count, args.dist)
+        source = RandomSource(source.count, args.dist or "uniform")
+    else:
+        for flag, value in (("--dist", args.dist), ("--seed", args.seed)):
+            if value is not None:
+                raise InputFormatError(f"{flag} applies only to random:N inputs, not {source.describe()}")
     names = dict.fromkeys(args.arch or sorted(_ARCH_BY_NAME))  # each once, in order
     return Campaign(
         width=args.width,
         architectures=tuple(_ARCH_BY_NAME[name] for name in names),
         source=source,
-        seed=args.seed,
+        seed=args.seed or 0,
         ssst=args.ssst,
         **options,
     )

@@ -51,8 +51,8 @@ from .encoding import (
     booth_pp,
     booth_recode,
     conventional_pp,
+    hybrid_int,
     hybrid_pp,
-    unsigned_product,
 )
 
 # Evaluations per kernel call in simulate_stream: bounds the size of the
@@ -202,10 +202,7 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
     lay = _layout(g.cols, len(multiplicand.values))
     if arch is Architecture.HYBRID:
         # row 0 is the encoder's own chain result, so the oracle checks it
-        products = [
-            unsigned_product(Word(a, w), Word(b, w), arch)[0]
-            for a, b in zip(multiplicand.values, multiplier.values)
-        ]
+        products = [hybrid_int(a, b, w)[0] for a, b in zip(multiplicand.values, multiplier.values)]
         return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay.count)
     a = _pack(multiplicand.values, lay.lane)
     b = _pack(multiplier.values, lay.lane)

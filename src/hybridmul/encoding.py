@@ -10,7 +10,10 @@ Three ways to turn (multiplicand, multiplier) into a product:
   half re-dispatched.
 
 All encoders work on unsigned magnitudes; :func:`multiply` applies the
-sign-magnitude glue around whichever core is selected.
+sign-magnitude glue around whichever core is selected.  The cores that count
+and multiply run on plain ints; :class:`Word` values appear at the boundaries
+(the classification, plan and partial-product views used by ``trace`` and the
+array).
 """
 
 from __future__ import annotations
@@ -19,7 +22,14 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .bitnum import SignMag, Word, check_operand_width, to_sign_magnitude
+from .bitnum import (
+    MAX_OPERAND_WIDTH,
+    MIN_OPERAND_WIDTH,
+    SignMag,
+    Word,
+    check_operand_width,
+    to_sign_magnitude,
+)
 
 
 class Architecture(enum.Enum):
@@ -166,19 +176,6 @@ def hybrid_plan(multiplier: Word) -> HybridPlan:
     )
 
 
-def execute_plan(plan: HybridPlan, multiplicand: Word) -> Word:
-    """Run a plan: AddM always adds the original multiplicand."""
-    if plan.pp_count == 0:
-        return Word(0, multiplicand.width)
-    acc = multiplicand
-    for step in plan.steps:
-        if isinstance(step, ShiftLeft):
-            acc = acc.shift_left(step.amount)
-        else:
-            acc = acc + multiplicand
-    return acc
-
-
 def split(multiplier: Word) -> tuple[Word, Word]:
     """Split an even-width word into (high, low) halves of width/2 each."""
     if multiplier.width % 2:
@@ -253,17 +250,10 @@ class PPRow:
     def is_zero(self) -> bool:
         return self.bits.bits == 0
 
-    def value(self) -> int:
-        v = self.bits.bits << self.weight
-        return -v if self.negate else v
-
 
 @dataclass(frozen=True, slots=True)
 class PPMatrix:
     rows: tuple[PPRow, ...]
-
-    def signed_sum(self) -> int:
-        return sum(row.value() for row in self.rows)
 
     def nonzero_count(self) -> int:
         return sum(1 for row in self.rows if not row.is_zero)
@@ -323,13 +313,6 @@ class OpCounts:
     add_count: int
     shift_count: int
 
-    def __add__(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.pp_count + other.pp_count,
-            self.add_count + other.add_count,
-            self.shift_count + other.shift_count,
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class MultiplyResult:
@@ -337,52 +320,96 @@ class MultiplyResult:
     counts: OpCounts
 
 
-def _hybrid_leaf(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:
-    plan = hybrid_plan(multiplier)
-    product = execute_plan(plan, multiplicand).bits
-    return product, OpCounts(plan.pp_count, plan.add_count, plan.shift_count)
+# The integer core: each encoder takes the multiplicand, the multiplier's bits
+# and its width as plain ints and returns (product, pp_count, add_count,
+# shift_count).  The counts are bit arithmetic on the multiplier alone; the
+# product is built the way the encoder builds it, never by one native multiply.
+
+IntCore = tuple[int, int, int, int]
+
+# Radix-4 digit of the window (b[2k+1], b[2k], b[2k-1]): b[2k-1] + b[2k] - 2*b[2k+1].
+_BOOTH_DIGIT = (0, 1, 1, 2, -2, -1, -1, 0)
 
 
-def _booth_core(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:
-    digits = booth_recode(multiplier)
-    matrix = booth_pp(multiplicand, digits)
-    return matrix.signed_sum(), OpCounts(len(digits), len(digits) - 1, 0)
+def conventional_int(m: int, bits: int, width: int) -> IntCore:
+    """One row per multiplier bit: ``m << k`` summed over the set bits k."""
+    product = 0
+    rest = bits
+    while rest:
+        low = rest & -rest
+        product += m << (low.bit_length() - 1)
+        rest ^= low
+    return product, width, width - 1, 0
+
+
+def booth_int(m: int, bits: int, width: int) -> IntCore:
+    """Radix-4 Booth: digit k from the 3-bit window at 2k of ``bits << 1``, times ``m << 2k``.
+
+    The digit count is :func:`booth_recode`'s: the width plus one bit when
+    the top bit is set, rounded up to even, halved.
+    """
+    n = (width + (bits >> (width - 1)) + 1) // 2
+    window = bits << 1
+    product = 0
+    for k in range(n):
+        d = _BOOTH_DIGIT[(window >> 2 * k) & 7]
+        if d:
+            product += d * (m << 2 * k)
+    return product, n, n - 1, 0
+
+
+def _chain(m: int, bits: int) -> IntCore:
+    """Run :func:`hybrid_plan`'s shift/add chain for at most three set bits."""
+    if not bits:
+        return 0, 0, 0, 0
+    prev = bits.bit_length()
+    rest = bits ^ (1 << (prev - 1))
+    acc = m
+    adds = 0
+    while rest:
+        pos = rest.bit_length()
+        acc = (acc << (prev - pos)) + m
+        rest ^= 1 << (pos - 1)
+        prev = pos
+        adds += 1
+    # prev is the lowest set position; a final shift by 0 is dropped
+    if prev > 1:
+        return acc << (prev - 1), 1, adds, adds + 1
+    return acc, 1, adds, adds
+
+
+def _hybrid_leaf_int(m: int, bits: int, width: int) -> IntCore:
+    return _chain(m, bits) if bits.bit_count() <= 3 else booth_int(m, bits, width)
+
+
+def hybrid_int(m: int, bits: int, width: int) -> IntCore:
+    """Hybrid: the chain for at most three set bits, else split once into halves.
+
+    Each half runs the chain or, when dense, Booth; the half products
+    recombine with one extra addition.  An odd width cannot split evenly
+    and falls back to Booth whole.
+    """
+    if bits.bit_count() <= 3 or width % 2:
+        return _hybrid_leaf_int(m, bits, width)
+    half = width // 2
+    hi, hi_pp, hi_adds, hi_shifts = _hybrid_leaf_int(m, bits >> half, half)
+    lo, lo_pp, lo_adds, lo_shifts = _hybrid_leaf_int(m, bits & ((1 << half) - 1), half)
+    return (hi << half) + lo, hi_pp + lo_pp, hi_adds + lo_adds + 1, hi_shifts + lo_shifts
+
+
+_INT_CORES = {
+    Architecture.CONVENTIONAL: conventional_int,
+    Architecture.BOOTH: booth_int,
+    Architecture.HYBRID: hybrid_int,
+}
 
 
 def unsigned_product(
     multiplicand: Word, multiplier: Word, arch: Architecture
 ) -> tuple[int, OpCounts]:
-    """Multiply two magnitudes with the chosen architecture.
-
-    The hybrid path dispatches on the multiplier's popcount: at most three
-    set bits run the shift/add plan directly; otherwise the multiplier is
-    split once into halves, each half re-dispatched (dense halves fall back
-    to Booth), and the two half-products recombine with one extra addition.
-    Odd-width multipliers that cannot split evenly fall back to Booth whole.
-    """
-    if arch is Architecture.CONVENTIONAL:
-        matrix = conventional_pp(multiplicand, multiplier)
-        return matrix.signed_sum(), OpCounts(len(matrix), multiplier.width - 1, 0)
-
-    if arch is Architecture.BOOTH:
-        return _booth_core(multiplicand, multiplier)
-
-    if multiplier.popcount() <= 3:
-        return _hybrid_leaf(multiplicand, multiplier)
-    if multiplier.width % 2:
-        return _booth_core(multiplicand, multiplier)
-
-    hi, lo = split(multiplier)
-    parts = []
-    for half in (hi, lo):
-        if half.popcount() > 3:
-            parts.append(_booth_core(multiplicand, half))
-        else:
-            parts.append(_hybrid_leaf(multiplicand, half))
-    (hi_prod, hi_counts), (lo_prod, lo_counts) = parts
-    product = (hi_prod << (multiplier.width // 2)) + lo_prod
-    counts = hi_counts + lo_counts + OpCounts(0, 1, 0)
-    return product, counts
+    """Multiply two magnitudes with the chosen architecture's integer core."""
+    product, pp, adds, shifts = _INT_CORES[arch](multiplicand.bits, multiplier.bits, multiplier.width)
+    return product, OpCounts(pp, adds, shifts)
 
 
 def _as_sign_magnitude(operand: int | SignMag, width: int | None) -> SignMag:
@@ -412,15 +439,27 @@ def multiply(
     operands when the multiplicand has fewer set bits than the multiplier,
     which can land a denser pair in a cheaper category.
     """
-    sa = _as_sign_magnitude(a, width)
-    sb = _as_sign_magnitude(b, width)
-    check_operand_width(sa.magnitude.width)
-    check_operand_width(sb.magnitude.width)
+    if isinstance(a, SignMag) or isinstance(b, SignMag):
+        sa = _as_sign_magnitude(a, width)
+        sb = _as_sign_magnitude(b, width)
+        check_operand_width(sa.magnitude.width)
+        check_operand_width(sb.magnitude.width)
+        multiplicand, multiplier = sa.magnitude, sb.magnitude
+        negative = sa.sign != sb.sign
+    else:
+        if width is None:
+            raise ValueError("width is required when operands are plain integers")
+        ma, mb = abs(a), abs(b)
+        if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
+            # the SignMag path's own checks, in its order, raise the exact error
+            to_sign_magnitude(a, width)
+            to_sign_magnitude(b, width)
+            check_operand_width(width)
+        multiplicand, multiplier = Word(ma, width), Word(mb, width)
+        negative = (a < 0) != (b < 0)
 
-    multiplicand, multiplier = sa.magnitude, sb.magnitude
     if prefer_sparse and swaps_for_sparsity(multiplicand.bits, multiplier.bits):
         multiplicand, multiplier = multiplier, multiplicand
 
     magnitude, counts = unsigned_product(multiplicand, multiplier, arch)
-    sign = sa.sign * sb.sign
-    return MultiplyResult(product=sign * magnitude, counts=counts)
+    return MultiplyResult(product=-magnitude if negative else magnitude, counts=counts)

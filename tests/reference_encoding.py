@@ -1,0 +1,99 @@
+"""Straight-line reference for the encoders' products and operation counts.
+
+Independent check for the integer core in ``hybridmul.encoding``: every
+product here is composed from the public :class:`Word`-level views (the
+hybrid plan run step by step, Booth digits summed as signed PP rows,
+conventional rows summed) and every count is read off those views, the way
+the encoders were first written.  No bit arithmetic on the multiplier is
+shared with the core.
+"""
+
+from __future__ import annotations
+
+from hybridmul.bitnum import Word
+from hybridmul.encoding import (
+    AddM,
+    Architecture,
+    HybridPlan,
+    OpCounts,
+    PPMatrix,
+    booth_pp,
+    booth_recode,
+    conventional_pp,
+    hybrid_plan,
+    split,
+)
+
+
+def execute_plan(plan: HybridPlan, multiplicand: Word) -> Word:
+    """Run a plan: AddM always adds the original multiplicand."""
+    if plan.pp_count == 0:
+        return Word(0, multiplicand.width)
+    acc = multiplicand
+    for step in plan.steps:
+        if isinstance(step, AddM):
+            acc = acc + multiplicand
+        else:
+            acc = acc.shift_left(step.amount)
+    return acc
+
+
+def signed_sum(matrix: PPMatrix) -> int:
+    """Sum of the rows, each ``(+/-) bits << weight``."""
+    total = 0
+    for row in matrix.rows:
+        value = row.bits.bits << row.weight
+        total += -value if row.negate else value
+    return total
+
+
+def _add(x: OpCounts, y: OpCounts) -> OpCounts:
+    return OpCounts(x.pp_count + y.pp_count, x.add_count + y.add_count, x.shift_count + y.shift_count)
+
+
+def _hybrid_leaf(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:
+    plan = hybrid_plan(multiplier)
+    product = execute_plan(plan, multiplicand).bits
+    return product, OpCounts(plan.pp_count, plan.add_count, plan.shift_count)
+
+
+def _booth_core(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:
+    digits = booth_recode(multiplier)
+    matrix = booth_pp(multiplicand, digits)
+    return signed_sum(matrix), OpCounts(len(digits), len(digits) - 1, 0)
+
+
+def unsigned_product(
+    multiplicand: Word, multiplier: Word, arch: Architecture
+) -> tuple[int, OpCounts]:
+    """Multiply two magnitudes with the chosen architecture.
+
+    The hybrid path dispatches on the multiplier's popcount: at most three
+    set bits run the shift/add plan directly; otherwise the multiplier is
+    split once into halves, each half re-dispatched (dense halves fall back
+    to Booth), and the two half-products recombine with one extra addition.
+    Odd-width multipliers that cannot split evenly fall back to Booth whole.
+    """
+    if arch is Architecture.CONVENTIONAL:
+        matrix = conventional_pp(multiplicand, multiplier)
+        return signed_sum(matrix), OpCounts(len(matrix), multiplier.width - 1, 0)
+
+    if arch is Architecture.BOOTH:
+        return _booth_core(multiplicand, multiplier)
+
+    if multiplier.popcount() <= 3:
+        return _hybrid_leaf(multiplicand, multiplier)
+    if multiplier.width % 2:
+        return _booth_core(multiplicand, multiplier)
+
+    hi, lo = split(multiplier)
+    parts = []
+    for half in (hi, lo):
+        if half.popcount() > 3:
+            parts.append(_booth_core(multiplicand, half))
+        else:
+            parts.append(_hybrid_leaf(multiplicand, half))
+    (hi_prod, hi_counts), (lo_prod, lo_counts) = parts
+    product = (hi_prod << (multiplier.width // 2)) + lo_prod
+    counts = _add(_add(hi_counts, lo_counts), OpCounts(0, 1, 0))
+    return product, counts

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hybridmul.bitnum import Word, to_sign_magnitude
+from reference_encoding import execute_plan, signed_sum, unsigned_product as reference_product
+
+from hybridmul.bitnum import SignMag, Word, check_operand_width, to_sign_magnitude
 from hybridmul.encoding import (
     AddM,
     Architecture,
@@ -14,7 +16,6 @@ from hybridmul.encoding import (
     booth_recode,
     classify,
     conventional_pp,
-    execute_plan,
     hybrid_plan,
     hybrid_pp,
     multiply,
@@ -222,18 +223,18 @@ class TestPPMatrices:
     def test_booth_rows_for_worked_example(self):
         matrix = booth_pp(Word(65, 8), booth_recode(Word(34, 8)))
         assert len(matrix) == 4
-        assert matrix.signed_sum() == 2210
+        assert signed_sum(matrix) == 2210
         assert [row.weight for row in matrix.rows] == [0, 2, 4, 6]
 
     def test_booth_zero_digits_give_zero_rows(self):
         matrix = booth_pp(Word(65, 8), booth_recode(Word(0, 8)))
         assert len(matrix) == 4
         assert all(row.is_zero for row in matrix.rows)
-        assert matrix.signed_sum() == 0
+        assert signed_sum(matrix) == 0
 
     def test_booth_unit_multiplicand_reproduces_value(self):
         matrix = booth_pp(Word(1, 8), booth_recode(Word(34, 8)))
-        assert matrix.signed_sum() == 34
+        assert signed_sum(matrix) == 34
 
     def test_booth_zero_multiplicand_never_negates(self):
         matrix = booth_pp(Word(0, 8), booth_recode(Word(34, 8)))
@@ -243,7 +244,7 @@ class TestPPMatrices:
         matrix = conventional_pp(Word(65, 8), Word(34, 8))
         assert len(matrix) == 8
         assert matrix.nonzero_count() == 2
-        assert matrix.signed_sum() == 2210
+        assert signed_sum(matrix) == 2210
 
     def test_conventional_16bit_row_count(self):
         matrix = conventional_pp(Word(40001, 16), Word(19, 16))
@@ -258,7 +259,7 @@ class TestPPMatrices:
         assert len(matrix) == 8
         assert matrix.nonzero_count() == 1
         assert matrix.rows[0].bits.bits == 2210
-        assert matrix.signed_sum() == 2210
+        assert signed_sum(matrix) == 2210
 
     @given(
         st.integers(min_value=0, max_value=255),
@@ -267,8 +268,8 @@ class TestPPMatrices:
     @settings(max_examples=300)
     def test_row_sums_match_product(self, a, b):
         ma, mb = Word(a, 8), Word(b, 8)
-        assert conventional_pp(ma, mb).signed_sum() == a * b
-        assert booth_pp(ma, booth_recode(mb)).signed_sum() == a * b
+        assert signed_sum(conventional_pp(ma, mb)) == a * b
+        assert signed_sum(booth_pp(ma, booth_recode(mb))) == a * b
 
 
 class TestMultiply:
@@ -379,3 +380,108 @@ class TestUnsignedCore:
     def test_core_counts_zero_multiplier(self):
         product, counts = unsigned_product(Word(65, 8), Word(0, 8), Architecture.HYBRID)
         assert (product, counts.pp_count, counts.add_count) == (0, 0, 0)
+
+
+@st.composite
+def core_cases(draw):
+    """(width, multiplicand, multiplier) with the multiplier shaped to reach every core path.
+
+    Shapes: a chosen popcount (0, 1, 2, 3 or 4+), optionally with the top
+    bit forced on; or each half given its own popcount, so split halves are
+    sparse (chain) or dense (Booth) in every combination.
+    """
+    width = draw(st.integers(min_value=4, max_value=32))
+    bit = st.integers(min_value=0, max_value=width - 1)
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=0, max_value=min(width, 6)))
+        positions = set(draw(st.lists(bit, min_size=count, max_size=count, unique=True)))
+        if draw(st.booleans()):
+            positions.add(width - 1)
+    else:
+        half = width // 2
+        lo = st.integers(min_value=0, max_value=half - 1)
+        hi = st.integers(min_value=half, max_value=width - 1)
+        positions = set(draw(st.lists(lo, max_size=min(half, 6), unique=True)))
+        positions |= set(draw(st.lists(hi, max_size=min(width - half, 6), unique=True)))
+    multiplier = sum(1 << p for p in positions)
+    multiplicand = draw(st.integers(min_value=0, max_value=2**width - 1))
+    return width, multiplicand, multiplier
+
+
+class TestIntCoreAgainstReference:
+    """The integer core equals the Word-level composition in ``reference_encoding``."""
+
+    @given(core_cases(), st.sampled_from(list(Architecture)))
+    @settings(max_examples=600)
+    def test_product_and_counts_equal_reference(self, case, arch):
+        width, m, b = case
+        got = unsigned_product(Word(m, width), Word(b, width), arch)
+        want = reference_product(Word(m, width), Word(b, width), arch)
+        assert got[0] == want[0] == m * b
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("width", [4, 5, 6, 7])
+    def test_every_multiplier_of_small_widths(self, width):
+        top = 2**width - 1
+        for b in range(top + 1):
+            for m in (0, 1, 0b1011 & top, top):
+                for arch in Architecture:
+                    got = unsigned_product(Word(m, width), Word(b, width), arch)
+                    assert got == reference_product(Word(m, width), Word(b, width), arch)
+
+
+def _raised(call):
+    with pytest.raises((OverflowError, ValueError)) as excinfo:
+        call()
+    return type(excinfo.value), str(excinfo.value)
+
+
+class TestMultiplyInputErrors:
+    """Plain-int operands raise exactly what the sign-magnitude checks raise."""
+
+    @staticmethod
+    def _checks(a, b, width):
+        to_sign_magnitude(a, width)
+        to_sign_magnitude(b, width)
+        check_operand_width(width)
+
+    @pytest.mark.parametrize(
+        "a, b, width",
+        [(300, 1, 8), (1, -300, 8), (-256, 256, 8), (1, 1, 3), (1, 1, 33), (300, 1, 3), (0, 0, 0), (1, 1, -1)],
+    )
+    def test_same_error_as_sign_magnitude_checks(self, a, b, width):
+        expected = _raised(lambda: self._checks(a, b, width))
+        for arch in Architecture:
+            assert _raised(lambda: multiply(a, b, arch, width=width)) == expected
+
+    def test_named_messages(self):
+        assert _raised(lambda: multiply(300, 1, Architecture.HYBRID, width=8)) == (
+            OverflowError,
+            "|300| does not fit in 8 bits",
+        )
+        assert _raised(lambda: multiply(65, 34, Architecture.HYBRID)) == (
+            ValueError,
+            "width is required when operands are plain integers",
+        )
+        for width in (3, 33):
+            assert _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width)) == (
+                ValueError,
+                f"operand width must be in [4, 32], got {width}",
+            )
+
+    def test_sign_magnitude_operands_still_work(self):
+        sa, sb = to_sign_magnitude(-65, 8), to_sign_magnitude(34, 8)
+        for arch in Architecture:
+            plain = multiply(-65, 34, arch, width=8)
+            assert multiply(sa, sb, arch) == plain
+            assert multiply(sa, 34, arch, width=8) == plain
+            assert multiply(-65, sb, arch, width=8) == plain
+        assert multiply(SignMag(-1, Word(5, 4)), to_sign_magnitude(-3, 8), Architecture.HYBRID).product == 15
+        assert _raised(lambda: multiply(sa, 34, Architecture.BOOTH)) == (
+            ValueError,
+            "width is required when operands are plain integers",
+        )
+        assert _raised(lambda: multiply(SignMag(1, Word(5, 3)), sb, Architecture.BOOTH)) == (
+            ValueError,
+            "operand width must be in [4, 32], got 3",
+        )

@@ -405,6 +405,30 @@ class TestCli:
     def test_bad_distribution_is_input_error(self):
         assert main(["compare", "--inputs", "random:5", "--dist", "cauchy"]) == 2
 
+    @pytest.mark.parametrize("command", ["compare", "stream"])
+    @pytest.mark.parametrize("option", [["--dist", "cauchy"], ["--dist", "uniform"], ["--seed", "0"]])
+    def test_random_only_options_refused_on_exhaustive(self, command, option, capsys):
+        argv = [command, "--inputs", "exhaustive", "--width", "4", *option]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{option[0]} applies only to random:N inputs, not exhaustive" in err
+
+    @pytest.mark.parametrize("option", [["--dist", "sparse3"], ["--seed", "7"]])
+    def test_random_only_options_refused_on_file(self, option, capsys, tmp_path):
+        f = tmp_path / "pairs.txt"
+        f.write_text("65 34\n")
+        assert main(["compare", "--inputs", f"file:{f}", *option]) == 2
+        assert f"{option[0]} applies only to random:N inputs, not file:{f}" in capsys.readouterr().err
+
+    def test_random_options_default_when_unset(self, capsys):
+        assert main(["compare", "--inputs", "random:30", "--format", "json"]) == 0
+        implicit = json.loads(capsys.readouterr().out)
+        argv = ["compare", "--inputs", "random:30", "--seed", "0", "--dist", "uniform", "--format", "json"]
+        assert main(argv) == 0
+        explicit = json.loads(capsys.readouterr().out)
+        assert implicit == explicit
+        assert (implicit["meta"]["seed"], implicit["meta"]["distribution"]) == (0, "uniform")
+
     def test_bad_pair_file_is_input_error(self, tmp_path):
         f = tmp_path / "pairs.txt"
         f.write_text("horse 34\n")
