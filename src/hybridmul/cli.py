@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from .datapath import ProductMismatchError
@@ -130,10 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    if args.ssst and not args.toggles:
+        raise InputFormatError("--ssst applies only with --toggles")
     campaign = _campaign(
         args,
         simulate_toggles=args.toggles,
-        vdds=tuple(args.vdd) if args.vdd else (1.2,),
+        vdds=tuple(dict.fromkeys(args.vdd)) if args.vdd else (1.2,),  # each once, in order
         prefer_sparse=args.prefer_sparse,
     )
     model = CostModel.load(args.model) if args.model else CostModel.default()
@@ -170,14 +173,17 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     campaign = _campaign(args)
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
-    trace_rows: list[str] = []
+    # opened before the simulation, so an unwritable path fails before any work
+    with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:
 
-    def record(arch: Architecture, index: int, delta) -> None:
-        for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
-            trace_rows.append(f"{index},{row},{bits + cells},{arch.value}")
-        trace_rows.append(f"{index},final,{delta.cpa_toggles},{arch.value}")
+        def record(arch: Architecture, index: int, delta) -> None:
+            for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
+                trace_file.write(f"{index},{row},{bits + cells},{arch.value}\n")
+            trace_file.write(f"{index},final,{delta.cpa_toggles},{arch.value}\n")
 
-    reports = toggle_reports(campaign, pairs, record if args.trace_toggles else None)
+        if trace_file is not None:
+            trace_file.write("operation,row,toggles,arch\n")
+        reports = toggle_reports(campaign, pairs, record if trace_file is not None else None)
     lines = [
         f"stream: width={args.width} inputs={args.inputs} pairs={len(pairs)} "
         f"ssst={'on' if args.ssst else 'off'}",
@@ -196,11 +202,6 @@ def _cmd_stream(args: argparse.Namespace) -> int:
                 f"toggle reduction hybrid vs {base}: {pct:.2f}% (reference claim: {claim:.0f}%)"
             )
     sys.stdout.write("\n".join(lines) + "\n")
-
-    if args.trace_toggles:
-        Path(args.trace_toggles).write_text(
-            "operation,row,toggles,arch\n" + "\n".join(trace_rows) + "\n"
-        )
     return 0
 
 

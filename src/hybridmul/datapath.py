@@ -40,7 +40,6 @@ for the freeze semantics).  A single evaluation is a run of one lane.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -123,9 +122,6 @@ class _Layout:
         self.last = lane * (count - 1)  # offset of the last lane
 
 
-_layout = lru_cache(maxsize=32)(_Layout)
-
-
 def _pack(values, lane: int) -> int:
     """Lane-pack non-negative ints, the first value in lane 0.
 
@@ -185,31 +181,32 @@ class Lanes:
 
 @dataclass(frozen=True, slots=True)
 class PPLanes:
-    """Folded PP rows of ``count`` evaluations, lane-packed.
+    """Folded PP rows of a run of evaluations, lane-packed in ``layout``.
 
     ``rows[r]`` holds row r's contribution to evaluation i in bits
-    ``[i*(cols+1), i*(cols+1) + cols)``, the Booth correction row included.
+    ``[i*layout.lane, i*layout.lane + layout.cols)``, the Booth correction
+    row included.
     """
 
     rows: tuple[int, ...]
-    count: int
+    layout: _Layout
 
 
 def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
     """The row contributions :func:`_fold_rows` gives, built for all lanes at once."""
     w = multiplicand.width
     g = ArrayGeometry.create(w, arch)
-    lay = _layout(g.cols, len(multiplicand.values))
+    lay = _Layout(g.cols, len(multiplicand.values))
     if arch is Architecture.HYBRID:
         # row 0 is the encoder's own chain result, so the oracle checks it
         products = [hybrid_int(a, b, w)[0] for a, b in zip(multiplicand.values, multiplier.values)]
-        return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay.count)
+        return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay)
     a = _pack(multiplicand.values, lay.lane)
     b = _pack(multiplier.values, lay.lane)
     ones = lay.ones
     if arch is Architecture.CONVENTIONAL:
         rows = tuple((a << r) & _spread((b >> r) & ones, lay) for r in range(w))
-        return PPLanes(rows, lay.count)
+        return PPLanes(rows, lay)
     # Radix-4 digit k reads bits (2k+1, 2k, 2k-1) of the multiplier, with
     # bit -1 and the bits above the width zero; the top digit is never
     # negative.  Negated rows enter as 2**(w+1) - |d|*M and owe
@@ -230,7 +227,7 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
         rows.append(value << 2 * k)
         debt += neg << (w + 1 + 2 * k)
     rows.append(((ones << g.cols) - debt) & lay.cmask)
-    return PPLanes(tuple(rows), lay.count)
+    return PPLanes(tuple(rows), lay)
 
 
 # -- freeze masks and toggle accounting -------------------------------------------
@@ -284,17 +281,16 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
     return contributions
 
 
-def _as_lanes(pp: PPMatrix | PPLanes, geometry: ArrayGeometry) -> PPLanes:
-    """A run of lanes; a single PP matrix is a run of one."""
-    if isinstance(pp, PPLanes):
-        return pp
-    return PPLanes(tuple(_fold_rows(pp, geometry)), 1)
+def _run_layout(pp: PPLanes, geometry: ArrayGeometry) -> _Layout:
+    """The lane layout of ``pp``, which must have been built for ``geometry``'s columns."""
+    if pp.layout.cols != geometry.cols:
+        raise GeometryError(f"a {pp.layout.cols}-column run offered to a {geometry.cols}-column array")
+    return pp.layout
 
 
-def detect_freeze(pp: PPMatrix | PPLanes, geometry: ArrayGeometry) -> FreezeMask:
+def detect_freeze(pp: PPLanes, geometry: ArrayGeometry) -> FreezeMask:
     """The row masks the detection logic asserts: a row freezes iff it contributes zero."""
-    pp = _as_lanes(pp, geometry)
-    lay = _layout(geometry.cols, pp.count)
+    lay = _run_layout(pp, geometry)
     return FreezeMask(tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in pp.rows))
 
 
@@ -323,8 +319,6 @@ class ToggleDelta:
 
     def split(self) -> list["ToggleDelta"]:
         """One delta per evaluation, in order."""
-        if self.evaluations == 1:
-            return [self]
         lay, rows, csa, cpa, row_frozen, col_frozen = self.lanes
         cells = (1 << lay.cols) - 1
         deltas = []
@@ -386,8 +380,8 @@ class ArrayState:
         self._csa = [[0] * 5 for _ in range(g.rows - 1)]  # a, b, cin, sum, cout
         self._cpa = [0] * 5
 
-    def evaluate(self, pp: PPMatrix | PPLanes, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
-        """Evaluate the array on a run of lanes (a PP matrix is a run of one).
+    def evaluate(self, pp: PPLanes, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
+        """Evaluate the array on a run of lanes from :func:`build_pp`.
 
         Returns (products, delta).  One carry-save pass and one carry-propagate add serve every lane,
         evaluated in order from the current state.  The products pack one
@@ -397,8 +391,7 @@ class ArrayState:
         values.  ``None`` means no freezing.
         """
         g = self.geometry
-        pp = _as_lanes(pp, g)
-        rows, lay = pp.rows, _layout(g.cols, pp.count)
+        rows, lay = pp.rows, _run_layout(pp, g)
         if len(rows) != g.rows:
             raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
         if mask is not None and len(mask.row_frozen) != g.rows:
@@ -475,18 +468,22 @@ class ArrayState:
         return tuple(vals)
 
 
-def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPMatrix | PPLanes:
-    """Architecture-specific PP placement for the array.
+def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:
+    """Architecture-specific PP placement for the array, as a run of folded rows.
 
-    Two :class:`Lanes` give the folded rows of the whole run, lane-packed.
+    Two :class:`Lanes` give the rows of the whole run; two :class:`Word` give
+    a run of one, folded from the encoder's own PP matrix.
     """
     if isinstance(multiplicand, Lanes):
         return _lane_rows(multiplicand, multiplier, arch)
     if arch is Architecture.CONVENTIONAL:
-        return conventional_pp(multiplicand, multiplier)
-    if arch is Architecture.BOOTH:
-        return booth_pp(multiplicand, booth_recode(multiplier))
-    return hybrid_pp(multiplicand, multiplier)
+        matrix = conventional_pp(multiplicand, multiplier)
+    elif arch is Architecture.BOOTH:
+        matrix = booth_pp(multiplicand, booth_recode(multiplier))
+    else:
+        matrix = hybrid_pp(multiplicand, multiplier)
+    geometry = ArrayGeometry.create(multiplicand.width, arch)
+    return PPLanes(tuple(_fold_rows(matrix, geometry)), _Layout(geometry.cols, 1))
 
 
 def simulate_stream(

@@ -347,6 +347,7 @@ class TraceResult:
 
 def trace(a: int, b: int, width: int = 8) -> TraceResult:
     """Explain how a single pair multiplies under each architecture."""
+    check_operand_width(width)
     sa = to_sign_magnitude(a, width)
     sb = to_sign_magnitude(b, width)
     category = classify(sb.magnitude)

@@ -6,7 +6,15 @@ from hypothesis import given, settings, strategies as st
 from reference_array import ReferenceArray
 
 from hybridmul.bitnum import Word, to_sign_magnitude
-from hybridmul.encoding import Architecture, PPMatrix, PPRow
+from hybridmul.encoding import (
+    Architecture,
+    PPMatrix,
+    PPRow,
+    booth_pp,
+    booth_recode,
+    conventional_pp,
+    hybrid_pp,
+)
 import hybridmul.datapath as dp
 from hybridmul.datapath import (
     STREAM_CHUNK,
@@ -50,6 +58,14 @@ def magnitudes(a, b, width=8):
     return to_sign_magnitude(a, width).magnitude, to_sign_magnitude(b, width).magnitude
 
 
+# The encoder's PP matrix of each architecture, the form the reference array reads.
+REFERENCE_PP = {
+    Architecture.CONVENTIONAL: conventional_pp,
+    Architecture.BOOTH: lambda ma, mb: booth_pp(ma, booth_recode(mb)),
+    Architecture.HYBRID: hybrid_pp,
+}
+
+
 class TestGeometry:
     def test_row_counts(self):
         assert ArrayGeometry.create(8, Architecture.CONVENTIONAL).rows == 8
@@ -73,11 +89,10 @@ class TestEvaluate:
     def test_worked_example_matches_reference(self):
         for arch in Architecture:
             ma, mb = magnitudes(65, 34)
-            pp = build_pp(ma, mb, arch)
             state = ArrayState(8, arch)
-            product, delta = state.evaluate(pp)
+            product, delta = state.evaluate(build_pp(ma, mb, arch))
             reference = ReferenceArray(8, arch)
-            ref_product, ref_toggles = reference.evaluate(pp)
+            ref_product, ref_toggles = reference.evaluate(REFERENCE_PP[arch](ma, mb))
             assert product == ref_product == 2210
             assert delta.total == ref_toggles == SINGLE_6534_PLAIN[arch]
 
@@ -104,9 +119,9 @@ class TestEvaluate:
             state = ArrayState(8, arch)
             reference = ReferenceArray(8, arch)
             for a, b in pairs:
-                pp = build_pp(*magnitudes(a, b), arch)
-                product, delta = state.evaluate(pp)
-                ref_product, ref_toggles = reference.evaluate(pp)
+                ma, mb = magnitudes(a, b)
+                product, delta = state.evaluate(build_pp(ma, mb, arch))
+                ref_product, ref_toggles = reference.evaluate(REFERENCE_PP[arch](ma, mb))
                 assert product == ref_product == abs(a * b)
                 assert delta.total == ref_toggles
 
@@ -122,7 +137,7 @@ class TestEvaluate:
             PPRow(Word(65, 9), weight=k, negate=(k == 0)) for k in range(8)
         )
         with pytest.raises(GeometryError):
-            state.evaluate(PPMatrix(rows))
+            _fold_rows(PPMatrix(rows), state.geometry)
 
     def test_geometry_mismatch_oversized_row(self):
         state = ArrayState(8, Architecture.CONVENTIONAL)
@@ -130,7 +145,17 @@ class TestEvaluate:
             PPRow(Word(0, 8), weight=k) for k in range(1, 8)
         )
         with pytest.raises(GeometryError):
-            state.evaluate(PPMatrix(rows))
+            _fold_rows(PPMatrix(rows), state.geometry)
+
+    def test_geometry_mismatch_run_width(self):
+        # Booth arrays of widths 8 and 9 both have 6 rows; the 17-bit lanes
+        # of a width-9 run must not be read as width 8's 16-column array.
+        state = ArrayState(8, Architecture.BOOTH)
+        pp = build_pp(Lanes((300, 5), 9), Lanes((400, 7), 9), Architecture.BOOTH)
+        with pytest.raises(GeometryError):
+            state.evaluate(pp)
+        with pytest.raises(GeometryError):
+            detect_freeze(pp, state.geometry)
 
 
 class TestDetectFreeze:
@@ -292,7 +317,7 @@ def reference_run(pairs, arch, width, gated):
     reference = ReferenceArray(width, arch, ssst=gated)
     per_pair = []
     for a, b in pairs:
-        product, toggles = reference.evaluate(build_pp(*magnitudes(a, b, width), arch))
+        product, toggles = reference.evaluate(REFERENCE_PP[arch](*magnitudes(a, b, width)))
         assert product == abs(a * b)
         per_pair.append((toggles, reference.row_toggles, reference.frozen_cells))
     per_row = [sum(rows) for rows in zip(*(rows for _, rows, _ in per_pair))]
@@ -326,8 +351,8 @@ class TestLaneKernel:
         lanes = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
         lane = geometry.cols + 1
         for i, (a, b) in enumerate(zip(ma, mb)):
-            folded = _fold_rows(build_pp(Word(a, width), Word(b, width), arch), geometry)
-            assert [(row >> i * lane) & ((1 << lane) - 1) for row in lanes.rows] == folded
+            folded = build_pp(Word(a, width), Word(b, width), arch).rows
+            assert [(row >> i * lane) & ((1 << lane) - 1) for row in lanes.rows] == list(folded)
 
     @given(streams(max_pairs=10), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)

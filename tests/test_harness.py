@@ -298,6 +298,11 @@ class TestCli:
         assert "D (i=2, j=4)" in out
         assert "2210" in out
 
+    @pytest.mark.parametrize("width", ["0", "-1"])
+    def test_trace_width_checked_before_operands(self, width, capsys):
+        assert main(["trace", "65", "34", "--width", width]) == 2
+        assert f"operand width must be in [4, 32], got {width}" in capsys.readouterr().err
+
     def test_compare_csv_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
         argv = [
@@ -332,6 +337,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert "hybrid" in out
         assert "conventional" not in out
+
+    def test_compare_ssst_needs_toggles(self, capsys):
+        assert main(["compare", "--inputs", "random:5", "--ssst"]) == 2
+        captured = capsys.readouterr()
+        assert "--ssst applies only with --toggles" in captured.err
+        assert captured.out == ""
+
+    def test_compare_runs_a_repeated_vdd_once(self, capsys):
+        argv = ["compare", "--inputs", "random:3", "--vdd", "1.2", "--vdd", "0.8", "--vdd", "1.2"]
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[-1]) for row in rows] == [
+            (arch, vdd) for arch in ("booth", "conventional", "hybrid") for vdd in ("1.2", "0.8")
+        ]
+        assert main(argv + ["--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all([v["vdd"] for v in a["per_vdd"]] == [1.2, 0.8] for a in payload["archs"])
 
     def test_table2_ascii(self, capsys):
         assert main(["table2"]) == 0
@@ -388,6 +410,19 @@ class TestCli:
             sums[arch] = sums.get(arch, 0) + int(toggles)
         assert sums == printed
         assert set(sums) == {"booth", "hybrid"}
+
+    def test_stream_unwritable_trace_path_fails_before_simulating(self, capsys, tmp_path, monkeypatch):
+        import hybridmul.harness as harness
+
+        def no_stream(*args, **kwargs):
+            raise AssertionError("the trace path must be opened before the simulation")
+
+        monkeypatch.setattr(harness, "simulate_stream", no_stream)
+        argv = ["stream", "--inputs", "random:5", "--trace-toggles", str(tmp_path / "missing" / "t.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing" in captured.err
 
     def test_stream_prints_reference_claims(self, capsys):
         assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
