@@ -28,7 +28,6 @@ from .encoding import (
 from .datapath import (
     ArrayGeometry,
     ArrayState,
-    FreezeMask,
     ProductMismatchError,
     ToggleReport,
     detect_freeze,
@@ -52,7 +51,6 @@ __all__ = [
     "Category",
     "CategoryKind",
     "CostModel",
-    "FreezeMask",
     "HybridPlan",
     "MultiplyResult",
     "OpCounts",

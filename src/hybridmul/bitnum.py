@@ -1,9 +1,10 @@
-"""Fixed-width binary words and the bit-pattern queries the multipliers run on.
+"""Operand widths, fixed-width binary words and sign-magnitude decoding.
 
-Everything downstream (encoders, partial-product generators, the cell-level
-array) operates on :class:`Word` values, so width bookkeeping lives here and
-nowhere else.  Bit positions are 1-indexed from the LSB throughout: position 1
-has weight 2**0.
+The counting cores and the lane-packed array run on plain ints; :class:`Word`
+is the width-carrying view at the boundaries: the classification, plan and
+partial-product views that ``trace`` prints and the reference models read.
+Bit positions are 1-indexed from the LSB throughout: position 1 has weight
+2**0.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ class Word:
     """Unsigned bit pattern with an explicit width.
 
     The value is masked to ``width`` bits at construction, so ``bits <
-    2**width`` always holds.  Words are immutable; operations return new
-    instances, and widening operations (shift, add) grow the width instead of
-    truncating so products keep their headroom.
+    2**width`` always holds.  Words are immutable.
     """
 
     bits: int
@@ -47,12 +46,6 @@ class Word:
 
     # -- queries ---------------------------------------------------------
 
-    def bit(self, position: int) -> int:
-        """Bit at 1-indexed ``position`` (LSB = 1)."""
-        if not 1 <= position <= self.width:
-            raise IndexError(f"position {position} out of range for width {self.width}")
-        return (self.bits >> (position - 1)) & 1
-
     def popcount(self) -> int:
         """Number of set bits."""
         return self.bits.bit_count()
@@ -64,24 +57,6 @@ class Word:
     @property
     def msb_set(self) -> bool:
         return bool((self.bits >> (self.width - 1)) & 1)
-
-    # -- arithmetic ------------------------------------------------------
-
-    def shift_left(self, amount: int) -> "Word":
-        """Shift left by ``amount``; the width grows so no bit is dropped."""
-        if amount < 0:
-            raise ValueError(f"shift amount must be >= 0, got {amount}")
-        return Word(self.bits << amount, self.width + amount)
-
-    def __lshift__(self, amount: int) -> "Word":
-        return self.shift_left(amount)
-
-    def __add__(self, other: "Word") -> "Word":
-        # One extra bit of headroom guarantees the sum never wraps.
-        return Word(self.bits + other.bits, max(self.width, other.width) + 1)
-
-    def __int__(self) -> int:
-        return self.bits
 
     # -- text forms ------------------------------------------------------
 
@@ -110,13 +85,6 @@ class SignMag:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.magnitude.bits == 0 and self.sign != 1:
             raise ValueError("zero magnitude must carry sign +1")
-
-    @property
-    def value(self) -> int:
-        return self.sign * self.magnitude.bits
-
-    def __int__(self) -> int:
-        return self.value
 
 
 def to_sign_magnitude(value: int, width: int) -> SignMag:

@@ -96,11 +96,6 @@ class ArrayGeometry:
             rows = width
         return cls(width=width, arch=arch, rows=rows, cols=2 * width)
 
-    @property
-    def node_count(self) -> int:
-        # PP row bits + 5 nodes per carry-save cell + 5 per final-adder cell.
-        return self.rows * self.cols + (self.rows - 1) * 5 * self.cols + 5 * self.cols
-
 
 # -- lanes ----------------------------------------------------------------------
 
@@ -233,18 +228,6 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
 # -- freeze masks and toggle accounting -------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FreezeMask:
-    """Row-bypass masks of one array run.
-
-    ``row_frozen[r]`` is the column mask of the lanes in which row r is
-    frozen.  The final adder's quiet columns are not listed: their detector
-    reads the adder's own summand bits, so the array finds them in its pass.
-    """
-
-    row_frozen: tuple[int, ...]
-
-
 def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
     """Row contributions as 2**cols-modular integers, padded to the row count.
 
@@ -288,10 +271,15 @@ def _run_layout(pp: PPLanes, geometry: ArrayGeometry) -> _Layout:
     return pp.layout
 
 
-def detect_freeze(pp: PPLanes, geometry: ArrayGeometry) -> FreezeMask:
-    """The row masks the detection logic asserts: a row freezes iff it contributes zero."""
+def detect_freeze(pp: PPLanes, geometry: ArrayGeometry) -> tuple[int, ...]:
+    """The row masks the detection logic asserts: a row freezes iff it contributes zero.
+
+    Entry r is the column mask of the lanes in which row r is frozen.  The
+    final adder's quiet columns are not listed: their detector reads the
+    adder's own summand bits, so the array finds them in its pass.
+    """
     lay = _run_layout(pp, geometry)
-    return FreezeMask(tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in pp.rows))
+    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in pp.rows)
 
 
 class _LaneToggles(NamedTuple):
@@ -380,23 +368,21 @@ class ArrayState:
         self._csa = [[0] * 5 for _ in range(g.rows - 1)]  # a, b, cin, sum, cout
         self._cpa = [0] * 5
 
-    def evaluate(self, pp: PPLanes, mask: FreezeMask | None = None) -> tuple[int, ToggleDelta]:
+    def evaluate(self, pp: PPLanes, gated: bool = False) -> tuple[int, ToggleDelta]:
         """Evaluate the array on a run of lanes from :func:`build_pp`.
 
         Returns (products, delta).  One carry-save pass and one carry-propagate add serve every lane,
         evaluated in order from the current state.  The products pack one
         product per lane; the delta sums the run and splits by evaluation.
-        With ``mask`` from :func:`detect_freeze` the products are exact,
-        frozen rows and the final adder's quiet columns keep their node
-        values.  ``None`` means no freezing.
+        When ``gated``, the array's freeze detector (:func:`detect_freeze`)
+        reads ``pp`` itself: frozen rows and the final adder's quiet columns
+        keep their node values, and the products stay exact.
         """
         g = self.geometry
         rows, lay = pp.rows, _run_layout(pp, g)
         if len(rows) != g.rows:
             raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
-        if mask is not None and len(mask.row_frozen) != g.rows:
-            raise GeometryError("freeze mask row count does not match array geometry")
-        row_frozen = mask.row_frozen if mask is not None else (0,) * len(rows)
+        row_frozen = detect_freeze(pp, g) if gated else (0,) * len(rows)
         cmask = lay.cmask
         row_x = []
         for r, x in enumerate(rows):
@@ -437,7 +423,7 @@ class ArrayState:
         s = total & cmask
         cin = (a ^ b ^ total) & cmask
         cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
-        col_frozen = cmask ^ (a | b) if mask is not None else 0
+        col_frozen = cmask ^ (a | b) if gated else 0
         live = cmask ^ col_frozen if col_frozen else None
         cpa_x = []
         for k, node in enumerate((a, b, cin, s, cout)):
@@ -458,14 +444,6 @@ class ArrayState:
             lanes=_LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen),
         )
         return s, delta
-
-    def snapshot(self) -> tuple[int, ...]:
-        """Current node vectors, for tests and debugging."""
-        vals: list[int] = list(self._row_bits)
-        for cells in self._csa:
-            vals += cells
-        vals += self._cpa
-        return tuple(vals)
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:
@@ -496,11 +474,10 @@ def simulate_stream(
     """Drive one array through a stream of signed operand pairs.
 
     Consumes ``pairs`` in runs of :data:`STREAM_CHUNK`, each one lane-packed
-    array run from the state the previous run left.  Applies the freeze
-    detector when ``ssst_enabled`` and accumulates node toggles from an
-    all-zero reset state.  Every product is checked against the
-    native-multiply oracle; a mismatch raises :class:`ProductMismatchError`
-    for the first bad pair.  ``trace``, if given, is called as
+    array run from the state the previous run left.  Gates the array when
+    ``ssst_enabled`` and accumulates node toggles from an all-zero reset
+    state.  Every product is checked against the native-multiply oracle; a
+    mismatch raises :class:`ProductMismatchError` for the first bad pair.  ``trace``, if given, is called as
     ``trace(index, delta)`` for each evaluation.
     """
     state = ArrayState(width, arch)
@@ -519,8 +496,7 @@ def simulate_stream(
                 to_sign_magnitude(a, width)
                 to_sign_magnitude(b, width)
         pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
-        mask = detect_freeze(pp, geometry) if ssst_enabled else None
-        products, delta = state.evaluate(pp, mask)
+        products, delta = state.evaluate(pp, ssst_enabled)
         expected = _pack([x * y for x, y in zip(ma, mb)], lane)
         if products != expected:
             bad = products ^ expected

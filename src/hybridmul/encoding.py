@@ -9,11 +9,11 @@ Three ways to turn (multiplicand, multiplier) into a product:
   of the lowest set bit), denser multipliers are split in half once and each
   half re-dispatched.
 
-All encoders work on unsigned magnitudes; :func:`multiply` applies the
-sign-magnitude glue around whichever core is selected.  The cores that count
-and multiply run on plain ints; :class:`Word` values appear at the boundaries
-(the classification, plan and partial-product views used by ``trace`` and the
-array).
+All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
+and an operand width, and applies the sign glue around whichever core is
+selected.  The cores that count and multiply run on plain ints.
+:class:`Word` values appear only in the views: the classification and plan
+``trace`` prints, and the partial-product matrices of a one-pair array run.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Union
 from .bitnum import (
     MAX_OPERAND_WIDTH,
     MIN_OPERAND_WIDTH,
-    SignMag,
     Word,
     check_operand_width,
     to_sign_magnitude,
@@ -246,17 +245,10 @@ class PPRow:
     weight: int
     negate: bool = False
 
-    @property
-    def is_zero(self) -> bool:
-        return self.bits.bits == 0
-
 
 @dataclass(frozen=True, slots=True)
 class PPMatrix:
     rows: tuple[PPRow, ...]
-
-    def nonzero_count(self) -> int:
-        return sum(1 for row in self.rows if not row.is_zero)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -275,8 +267,8 @@ def conventional_pp(multiplicand: Word, multiplier: Word) -> PPMatrix:
 def booth_pp(multiplicand: Word, digits: BoothDigits) -> PPMatrix:
     """One row per radix-4 digit: |d|*M at weight 2k, negated when d < 0.
 
-    A zero row is never marked negated (-0 is 0), so the is_zero flag alone
-    decides whether the row contributes.
+    A zero row is never marked negated (-0 is 0), so a row's bits alone
+    decide whether it contributes.
     """
     rows = tuple(
         PPRow(
@@ -412,54 +404,33 @@ def unsigned_product(
     return product, OpCounts(pp, adds, shifts)
 
 
-def _as_sign_magnitude(operand: int | SignMag, width: int | None) -> SignMag:
-    if isinstance(operand, SignMag):
-        return operand
-    if width is None:
-        raise ValueError("width is required when operands are plain integers")
-    return to_sign_magnitude(operand, width)
-
-
 def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
     """Whether ``prefer_sparse`` swaps these operands: the multiplicand has fewer set bits."""
     return abs(multiplicand).bit_count() < abs(multiplier).bit_count()
 
 
 def multiply(
-    a: int | SignMag,
-    b: int | SignMag,
+    a: int,
+    b: int,
     arch: Architecture,
-    width: int | None = None,
+    width: int,
     prefer_sparse: bool = False,
 ) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
+    Both operands are signed ints whose magnitudes fit in ``width`` bits.
     Signs are handled outside the unsigned core: the encoders see magnitudes
     and the result carries sign(a) * sign(b).  ``prefer_sparse`` swaps the
     operands when the multiplicand has fewer set bits than the multiplier,
     which can land a denser pair in a cheaper category.
     """
-    if isinstance(a, SignMag) or isinstance(b, SignMag):
-        sa = _as_sign_magnitude(a, width)
-        sb = _as_sign_magnitude(b, width)
-        check_operand_width(sa.magnitude.width)
-        check_operand_width(sb.magnitude.width)
-        multiplicand, multiplier = sa.magnitude, sb.magnitude
-        negative = sa.sign != sb.sign
-    else:
-        if width is None:
-            raise ValueError("width is required when operands are plain integers")
-        ma, mb = abs(a), abs(b)
-        if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
-            # the SignMag path's own checks, in its order, raise the exact error
-            to_sign_magnitude(a, width)
-            to_sign_magnitude(b, width)
-            check_operand_width(width)
-        multiplicand, multiplier = Word(ma, width), Word(mb, width)
-        negative = (a < 0) != (b < 0)
-
-    if prefer_sparse and swaps_for_sparsity(multiplicand.bits, multiplier.bits):
-        multiplicand, multiplier = multiplier, multiplicand
-
-    magnitude, counts = unsigned_product(multiplicand, multiplier, arch)
-    return MultiplyResult(product=-magnitude if negative else magnitude, counts=counts)
+    ma, mb = abs(a), abs(b)
+    if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
+        # the decode and width checks, in this order, raise the exact error
+        to_sign_magnitude(a, width)
+        to_sign_magnitude(b, width)
+        check_operand_width(width)
+    if prefer_sparse and swaps_for_sparsity(ma, mb):
+        ma, mb = mb, ma
+    magnitude, counts = unsigned_product(Word(ma, width), Word(mb, width), arch)
+    return MultiplyResult(product=-magnitude if (a < 0) != (b < 0) else magnitude, counts=counts)

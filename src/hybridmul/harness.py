@@ -55,6 +55,9 @@ class InputFormatError(ValueError):
 # Exhaustive input is materialized as a list of pairs; every pair of width 8
 # fits, wider sweeps would hold millions of tuples.
 MAX_EXHAUSTIVE_PAIRS = 1 << 16
+# Random input is materialized the same way; the bound stops a count such as
+# random:4294967296 from filling memory.
+MAX_RANDOM_PAIRS = 1 << 20
 
 
 # -- input sources ----------------------------------------------------------
@@ -74,6 +77,10 @@ class RandomSource:
     def __post_init__(self) -> None:
         if self.count <= 0:
             raise InputFormatError(f"random input count must be positive, got {self.count}")
+        if self.count > MAX_RANDOM_PAIRS:
+            raise InputFormatError(
+                f"random input count {self.count} is over the {MAX_RANDOM_PAIRS}-pair limit"
+            )
 
     def describe(self) -> str:
         return f"random:{self.count}"

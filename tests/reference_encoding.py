@@ -26,16 +26,20 @@ from hybridmul.encoding import (
 
 
 def execute_plan(plan: HybridPlan, multiplicand: Word) -> Word:
-    """Run a plan: AddM always adds the original multiplicand."""
+    """Run a plan step by step: AddM always adds the original multiplicand.
+
+    The width grows with each step (a shift by its amount, an add by one
+    bit of headroom), so no bit is ever dropped.
+    """
     if plan.pp_count == 0:
         return Word(0, multiplicand.width)
-    acc = multiplicand
+    acc, width = multiplicand.bits, multiplicand.width
     for step in plan.steps:
         if isinstance(step, AddM):
-            acc = acc + multiplicand
+            acc, width = acc + multiplicand.bits, width + 1
         else:
-            acc = acc.shift_left(step.amount)
-    return acc
+            acc, width = acc << step.amount, width + step.amount
+    return Word(acc, width)
 
 
 def signed_sum(matrix: PPMatrix) -> int:

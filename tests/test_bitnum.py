@@ -23,19 +23,6 @@ class TestWordBasics:
         with pytest.raises(ValueError):
             Word(-1, 8)
 
-    def test_bit_accessor_is_one_indexed(self):
-        w = Word(0b00100010, 8)
-        assert w.bit(2) == 1
-        assert w.bit(6) == 1
-        assert w.bit(1) == 0
-        with pytest.raises(IndexError):
-            w.bit(9)
-        with pytest.raises(IndexError):
-            w.bit(0)
-
-    def test_int_conversion(self):
-        assert int(Word(34, 8)) == 34
-
 
 class TestPopcount:
     def test_pixel_multiplier(self):
@@ -67,43 +54,6 @@ class TestOnePositions:
         assert w.popcount() == len(w.one_positions())
 
 
-class TestShiftLeft:
-    def test_category_d_step(self):
-        assert Word(65, 8).shift_left(4).bits == 1040
-
-    def test_identity_shift(self):
-        assert Word(65, 8).shift_left(0).bits == 65
-
-    def test_final_step_of_worked_example(self):
-        assert Word(1105, 11).shift_left(1).bits == 2210
-
-    def test_width_grows(self):
-        assert Word(65, 8).shift_left(4).width == 12
-
-    def test_negative_amount_rejected(self):
-        with pytest.raises(ValueError):
-            Word(65, 8).shift_left(-1)
-
-    @given(st.integers(min_value=0, max_value=2**12 - 1), st.integers(min_value=0, max_value=16))
-    def test_never_truncates(self, bits, amount):
-        w = Word(bits, 12)
-        assert w.shift_left(amount).bits == bits * 2**amount
-
-    def test_lshift_operator(self):
-        assert (Word(65, 8) << 4).bits == 1040
-
-
-class TestAdd:
-    def test_sum_and_headroom(self):
-        total = Word(255, 8) + Word(255, 8)
-        assert total.bits == 510
-        assert total.width == 9
-
-    @given(st.integers(min_value=0, max_value=255), st.integers(min_value=0, max_value=255))
-    def test_exact(self, x, y):
-        assert (Word(x, 8) + Word(y, 8)).bits == x + y
-
-
 class TestSignMagnitude:
     def test_negative(self):
         sm = to_sign_magnitude(-65, 8)
@@ -124,8 +74,9 @@ class TestSignMagnitude:
             to_sign_magnitude(-256, 8)
 
     def test_boundary_fits(self):
-        assert to_sign_magnitude(255, 8).value == 255
-        assert to_sign_magnitude(-255, 8).value == -255
+        for value in (255, -255):
+            sm = to_sign_magnitude(value, 8)
+            assert sm.sign * sm.magnitude.bits == value
 
     def test_sign_validation(self):
         with pytest.raises(ValueError):
@@ -135,12 +86,14 @@ class TestSignMagnitude:
 
     @given(st.integers(min_value=-(2**8 - 1), max_value=2**8 - 1))
     def test_round_trip(self, value):
-        assert to_sign_magnitude(value, 8).value == value
+        sm = to_sign_magnitude(value, 8)
+        assert sm.sign * sm.magnitude.bits == value
 
     @given(st.integers(min_value=4, max_value=32), st.data())
     def test_round_trip_any_width(self, width, data):
         value = data.draw(st.integers(min_value=-(2**width - 1), max_value=2**width - 1))
-        assert to_sign_magnitude(value, width).value == value
+        sm = to_sign_magnitude(value, width)
+        assert sm.sign * sm.magnitude.bits == value
 
 
 class TestTextForms:

@@ -20,7 +20,6 @@ from hybridmul.datapath import (
     STREAM_CHUNK,
     ArrayGeometry,
     ArrayState,
-    FreezeMask,
     GeometryError,
     Lanes,
     ProductMismatchError,
@@ -73,12 +72,10 @@ class TestGeometry:
         assert ArrayGeometry.create(8, Architecture.BOOTH).rows == 6
 
     def test_node_count_fixed(self):
-        g = ArrayGeometry.create(8, Architecture.CONVENTIONAL)
-        assert g.node_count == 8 * 16 + 7 * 5 * 16 + 5 * 16
-        state = ArrayState(8, Architecture.CONVENTIONAL)
-        first = len(state.snapshot())
-        state.evaluate(build_pp(Word(65, 8), Word(34, 8), Architecture.CONVENTIONAL))
-        assert len(state.snapshot()) == first
+        reference = ReferenceArray(8, Architecture.CONVENTIONAL)
+        assert 8 * 16 + 7 * 5 * 16 + 5 * 16 == len(reference.nodes)
+        reference.evaluate(conventional_pp(Word(65, 8), Word(34, 8)))
+        assert 8 * 16 + 7 * 5 * 16 + 5 * 16 == len(reference.nodes)
 
     def test_width_validated(self):
         with pytest.raises(ValueError):
@@ -107,9 +104,8 @@ class TestEvaluate:
         state = ArrayState(8, Architecture.CONVENTIONAL)
         state.evaluate(build_pp(*magnitudes(255, 255), Architecture.CONVENTIONAL))
         zero_pp = build_pp(*magnitudes(0, 0), Architecture.CONVENTIONAL)
-        mask = detect_freeze(zero_pp, state.geometry)
-        assert all(mask.row_frozen)
-        product, delta = state.evaluate(zero_pp, mask)
+        assert all(detect_freeze(zero_pp, state.geometry))
+        product, delta = state.evaluate(zero_pp, True)
         assert product == 0
         assert all(t == 0 for t in delta.csa_toggles)
 
@@ -161,26 +157,25 @@ class TestEvaluate:
 class TestDetectFreeze:
     @staticmethod
     def gated(arch, a, b):
-        """(mask, delta) of one gated width-8 evaluation from the reset state."""
+        """(row masks, delta) of one gated width-8 evaluation from the reset state."""
         state = ArrayState(8, arch)
         pp = build_pp(*magnitudes(a, b), arch)
-        mask = detect_freeze(pp, state.geometry)
-        return mask, state.evaluate(pp, mask)[1]
+        return detect_freeze(pp, state.geometry), state.evaluate(pp, True)[1]
 
     def test_hybrid_single_live_row(self):
-        mask, _ = self.gated(Architecture.HYBRID, 65, 34)
-        assert sum(1 for z in mask.row_frozen if z) == 7
-        assert mask.row_frozen[0] == 0
+        row_frozen, _ = self.gated(Architecture.HYBRID, 65, 34)
+        assert sum(1 for z in row_frozen if z) == 7
+        assert row_frozen[0] == 0
 
     def test_all_zero_pp_freezes_everything(self):
         geometry = ArrayGeometry.create(8, Architecture.CONVENTIONAL)
-        mask, delta = self.gated(Architecture.CONVENTIONAL, 0, 0)
-        assert all(mask.row_frozen)
+        row_frozen, delta = self.gated(Architecture.CONVENTIONAL, 0, 0)
+        assert all(row_frozen)
         assert delta.lanes.col_frozen.bit_count() == geometry.cols
 
     def test_dense_pp_freezes_nothing(self):
-        mask, _ = self.gated(Architecture.CONVENTIONAL, 255, 255)
-        assert not any(mask.row_frozen)
+        row_frozen, _ = self.gated(Architecture.CONVENTIONAL, 255, 255)
+        assert not any(row_frozen)
 
     def test_column_flags_cover_quiet_columns(self):
         _, delta = self.gated(Architecture.HYBRID, 65, 34)
@@ -233,9 +228,8 @@ class TestSimulateStream:
             state = ArrayState(8, arch)
             for a, b in pairs:
                 pp = build_pp(*magnitudes(a, b), arch)
-                mask = detect_freeze(pp, state.geometry)
-                _, delta = state.evaluate(pp, mask)
-                for row, frozen in enumerate(mask.row_frozen):
+                _, delta = state.evaluate(pp, True)
+                for row, frozen in enumerate(detect_freeze(pp, state.geometry)):
                     if frozen:
                         assert delta.csa_toggles[row] == 0
 
@@ -290,13 +284,6 @@ class TestSimulateStream:
             trace=lambda index, delta: seen.append((index, delta.total)),
         )
         assert [index for index, _ in seen] == [0, 1]
-
-    def test_freeze_mask_geometry_checked(self):
-        state = ArrayState(8, Architecture.CONVENTIONAL)
-        pp = build_pp(*magnitudes(65, 34), Architecture.CONVENTIONAL)
-        bad_mask = FreezeMask(row_frozen=(0,) * 4)
-        with pytest.raises(GeometryError):
-            state.evaluate(pp, bad_mask)
 
 
 # -- the lane kernel against the straight-line reference ---------------------------
@@ -382,8 +369,7 @@ class TestLaneKernel:
         expected = []
         for index, (a, b) in enumerate(pairs):
             pp = build_pp(*magnitudes(a, b, width), arch)
-            mask = detect_freeze(pp, state.geometry) if gated else None
-            expected.append((index, state.evaluate(pp, mask)[1]))
+            expected.append((index, state.evaluate(pp, gated)[1]))
         assert seen == expected
 
     def test_out_of_range_operand_rejected(self):

@@ -7,6 +7,7 @@ from hybridmul.encoding import Architecture, CategoryKind
 from hybridmul.harness import (
     ALL_ARCHITECTURES,
     MAX_EXHAUSTIVE_PAIRS,
+    MAX_RANDOM_PAIRS,
     Campaign,
     CSV_HEADER,
     ExhaustiveSource,
@@ -40,6 +41,11 @@ class TestInputSpecs:
             parse_input_spec("sequential")
         with pytest.raises(InputFormatError):
             parse_input_spec("random:0")
+
+    def test_random_count_bounded(self):
+        assert RandomSource(MAX_RANDOM_PAIRS).count == MAX_RANDOM_PAIRS
+        with pytest.raises(InputFormatError, match=f"{MAX_RANDOM_PAIRS}-pair limit"):
+            RandomSource(MAX_RANDOM_PAIRS + 1)
 
 
 class TestGenInputs:
@@ -433,6 +439,12 @@ class TestCli:
         f = tmp_path / "pairs.txt"
         f.write_text("65 34\n")
         assert main(["stream", "--inputs", f"file:{f}", "--arch", "conventional"]) == 0
+
+    def test_huge_random_count_is_input_error(self, capsys):
+        assert main(["compare", "--inputs", "random:4294967296"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{MAX_RANDOM_PAIRS}-pair limit" in captured.err
 
     def test_missing_file_is_input_error(self):
         assert main(["compare", "--inputs", "file:/nonexistent/pairs.txt"]) == 2
