@@ -54,10 +54,6 @@ class Word:
         """Ascending 1-indexed positions of the set bits (empty for zero)."""
         return [i + 1 for i in range(self.width) if (self.bits >> i) & 1]
 
-    @property
-    def msb_set(self) -> bool:
-        return bool((self.bits >> (self.width - 1)) & 1)
-
     # -- text forms ------------------------------------------------------
 
     def binary(self) -> str:

@@ -15,9 +15,8 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 
-from .datapath import ProductMismatchError
+from .datapath import ProductMismatchError, ToggleReport
 from .encoding import Architecture
 from .harness import (
     Campaign,
@@ -89,11 +88,12 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _output(out: str | None):
+    """The report's destination: ``out`` opened for writing, or stdout.
+
+    Commands open it before they run, so an unwritable path fails before any work.
+    """
+    return open(out, "w") if out else nullcontext(sys.stdout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -140,14 +140,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         prefer_sparse=args.prefer_sparse,
     )
     model = CostModel.load(args.model) if args.model else CostModel.default()
-    report = run_campaign(campaign, model, interpolate=args.interpolate)
     renderer = {
         "ascii": render_ascii,
         "csv": render_csv,
         "json": render_json,
         "svg": render_svg,
     }[args.format]
-    _emit(renderer(report), args.out)
+    with _output(args.out) as out:
+        out.write(renderer(run_campaign(campaign, model, interpolate=args.interpolate)))
     return 0
 
 
@@ -159,14 +159,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _cmd_table2(args: argparse.Namespace) -> int:
     model = CostModel.load(args.model) if args.model else CostModel.default()
-    grid = table2_report(model)
     renderer = {
         "ascii": render_cost_grid_ascii,
         "csv": render_cost_grid_csv,
         "json": render_cost_grid_json,
         "svg": render_cost_grid_svg,
     }[args.format]
-    _emit(renderer(grid), args.out)
+    with _output(args.out) as out:
+        out.write(renderer(table2_report(model)))
     return 0
 
 
@@ -176,10 +176,11 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     # opened before the simulation, so an unwritable path fails before any work
     with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:
 
-        def record(arch: Architecture, index: int, delta) -> None:
-            for row, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
-                trace_file.write(f"{index},{row},{bits + cells},{arch.value}\n")
-            trace_file.write(f"{index},final,{delta.cpa_toggles},{arch.value}\n")
+        def record(arch: Architecture, index: int, one: ToggleReport) -> None:
+            *rows, final = one.per_row_toggles
+            for row, toggles in enumerate(rows):
+                trace_file.write(f"{index},{row},{toggles},{arch.value}\n")
+            trace_file.write(f"{index},final,{final},{arch.value}\n")
 
         if trace_file is not None:
             trace_file.write("operation,row,toggles,arch\n")
@@ -189,9 +190,9 @@ def _cmd_stream(args: argparse.Namespace) -> int:
         f"ssst={'on' if args.ssst else 'off'}",
         f"{'arch':<14}{'toggles':>12}{'frozen_evals':>14}{'ops':>8}",
     ]
-    for report in reports.values():
+    for arch, report in reports.items():
         lines.append(
-            f"{report.arch.value:<14}{report.total_toggles:>12}"
+            f"{arch.value:<14}{report.total_toggles:>12}"
             f"{report.frozen_cell_evaluations:>14}{report.operations_simulated:>8}"
         )
     measured = reductions({arch: r.total_toggles for arch, r in reports.items()})

@@ -292,62 +292,56 @@ class _LaneToggles(NamedTuple):
     row_frozen: tuple[int, ...]
     col_frozen: int
 
-
-@dataclass(slots=True)
-class ToggleDelta:
-    """Node transitions caused by one evaluation, or summed over a run of them."""
-
-    total: int
-    row_bit_toggles: tuple[int, ...]
-    csa_toggles: tuple[int, ...]  # index r = cells of the adder row fed by PP row r; [0] is 0
-    cpa_toggles: int
-    frozen_cell_evaluations: int
-    evaluations: int = 1
-    lanes: _LaneToggles | None = field(default=None, repr=False, compare=False)
-
-    def split(self) -> list["ToggleDelta"]:
-        """One delta per evaluation, in order."""
-        lay, rows, csa, cpa, row_frozen, col_frozen = self.lanes
-        cells = (1 << lay.cols) - 1
-        deltas = []
-        for at in range(0, lay.lane * lay.count, lay.lane):
-            row_bits = tuple(((x >> at) & cells).bit_count() for x in rows)
-            csa_bits = tuple(sum(((x >> at) & cells).bit_count() for x in xs) for xs in csa)
-            cpa_bits = sum(((x >> at) & cells).bit_count() for x in cpa)
-            frozen = lay.cols * sum((z >> at) & 1 for z in row_frozen[1:])
-            deltas.append(
-                ToggleDelta(
-                    total=sum(row_bits) + sum(csa_bits) + cpa_bits,
-                    row_bit_toggles=row_bits,
-                    csa_toggles=csa_bits,
-                    cpa_toggles=cpa_bits,
-                    frozen_cell_evaluations=frozen + ((col_frozen >> at) & cells).bit_count(),
-                )
-            )
-        return deltas
+    def tally(self, window: int) -> "ToggleReport":
+        """The record of the evaluations whose column bits ``window`` covers."""
+        row_bits = tuple((x & window).bit_count() for x in self.rows)
+        csa = tuple(sum((x & window).bit_count() for x in xs) for xs in self.csa)
+        frozen = sum((z & window).bit_count() for z in self.row_frozen[1:])
+        return ToggleReport(
+            row_bit_toggles=row_bits,
+            csa_toggles=csa,
+            cpa_toggles=sum((x & window).bit_count() for x in self.cpa),
+            frozen_cell_evaluations=frozen + (self.col_frozen & window).bit_count(),
+            operations_simulated=(window & self.layout.ones).bit_count(),
+        )
 
 
 @dataclass(slots=True)
 class ToggleReport:
-    """Accumulated switching activity for one simulated input stream."""
+    """Node transitions of one evaluation, one array run or a whole stream."""
 
-    width: int
-    arch: Architecture
-    ssst_enabled: bool
-    total_toggles: int = 0
-    per_row_toggles: list[int] = field(default_factory=list)  # rows 0..R-1, then final adder
-    frozen_cell_evaluations: int = 0
-    operations_simulated: int = 0
+    row_bit_toggles: tuple[int, ...]
+    csa_toggles: tuple[int, ...]  # index r = cells of the adder row fed by PP row r; [0] is 0
+    cpa_toggles: int
+    frozen_cell_evaluations: int
+    operations_simulated: int
+    lanes: _LaneToggles | None = field(default=None, repr=False, compare=False)
 
-    def accumulate(self, delta: ToggleDelta) -> None:
-        if not self.per_row_toggles:
-            self.per_row_toggles = [0] * (len(delta.row_bit_toggles) + 1)
-        for r, (bits, cells) in enumerate(zip(delta.row_bit_toggles, delta.csa_toggles)):
-            self.per_row_toggles[r] += bits + cells
-        self.per_row_toggles[-1] += delta.cpa_toggles
-        self.total_toggles += delta.total
-        self.frozen_cell_evaluations += delta.frozen_cell_evaluations
-        self.operations_simulated += delta.evaluations
+    @property
+    def total_toggles(self) -> int:
+        return sum(self.row_bit_toggles) + sum(self.csa_toggles) + self.cpa_toggles
+
+    @property
+    def per_row_toggles(self) -> list[int]:
+        """Toggles of PP row r and its adder row, for r = 0..R-1, then the final adder."""
+        rows = [bits + cells for bits, cells in zip(self.row_bit_toggles, self.csa_toggles)]
+        return rows + [self.cpa_toggles]
+
+    def accumulate(self, run: "ToggleReport") -> None:
+        """Add ``run``'s record, field by field."""
+        self.row_bit_toggles = tuple(
+            x + y for x, y in zip(self.row_bit_toggles, run.row_bit_toggles, strict=True)
+        )
+        self.csa_toggles = tuple(x + y for x, y in zip(self.csa_toggles, run.csa_toggles, strict=True))
+        self.cpa_toggles += run.cpa_toggles
+        self.frozen_cell_evaluations += run.frozen_cell_evaluations
+        self.operations_simulated += run.operations_simulated
+
+    def split(self) -> list["ToggleReport"]:
+        """One record per evaluation of the array run this record came from, in order."""
+        lay = self.lanes.layout
+        cells = (1 << lay.cols) - 1
+        return [self.lanes.tally(cells << at) for at in range(0, lay.lane * lay.count, lay.lane)]
 
 
 # -- the array ---------------------------------------------------------------------
@@ -368,12 +362,12 @@ class ArrayState:
         self._csa = [[0] * 5 for _ in range(g.rows - 1)]  # a, b, cin, sum, cout
         self._cpa = [0] * 5
 
-    def evaluate(self, pp: PPLanes, gated: bool = False) -> tuple[int, ToggleDelta]:
+    def evaluate(self, pp: PPLanes, gated: bool = False) -> tuple[int, ToggleReport]:
         """Evaluate the array on a run of lanes from :func:`build_pp`.
 
-        Returns (products, delta).  One carry-save pass and one carry-propagate add serve every lane,
+        Returns (products, run).  One carry-save pass and one carry-propagate add serve every lane,
         evaluated in order from the current state.  The products pack one
-        product per lane; the delta sums the run and splits by evaluation.
+        product per lane; the run's record sums it and splits by evaluation.
         When ``gated``, the array's freeze detector (:func:`detect_freeze`)
         reads ``pp`` itself: frozen rows and the final adder's quiet columns
         keep their node values, and the products stay exact.
@@ -390,14 +384,12 @@ class ArrayState:
             row_x.append(toggled)
 
         csa_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
-        frozen_cells = 0
         s_bus, c_bus = rows[0], 0
         for r in range(1, len(rows)):
             z = row_frozen[r]
             if z == cmask:
                 # every lane bypasses this row: busses pass, cells hold
                 csa_x.append(())
-                frozen_cells += z.bit_count()
                 continue
             a, b, cin = s_bus, rows[r], c_bus
             s = a ^ b ^ cin
@@ -413,7 +405,6 @@ class ArrayState:
             if z:
                 s_bus ^= (s_bus ^ s) & live
                 c_bus ^= (c_bus ^ carry) & live
-                frozen_cells += z.bit_count()
             else:
                 s_bus, c_bus = s, carry
 
@@ -429,21 +420,11 @@ class ArrayState:
         for k, node in enumerate((a, b, cin, s, cout)):
             t, self._cpa[k] = _settle(node, live, self._cpa[k], lay)
             cpa_x.append(t)
-        frozen_cells += col_frozen.bit_count()
 
-        row_bits = tuple(x.bit_count() for x in row_x)
-        csa = tuple(sum(x.bit_count() for x in xs) for xs in csa_x)
-        cpa = sum(x.bit_count() for x in cpa_x)
-        delta = ToggleDelta(
-            total=sum(row_bits) + sum(csa) + cpa,
-            row_bit_toggles=row_bits,
-            csa_toggles=csa,
-            cpa_toggles=cpa,
-            frozen_cell_evaluations=frozen_cells,
-            evaluations=lay.count,
-            lanes=_LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen),
-        )
-        return s, delta
+        lanes = _LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen)
+        run = lanes.tally(cmask)
+        run.lanes = lanes
+        return s, run
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:
@@ -478,13 +459,14 @@ def simulate_stream(
     ``ssst_enabled`` and accumulates node toggles from an all-zero reset
     state.  Every product is checked against the native-multiply oracle; a
     mismatch raises :class:`ProductMismatchError` for the first bad pair.  ``trace``, if given, is called as
-    ``trace(index, delta)`` for each evaluation.
+    ``trace(index, record)`` with each evaluation's :class:`ToggleReport`.
     """
     state = ArrayState(width, arch)
     geometry = state.geometry
     lane = geometry.cols + 1
     top = 1 << width
-    report = ToggleReport(width=width, arch=arch, ssst_enabled=ssst_enabled)
+    zeros = (0,) * geometry.rows
+    report = ToggleReport(zeros, zeros, cpa_toggles=0, frozen_cell_evaluations=0, operations_simulated=0)
     stream = iter(pairs)
     done = 0
     while chunk := list(islice(stream, STREAM_CHUNK)):
@@ -496,7 +478,7 @@ def simulate_stream(
                 to_sign_magnitude(a, width)
                 to_sign_magnitude(b, width)
         pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
-        products, delta = state.evaluate(pp, ssst_enabled)
+        products, run = state.evaluate(pp, ssst_enabled)
         expected = _pack([x * y for x, y in zip(ma, mb)], lane)
         if products != expected:
             bad = products ^ expected
@@ -504,9 +486,9 @@ def simulate_stream(
             a, b = chunk[i]
             got = (products >> i * lane) & ((1 << geometry.cols) - 1)
             raise ProductMismatchError(a, b, got, abs(a * b))
-        report.accumulate(delta)
+        report.accumulate(run)
         if trace is not None:
-            for index, one in enumerate(delta.split(), start=done):
+            for index, one in enumerate(run.split(), start=done):
                 trace(index, one)
         done += len(chunk)
     if not done:

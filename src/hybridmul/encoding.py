@@ -187,6 +187,9 @@ def split(multiplier: Word) -> tuple[Word, Word]:
 
 # -- radix-4 Booth recoding -------------------------------------------------
 
+# Radix-4 digit of the window (b[2k+1], b[2k], b[2k-1]): b[2k-1] + b[2k] - 2*b[2k+1].
+_BOOTH_DIGIT = (0, 1, 1, 2, -2, -1, -1, 0)
+
 
 @dataclass(frozen=True, slots=True)
 class BoothDigits:
@@ -217,21 +220,14 @@ def booth_recode(operand: Word) -> BoothDigits:
     """Recode an unsigned operand into radix-4 signed digits.
 
     Overlapping 3-bit windows (b[2k+1], b[2k], b[2k-1]) with b[-1] = 0 map to
-    digits d = b[2k-1] + b[2k] - 2*b[2k+1].
+    digits d = b[2k-1] + b[2k] - 2*b[2k+1]: window k is bits 2k..2k+2 of
+    ``bits << 1``.
     """
-    coded_width = operand.width + 1 if operand.msb_set else operand.width
-    if coded_width % 2:
-        coded_width += 1
-
-    bits = operand.bits
-
-    def bit(i: int) -> int:
-        return (bits >> i) & 1 if 0 <= i < operand.width else 0
-
-    digits = tuple(
-        bit(2 * k - 1) + bit(2 * k) - 2 * bit(2 * k + 1) for k in range(coded_width // 2)
-    )
-    return BoothDigits(digits, operand.width, coded_width)
+    width, bits = operand.width, operand.bits
+    n = (width + (bits >> (width - 1)) + 1) // 2
+    window = bits << 1
+    digits = tuple(_BOOTH_DIGIT[(window >> 2 * k) & 7] for k in range(n))
+    return BoothDigits(digits, width, 2 * n)
 
 
 # -- partial-product matrices ------------------------------------------------
@@ -319,9 +315,6 @@ class MultiplyResult:
 
 IntCore = tuple[int, int, int, int]
 
-# Radix-4 digit of the window (b[2k+1], b[2k], b[2k-1]): b[2k-1] + b[2k] - 2*b[2k+1].
-_BOOTH_DIGIT = (0, 1, 1, 2, -2, -1, -1, 0)
-
 
 def conventional_int(m: int, bits: int, width: int) -> IntCore:
     """One row per multiplier bit: ``m << k`` summed over the set bits k."""
@@ -404,25 +397,12 @@ def unsigned_product(
     return product, OpCounts(pp, adds, shifts)
 
 
-def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
-    """Whether ``prefer_sparse`` swaps these operands: the multiplicand has fewer set bits."""
-    return abs(multiplicand).bit_count() < abs(multiplier).bit_count()
-
-
-def multiply(
-    a: int,
-    b: int,
-    arch: Architecture,
-    width: int,
-    prefer_sparse: bool = False,
-) -> MultiplyResult:
+def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
     Both operands are signed ints whose magnitudes fit in ``width`` bits.
     Signs are handled outside the unsigned core: the encoders see magnitudes
-    and the result carries sign(a) * sign(b).  ``prefer_sparse`` swaps the
-    operands when the multiplicand has fewer set bits than the multiplier,
-    which can land a denser pair in a cheaper category.
+    and the result carries sign(a) * sign(b).
     """
     ma, mb = abs(a), abs(b)
     if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
@@ -430,7 +410,5 @@ def multiply(
         to_sign_magnitude(a, width)
         to_sign_magnitude(b, width)
         check_operand_width(width)
-    if prefer_sparse and swaps_for_sparsity(ma, mb):
-        ma, mb = mb, ma
     magnitude, counts = unsigned_product(Word(ma, width), Word(mb, width), arch)
     return MultiplyResult(product=-magnitude if (a < 0) != (b < 0) else magnitude, counts=counts)

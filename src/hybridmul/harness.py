@@ -34,7 +34,6 @@ from .encoding import (
     hybrid_plan,
     multiply,
     split,
-    swaps_for_sparsity,
 )
 from .metrics import CostGrid, CostModel, delay_estimate, power_estimate, reduction_percent, vdd_label
 
@@ -240,16 +239,17 @@ class CampaignReport:
         }
 
 
+def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
+    """Whether ``prefer_sparse`` swaps these operands: the multiplicand has fewer set bits."""
+    return abs(multiplicand).bit_count() < abs(multiplier).bit_count()
+
+
 def toggle_reports(campaign: Campaign, pairs, trace=None) -> dict[Architecture, ToggleReport]:
     """Run the cell-level toggle simulation of ``pairs`` on each campaign architecture.
 
-    The array sees each pair in the operand order :func:`multiply` uses, so
-    under ``prefer_sparse`` toggles and operation counts describe the same
-    multiplications.  ``trace``, if given, is called as
-    ``trace(arch, index, delta)`` for every evaluation.
+    ``trace``, if given, is called as ``trace(arch, index, record)`` with
+    every evaluation's :class:`ToggleReport`.
     """
-    if campaign.prefer_sparse:
-        pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     return {
         arch: simulate_stream(
             pairs, arch, campaign.width, campaign.ssst, trace=partial(trace, arch) if trace else None
@@ -266,13 +266,14 @@ def run_campaign(
     """Run a campaign; raises ProductMismatchError on any oracle mismatch."""
     model = model or CostModel.default()
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
+    if campaign.prefer_sparse:
+        # one operand order for the counts and the toggles alike
+        pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     summaries = []
     for arch in campaign.architectures:
         pp_total = add_total = shift_total = 0
         for a, b in pairs:
-            result = multiply(
-                a, b, arch, width=campaign.width, prefer_sparse=campaign.prefer_sparse
-            )
+            result = multiply(a, b, arch, width=campaign.width)
             if result.product != a * b:
                 raise ProductMismatchError(a, b, result.product, a * b)
             pp_total += result.counts.pp_count

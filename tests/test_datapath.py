@@ -91,14 +91,14 @@ class TestEvaluate:
             reference = ReferenceArray(8, arch)
             ref_product, ref_toggles = reference.evaluate(REFERENCE_PP[arch](ma, mb))
             assert product == ref_product == 2210
-            assert delta.total == ref_toggles == SINGLE_6534_PLAIN[arch]
+            assert delta.total_toggles == ref_toggles == SINGLE_6534_PLAIN[arch]
 
     def test_repeat_evaluation_is_silent(self):
         state = ArrayState(8, Architecture.CONVENTIONAL)
         pp = build_pp(*magnitudes(65, 34), Architecture.CONVENTIONAL)
         state.evaluate(pp)
         _, delta = state.evaluate(pp)
-        assert delta.total == 0
+        assert delta.total_toggles == 0
 
     def test_frozen_rows_silent_after_nonzero_state(self):
         state = ArrayState(8, Architecture.CONVENTIONAL)
@@ -119,7 +119,7 @@ class TestEvaluate:
                 product, delta = state.evaluate(build_pp(ma, mb, arch))
                 ref_product, ref_toggles = reference.evaluate(REFERENCE_PP[arch](ma, mb))
                 assert product == ref_product == abs(a * b)
-                assert delta.total == ref_toggles
+                assert delta.total_toggles == ref_toggles
 
     def test_geometry_mismatch_row_count(self):
         state = ArrayState(8, Architecture.BOOTH)
@@ -242,7 +242,7 @@ class TestSimulateStream:
             backward = ArrayState(8, arch)
             backward.evaluate(build_pp(*magnitudes(*y), arch))
             _, delta_yx = backward.evaluate(build_pp(*magnitudes(*x), arch))
-            assert delta_xy.total == delta_yx.total
+            assert delta_xy.total_toggles == delta_yx.total_toggles
 
     @given(
         st.sampled_from(list(Architecture)),
@@ -257,7 +257,7 @@ class TestSimulateStream:
         backward = ArrayState(8, arch)
         backward.evaluate(build_pp(*magnitudes(*y), arch))
         _, delta_yx = backward.evaluate(build_pp(*magnitudes(*x), arch))
-        assert delta_xy.total == delta_yx.total
+        assert delta_xy.total_toggles == delta_yx.total_toggles
 
     def test_oracle_mismatch_aborts(self, monkeypatch):
         lane_rows = dp._lane_rows
@@ -281,7 +281,7 @@ class TestSimulateStream:
             Architecture.CONVENTIONAL,
             8,
             ssst_enabled=False,
-            trace=lambda index, delta: seen.append((index, delta.total)),
+            trace=lambda index, delta: seen.append((index, delta.total_toggles)),
         )
         assert [index for index, _ in seen] == [0, 1]
 
@@ -312,11 +312,6 @@ def reference_run(pairs, arch, width, gated):
     return totals, per_pair
 
 
-def delta_rows(delta):
-    rows = [bits + cells for bits, cells in zip(delta.row_bit_toggles, delta.csa_toggles)]
-    return rows + [delta.cpa_toggles]
-
-
 class TestLaneKernel:
     @given(streams())
     @settings(max_examples=80, deadline=None)
@@ -326,7 +321,7 @@ class TestLaneKernel:
         report = simulate_stream(pairs, arch, width, gated, trace=lambda i, d: seen.append(d))
         totals, per_pair = reference_run(pairs, arch, width, gated)
         assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
-        assert [(d.total, delta_rows(d), d.frozen_cell_evaluations) for d in seen] == per_pair
+        assert [(d.total_toggles, d.per_row_toggles, d.frozen_cell_evaluations) for d in seen] == per_pair
 
     @given(streams(max_pairs=8))
     @settings(max_examples=80, deadline=None)

@@ -332,13 +332,6 @@ class TestMultiply:
         with pytest.raises(ValueError):
             multiply(1, 1, Architecture.HYBRID, width=33)
 
-    def test_prefer_sparse_swaps_roles(self):
-        # 34 has fewer set bits than 0b1110111, so it becomes the multiplier
-        swapped = multiply(34, 0b1110111, Architecture.HYBRID, width=8, prefer_sparse=True)
-        direct = multiply(0b1110111, 34, Architecture.HYBRID, width=8)
-        assert swapped.product == direct.product == 34 * 0b1110111
-        assert swapped.counts == direct.counts
-
     def test_zero_multiplier(self):
         result = multiply(65, 0, Architecture.HYBRID, width=8)
         assert result.product == 0

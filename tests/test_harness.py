@@ -193,6 +193,21 @@ class TestRunCampaign:
         assert toggles == simulate_stream(swapped, Architecture.BOOTH, 8, False).total_toggles == 29369
         assert simulate_stream(pairs, Architecture.BOOTH, 8, False).total_toggles == 29861
 
+    def test_prefer_sparse_counts_the_swapped_pairs(self, tmp_path):
+        # the counts of a prefer_sparse campaign are those of the pairs it swapped
+        source = RandomSource(200, "uniform8")
+        pairs = gen_inputs(source, 8, seed=1)
+        swapped = [(b, a) if bin(a).count("1") < bin(b).count("1") else (a, b) for a, b in pairs]
+        assert swapped != pairs
+        f = tmp_path / "swapped.txt"
+        f.write_text("".join(f"{a} {b}\n" for a, b in swapped))
+        preferred = run_campaign(Campaign(width=8, source=source, seed=1, prefer_sparse=True))
+        direct = run_campaign(Campaign(width=8, source=FileSource(str(f))))
+        totals = [[(s.arch, s.pairs, s.pp_total, s.add_total, s.shift_total) for s in r.summaries]
+                  for r in (preferred, direct)]
+        assert totals[0] == totals[1]
+        assert [arch for arch, *_ in totals[0]] == list(ALL_ARCHITECTURES)
+
     def test_exhaustive_small_width(self):
         report = run_campaign(
             Campaign(width=4, architectures=(Architecture.HYBRID,), source=ExhaustiveSource())
@@ -430,6 +445,19 @@ class TestCli:
         assert captured.out == ""
         assert "missing" in captured.err
 
+    def test_compare_unwritable_out_path_fails_before_the_campaign(self, capsys, tmp_path, monkeypatch):
+        import hybridmul.cli as cli
+
+        def no_campaign(*args, **kwargs):
+            raise AssertionError("the --out path must be opened before the campaign")
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        argv = ["compare", "--inputs", "random:5", "--out", str(tmp_path / "missing" / "r.json")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing" in captured.err
+
     def test_stream_prints_reference_claims(self, capsys):
         assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
         out = capsys.readouterr().out
@@ -553,7 +581,7 @@ class TestCli:
         import hybridmul.harness as harness
         from hybridmul.encoding import MultiplyResult, OpCounts
 
-        def broken_multiply(a, b, arch, width=None, prefer_sparse=False):
+        def broken_multiply(a, b, arch, width=None):
             return MultiplyResult(product=a * b + 1, counts=OpCounts(1, 1, 0))
 
         monkeypatch.setattr(harness, "multiply", broken_multiply)
