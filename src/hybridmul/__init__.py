@@ -16,6 +16,7 @@ from .encoding import (
     OpCounts,
     PPMatrix,
     PPRow,
+    ProductMismatchError,
     booth_pp,
     booth_recode,
     classify,
@@ -28,7 +29,6 @@ from .encoding import (
 from .datapath import (
     ArrayGeometry,
     ArrayState,
-    ProductMismatchError,
     ToggleReport,
     detect_freeze,
     simulate_stream,

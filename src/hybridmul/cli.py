@@ -16,8 +16,8 @@ import argparse
 import sys
 from contextlib import nullcontext
 
-from .datapath import ProductMismatchError, ToggleReport
-from .encoding import Architecture
+from .datapath import ToggleReport
+from .encoding import Architecture, ProductMismatchError
 from .harness import (
     Campaign,
     InputFormatError,
@@ -37,12 +37,7 @@ from .harness import (
     toggle_reports,
     trace,
 )
-from .metrics import (
-    REFERENCE_SWITCHING_REDUCTION_PCT,
-    CostModel,
-    OffGridVoltageError,
-    table2_report,
-)
+from .metrics import REFERENCE_SWITCHING_REDUCTION_PCT, CostModel, table2_report
 
 _ARCH_BY_NAME = {a.value: a for a in Architecture}
 
@@ -220,10 +215,8 @@ def main(argv: list[str] | None = None) -> int:
     except ProductMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InputFormatError, OffGridVoltageError, OverflowError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OverflowError, OSError) as exc:
+        # bad input: InputFormatError and OffGridVoltageError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

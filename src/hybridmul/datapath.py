@@ -47,6 +47,7 @@ from .bitnum import Word, check_operand_width, to_sign_magnitude
 from .encoding import (
     Architecture,
     PPMatrix,
+    ProductMismatchError,
     booth_pp,
     booth_recode,
     conventional_pp,
@@ -64,16 +65,6 @@ class GeometryError(RuntimeError):
 
     An internal model fault, not bad user input.
     """
-
-
-class ProductMismatchError(RuntimeError):
-    """A simulated product disagreed with the native-multiply oracle."""
-
-    def __init__(self, a: int, b: int, got: int, expected: int):
-        super().__init__(f"product mismatch for {a} * {b}: got {got}, expected {expected}")
-        self.pair = (a, b)
-        self.got = got
-        self.expected = expected
 
 
 @dataclass(frozen=True, slots=True)
@@ -462,10 +453,8 @@ def simulate_stream(
     ``trace(index, record)`` with each evaluation's :class:`ToggleReport`.
     """
     state = ArrayState(width, arch)
-    geometry = state.geometry
-    lane = geometry.cols + 1
     top = 1 << width
-    zeros = (0,) * geometry.rows
+    zeros = (0,) * state.geometry.rows
     report = ToggleReport(zeros, zeros, cpa_toggles=0, frozen_cell_evaluations=0, operations_simulated=0)
     stream = iter(pairs)
     done = 0
@@ -479,12 +468,13 @@ def simulate_stream(
                 to_sign_magnitude(b, width)
         pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
         products, run = state.evaluate(pp, ssst_enabled)
-        expected = _pack([x * y for x, y in zip(ma, mb)], lane)
+        lay = pp.layout
+        expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
         if products != expected:
             bad = products ^ expected
-            i = ((bad & -bad).bit_length() - 1) // lane
+            i = ((bad & -bad).bit_length() - 1) // lay.lane
             a, b = chunk[i]
-            got = (products >> i * lane) & ((1 << geometry.cols) - 1)
+            got = (products >> i * lay.lane) & ((1 << lay.cols) - 1)
             raise ProductMismatchError(a, b, got, abs(a * b))
         report.accumulate(run)
         if trace is not None:

@@ -11,7 +11,8 @@ Three ways to turn (multiplicand, multiplier) into a product:
 
 All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
 and an operand width, and applies the sign glue around whichever core is
-selected.  The cores that count and multiply run on plain ints.
+selected, and checks the signed product against the native ``a * b``.
+The cores that count and multiply run on plain ints.
 :class:`Word` values appear only in the views: the classification and plan
 ``trace`` prints, and the partial-product matrices of a one-pair array run.
 """
@@ -29,6 +30,16 @@ from .bitnum import (
     check_operand_width,
     to_sign_magnitude,
 )
+
+
+class ProductMismatchError(RuntimeError):
+    """A simulated product disagreed with the native-multiply oracle."""
+
+    def __init__(self, a: int, b: int, got: int, expected: int):
+        super().__init__(f"product mismatch for {a} * {b}: got {got}, expected {expected}")
+        self.pair = (a, b)
+        self.got = got
+        self.expected = expected
 
 
 class Architecture(enum.Enum):
@@ -202,7 +213,6 @@ class BoothDigits:
     """
 
     digits: tuple[int, ...]
-    operand_width: int
     coded_width: int
 
     def __len__(self) -> int:
@@ -227,7 +237,7 @@ def booth_recode(operand: Word) -> BoothDigits:
     n = (width + (bits >> (width - 1)) + 1) // 2
     window = bits << 1
     digits = tuple(_BOOTH_DIGIT[(window >> 2 * k) & 7] for k in range(n))
-    return BoothDigits(digits, width, 2 * n)
+    return BoothDigits(digits, 2 * n)
 
 
 # -- partial-product matrices ------------------------------------------------
@@ -402,7 +412,8 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
 
     Both operands are signed ints whose magnitudes fit in ``width`` bits.
     Signs are handled outside the unsigned core: the encoders see magnitudes
-    and the result carries sign(a) * sign(b).
+    and the result carries sign(a) * sign(b).  Raises
+    :class:`ProductMismatchError` if that product is not ``a * b``.
     """
     ma, mb = abs(a), abs(b)
     if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
@@ -411,4 +422,7 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
         to_sign_magnitude(b, width)
         check_operand_width(width)
     magnitude, counts = unsigned_product(Word(ma, width), Word(mb, width), arch)
-    return MultiplyResult(product=-magnitude if (a < 0) != (b < 0) else magnitude, counts=counts)
+    product = -magnitude if (a < 0) != (b < 0) else magnitude
+    if product != a * b:
+        raise ProductMismatchError(a, b, product, a * b)
+    return MultiplyResult(product=product, counts=counts)

@@ -119,21 +119,29 @@ class CostModel:
     def voltages(self) -> tuple[float, ...]:
         return tuple(sorted(self.unit_power))
 
-    def _lookup(self, table: Mapping[float, float], vdd: float, interpolate: bool) -> float:
-        if vdd in table:
-            return table[vdd]
+    def unit_cost(self, vdd: float, interpolate: bool = False) -> tuple[float, float]:
+        """(power_uW, delay_ns) of one addition at ``vdd``.
+
+        Off the grid, raises :class:`OffGridVoltageError` unless ``interpolate``,
+        which blends the two neighbouring grid points linearly.
+        """
+        if vdd in self.unit_power:
+            return self.unit_power[vdd], self.unit_delay[vdd]
         if not interpolate:
             raise OffGridVoltageError(
                 f"{vdd} V is not on the calibration grid {self.voltages}; "
-                "pass interpolate=True to estimate between points"
+                "pass --interpolate (interpolate=True) to estimate between points"
             )
         grid = self.voltages
         if not grid[0] <= vdd <= grid[-1]:
             raise OffGridVoltageError(f"{vdd} V is outside the calibrated range {grid[0]}-{grid[-1]} V")
         hi = next(i for i, v in enumerate(grid) if v >= vdd)
-        lo = hi - 1
-        t = (vdd - grid[lo]) / (grid[hi] - grid[lo])
-        return table[grid[lo]] * (1 - t) + table[grid[hi]] * t
+        below, above = grid[hi - 1], grid[hi]
+        t = (vdd - below) / (above - below)
+        return (
+            self.unit_power[below] * (1 - t) + self.unit_power[above] * t,
+            self.unit_delay[below] * (1 - t) + self.unit_delay[above] * t,
+        )
 
 
 def power_estimate(
@@ -142,8 +150,7 @@ def power_estimate(
     """Estimated power in microwatts: add_count times the unit cost at vdd."""
     if add_count < 0:
         raise ValueError("add_count must be non-negative")
-    model = model or CostModel.default()
-    return add_count * model._lookup(model.unit_power, vdd, interpolate)
+    return add_count * (model or CostModel.default()).unit_cost(vdd, interpolate)[0]
 
 
 def delay_estimate(
@@ -152,8 +159,7 @@ def delay_estimate(
     """Estimated delay in nanoseconds: add_count times the unit delay at vdd."""
     if add_count < 0:
         raise ValueError("add_count must be non-negative")
-    model = model or CostModel.default()
-    return add_count * model._lookup(model.unit_delay, vdd, interpolate)
+    return add_count * (model or CostModel.default()).unit_cost(vdd, interpolate)[1]
 
 
 def vdd_label(vdd: float) -> str:

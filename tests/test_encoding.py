@@ -5,12 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from reference_encoding import execute_plan, signed_sum, unsigned_product as reference_product
 
+import hybridmul.encoding as encoding
 from hybridmul.bitnum import Word, check_operand_width, to_sign_magnitude
 from hybridmul.encoding import (
     AddM,
     Architecture,
     CategoryKind,
     OpCounts,
+    ProductMismatchError,
     ShiftLeft,
     booth_pp,
     booth_recode,
@@ -331,6 +333,19 @@ class TestMultiply:
             multiply(1, 1, Architecture.HYBRID, width=3)
         with pytest.raises(ValueError):
             multiply(1, 1, Architecture.HYBRID, width=33)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_wrong_core_product_raises(self, arch, monkeypatch):
+        original = encoding.unsigned_product
+
+        def off_by_one(multiplicand, multiplier, arch):
+            product, counts = original(multiplicand, multiplier, arch)
+            return product + 1, counts
+
+        monkeypatch.setattr(encoding, "unsigned_product", off_by_one)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            multiply(65, 34, arch, 8)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((65, 34), 2211, 2210)
 
     def test_zero_multiplier(self):
         result = multiply(65, 0, Architecture.HYBRID, width=8)

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import hybridmul.encoding as encoding
+import hybridmul.harness as harness
 from hybridmul.datapath import GeometryError, simulate_stream
 from hybridmul.encoding import Architecture, CategoryKind
 from hybridmul.harness import (
@@ -26,6 +28,30 @@ from hybridmul.harness import (
     trace,
 )
 from hybridmul.cli import main
+from hybridmul.metrics import CostModel, OffGridVoltageError
+
+
+@pytest.fixture()
+def no_work(monkeypatch):
+    """Make generating inputs or multiplying fail the test."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("voltages must be priced before any work")
+
+    monkeypatch.setattr(harness, "gen_inputs", refuse)
+    monkeypatch.setattr(harness, "multiply", refuse)
+
+
+@pytest.fixture()
+def off_by_one_core(monkeypatch):
+    """Make the encoders' unsigned core return the product plus one."""
+    original = encoding.unsigned_product
+
+    def off_by_one(multiplicand, multiplier, arch):
+        product, counts = original(multiplicand, multiplier, arch)
+        return product + 1, counts
+
+    monkeypatch.setattr(encoding, "unsigned_product", off_by_one)
 
 
 class TestInputSpecs:
@@ -207,6 +233,15 @@ class TestRunCampaign:
                   for r in (preferred, direct)]
         assert totals[0] == totals[1]
         assert [arch for arch, *_ in totals[0]] == list(ALL_ARCHITECTURES)
+
+    def test_off_grid_vdd_fails_before_any_work(self, no_work):
+        with pytest.raises(OffGridVoltageError):
+            run_campaign(Campaign(width=8, source=RandomSource(5), vdds=(1.25,)))
+
+    def test_model_without_default_vdd_fails_before_any_work(self, no_work):
+        model = CostModel(unit_power={1.0: 12.08}, unit_delay={1.0: 0.734})
+        with pytest.raises(OffGridVoltageError):
+            run_campaign(Campaign(width=8, source=RandomSource(5)), model)
 
     def test_exhaustive_small_width(self):
         report = run_campaign(
@@ -433,8 +468,6 @@ class TestCli:
         assert set(sums) == {"booth", "hybrid"}
 
     def test_stream_unwritable_trace_path_fails_before_simulating(self, capsys, tmp_path, monkeypatch):
-        import hybridmul.harness as harness
-
         def no_stream(*args, **kwargs):
             raise AssertionError("the trace path must be opened before the simulation")
 
@@ -509,15 +542,18 @@ class TestCli:
         f.write_text("horse 34\n")
         assert main(["compare", "--inputs", f"file:{f}"]) == 2
 
-    def test_off_grid_vdd_is_input_error(self):
+    def test_off_grid_vdd_is_input_error(self, capsys):
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.1"]) == 2
+        assert "--interpolate" in capsys.readouterr().err
+
+    def test_off_grid_vdd_fails_before_any_work(self, no_work, capsys):
+        assert main(["compare", "--inputs", "random:5", "--vdd", "1.25"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_off_grid_vdd_with_interpolate(self):
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.1", "--interpolate"]) == 0
 
     def test_geometry_error_is_not_reported_as_bad_input(self, monkeypatch):
-        import hybridmul.harness as harness
-
         def faulty_stream(*args, **kwargs):
             raise GeometryError("9 PP rows offered to a 8-row array")
 
@@ -526,8 +562,6 @@ class TestCli:
             main(["stream", "--inputs", "random:3"])
 
     def test_stream_runs_no_count_pass(self, monkeypatch):
-        import hybridmul.harness as harness
-
         def no_multiply(*args, **kwargs):
             raise AssertionError("stream must not count operations")
 
@@ -577,12 +611,8 @@ class TestCli:
         assert main(["table2", "--model", str(cfg)]) == 2
         assert message in capsys.readouterr().err
 
-    def test_product_mismatch_exit_code(self, monkeypatch):
-        import hybridmul.harness as harness
-        from hybridmul.encoding import MultiplyResult, OpCounts
-
-        def broken_multiply(a, b, arch, width=None):
-            return MultiplyResult(product=a * b + 1, counts=OpCounts(1, 1, 0))
-
-        monkeypatch.setattr(harness, "multiply", broken_multiply)
+    def test_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["compare", "--inputs", "random:3"]) == 1
+
+    def test_trace_product_mismatch_exit_code(self, off_by_one_core):
+        assert main(["trace", "65", "34"]) == 1

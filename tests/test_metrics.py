@@ -71,6 +71,17 @@ class TestVoltageGrid:
     def test_grid_voltages(self):
         assert CostModel.default().voltages == TABLE_VOLTAGES
 
+    def test_unit_cost_prices_both_tables(self):
+        model = CostModel.default()
+        assert model.unit_cost(1.2) == (17.50, 0.595)
+        for vdd in (1.2, 1.1):
+            assert model.unit_cost(vdd, interpolate=True) == (
+                power_estimate(1, vdd, model, interpolate=True),
+                delay_estimate(1, vdd, model, interpolate=True),
+            )
+        with pytest.raises(OffGridVoltageError, match="--interpolate"):
+            model.unit_cost(1.1)
+
 
 class TestReductionPercent:
     def test_reference_family(self):
