@@ -35,8 +35,6 @@ from .datapath import (
 )
 from .metrics import (
     CostModel,
-    delay_estimate,
-    power_estimate,
     reduction_percent,
     table2_report,
 )
@@ -64,13 +62,11 @@ __all__ = [
     "booth_recode",
     "classify",
     "conventional_pp",
-    "delay_estimate",
     "detect_freeze",
     "gen_inputs",
     "hybrid_plan",
     "hybrid_pp",
     "multiply",
-    "power_estimate",
     "reduction_percent",
     "run_campaign",
     "simulate_stream",

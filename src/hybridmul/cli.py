@@ -72,10 +72,9 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
         for flag, value in (("--dist", args.dist), ("--seed", args.seed)):
             if value is not None:
                 raise InputFormatError(f"{flag} applies only to random:N inputs, not {source.describe()}")
-    names = dict.fromkeys(args.arch or sorted(_ARCH_BY_NAME))  # each once, in order
     return Campaign(
         width=args.width,
-        architectures=tuple(_ARCH_BY_NAME[name] for name in names),
+        architectures=tuple(_ARCH_BY_NAME[name] for name in args.arch or sorted(_ARCH_BY_NAME)),
         source=source,
         seed=args.seed or 0,
         ssst=args.ssst,
@@ -131,7 +130,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     campaign = _campaign(
         args,
         simulate_toggles=args.toggles,
-        vdds=tuple(dict.fromkeys(args.vdd)) if args.vdd else (1.2,),  # each once, in order
+        vdds=tuple(args.vdd or (1.2,)),
         prefer_sparse=args.prefer_sparse,
     )
     model = CostModel.load(args.model) if args.model else CostModel.default()

@@ -330,6 +330,8 @@ class ToggleReport:
 
     def split(self) -> list["ToggleReport"]:
         """One record per evaluation of the array run this record came from, in order."""
+        if self.lanes is None:
+            raise ValueError("only the record of one array run (from ArrayState.evaluate) can be split")
         lay = self.lanes.layout
         cells = (1 << lay.cols) - 1
         return [self.lanes.tally(cells << at) for at in range(0, lay.lane * lay.count, lay.lane)]

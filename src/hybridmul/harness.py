@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Mapping
 
 from . import __version__
 from .bitnum import Word, check_operand_width, to_sign_magnitude
@@ -195,6 +196,11 @@ class Campaign:
     simulate_toggles: bool = False
     vdds: tuple[float, ...] = (1.2,)
     prefer_sparse: bool = False
+
+    def __post_init__(self) -> None:
+        # each architecture and voltage once, in first-seen order
+        object.__setattr__(self, "architectures", tuple(dict.fromkeys(self.architectures)))
+        object.__setattr__(self, "vdds", tuple(dict.fromkeys(self.vdds)))
 
 
 @dataclass
@@ -467,16 +473,14 @@ def render_ascii(report: CampaignReport) -> str:
 
 
 def render_svg(report: CampaignReport) -> str:
-    series = {
-        s.arch.value: [(vdd, s.per_vdd[vdd][0]) for vdd in report.campaign.vdds]
-        for s in report.summaries
-    }
-    return svg_power_chart(series, title=f"estimated power vs Vdd (width {report.campaign.width})")
+    costs = {s.arch.value: s.per_vdd for s in report.summaries}
+    return svg_power_chart(costs, title=f"estimated power vs Vdd (width {report.campaign.width})")
 
 
-def svg_power_chart(series: dict[str, list[tuple[float, float]]], title: str) -> str:
-    """Static line chart of power (uW) against supply voltage."""
+def svg_power_chart(costs: Mapping[str, Mapping[float, tuple[float, float]]], title: str) -> str:
+    """Static line chart of power (uW) against supply voltage, one line per ``costs`` entry."""
     width, height, pad = 640, 400, 56
+    series = {name: [(vdd, power) for vdd, (power, _) in cells.items()] for name, cells in costs.items()}
     points = [p for pts in series.values() for p in pts]
     if not points:
         raise ValueError("no data points to chart")
@@ -532,12 +536,11 @@ def svg_power_chart(series: dict[str, list[tuple[float, float]]], title: str) ->
 def render_cost_grid_ascii(grid: CostGrid) -> str:
     head = "vdd (V)".ljust(22) + "".join(f"{vdd_label(v):>9}" for v in grid.voltages)
     lines = [head]
-    for arch in ("conventional", "booth", "hybrid"):
-        adds = grid.add_counts[arch]
-        label = f"{arch} ({adds} add{'s' if adds != 1 else ''})"
-        lines.append(label)
-        lines.append("  power (uW)".ljust(22) + "".join(f"{grid.power[arch][v]:>9.3f}" for v in grid.voltages))
-        lines.append("  delay (ns)".ljust(22) + "".join(f"{grid.delay[arch][v]:>9.3f}" for v in grid.voltages))
+    for arch, adds in grid.add_counts.items():
+        cells = grid.costs[arch]
+        lines.append(f"{arch} ({adds} add{'s' if adds != 1 else ''})")
+        lines.append("  power (uW)".ljust(22) + "".join(f"{cells[v][0]:>9.3f}" for v in grid.voltages))
+        lines.append("  delay (ns)".ljust(22) + "".join(f"{cells[v][1]:>9.3f}" for v in grid.voltages))
     lines.append("")
     lines.append("note: " + grid.reduction_note())
     return "\n".join(lines) + "\n"
@@ -545,12 +548,10 @@ def render_cost_grid_ascii(grid: CostGrid) -> str:
 
 def render_cost_grid_csv(grid: CostGrid) -> str:
     lines = ["arch,adds,vdd,power_uW,delay_ns"]
-    for arch in ("conventional", "booth", "hybrid"):
+    for arch, adds in grid.add_counts.items():
         for v in grid.voltages:
-            lines.append(
-                f"{arch},{grid.add_counts[arch]},{vdd_label(v)},"
-                f"{grid.power[arch][v]:.4f},{grid.delay[arch][v]:.4f}"
-            )
+            power, delay = grid.costs[arch][v]
+            lines.append(f"{arch},{adds},{vdd_label(v)},{power:.4f},{delay:.4f}")
     return "\n".join(lines) + "\n"
 
 
@@ -559,11 +560,11 @@ def render_cost_grid_json(grid: CostGrid) -> str:
         "voltages": list(grid.voltages),
         "archs": {
             arch: {
-                "adds": grid.add_counts[arch],
-                "power_uW": {vdd_label(v): round(grid.power[arch][v], 6) for v in grid.voltages},
-                "delay_ns": {vdd_label(v): round(grid.delay[arch][v], 6) for v in grid.voltages},
+                "adds": adds,
+                "power_uW": {vdd_label(v): round(grid.costs[arch][v][0], 6) for v in grid.voltages},
+                "delay_ns": {vdd_label(v): round(grid.costs[arch][v][1], 6) for v in grid.voltages},
             }
-            for arch in grid.add_counts
+            for arch, adds in grid.add_counts.items()
         },
         "note": grid.reduction_note(),
     }
@@ -571,7 +572,4 @@ def render_cost_grid_json(grid: CostGrid) -> str:
 
 
 def render_cost_grid_svg(grid: CostGrid) -> str:
-    series = {
-        arch: [(v, grid.power[arch][v]) for v in grid.voltages] for arch in grid.add_counts
-    }
-    return svg_power_chart(series, title="estimated power vs Vdd (unit-cost model)")
+    return svg_power_chart(grid.costs, title="estimated power vs Vdd (unit-cost model)")

@@ -1,11 +1,12 @@
 """Operation-count analytics and the calibrated power/delay cost model.
 
-The model is linear in the number of sequential additions a multiply needs:
-one addition costs ``unit_power(vdd)`` microwatts and ``unit_delay(vdd)``
-nanoseconds, with unit values calibrated per supply voltage from reference
-measurements of a single-addition multiplier.  The three architectures land
-at 7 (conventional, 8 PP), 3 (Booth, 4 PP) and 1 (hybrid, 1 PP) additions for
-8-bit operands, so the model grid is the familiar 7:3:1 ladder.
+The model is linear in the number of sequential additions a multiply needs.
+A cost is one ``(power_uW, delay_ns)`` pair per supply voltage: one addition
+at ``vdd`` costs ``CostModel.unit_cost(vdd)``, calibrated from reference
+measurements of a single-addition multiplier, and ``n`` additions cost ``n``
+times each entry.  The three architectures land at 7 (conventional, 8 PP),
+3 (Booth, 4 PP) and 1 (hybrid, 1 PP) additions for 8-bit operands, so the
+model grid is the familiar 7:3:1 ladder.
 """
 
 from __future__ import annotations
@@ -16,32 +17,21 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
 
-TABLE_VOLTAGES: tuple[float, ...] = (0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4)
-
 # Reference unit costs of one addition stage (single-PP multiplier), indexed
-# by supply voltage.  Power in microwatts, delay in nanoseconds.
-_UNIT_POWER_UW = {
-    0.8: 4.569,
-    1.0: 12.08,
-    1.2: 17.50,
-    1.4: 23.25,
-    1.6: 35.27,
-    1.8: 59.10,
-    2.0: 75.00,
-    2.2: 89.370,
-    2.4: 94.60,
+# by supply voltage: (power in microwatts, delay in nanoseconds).
+_UNIT_COSTS = {
+    0.8: (4.569, 1.600),
+    1.0: (12.08, 0.734),
+    1.2: (17.50, 0.595),
+    1.4: (23.25, 0.459),
+    1.6: (35.27, 0.395),
+    1.8: (59.10, 0.349),
+    2.0: (75.00, 0.328),
+    2.2: (89.370, 0.3130),
+    2.4: (94.60, 0.276),
 }
-_UNIT_DELAY_NS = {
-    0.8: 1.600,
-    1.0: 0.734,
-    1.2: 0.595,
-    1.4: 0.459,
-    1.6: 0.395,
-    1.8: 0.349,
-    2.0: 0.328,
-    2.2: 0.3130,
-    2.4: 0.276,
-}
+
+TABLE_VOLTAGES: tuple[float, ...] = tuple(sorted(_UNIT_COSTS))
 
 # Sequential additions per architecture for the 8-bit reference comparison.
 REFERENCE_ADD_COUNTS: Mapping[str, int] = MappingProxyType(
@@ -62,30 +52,25 @@ class OffGridVoltageError(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Per-addition unit power/delay on a fixed supply-voltage grid."""
+    """Per-addition ``(power_uW, delay_ns)`` on a fixed supply-voltage grid."""
 
-    unit_power: Mapping[float, float]
-    unit_delay: Mapping[float, float]
+    units: Mapping[float, tuple[float, float]]
 
     def __post_init__(self) -> None:
-        if set(self.unit_power) != set(self.unit_delay):
-            raise ValueError("power and delay tables must cover the same voltages")
-        if not self.unit_power:
+        if not self.units:
             raise ValueError("cost model must define at least one voltage")
-        for vdd in self.unit_power:
+        for vdd, cost in self.units.items():
             if not (math.isfinite(vdd) and vdd > 0):
                 raise ValueError(f"supply voltage must be positive and finite, got {vdd}")
-        for table in (self.unit_power, self.unit_delay):
-            for vdd, value in table.items():
-                if not (math.isfinite(value) and value > 0):
-                    raise ValueError(f"unit cost at {vdd} V must be positive and finite, got {value}")
+            if not (isinstance(cost, tuple) and len(cost) == 2):
+                raise ValueError(f"unit cost at {vdd} V must be a (power_uW, delay_ns) pair, got {cost!r}")
+            for value in cost:
+                if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                    raise ValueError(f"unit cost at {vdd} V must be positive and finite, got {value!r}")
 
     @classmethod
     def default(cls) -> "CostModel":
-        return cls(
-            unit_power=MappingProxyType(dict(_UNIT_POWER_UW)),
-            unit_delay=MappingProxyType(dict(_UNIT_DELAY_NS)),
-        )
+        return cls(MappingProxyType(dict(_UNIT_COSTS)))
 
     @classmethod
     def load(cls, path: str | Path) -> "CostModel":
@@ -94,8 +79,7 @@ class CostModel:
         Each non-comment line holds ``vdd power_uW delay_ns`` separated by
         whitespace; ``#`` starts a comment.
         """
-        power: dict[float, float] = {}
-        delay: dict[float, float] = {}
+        units: dict[float, tuple[float, float]] = {}
         line_of: dict[float, int] = {}
         for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -111,13 +95,12 @@ class CostModel:
             if vdd in line_of:
                 raise ValueError(f"{path}:{lineno}: {vdd} V repeats line {line_of[vdd]}")
             line_of[vdd] = lineno
-            power[vdd] = p
-            delay[vdd] = d
-        return cls(unit_power=MappingProxyType(power), unit_delay=MappingProxyType(delay))
+            units[vdd] = (p, d)
+        return cls(MappingProxyType(units))
 
     @property
     def voltages(self) -> tuple[float, ...]:
-        return tuple(sorted(self.unit_power))
+        return tuple(sorted(self.units))
 
     def unit_cost(self, vdd: float, interpolate: bool = False) -> tuple[float, float]:
         """(power_uW, delay_ns) of one addition at ``vdd``.
@@ -125,8 +108,8 @@ class CostModel:
         Off the grid, raises :class:`OffGridVoltageError` unless ``interpolate``,
         which blends the two neighbouring grid points linearly.
         """
-        if vdd in self.unit_power:
-            return self.unit_power[vdd], self.unit_delay[vdd]
+        if vdd in self.units:
+            return self.units[vdd]
         if not interpolate:
             raise OffGridVoltageError(
                 f"{vdd} V is not on the calibration grid {self.voltages}; "
@@ -138,28 +121,8 @@ class CostModel:
         hi = next(i for i, v in enumerate(grid) if v >= vdd)
         below, above = grid[hi - 1], grid[hi]
         t = (vdd - below) / (above - below)
-        return (
-            self.unit_power[below] * (1 - t) + self.unit_power[above] * t,
-            self.unit_delay[below] * (1 - t) + self.unit_delay[above] * t,
-        )
-
-
-def power_estimate(
-    add_count: int, vdd: float, model: CostModel | None = None, interpolate: bool = False
-) -> float:
-    """Estimated power in microwatts: add_count times the unit cost at vdd."""
-    if add_count < 0:
-        raise ValueError("add_count must be non-negative")
-    return add_count * (model or CostModel.default()).unit_cost(vdd, interpolate)[0]
-
-
-def delay_estimate(
-    add_count: int, vdd: float, model: CostModel | None = None, interpolate: bool = False
-) -> float:
-    """Estimated delay in nanoseconds: add_count times the unit delay at vdd."""
-    if add_count < 0:
-        raise ValueError("add_count must be non-negative")
-    return add_count * (model or CostModel.default()).unit_cost(vdd, interpolate)[1]
+        (p0, d0), (p1, d1) = self.units[below], self.units[above]
+        return p0 * (1 - t) + p1 * t, d0 * (1 - t) + d1 * t
 
 
 def vdd_label(vdd: float) -> str:
@@ -179,14 +142,13 @@ def reduction_percent(baseline: float, candidate: float) -> float:
 class CostGrid:
     """Power and delay cells for the three reference architectures.
 
-    ``power[arch][vdd]`` in microwatts, ``delay[arch][vdd]`` in nanoseconds,
-    one cell per architecture and calibrated voltage.
+    ``costs[arch][vdd]`` is ``(power_uW, delay_ns)``, one cell per
+    architecture and calibrated voltage, the shape of a campaign's ``per_vdd``.
     """
 
     voltages: tuple[float, ...]
     add_counts: Mapping[str, int]
-    power: Mapping[str, Mapping[float, float]]
-    delay: Mapping[str, Mapping[float, float]]
+    costs: Mapping[str, Mapping[float, tuple[float, float]]]
 
     def reduction_note(self) -> str:
         conv = self.add_counts["conventional"]
@@ -206,15 +168,9 @@ class CostGrid:
 def table2_report(model: CostModel | None = None) -> CostGrid:
     """Build the 3-architecture x 9-voltage power and delay grid."""
     model = model or CostModel.default()
-    voltages = model.voltages
-    power: dict[str, dict[float, float]] = {}
-    delay: dict[str, dict[float, float]] = {}
-    for arch, adds in REFERENCE_ADD_COUNTS.items():
-        power[arch] = {v: power_estimate(adds, v, model) for v in voltages}
-        delay[arch] = {v: delay_estimate(adds, v, model) for v in voltages}
-    return CostGrid(
-        voltages=voltages,
-        add_counts=REFERENCE_ADD_COUNTS,
-        power=power,
-        delay=delay,
-    )
+    units = {v: model.unit_cost(v) for v in model.voltages}
+    costs = {
+        arch: {v: (adds * p, adds * d) for v, (p, d) in units.items()}
+        for arch, adds in REFERENCE_ADD_COUNTS.items()
+    }
+    return CostGrid(voltages=model.voltages, add_counts=REFERENCE_ADD_COUNTS, costs=costs)

@@ -116,8 +116,9 @@ def test_criterion_3_cost_grid_strict():
     grid = table2_report()
     for arch in PRINTED_POWER:
         for i, vdd in enumerate(grid.voltages):
-            assert grid.power[arch][vdd] == pytest.approx(PRINTED_POWER[arch][i], rel=0.01)
-            assert grid.delay[arch][vdd] == pytest.approx(PRINTED_DELAY[arch][i], rel=0.01)
+            power, delay = grid.costs[arch][vdd]
+            assert power == pytest.approx(PRINTED_POWER[arch][i], rel=0.01)
+            assert delay == pytest.approx(PRINTED_DELAY[arch][i], rel=0.01)
 
 
 @criterion(3, "cost grid matches printed cells (53/54 within 1%, outlier within 3.1%)")
@@ -127,13 +128,10 @@ def test_criterion_3_cost_grid_attainable():
     outliers = []
     for arch in PRINTED_POWER:
         for i, vdd in enumerate(grid.voltages):
-            for table, printed in (
-                (grid.power, PRINTED_POWER),
-                (grid.delay, PRINTED_DELAY),
-            ):
-                err = abs(table[arch][vdd] / printed[arch][i] - 1.0)
+            for model_value, printed in zip(grid.costs[arch][vdd], (PRINTED_POWER, PRINTED_DELAY)):
+                err = abs(model_value / printed[arch][i] - 1.0)
                 if err > 0.01:
-                    outliers.append((arch, vdd, table[arch][vdd], printed[arch][i], err))
+                    outliers.append((arch, vdd, model_value, printed[arch][i], err))
     # exactly one printed cell breaks the unit structure
     assert len(outliers) == 1
     arch, vdd, model_value, printed_value, err = outliers[0]

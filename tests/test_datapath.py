@@ -195,6 +195,11 @@ class TestSimulateStream:
         with pytest.raises(ValueError):
             simulate_stream([], Architecture.HYBRID, 8, ssst_enabled=False)
 
+    def test_stream_total_cannot_be_split(self):
+        report = simulate_stream([(65, 34)] * 3, Architecture.HYBRID, 8, ssst_enabled=False)
+        with pytest.raises(ValueError, match="ArrayState.evaluate"):
+            report.split()
+
     def test_seed42_regression_totals(self):
         pairs = seed42_pairs()
         for arch, expected in SEED42_PLAIN_TOTALS.items():

@@ -27,13 +27,11 @@ EXPORTS = [
     "booth_recode",
     "classify",
     "conventional_pp",
-    "delay_estimate",
     "detect_freeze",
     "gen_inputs",
     "hybrid_plan",
     "hybrid_pp",
     "multiply",
-    "power_estimate",
     "reduction_percent",
     "run_campaign",
     "simulate_stream",

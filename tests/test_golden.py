@@ -4,6 +4,8 @@ Each case runs one command and compares the sha256 of every byte it emits
 (stdout, then the ``--trace-toggles`` CSV for ``stream``) against a digest
 recorded from an earlier release of the same outputs.  A refactor that keeps
 these digests keeps the reports identical, not merely self-consistent.
+``MODEL`` in a case stands for a two-point cost-model file written next to
+the run.
 """
 
 import hashlib
@@ -22,6 +24,10 @@ _COMPARE_WIDE = [
     "--arch", "booth", "--arch", "hybrid", "--toggles", "--ssst", "--prefer-sparse",
     "--vdd", "1.0", "--vdd", "1.6", "--vdd", "2.2",
 ]
+_COMPARE_INTERPOLATED = [
+    "compare", "--width", "8", "--inputs", "random:120", "--seed", "42",
+    "--dist", "sparse3", "--vdd", "0.9", "--vdd", "1.1", "--vdd", "2.3", "--interpolate",
+]
 _STREAM = [
     "stream", "--width", "8", "--inputs", "random:80", "--seed", "42",
     "--dist", "sparse3", "--arch", "booth", "--arch", "hybrid", "--ssst",
@@ -31,16 +37,22 @@ _STREAM_WIDE = [
     "--arch", "conventional", "--arch", "hybrid",
 ]
 
+MODEL = "<model>"
+_MODEL_TEXT = "1.0 12.08 0.734\n1.2 17.50 0.595\n"
+
 CASES = {
     **{f"compare-{fmt}": _COMPARE + ["--format", fmt] for fmt in ("ascii", "csv", "json", "svg")},
     **{f"compare-wide-{fmt}": _COMPARE_WIDE + ["--format", fmt] for fmt in ("ascii", "csv", "json", "svg")},
     **{f"table2-{fmt}": ["table2", "--format", fmt] for fmt in ("ascii", "csv", "json", "svg")},
+    "compare-interpolated-json": _COMPARE_INTERPOLATED + ["--format", "json"],
+    "table2-model-csv": ["table2", "--model", MODEL, "--format", "csv"],
     "stream-gated": _STREAM,
     "stream-wide": _STREAM_WIDE,
 }
 
 GOLDEN = {
     "compare-ascii": "ce2cf7df078ff5db473abae9a208c562afcaa663eeab551d2a80917512279ed9",
+    "compare-interpolated-json": "f2f21585f895d8322283639d5d975cccddc7f374c454bca2bb71fa27ce0917b8",
     "compare-csv": "4d1eb7389f24b8f472cd098bc8b7b81a120ccb506b7b3a59516208103bd61aca",
     "compare-json": "a4c6e85eeed3d58806084add38ed91f1f811feeaca7f30eccea10e6b27ba0e09",
     "compare-svg": "06b6414e6a3dd653f37329bf44b8efd881b6e0dc6b07a8cb7e52cc0b8de2a811",
@@ -52,6 +64,7 @@ GOLDEN = {
     "stream-wide": "d1858a4c743fb347fbb8aa41f675f2cf0c04e4d9c1e3a29a5c424fcdba956103",
     "table2-ascii": "439e5706198f151841a40853a06e5508609c14d341865827bb16d009cc640206",
     "table2-csv": "03ab7134f68221642b9194d1c14dac44edeb19af5e7ac36a56f351659f029d19",
+    "table2-model-csv": "f9f43fa6372c80f07b043010418391f144fa24315ba6b4e523bf3ba62c1fdb79",
     "table2-json": "4d8f3b3d6083d44da42ecc56e69cee385fda60a4116bde52f3e6a79127cf9174",
     "table2-svg": "761685df5431441d2a4c424e05f61d0357d435e5b0f29bf491e51d04a5a52776",
 }
@@ -59,6 +72,10 @@ GOLDEN = {
 
 def emitted(argv, capsys, tmp_path) -> bytes:
     trace_csv = tmp_path / "toggles.csv"
+    if MODEL in argv:
+        model = tmp_path / "model.cfg"
+        model.write_text(_MODEL_TEXT)
+        argv = [str(model) if arg == MODEL else arg for arg in argv]
     if argv[0] == "stream":
         argv = argv + ["--trace-toggles", str(trace_csv)]
     assert main(argv) == 0

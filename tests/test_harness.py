@@ -239,9 +239,20 @@ class TestRunCampaign:
             run_campaign(Campaign(width=8, source=RandomSource(5), vdds=(1.25,)))
 
     def test_model_without_default_vdd_fails_before_any_work(self, no_work):
-        model = CostModel(unit_power={1.0: 12.08}, unit_delay={1.0: 0.734})
+        model = CostModel({1.0: (12.08, 0.734)})
         with pytest.raises(OffGridVoltageError):
             run_campaign(Campaign(width=8, source=RandomSource(5)), model)
+
+    def test_repeats_run_and_print_once(self, pixel_campaign):
+        H, B = Architecture.HYBRID, Architecture.BOOTH
+        campaign = Campaign(width=8, source=pixel_campaign.source, architectures=(H, B, H), vdds=(1.2, 1.0, 1.2))
+        assert (campaign.architectures, campaign.vdds) == ((H, B), (1.2, 1.0))
+        report = run_campaign(campaign)
+        assert [s.arch for s in report.summaries] == [H, B]
+        rows = render_csv(report).splitlines()[1:]
+        assert [(row.split(",")[0], row.split(",")[-1]) for row in rows] == [
+            ("hybrid", "1.2"), ("hybrid", "1.0"), ("booth", "1.2"), ("booth", "1.0"),
+        ]
 
     def test_exhaustive_small_width(self):
         report = run_campaign(

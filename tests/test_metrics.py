@@ -8,79 +8,75 @@ from hybridmul.metrics import (
     TABLE_VOLTAGES,
     CostModel,
     OffGridVoltageError,
-    delay_estimate,
-    power_estimate,
     reduction_percent,
     table2_report,
     vdd_label,
 )
 
+DEFAULT = CostModel.default()
+
 
 class TestPowerEstimate:
+    """Power of n additions is n times the unit power."""
+
     def test_conventional_at_1v2(self):
-        assert power_estimate(7, 1.2) == pytest.approx(122.5)
+        assert 7 * DEFAULT.unit_cost(1.2)[0] == pytest.approx(122.5)
 
     def test_booth_at_1v6(self):
-        assert power_estimate(3, 1.6) == pytest.approx(105.81)
+        assert 3 * DEFAULT.unit_cost(1.6)[0] == pytest.approx(105.81)
 
     def test_single_add_at_2v4(self):
-        assert power_estimate(1, 2.4) == pytest.approx(94.60)
+        assert DEFAULT.unit_cost(2.4)[0] == pytest.approx(94.60)
 
     def test_zero_adds_cost_nothing(self):
-        assert power_estimate(0, 1.2) == 0.0
-
-    def test_negative_adds_rejected(self):
-        with pytest.raises(ValueError):
-            power_estimate(-1, 1.2)
+        assert 0 * DEFAULT.unit_cost(1.2)[0] == 0.0
 
     @given(st.integers(min_value=0, max_value=50), st.integers(min_value=0, max_value=50))
     def test_linearity(self, a, b):
         for vdd in (0.8, 1.6, 2.4):
-            assert power_estimate(a + b, vdd) == pytest.approx(
-                power_estimate(a, vdd) + power_estimate(b, vdd)
-            )
+            power = DEFAULT.unit_cost(vdd)[0]
+            assert (a + b) * power == pytest.approx(a * power + b * power)
 
 
 class TestDelayEstimate:
     def test_single_add_at_0v8(self):
-        assert delay_estimate(1, 0.8) == pytest.approx(1.600)
+        assert DEFAULT.unit_cost(0.8)[1] == pytest.approx(1.600)
 
     def test_booth_at_2v2(self):
-        assert delay_estimate(3, 2.2) == pytest.approx(0.939)
+        assert 3 * DEFAULT.unit_cost(2.2)[1] == pytest.approx(0.939)
 
     def test_conventional_at_1v0(self):
-        assert delay_estimate(7, 1.0) == pytest.approx(5.138)
+        assert 7 * DEFAULT.unit_cost(1.0)[1] == pytest.approx(5.138)
 
 
 class TestVoltageGrid:
     def test_off_grid_rejected_by_default(self):
         with pytest.raises(OffGridVoltageError):
-            power_estimate(1, 1.1)
+            DEFAULT.unit_cost(1.1)
 
     def test_interpolation_opt_in(self):
-        model = CostModel.default()
-        midpoint = power_estimate(1, 1.1, model, interpolate=True)
+        midpoint = DEFAULT.unit_cost(1.1, interpolate=True)[0]
         assert midpoint == pytest.approx((12.08 + 17.50) / 2)
 
     def test_interpolation_stays_in_range(self):
         with pytest.raises(OffGridVoltageError):
-            power_estimate(1, 2.6, interpolate=True)
+            DEFAULT.unit_cost(2.6, interpolate=True)
         with pytest.raises(OffGridVoltageError):
-            delay_estimate(1, 0.5, interpolate=True)
+            DEFAULT.unit_cost(0.5, interpolate=True)
 
     def test_grid_voltages(self):
-        assert CostModel.default().voltages == TABLE_VOLTAGES
+        assert DEFAULT.voltages == TABLE_VOLTAGES
 
     def test_unit_cost_prices_both_tables(self):
-        model = CostModel.default()
-        assert model.unit_cost(1.2) == (17.50, 0.595)
-        for vdd in (1.2, 1.1):
-            assert model.unit_cost(vdd, interpolate=True) == (
-                power_estimate(1, vdd, model, interpolate=True),
-                delay_estimate(1, vdd, model, interpolate=True),
-            )
+        assert DEFAULT.unit_cost(1.2) == (17.50, 0.595)
+        assert DEFAULT.unit_cost(1.2, interpolate=True) == (17.50, 0.595)
         with pytest.raises(OffGridVoltageError, match="--interpolate"):
-            model.unit_cost(1.1)
+            DEFAULT.unit_cost(1.1)
+
+    def test_interpolated_floats_are_pinned(self):
+        # the blend's exact IEEE results, so a rewrite of it cannot drift a printed digit
+        assert DEFAULT.unit_cost(0.9, interpolate=True) == (8.3245, 1.167)
+        assert DEFAULT.unit_cost(1.1, interpolate=True) == (14.790000000000003, 0.6644999999999999)
 
 
 class TestReductionPercent:
@@ -122,7 +118,8 @@ class TestCostModel:
         )
         model = CostModel.load(config)
         assert model.voltages == (0.8, 1.2)
-        assert power_estimate(7, 1.2, model) == pytest.approx(122.5)
+        assert model.unit_cost(1.2) == (17.50, 0.595)
+        assert 7 * model.unit_cost(1.2)[0] == pytest.approx(122.5)
 
     def test_load_rejects_malformed_line(self, tmp_path):
         config = tmp_path / "model.cfg"
@@ -138,42 +135,37 @@ class TestCostModel:
 
     def test_tables_must_be_positive(self):
         with pytest.raises(ValueError):
-            CostModel(unit_power={1.2: 0.0}, unit_delay={1.2: 1.0})
+            CostModel({1.2: (0.0, 1.0)})
 
-    def test_tables_must_align(self):
-        with pytest.raises(ValueError):
-            CostModel(unit_power={1.2: 1.0}, unit_delay={1.4: 1.0})
+    @pytest.mark.parametrize("cost", [5.0, (1.0,), (1.0, 2.0, 3.0), [1.0, 2.0], ("1.0", 2.0), None])
+    def test_each_entry_must_be_a_pair(self, cost):
+        with pytest.raises(ValueError, match="at 1.2 V"):
+            CostModel({1.2: cost})
 
 
 class TestCostGrid:
     def test_ratio_law_exact_under_model(self):
         grid = table2_report()
         for vdd in grid.voltages:
-            hybrid_p = grid.power["hybrid"][vdd]
-            assert grid.power["conventional"][vdd] == pytest.approx(7 * hybrid_p)
-            assert grid.power["booth"][vdd] == pytest.approx(3 * hybrid_p)
-            hybrid_d = grid.delay["hybrid"][vdd]
-            assert grid.delay["conventional"][vdd] == pytest.approx(7 * hybrid_d)
-            assert grid.delay["booth"][vdd] == pytest.approx(3 * hybrid_d)
+            hybrid_p, hybrid_d = grid.costs["hybrid"][vdd]
+            assert grid.costs["conventional"][vdd][0] == pytest.approx(7 * hybrid_p)
+            assert grid.costs["booth"][vdd][0] == pytest.approx(3 * hybrid_p)
+            assert grid.costs["conventional"][vdd][1] == pytest.approx(7 * hybrid_d)
+            assert grid.costs["booth"][vdd][1] == pytest.approx(3 * hybrid_d)
 
     def test_grid_shape(self):
         grid = table2_report()
         assert len(grid.voltages) == 9
-        assert set(grid.power) == set(REFERENCE_ADD_COUNTS)
-        for arch in grid.power:
-            assert len(grid.power[arch]) == 9
-            assert len(grid.delay[arch]) == 9
+        assert list(grid.costs) == list(REFERENCE_ADD_COUNTS)
+        for arch in grid.costs:
+            assert list(grid.costs[arch]) == list(grid.voltages)
 
     def test_unit_model_reduces_to_add_counts(self):
-        flat = CostModel(
-            unit_power={v: 1.0 for v in TABLE_VOLTAGES},
-            unit_delay={v: 1.0 for v in TABLE_VOLTAGES},
-        )
+        flat = CostModel({v: (1.0, 1.0) for v in TABLE_VOLTAGES})
         grid = table2_report(flat)
         for arch, adds in REFERENCE_ADD_COUNTS.items():
             for vdd in grid.voltages:
-                assert grid.power[arch][vdd] == adds
-                assert grid.delay[arch][vdd] == adds
+                assert grid.costs[arch][vdd] == (adds, adds)
 
     def test_reduction_note_flags_power_claim_gap(self):
         note = table2_report().reduction_note()
