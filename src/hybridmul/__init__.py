@@ -8,10 +8,8 @@ __version__ = "0.1.0"
 from .bitnum import SignMag, Word, to_sign_magnitude
 from .encoding import (
     Architecture,
-    BoothDigits,
     Category,
     CategoryKind,
-    HybridPlan,
     MultiplyResult,
     OpCounts,
     PPMatrix,
@@ -44,12 +42,10 @@ __all__ = [
     "Architecture",
     "ArrayGeometry",
     "ArrayState",
-    "BoothDigits",
     "Campaign",
     "Category",
     "CategoryKind",
     "CostModel",
-    "HybridPlan",
     "MultiplyResult",
     "OpCounts",
     "PPMatrix",

@@ -30,8 +30,8 @@ def check_operand_width(width: int) -> int:
 class Word:
     """Unsigned bit pattern with an explicit width.
 
-    The value is masked to ``width`` bits at construction, so ``bits <
-    2**width`` always holds.  Words are immutable.
+    ``0 <= bits < 2**width`` is checked at construction; a value that does
+    not fit raises rather than losing its high bits.  Words are immutable.
     """
 
     bits: int
@@ -42,7 +42,8 @@ class Word:
             raise ValueError(f"width must be positive, got {self.width}")
         if self.bits < 0:
             raise ValueError(f"bits must be non-negative, got {self.bits}")
-        object.__setattr__(self, "bits", self.bits & ((1 << self.width) - 1))
+        if self.bits >> self.width:
+            raise ValueError(f"{self.bits} does not fit in {self.width} bits")
 
     # -- queries ---------------------------------------------------------
 

@@ -12,9 +12,11 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
 and an operand width, and applies the sign glue around whichever core is
 selected, and checks the signed product against the native ``a * b``.
-The cores that count and multiply run on plain ints.
-:class:`Word` values appear only in the views: the classification and plan
-``trace`` prints, and the partial-product matrices of a one-pair array run.
+The integer core that multiplies runs on plain ints and is the only place
+that counts partial products, additions and shifts.  :class:`Word` values
+appear only in the views, which carry no counts: the classification, plan
+steps and Booth digits ``trace`` prints, and the partial-product matrices of
+a one-pair array run.
 """
 
 from __future__ import annotations
@@ -119,42 +121,16 @@ def classify(multiplier: Word) -> Category:
 class ShiftLeft:
     amount: int
 
-    def render(self) -> str:
-        return f"SHL {self.amount}"
-
 
 @dataclass(frozen=True, slots=True)
 class AddM:
-    def render(self) -> str:
-        return "ADD M"
+    pass
 
 
 Step = Union[ShiftLeft, AddM]
 
 
-@dataclass(frozen=True, slots=True)
-class HybridPlan:
-    """Executable shift/add chain for one sparse multiplier.
-
-    ``pp_count`` is 1 for categories A-F (the single partial product the
-    chain reuses) and 0 for Zero.  Zero-amount shifts are dropped from the
-    step list; they would be wiring no-ops.
-    """
-
-    category: Category
-    steps: tuple[Step, ...]
-    add_count: int
-    pp_count: int
-
-    @property
-    def shift_count(self) -> int:
-        return sum(1 for s in self.steps if isinstance(s, ShiftLeft))
-
-    def render_steps(self) -> list[str]:
-        return [s.render() for s in self.steps]
-
-
-def hybrid_plan(multiplier: Word) -> HybridPlan:
+def hybrid_plan(multiplier: Word) -> tuple[Step, ...]:
     """Compile a popcount<=3 multiplier into its shift/add chain.
 
     With set-bit positions p1 < p2 < p3 the chain is
@@ -162,14 +138,14 @@ def hybrid_plan(multiplier: Word) -> HybridPlan:
     many bits exist; this is the category table expressed over absolute
     positions.  The published rule for category F names a final shift of i,
     but only i-1 reproduces M*multiplier (the two-bit and i=1 rows all use
-    i-1); the plan uses i-1 and the oracle tests enforce it.
+    i-1); the plan uses i-1 and the oracle tests enforce it.  Zero-amount
+    shifts are dropped (they would be wiring no-ops), so a Zero or category A
+    multiplier has no steps.
 
     Raises ValueError for Split multipliers.
     """
-    category = classify(multiplier)
-    if category.kind is CategoryKind.SPLIT:
+    if multiplier.popcount() > 3:
         raise ValueError(f"multiplier {multiplier} has more than 3 set bits; split it first")
-
     positions = multiplier.one_positions()
     steps: list[Step] = []
     for idx in range(len(positions) - 1, 0, -1):
@@ -177,13 +153,7 @@ def hybrid_plan(multiplier: Word) -> HybridPlan:
         steps.append(AddM())
     if positions and positions[0] > 1:
         steps.append(ShiftLeft(positions[0] - 1))
-
-    return HybridPlan(
-        category=category,
-        steps=tuple(steps),
-        add_count=sum(1 for s in steps if isinstance(s, AddM)),
-        pp_count=1 if positions else 0,
-    )
+    return tuple(steps)
 
 
 def split(multiplier: Word) -> tuple[Word, Word]:
@@ -202,42 +172,19 @@ def split(multiplier: Word) -> tuple[Word, Word]:
 _BOOTH_DIGIT = (0, 1, 1, 2, -2, -1, -1, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class BoothDigits:
-    """Radix-4 signed digits, LSB-first, each in {-2, -1, 0, +1, +2}.
-
-    ``coded_width`` is the width the recoder actually scanned: the operand
-    width, zero-extended to the next even count, plus one extra zero-extension
-    bit when the operand's top bit is set (otherwise the two's-complement
-    reading would go negative).  Digit count is coded_width / 2.
-    """
-
-    digits: tuple[int, ...]
-    coded_width: int
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    @property
-    def value(self) -> int:
-        return sum(d * 4**k for k, d in enumerate(self.digits))
-
-    def __str__(self) -> str:
-        return " ".join(f"{d:+d}" if d else "0" for d in reversed(self.digits))
-
-
-def booth_recode(operand: Word) -> BoothDigits:
-    """Recode an unsigned operand into radix-4 signed digits.
+def booth_recode(operand: Word) -> tuple[int, ...]:
+    """Recode an unsigned operand into radix-4 signed digits, LSB-first, each in {-2..+2}.
 
     Overlapping 3-bit windows (b[2k+1], b[2k], b[2k-1]) with b[-1] = 0 map to
     digits d = b[2k-1] + b[2k] - 2*b[2k+1]: window k is bits 2k..2k+2 of
-    ``bits << 1``.
+    ``bits << 1``.  The recoder scans the operand width zero-extended to the
+    next even count, plus one extra zero-extension bit when the top bit is
+    set (otherwise the two's-complement reading would go negative).
     """
     width, bits = operand.width, operand.bits
     n = (width + (bits >> (width - 1)) + 1) // 2
     window = bits << 1
-    digits = tuple(_BOOTH_DIGIT[(window >> 2 * k) & 7] for k in range(n))
-    return BoothDigits(digits, 2 * n)
+    return tuple(_BOOTH_DIGIT[(window >> 2 * k) & 7] for k in range(n))
 
 
 # -- partial-product matrices ------------------------------------------------
@@ -270,7 +217,7 @@ def conventional_pp(multiplicand: Word, multiplier: Word) -> PPMatrix:
     return PPMatrix(rows)
 
 
-def booth_pp(multiplicand: Word, digits: BoothDigits) -> PPMatrix:
+def booth_pp(multiplicand: Word, digits: tuple[int, ...]) -> PPMatrix:
     """One row per radix-4 digit: |d|*M at weight 2k, negated when d < 0.
 
     A zero row is never marked negated (-0 is 0), so a row's bits alone
@@ -282,7 +229,7 @@ def booth_pp(multiplicand: Word, digits: BoothDigits) -> PPMatrix:
             weight=2 * k,
             negate=d < 0 and multiplicand.bits != 0,
         )
-        for k, d in enumerate(digits.digits)
+        for k, d in enumerate(digits)
     )
     return PPMatrix(rows)
 

@@ -25,11 +25,11 @@ from .bitnum import Word, check_operand_width, to_sign_magnitude
 from .datapath import ToggleReport, simulate_stream
 from .encoding import (
     Architecture,
-    BoothDigits,
     Category,
     CategoryKind,
-    HybridPlan,
     OpCounts,
+    ShiftLeft,
+    Step,
     booth_recode,
     classify,
     hybrid_plan,
@@ -201,6 +201,10 @@ class Campaign:
         # each architecture and voltage once, in first-seen order
         object.__setattr__(self, "architectures", tuple(dict.fromkeys(self.architectures)))
         object.__setattr__(self, "vdds", tuple(dict.fromkeys(self.vdds)))
+        if not self.architectures:
+            raise ValueError("a campaign needs at least one architecture")
+        if not self.vdds:
+            raise ValueError("a campaign needs at least one supply voltage")
 
 
 @dataclass
@@ -308,9 +312,9 @@ class TraceResult:
     multiplicand: Word
     multiplier: Word
     category: Category
-    plan: HybridPlan | None
+    plan: tuple[Step, ...] | None
     split_halves: tuple[Word, Word] | None
-    booth_digits: BoothDigits
+    booth_digits: tuple[int, ...]
     product: int
     hybrid_counts: OpCounts
     booth_counts: OpCounts
@@ -326,7 +330,7 @@ class TraceResult:
             f"category     : {self.category}",
         ]
         if self.plan is not None:
-            steps = self.plan.render_steps()
+            steps = [f"SHL {s.amount}" if isinstance(s, ShiftLeft) else "ADD M" for s in self.plan]
             if steps:
                 lines.append(f"plan         : {steps[0]}")
                 lines.extend(f"               {s}" for s in steps[1:])
@@ -340,7 +344,8 @@ class TraceResult:
         c = self.hybrid_counts
         lines.append(f"hybrid       : pp={c.pp_count} adds={c.add_count} shifts={c.shift_count}")
         bc = self.booth_counts
-        lines.append(f"booth        : digits {self.booth_digits} ({bc.pp_count} PP, adds {bc.add_count})")
+        digits = " ".join(f"{d:+d}" if d else "0" for d in reversed(self.booth_digits))
+        lines.append(f"booth        : digits {digits} ({bc.pp_count} PP, adds {bc.add_count})")
         cc = self.conventional_counts
         lines.append(f"conventional : {cc.pp_count} PP, adds {cc.add_count}")
         lines.append(f"product      : {self.product}")

@@ -31,8 +31,6 @@ _UNIT_COSTS = {
     2.4: (94.60, 0.276),
 }
 
-TABLE_VOLTAGES: tuple[float, ...] = tuple(sorted(_UNIT_COSTS))
-
 # Sequential additions per architecture for the 8-bit reference comparison.
 REFERENCE_ADD_COUNTS: Mapping[str, int] = MappingProxyType(
     {"conventional": 7, "booth": 3, "hybrid": 1}
@@ -60,8 +58,8 @@ class CostModel:
         if not self.units:
             raise ValueError("cost model must define at least one voltage")
         for vdd, cost in self.units.items():
-            if not (math.isfinite(vdd) and vdd > 0):
-                raise ValueError(f"supply voltage must be positive and finite, got {vdd}")
+            if not (isinstance(vdd, (int, float)) and math.isfinite(vdd) and vdd > 0):
+                raise ValueError(f"supply voltage must be a positive finite number, got {vdd!r}")
             if not (isinstance(cost, tuple) and len(cost) == 2):
                 raise ValueError(f"unit cost at {vdd} V must be a (power_uW, delay_ns) pair, got {cost!r}")
             for value in cost:

@@ -3,8 +3,10 @@
 Independent check for the integer core in ``hybridmul.encoding``: every
 product here is composed from the public :class:`Word`-level views (the
 hybrid plan run step by step, Booth digits summed as signed PP rows,
-conventional rows summed) and every count is read off those views, the way
-the encoders were first written.  No bit arithmetic on the multiplier is
+conventional rows summed) and every count is read off those views: a plan's
+additions are its ``AddM`` steps and its shifts its ``ShiftLeft`` steps, it
+makes one partial product unless the multiplier is zero, and Booth makes one
+per digit.  The views carry no counts of their own, so no count rule is
 shared with the core.
 """
 
@@ -14,7 +16,6 @@ from hybridmul.bitnum import Word
 from hybridmul.encoding import (
     AddM,
     Architecture,
-    HybridPlan,
     OpCounts,
     PPMatrix,
     booth_pp,
@@ -25,16 +26,16 @@ from hybridmul.encoding import (
 )
 
 
-def execute_plan(plan: HybridPlan, multiplicand: Word) -> Word:
-    """Run a plan step by step: AddM always adds the original multiplicand.
+def execute_plan(multiplicand: Word, multiplier: Word) -> Word:
+    """Run the multiplier's plan step by step: AddM always adds the original multiplicand.
 
     The width grows with each step (a shift by its amount, an add by one
     bit of headroom), so no bit is ever dropped.
     """
-    if plan.pp_count == 0:
+    if multiplier.bits == 0:
         return Word(0, multiplicand.width)
     acc, width = multiplicand.bits, multiplicand.width
-    for step in plan.steps:
+    for step in hybrid_plan(multiplier):
         if isinstance(step, AddM):
             acc, width = acc + multiplicand.bits, width + 1
         else:
@@ -55,10 +56,20 @@ def _add(x: OpCounts, y: OpCounts) -> OpCounts:
     return OpCounts(x.pp_count + y.pp_count, x.add_count + y.add_count, x.shift_count + y.shift_count)
 
 
+def booth_value(digits: tuple[int, ...]) -> int:
+    """The value LSB-first radix-4 digits stand for."""
+    return sum(d * 4**k for k, d in enumerate(digits))
+
+
+def plan_counts(multiplier: Word) -> OpCounts:
+    """Counts read off the multiplier's plan steps."""
+    steps = hybrid_plan(multiplier)
+    adds = sum(1 for step in steps if isinstance(step, AddM))
+    return OpCounts(1 if multiplier.bits else 0, adds, len(steps) - adds)
+
+
 def _hybrid_leaf(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:
-    plan = hybrid_plan(multiplier)
-    product = execute_plan(plan, multiplicand).bits
-    return product, OpCounts(plan.pp_count, plan.add_count, plan.shift_count)
+    return execute_plan(multiplicand, multiplier).bits, plan_counts(multiplier)
 
 
 def _booth_core(multiplicand: Word, multiplier: Word) -> tuple[int, OpCounts]:

@@ -16,10 +16,11 @@ expected failures, kept red on purpose:
 """
 
 import functools
-import math
 import time
 
 import pytest
+
+from reference_encoding import booth_value
 
 from hybridmul.bitnum import Word, to_sign_magnitude
 from hybridmul.encoding import Architecture, CategoryKind, booth_recode, multiply
@@ -86,7 +87,8 @@ def test_criterion_1_worked_example():
     assert (result.category.i, result.category.j) == (2, 4)
     assert result.product == 2210
     assert (result.hybrid_counts.pp_count, result.hybrid_counts.add_count) == (1, 1)
-    assert str(result.booth_digits) == "+1 -2 +1 -2"
+    assert result.booth_digits == (-2, 1, -2, 1)
+    assert "digits +1 -2 +1 -2 " in result.render()
     assert result.booth_counts.pp_count == 4
     assert result.conventional_counts.pp_count == 8
     assert time.perf_counter() - start < 1.0
@@ -159,11 +161,11 @@ def test_criterion_4_exhaustive_correctness():
 def test_criterion_5_booth_properties():
     for value in range(256):
         digits = booth_recode(Word(value, 8))
-        assert digits.value == value
-        assert all(-2 <= d <= 2 for d in digits.digits)
-        assert len(digits) == math.ceil(digits.coded_width / 2)
-        # zero-extension engages exactly when the top bit is set
-        assert digits.coded_width == (10 if value >= 128 else 8)
+        assert booth_value(digits) == value
+        assert all(-2 <= d <= 2 for d in digits)
+        # zero-extension engages exactly when the top bit is set: a coded
+        # width of 10 bits, else 8
+        assert len(digits) == (5 if value >= 128 else 4)
 
 
 @criterion(6, "freeze gating: transparent products, silent rows, monotone totals")

@@ -12,8 +12,10 @@ from hybridmul.bitnum import (
 
 
 class TestWordBasics:
-    def test_construction_masks_to_width(self):
-        assert Word(0x1FF, 8).bits == 0xFF
+    def test_construction_rejects_bits_over_width(self):
+        with pytest.raises(ValueError, match="300 does not fit in 8 bits"):
+            Word(300, 8)
+        assert Word(0xFF, 8).bits == 0xFF
 
     def test_rejects_bad_width(self):
         with pytest.raises(ValueError):

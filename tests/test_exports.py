@@ -9,12 +9,10 @@ EXPORTS = [
     "Architecture",
     "ArrayGeometry",
     "ArrayState",
-    "BoothDigits",
     "Campaign",
     "Category",
     "CategoryKind",
     "CostModel",
-    "HybridPlan",
     "MultiplyResult",
     "OpCounts",
     "PPMatrix",

@@ -48,6 +48,11 @@ CASES = {
     "table2-model-csv": ["table2", "--model", MODEL, "--format", "csv"],
     "stream-gated": _STREAM,
     "stream-wide": _STREAM_WIDE,
+    "trace-d": ["trace", "65", "34"],
+    "trace-negative": ["trace", "-65", "34"],
+    "trace-split": ["trace", "65", "241"],
+    "trace-odd-width": ["trace", "17", "31", "--width", "5"],
+    "trace-zero": ["trace", "5", "0"],
 }
 
 GOLDEN = {
@@ -67,6 +72,11 @@ GOLDEN = {
     "table2-model-csv": "f9f43fa6372c80f07b043010418391f144fa24315ba6b4e523bf3ba62c1fdb79",
     "table2-json": "4d8f3b3d6083d44da42ecc56e69cee385fda60a4116bde52f3e6a79127cf9174",
     "table2-svg": "761685df5431441d2a4c424e05f61d0357d435e5b0f29bf491e51d04a5a52776",
+    "trace-d": "b6162f988790381975de5fdb6d3511babf28fc3df738787fa14f10f07bb6d8e0",
+    "trace-negative": "f85502e0063e1bd7c5727346ba7fc6ece109238ce92cc3b904d461ae0674fe97",
+    "trace-split": "3f39de930e8de67de5fb51f690b24d0ea1d67f0afbf7691969db450f83f9bd58",
+    "trace-odd-width": "32595df347956702235b233f75efdee030ae51839a34abb8a1fdf5055996a2ce",
+    "trace-zero": "7edd63f222da2f67085427ba53aa1a3cbacd4e8ed67c499449d5b6ab2d10573d",
 }
 
 

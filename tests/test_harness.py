@@ -254,6 +254,13 @@ class TestRunCampaign:
             ("hybrid", "1.2"), ("hybrid", "1.0"), ("booth", "1.2"), ("booth", "1.0"),
         ]
 
+    @pytest.mark.parametrize(
+        "empty, message", [("architectures", "at least one architecture"), ("vdds", "at least one supply voltage")]
+    )
+    def test_empty_architectures_or_vdds_rejected(self, empty, message):
+        with pytest.raises(ValueError, match=message):
+            Campaign(width=8, source=RandomSource(5), **{empty: ()})
+
     def test_exhaustive_small_width(self):
         report = run_campaign(
             Campaign(width=4, architectures=(Architecture.HYBRID,), source=ExhaustiveSource())
@@ -328,11 +335,12 @@ class TestTrace:
         assert result.product == 2210
         assert result.hybrid_counts.pp_count == 1
         assert result.hybrid_counts.add_count == 1
-        assert str(result.booth_digits) == "+1 -2 +1 -2"
+        assert result.booth_digits == (-2, 1, -2, 1)
         assert result.booth_counts.pp_count == 4
         assert result.conventional_counts.pp_count == 8
         rendered = result.render()
         assert "SHL 4" in rendered and "ADD M" in rendered and "SHL 1" in rendered
+        assert "digits +1 -2 +1 -2 (4 PP" in rendered
         assert "2210" in rendered
 
     def test_zero_multiplier(self):

@@ -1,11 +1,11 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hybridmul.metrics import (
     REFERENCE_ADD_COUNTS,
-    TABLE_VOLTAGES,
     CostModel,
     OffGridVoltageError,
     reduction_percent,
@@ -65,7 +65,7 @@ class TestVoltageGrid:
             DEFAULT.unit_cost(0.5, interpolate=True)
 
     def test_grid_voltages(self):
-        assert DEFAULT.voltages == TABLE_VOLTAGES
+        assert DEFAULT.voltages == (0.8, 1.0, 1.2, 1.4, 1.6, 1.8, 2.0, 2.2, 2.4)
 
     def test_unit_cost_prices_both_tables(self):
         assert DEFAULT.unit_cost(1.2) == (17.50, 0.595)
@@ -96,7 +96,7 @@ class TestReductionPercent:
 
 class TestVddLabel:
     def test_grid_voltages_keep_one_decimal(self):
-        assert [vdd_label(v) for v in TABLE_VOLTAGES] == [f"{v:.1f}" for v in TABLE_VOLTAGES]
+        assert [vdd_label(v) for v in DEFAULT.voltages] == [f"{v:.1f}" for v in DEFAULT.voltages]
         assert vdd_label(1.0) == "1.0"
 
     def test_finer_voltages_print_in_full(self):
@@ -142,6 +142,11 @@ class TestCostModel:
         with pytest.raises(ValueError, match="at 1.2 V"):
             CostModel({1.2: cost})
 
+    @pytest.mark.parametrize("vdd", ["1.2", None, (1.2,)])
+    def test_each_voltage_must_be_a_number(self, vdd):
+        with pytest.raises(ValueError, match=re.escape(repr(vdd))):
+            CostModel({vdd: (1.0, 1.0)})
+
 
 class TestCostGrid:
     def test_ratio_law_exact_under_model(self):
@@ -161,7 +166,7 @@ class TestCostGrid:
             assert list(grid.costs[arch]) == list(grid.voltages)
 
     def test_unit_model_reduces_to_add_counts(self):
-        flat = CostModel({v: (1.0, 1.0) for v in TABLE_VOLTAGES})
+        flat = CostModel({v: (1.0, 1.0) for v in DEFAULT.voltages})
         grid = table2_report(flat)
         for arch, adds in REFERENCE_ADD_COUNTS.items():
             for vdd in grid.voltages:
@@ -176,4 +181,4 @@ class TestCostGrid:
 
 def test_reference_constants_sane():
     assert REFERENCE_ADD_COUNTS == {"conventional": 7, "booth": 3, "hybrid": 1}
-    assert math.isclose(sum(TABLE_VOLTAGES), 14.4)
+    assert math.isclose(sum(DEFAULT.voltages), 14.4)
