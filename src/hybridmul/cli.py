@@ -8,11 +8,15 @@ Subcommands:
 
 Exit status: 0 on success, 1 when a simulated product disagrees with the
 native-multiply oracle, 2 on bad inputs or configuration.
+
+The argument parser is built once per process; every :func:`main` call
+parses into a fresh namespace, so one call's options never reach the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 
@@ -90,6 +94,7 @@ def _output(out: str | None):
     return open(out, "w") if out else nullcontext(sys.stdout)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridmul",
@@ -201,8 +206,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     handlers = {
         "compare": _cmd_compare,
         "trace": _cmd_trace,

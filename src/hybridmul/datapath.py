@@ -34,7 +34,10 @@ the next.  Each node class (a row's bits, a cell row's a/b/cin/sum/cout) is
 one such integer; its toggles are ``popcount(x ^ (x << lane))``.  Under
 gating, a frozen node holds its last value, which a log-doubling
 fill-forward over the lanes reproduces (Chen & Chu, IEEE TVLSI 15(7), 2007,
-for the freeze semantics).  A single evaluation is a run of one lane.
+for the freeze semantics).  The five nodes of a carry-save row share one
+live mask, as do the final adder's, so each group's fill-forward schedule
+is worked out once and applied to all five.  A single evaluation is a run
+of one lane.
 """
 
 from __future__ import annotations
@@ -136,24 +139,39 @@ def _nonzero(x: int, lay: _Layout) -> int:
     return ((x + lay.cmask) >> lay.cols) & lay.ones
 
 
-def _settle(new: int, live: int | None, old: int, lay: _Layout) -> tuple[int, int]:
-    """One node class over a run: (toggled bits per lane, value after the run).
+def _fill_schedule(live: int, lay: _Layout) -> tuple[tuple[int, int], ...]:
+    """The log-doubling fill-forward of a node group whose bits outside ``live`` hold.
 
-    ``new`` holds the values the cells compute, ``old`` the value before
-    lane 0.  Bits outside ``live`` (``None``: all live) hold the previous
-    lane's value, found by a log-doubling fill-forward.
+    Step ``(shift, hole)`` copies each held bit from ``shift`` bits lower;
+    the holes depend on ``live`` alone, so one schedule serves every node of
+    the group.  All live is the empty schedule.
     """
     lane = lay.lane
-    if live is None:
-        return (new ^ ((new << lane) | old)) & lay.full, new >> lay.last
     # lane 0 carries the incoming value; evaluation i sits in lane i + 1
-    seq = ((new & live) << lane) | old
     hole = (lay.cmask ^ live) << lane
+    steps = []
     shift = lane
     while hole:
-        seq |= (seq << shift) & hole
+        steps.append((shift, hole))
         hole &= hole << shift
         shift <<= 1
+    return tuple(steps)
+
+
+def _settle(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, int]:
+    """One node over a run: (toggled bits per lane, value after the run).
+
+    ``new`` holds the values the cells compute, ``old`` the value before
+    lane 0.  The bits ``schedule`` (from :func:`_fill_schedule`) holds keep
+    the previous lane's value.
+    """
+    lane = lay.lane
+    if not schedule:
+        return (new ^ ((new << lane) | old)) & lay.full, new >> lay.last
+    seq = (new << lane) | old
+    seq ^= seq & schedule[0][1]
+    for shift, hole in schedule:
+        seq |= (seq << shift) & hole
     return (seq ^ (seq >> lane)) & lay.full, seq >> (lay.last + lane)
 
 
@@ -373,7 +391,7 @@ class ArrayState:
         cmask = lay.cmask
         row_x = []
         for r, x in enumerate(rows):
-            toggled, self._row_bits[r] = _settle(x, None, self._row_bits[r], lay)
+            toggled, self._row_bits[r] = _settle(x, self._row_bits[r], (), lay)
             row_x.append(toggled)
 
         csa_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
@@ -387,11 +405,12 @@ class ArrayState:
             a, b, cin = s_bus, rows[r], c_bus
             s = a ^ b ^ cin
             cout = (a & b) | (cin & (a ^ b))
-            live = cmask ^ z if z else None
+            live = cmask ^ z
+            schedule = _fill_schedule(live, lay)
             cells = self._csa[r - 1]
             toggled = []
             for k, node in enumerate((a, b, cin, s, cout)):
-                t, cells[k] = _settle(node, live, cells[k], lay)
+                t, cells[k] = _settle(node, cells[k], schedule, lay)
                 toggled.append(t)
             csa_x.append(tuple(toggled))
             carry = (cout << 1) & cmask
@@ -408,10 +427,10 @@ class ArrayState:
         cin = (a ^ b ^ total) & cmask
         cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
         col_frozen = cmask ^ (a | b) if gated else 0
-        live = cmask ^ col_frozen if col_frozen else None
+        schedule = _fill_schedule(cmask ^ col_frozen, lay)
         cpa_x = []
         for k, node in enumerate((a, b, cin, s, cout)):
-            t, self._cpa[k] = _settle(node, live, self._cpa[k], lay)
+            t, self._cpa[k] = _settle(node, self._cpa[k], schedule, lay)
             cpa_x.append(t)
 
         lanes = _LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen)

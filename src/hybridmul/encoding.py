@@ -12,6 +12,9 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
 and an operand width, and applies the sign glue around whichever core is
 selected, and checks the signed product against the native ``a * b``.
+:func:`count_pairs` is the same for a whole run of pairs on one
+architecture: one range check for the run, every product checked, the
+counts summed.  ``multiply`` is its one-pair case.
 The integer core that multiplies runs on plain ints and is the only place
 that counts partial products, additions and shifts.  :class:`Word` values
 appear only in the views, which carry no counts: the classification, plan
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 from .bitnum import (
     MAX_OPERAND_WIDTH,
@@ -354,6 +357,51 @@ def unsigned_product(
     return product, OpCounts(pp, adds, shifts)
 
 
+def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
+    """Raise the decode or width error of the first bad pair, if there is one.
+
+    One pass over the magnitudes clears a valid run; only a bad run is
+    decoded pair by pair, so the error is exactly the one :func:`multiply`
+    raises for that pair.
+    """
+    seen = 0
+    for a, b in pairs:
+        seen |= abs(a) | abs(b)
+    if MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH and not seen >> width:
+        return
+    for a, b in pairs:
+        # the decode and width checks, in this order, raise the exact error
+        to_sign_magnitude(a, width)
+        to_sign_magnitude(b, width)
+        check_operand_width(width)
+
+
+def _checked(a: int, b: int, magnitude: int) -> int:
+    """The signed product of ``a * b`` from the core's magnitude, checked against ``a * b``."""
+    product = -magnitude if (a < 0) != (b < 0) else magnitude
+    if product != a * b:
+        raise ProductMismatchError(a, b, product, a * b)
+    return product
+
+
+def count_pairs(pairs: Sequence[tuple[int, int]], arch: Architecture, width: int) -> OpCounts:
+    """Multiply every pair (b is the multiplier) and sum the operation counts.
+
+    The operands are range-checked once for the whole pass; each product is
+    checked as :func:`multiply` checks it, and a mismatch raises
+    :class:`ProductMismatchError` for the first bad pair.
+    """
+    _check_operands(pairs, width)
+    pp = adds = shifts = 0
+    for a, b in pairs:
+        magnitude, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
+        _checked(a, b, magnitude)
+        pp += counts.pp_count
+        adds += counts.add_count
+        shifts += counts.shift_count
+    return OpCounts(pp, adds, shifts)
+
+
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
@@ -362,14 +410,6 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     and the result carries sign(a) * sign(b).  Raises
     :class:`ProductMismatchError` if that product is not ``a * b``.
     """
-    ma, mb = abs(a), abs(b)
-    if not MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH or (ma | mb) >> width:
-        # the decode and width checks, in this order, raise the exact error
-        to_sign_magnitude(a, width)
-        to_sign_magnitude(b, width)
-        check_operand_width(width)
-    magnitude, counts = unsigned_product(Word(ma, width), Word(mb, width), arch)
-    product = -magnitude if (a < 0) != (b < 0) else magnitude
-    if product != a * b:
-        raise ProductMismatchError(a, b, product, a * b)
-    return MultiplyResult(product=product, counts=counts)
+    _check_operands(((a, b),), width)
+    magnitude, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
+    return MultiplyResult(product=_checked(a, b, magnitude), counts=counts)

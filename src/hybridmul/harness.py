@@ -32,6 +32,7 @@ from .encoding import (
     Step,
     booth_recode,
     classify,
+    count_pairs,
     hybrid_plan,
     multiply,
     split,
@@ -282,15 +283,14 @@ def run_campaign(
         pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     summaries = []
     for arch in campaign.architectures:
-        pp_total = add_total = shift_total = 0
-        for a, b in pairs:
-            result = multiply(a, b, arch, width=campaign.width)
-            pp_total += result.counts.pp_count
-            add_total += result.counts.add_count
-            shift_total += result.counts.shift_count
-        mean_adds = add_total / len(pairs)
+        counts = count_pairs(pairs, arch, campaign.width)
+        mean_adds = counts.add_count / len(pairs)
         per_vdd = {vdd: (power * mean_adds, delay * mean_adds) for vdd, (power, delay) in unit_costs.items()}
-        summaries.append(ArchSummary(arch, len(pairs), pp_total, add_total, shift_total, per_vdd=per_vdd))
+        summaries.append(
+            ArchSummary(
+                arch, len(pairs), counts.pp_count, counts.add_count, counts.shift_count, per_vdd=per_vdd
+            )
+        )
     if campaign.simulate_toggles:
         reports = toggle_reports(campaign, pairs)
         for summary in summaries:

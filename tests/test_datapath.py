@@ -23,7 +23,10 @@ from hybridmul.datapath import (
     GeometryError,
     Lanes,
     ProductMismatchError,
+    _Layout,
+    _fill_schedule,
     _fold_rows,
+    _settle,
     build_pp,
     detect_freeze,
     simulate_stream,
@@ -375,3 +378,68 @@ class TestLaneKernel:
     def test_out_of_range_operand_rejected(self):
         with pytest.raises(OverflowError):
             simulate_stream([(1, 2), (256, 1)], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+
+
+def held_run(new, old, live, lay):
+    """(toggled bits, value after the run) of one node, lane by lane.
+
+    In each lane the bits outside ``live`` keep the previous lane's value;
+    lane 0 follows ``old``.
+    """
+    lane, cells = lay.lane, (1 << lay.cols) - 1
+    prev, toggled = old, 0
+    for i in range(lay.count):
+        keep = (live >> i * lane) & cells
+        value = ((new >> i * lane) & keep) | (prev & cells & ~keep)
+        toggled |= (value ^ prev) << i * lane
+        prev = value
+    return toggled, prev
+
+
+@st.composite
+def fill_cases(draw):
+    """(layout, live mask, new values, old value) with lane- or column-granular masks."""
+    cols = 2 * draw(st.integers(4, 32))
+    count = draw(st.integers(1, 80))
+    lay = _Layout(cols, count)
+    cells = (1 << cols) - 1
+    lane_value = st.integers(0, cells)
+    shape = draw(st.sampled_from(["lanes", "columns", "lane 0", "alternating"]))
+    if shape == "lanes":  # a CSA row: each lane is live or frozen whole
+        flags = draw(st.lists(st.booleans(), min_size=count, max_size=count))
+        masks = [cells if f else 0 for f in flags]
+    elif shape == "columns":  # the final adder: any column of any lane may hold
+        masks = draw(st.lists(lane_value, min_size=count, max_size=count))
+    elif shape == "lane 0":
+        masks = [cells] + [0] * (count - 1)
+    else:
+        masks = [cells if i % 2 == 0 else 0 for i in range(count)]
+    new = draw(st.lists(lane_value, min_size=count, max_size=count))
+
+    def pack(values):
+        return sum(v << i * lay.lane for i, v in enumerate(values))
+
+    return lay, pack(masks), pack(new), draw(lane_value)
+
+
+class TestFillForward:
+    """The fill-forward schedule holds frozen bits exactly as a per-lane hold loop does."""
+
+    @given(fill_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_schedule_matches_per_lane_hold(self, case):
+        lay, live, new, old = case
+        assert _settle(new, old, _fill_schedule(live, lay), lay) == held_run(new, old, live, lay)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 64, 256])
+    def test_all_live_is_the_empty_schedule(self, count):
+        lay = _Layout(16, count)
+        assert _fill_schedule(lay.cmask, lay) == ()
+        new = lay.cmask // 3
+        assert _settle(new, 5, (), lay) == held_run(new, 5, lay.cmask, lay)
+
+    @pytest.mark.parametrize("count", [1, 2, 7, 256])
+    def test_nothing_live_holds_the_incoming_value(self, count):
+        lay = _Layout(16, count)
+        toggled, after = _settle(lay.cmask, 0xBEEF, _fill_schedule(0, lay), lay)
+        assert (toggled, after) == (0, 0xBEEF)

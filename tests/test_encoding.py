@@ -22,6 +22,7 @@ from hybridmul.encoding import (
     booth_recode,
     classify,
     conventional_pp,
+    count_pairs,
     hybrid_plan,
     hybrid_pp,
     multiply,
@@ -463,3 +464,70 @@ class TestMultiplyInputErrors:
                 ValueError,
                 f"operand width must be in [4, 32], got {width}",
             )
+
+
+@st.composite
+def signed_runs(draw):
+    """(width, pairs) of signed operands, with 0 and +/-(2**width - 1) drawn often."""
+    width = draw(st.integers(min_value=4, max_value=32))
+    top = 2**width - 1
+    operand = st.one_of(st.sampled_from([0, top, -top]), st.integers(min_value=-top, max_value=top))
+    return width, draw(st.lists(st.tuples(operand, operand), max_size=12))
+
+
+def _refuse_core(multiplicand, multiplier, arch):
+    raise AssertionError("the core must not run before the range check")
+
+
+class TestCountPairs:
+    """One count pass per architecture: the field-wise sum of ``multiply``'s counts."""
+
+    @given(signed_runs(), st.sampled_from(list(Architecture)))
+    @settings(max_examples=150)
+    def test_equals_summed_multiply_counts(self, run, arch):
+        width, pairs = run
+        counts = [multiply(a, b, arch, width).counts for a, b in pairs]
+        assert count_pairs(pairs, arch, width) == OpCounts(
+            sum(c.pp_count for c in counts),
+            sum(c.add_count for c in counts),
+            sum(c.shift_count for c in counts),
+        )
+
+    @given(signed_runs(), st.data())
+    @settings(max_examples=100)
+    def test_bad_operand_anywhere_raises_multiplys_error_first(self, run, data):
+        width, pairs = run
+        top = 2**width
+        bad = data.draw(st.integers(min_value=top, max_value=4 * top))
+        bad = bad if data.draw(st.booleans()) else -bad
+        at = data.draw(st.integers(min_value=0, max_value=len(pairs)))
+        good_a, good_b = pairs[at] if at < len(pairs) else (1, 1)
+        pair = (bad, good_b) if data.draw(st.booleans()) else (good_a, bad)
+        # a second bad pair later in the run must not be the one reported
+        run_pairs = pairs[:at] + [pair] + pairs[at:] + [(-bad, bad)]
+        arch = data.draw(st.sampled_from(list(Architecture)))
+        expected = _raised(lambda: multiply(*pair, arch, width))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "unsigned_product", _refuse_core)
+            assert _raised(lambda: count_pairs(run_pairs, arch, width)) == expected
+
+    @pytest.mark.parametrize("width", [0, 3, 33, -1])
+    def test_bad_width_raises_multiplys_error(self, width, monkeypatch):
+        pairs = [(1, 1), (300, 2)]
+        expected = _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width))
+        monkeypatch.setattr(encoding, "unsigned_product", _refuse_core)
+        for arch in Architecture:
+            assert _raised(lambda: count_pairs(pairs, arch, width)) == expected
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_wrong_core_product_names_the_first_pair(self, arch, monkeypatch):
+        original = encoding.unsigned_product
+
+        def off_by_one_from_3(multiplicand, multiplier, arch):
+            product, counts = original(multiplicand, multiplier, arch)
+            return product + (multiplicand.bits == 3), counts
+
+        monkeypatch.setattr(encoding, "unsigned_product", off_by_one_from_3)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            count_pairs([(65, 34), (-3, 5), (3, 7)], arch, 8)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((-3, 5), -16, -15)

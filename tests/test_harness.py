@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import hybridmul.cli as cli
 import hybridmul.encoding as encoding
 import hybridmul.harness as harness
 from hybridmul.datapath import GeometryError, simulate_stream
@@ -33,13 +34,13 @@ from hybridmul.metrics import CostModel, OffGridVoltageError
 
 @pytest.fixture()
 def no_work(monkeypatch):
-    """Make generating inputs or multiplying fail the test."""
+    """Make generating inputs or counting fail the test."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("voltages must be priced before any work")
 
     monkeypatch.setattr(harness, "gen_inputs", refuse)
-    monkeypatch.setattr(harness, "multiply", refuse)
+    monkeypatch.setattr(harness, "count_pairs", refuse)
 
 
 @pytest.fixture()
@@ -581,13 +582,29 @@ class TestCli:
             main(["stream", "--inputs", "random:3"])
 
     def test_stream_runs_no_count_pass(self, monkeypatch):
-        def no_multiply(*args, **kwargs):
+        def no_count(*args, **kwargs):
             raise AssertionError("stream must not count operations")
 
-        monkeypatch.setattr(harness, "multiply", no_multiply)
+        monkeypatch.setattr(harness, "count_pairs", no_count)
         assert main(["stream", "--inputs", "random:20", "--seed", "2", "--ssst"]) == 0
         with pytest.raises(AssertionError):  # the patch does reach a count pass
             main(["compare", "--inputs", "random:3"])
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_keeps_no_options_between_calls(self, capsys):
+        argv = ["compare", "--inputs", "random:3", "--format", "csv"]
+        assert main(argv + ["--arch", "booth", "--vdd", "1.0", "--toggles"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[4] != "", row[-1]) for row in rows] == [("booth", True, "1.0")]
+        assert main(argv) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [(row[0], row[4], row[-1]) for row in rows] == [
+            ("booth", "", "1.2"),
+            ("conventional", "", "1.2"),
+            ("hybrid", "", "1.2"),
+        ]
 
     def test_stream_lists_a_repeated_arch_once(self, capsys):
         argv = ["stream", "--inputs", "random:10", "--arch", "hybrid", "--arch", "booth", "--arch", "hybrid"]
