@@ -126,6 +126,58 @@ def _pack(values, lane: int) -> int:
     return values[0] if values else 0
 
 
+def _unpack(x: int, lay: _Layout) -> list[int]:
+    """The lane values of ``x``, lane 0 first: the inverse of :func:`_pack`.
+
+    Halves the integer level by level, so no step shifts the whole of it
+    once per lane.
+    """
+    width = lay.lane << (lay.count - 1).bit_length()
+    values = [x]
+    while width > lay.lane:
+        width >>= 1
+        low = (1 << width) - 1
+        values = [half for v in values for half in (v & low, v >> width)]
+    return values[: lay.count]
+
+
+def _popcount_masks(lay: _Layout) -> tuple[tuple[int, int, int], ...]:
+    """The ``(shift, low, high)`` steps of a per-lane popcount of the column bits.
+
+    Step ``shift = f`` adds neighbouring f-bit counts into 2f-bit fields.  A
+    field never reaches past column ``cols - 1``, so with the column count
+    not a power of two the high half of the last field is cut short (or
+    left out) rather than read from the guard bit and the next lane.
+    """
+    cols = lay.cols
+    steps = []
+    f = 1
+    while f < cols:
+        low = high = 0
+        for p in range(0, cols, 2 * f):
+            low |= ((1 << min(f, cols - p)) - 1) << p
+            if p + f < cols:
+                high |= ((1 << min(f, cols - p - f)) - 1) << p
+        steps.append((f, low * lay.ones, high * lay.ones))
+        f *= 2
+    return tuple(steps)
+
+
+def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> list[int]:
+    """Per lane, the set column bits of all of ``xs`` together, lane 0 first.
+
+    Each lane's total must fit in its ``cols + 1`` bits; a node group has at
+    most one integer per array row, far fewer than that allows.
+    """
+    total = 0
+    for x in xs:
+        x &= lay.cmask
+        for f, low, high in steps:
+            x = (x & low) + ((x >> f) & high)
+        total += x
+    return _unpack(total, lay)
+
+
 def _spread(flags: int, lay: _Layout) -> int:
     """Column mask of the lanes whose bit 0 is set in ``flags``."""
     return (flags << lay.cols) - flags
@@ -350,9 +402,16 @@ class ToggleReport:
         """One record per evaluation of the array run this record came from, in order."""
         if self.lanes is None:
             raise ValueError("only the record of one array run (from ArrayState.evaluate) can be split")
-        lay = self.lanes.layout
-        cells = (1 << lay.cols) - 1
-        return [self.lanes.tally(cells << at) for at in range(0, lay.lane * lay.count, lay.lane)]
+        lanes = self.lanes
+        lay = lanes.layout
+        steps = _popcount_masks(lay)
+        rows = zip(*(_lane_counts((x,), lay, steps) for x in lanes.rows))
+        csa = zip(*(_lane_counts(xs, lay, steps) for xs in lanes.csa))
+        cpa = _lane_counts(lanes.cpa, lay, steps)
+        frozen = _lane_counts(lanes.row_frozen[1:] + (lanes.col_frozen,), lay, steps)
+        return [
+            ToggleReport(r, c, p, z, operations_simulated=1) for r, c, p, z in zip(rows, csa, cpa, frozen)
+        ]
 
 
 # -- the array ---------------------------------------------------------------------
@@ -496,7 +555,8 @@ def simulate_stream(
             i = ((bad & -bad).bit_length() - 1) // lay.lane
             a, b = chunk[i]
             got = (products >> i * lay.lane) & ((1 << lay.cols) - 1)
-            raise ProductMismatchError(a, b, got, abs(a * b))
+            # the lanes hold magnitudes; report signed values, as multiply does
+            raise ProductMismatchError(a, b, -got if (a < 0) != (b < 0) else got, a * b)
         report.accumulate(run)
         if trace is not None:
             for index, one in enumerate(run.split(), start=done):

@@ -12,9 +12,12 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
 and an operand width, and applies the sign glue around whichever core is
 selected, and checks the signed product against the native ``a * b``.
-:func:`count_pairs` is the same for a whole run of pairs on one
-architecture: one range check for the run, every product checked, the
-counts summed.  ``multiply`` is its one-pair case.
+:func:`count_pairs` is the same for a whole run of pairs on several
+architectures at once: one range check for the run, then one pass over the
+pairs that decodes each pair once (its two :class:`Word` magnitudes and its
+native product) and runs every architecture's core on it, each product
+checked, the counts summed per architecture.  ``multiply`` is its one-pair
+case.
 The integer core that multiplies runs on plain ints and is the only place
 that counts partial products, additions and shifts.  :class:`Word` values
 appear only in the views, which carry no counts: the classification, plan
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence, Union
 
 from .bitnum import (
@@ -348,13 +352,17 @@ _INT_CORES = {
     Architecture.HYBRID: hybrid_int,
 }
 
+# One immutable record per distinct (pp, adds, shifts): a core's counts depend
+# on the multiplier's shape alone, so a run of pairs needs only a handful.
+_shared_counts = cache(OpCounts)
+
 
 def unsigned_product(
     multiplicand: Word, multiplier: Word, arch: Architecture
 ) -> tuple[int, OpCounts]:
     """Multiply two magnitudes with the chosen architecture's integer core."""
     product, pp, adds, shifts = _INT_CORES[arch](multiplicand.bits, multiplier.bits, multiplier.width)
-    return product, OpCounts(pp, adds, shifts)
+    return product, _shared_counts(pp, adds, shifts)
 
 
 def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
@@ -376,30 +384,39 @@ def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
         check_operand_width(width)
 
 
-def _checked(a: int, b: int, magnitude: int) -> int:
-    """The signed product of ``a * b`` from the core's magnitude, checked against ``a * b``."""
+def _checked(a: int, b: int, magnitude: int, expected: int) -> int:
+    """The signed product of ``a * b`` from the core's magnitude, checked against ``expected = a * b``."""
     product = -magnitude if (a < 0) != (b < 0) else magnitude
-    if product != a * b:
-        raise ProductMismatchError(a, b, product, a * b)
+    if product != expected:
+        raise ProductMismatchError(a, b, product, expected)
     return product
 
 
-def count_pairs(pairs: Sequence[tuple[int, int]], arch: Architecture, width: int) -> OpCounts:
-    """Multiply every pair (b is the multiplier) and sum the operation counts.
+def count_pairs(
+    pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int
+) -> tuple[OpCounts, ...]:
+    """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
-    The operands are range-checked once for the whole pass; each product is
-    checked as :func:`multiply` checks it, and a mismatch raises
-    :class:`ProductMismatchError` for the first bad pair.
+    Returns one record per architecture, in ``archs`` order.  The operands
+    are range-checked once for the whole pass.  The pass runs pair by pair:
+    each pair is decoded once (two :class:`Word` magnitudes and the native
+    product) and then multiplied on each architecture in turn, so it keeps
+    nothing per pair.  Each product is checked as :func:`multiply` checks
+    it; a mismatch raises :class:`ProductMismatchError` for the first bad
+    pair, and within that pair for the first architecture in ``archs``.
     """
     _check_operands(pairs, width)
-    pp = adds = shifts = 0
+    totals = [[0, 0, 0] for _ in archs]
     for a, b in pairs:
-        magnitude, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
-        _checked(a, b, magnitude)
-        pp += counts.pp_count
-        adds += counts.add_count
-        shifts += counts.shift_count
-    return OpCounts(pp, adds, shifts)
+        multiplicand, multiplier = Word(abs(a), width), Word(abs(b), width)
+        expected = a * b
+        for arch, total in zip(archs, totals):
+            magnitude, counts = unsigned_product(multiplicand, multiplier, arch)
+            _checked(a, b, magnitude, expected)
+            total[0] += counts.pp_count
+            total[1] += counts.add_count
+            total[2] += counts.shift_count
+    return tuple(OpCounts(*total) for total in totals)
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
@@ -412,4 +429,4 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """
     _check_operands(((a, b),), width)
     magnitude, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
-    return MultiplyResult(product=_checked(a, b, magnitude), counts=counts)
+    return MultiplyResult(product=_checked(a, b, magnitude, a * b), counts=counts)

@@ -4,7 +4,9 @@ A campaign multiplies a deterministic stream of operand pairs on each selected
 architecture, verifying every product against the native-multiply oracle, and
 aggregates operation counts, optional cell-level toggle totals, and cost-model
 power/delay figures into one report that can be emitted as ASCII, CSV, JSON,
-or an SVG chart.
+or an SVG chart.  The operation counts come from one pass over the pairs for
+all selected architectures (:func:`~hybridmul.encoding.count_pairs`), which
+decodes each pair once.
 
 Random streams use the Mersenne Twister as exposed by ``random.Random(seed)``,
 so a (count, seed, distribution) triple always reproduces the same pairs.
@@ -282,8 +284,8 @@ def run_campaign(
         # one operand order for the counts and the toggles alike
         pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
     summaries = []
-    for arch in campaign.architectures:
-        counts = count_pairs(pairs, arch, campaign.width)
+    arch_counts = count_pairs(pairs, campaign.architectures, campaign.width)
+    for arch, counts in zip(campaign.architectures, arch_counts):
         mean_adds = counts.add_count / len(pairs)
         per_vdd = {vdd: (power * mean_adds, delay * mean_adds) for vdd, (power, delay) in unit_costs.items()}
         summaries.append(

@@ -26,7 +26,11 @@ from hybridmul.datapath import (
     _Layout,
     _fill_schedule,
     _fold_rows,
+    _lane_counts,
+    _pack,
+    _popcount_masks,
     _settle,
+    _unpack,
     build_pp,
     detect_freeze,
     simulate_stream,
@@ -282,6 +286,21 @@ class TestSimulateStream:
         assert excinfo.value.pair == (7, 9)
         assert (excinfo.value.got, excinfo.value.expected) == (56, 63)
 
+    @pytest.mark.parametrize("pair, got, expected", [((-7, 9), -56, -63), ((-7, -9), 56, 63), ((7, -9), -56, -63)])
+    def test_oracle_mismatch_reports_signed_values(self, pair, got, expected, monkeypatch):
+        lane_rows = dp._lane_rows
+
+        def broken_lane_rows(multiplicand, multiplier, arch):
+            # flip the multiplier's low bit in lane 1
+            flipped = tuple(b ^ (i == 1) for i, b in enumerate(multiplier.values))
+            return lane_rows(multiplicand, Lanes(flipped, multiplier.width), arch)
+
+        monkeypatch.setattr(dp, "_lane_rows", broken_lane_rows)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            dp.simulate_stream([(3, 5), pair], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
+        assert str(excinfo.value) == f"product mismatch for {pair[0]} * {pair[1]}: got {got}, expected {expected}"
+
     def test_per_eval_trace_hook(self):
         seen = []
         simulate_stream(
@@ -443,3 +462,30 @@ class TestFillForward:
         lay = _Layout(16, count)
         toggled, after = _settle(lay.cmask, 0xBEEF, _fill_schedule(0, lay), lay)
         assert (toggled, after) == (0, 0xBEEF)
+
+
+@st.composite
+def lane_runs(draw):
+    """(layout, lane-packed ints) with every bit drawn, guard bits included."""
+    lay = _Layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 80)))
+    return lay, draw(st.lists(st.integers(0, lay.full), max_size=6))
+
+
+class TestLaneCounts:
+    """The per-evaluation split counts each lane's column bits as a per-lane loop does."""
+
+    @given(lane_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_match_per_lane_popcount(self, run):
+        lay, xs = run
+        cells = (1 << lay.cols) - 1
+        expected = [sum(((x >> i * lay.lane) & cells).bit_count() for x in xs) for i in range(lay.count)]
+        assert _lane_counts(xs, lay, _popcount_masks(lay)) == expected
+
+    @given(st.integers(4, 32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unpack_inverts_pack(self, width, data):
+        lay = _Layout(2 * width, data.draw(st.integers(1, 80)))
+        lane_value = st.integers(0, (1 << lay.lane) - 1)
+        values = data.draw(st.lists(lane_value, min_size=lay.count, max_size=lay.count))
+        assert _unpack(_pack(values, lay.lane), lay) == values

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -480,18 +482,28 @@ def _refuse_core(multiplicand, multiplier, arch):
 
 
 class TestCountPairs:
-    """One count pass per architecture: the field-wise sum of ``multiply``'s counts."""
+    """One count pass for every architecture: per architecture, the field-wise sum of ``multiply``'s counts."""
+
+    @staticmethod
+    def _summed(pairs, arch, width):
+        counts = [multiply(a, b, arch, width).counts for a, b in pairs]
+        return OpCounts(
+            sum(c.pp_count for c in counts),
+            sum(c.add_count for c in counts),
+            sum(c.shift_count for c in counts),
+        )
 
     @given(signed_runs(), st.sampled_from(list(Architecture)))
     @settings(max_examples=150)
     def test_equals_summed_multiply_counts(self, run, arch):
         width, pairs = run
-        counts = [multiply(a, b, arch, width).counts for a, b in pairs]
-        assert count_pairs(pairs, arch, width) == OpCounts(
-            sum(c.pp_count for c in counts),
-            sum(c.add_count for c in counts),
-            sum(c.shift_count for c in counts),
-        )
+        assert count_pairs(pairs, (arch,), width) == (self._summed(pairs, arch, width),)
+
+    @given(signed_runs(), st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3, unique=True))
+    @settings(max_examples=150)
+    def test_one_record_per_architecture_in_order(self, run, archs):
+        width, pairs = run
+        assert count_pairs(pairs, archs, width) == tuple(self._summed(pairs, arch, width) for arch in archs)
 
     @given(signed_runs(), st.data())
     @settings(max_examples=100)
@@ -509,7 +521,7 @@ class TestCountPairs:
         expected = _raised(lambda: multiply(*pair, arch, width))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "unsigned_product", _refuse_core)
-            assert _raised(lambda: count_pairs(run_pairs, arch, width)) == expected
+            assert _raised(lambda: count_pairs(run_pairs, (arch,), width)) == expected
 
     @pytest.mark.parametrize("width", [0, 3, 33, -1])
     def test_bad_width_raises_multiplys_error(self, width, monkeypatch):
@@ -517,7 +529,8 @@ class TestCountPairs:
         expected = _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width))
         monkeypatch.setattr(encoding, "unsigned_product", _refuse_core)
         for arch in Architecture:
-            assert _raised(lambda: count_pairs(pairs, arch, width)) == expected
+            assert _raised(lambda: count_pairs(pairs, (arch,), width)) == expected
+        assert _raised(lambda: count_pairs(pairs, tuple(Architecture), width)) == expected
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_wrong_core_product_names_the_first_pair(self, arch, monkeypatch):
@@ -529,5 +542,40 @@ class TestCountPairs:
 
         monkeypatch.setattr(encoding, "unsigned_product", off_by_one_from_3)
         with pytest.raises(ProductMismatchError) as excinfo:
-            count_pairs([(65, 34), (-3, 5), (3, 7)], arch, 8)
+            count_pairs([(65, 34), (-3, 5), (3, 7)], (arch,), 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((-3, 5), -16, -15)
+
+    @pytest.mark.parametrize(
+        "archs, pair, got, expected",
+        [
+            # pair (-3, 5) comes first, so its first wrong architecture is named
+            ((Architecture.CONVENTIONAL, Architecture.BOOTH, Architecture.HYBRID), (-3, 5), -16, -15),
+            ((Architecture.HYBRID, Architecture.CONVENTIONAL, Architecture.BOOTH), (-3, 5), -17, -15),
+            ((Architecture.CONVENTIONAL,), (7, 9), 66, 63),
+        ],
+    )
+    def test_wrong_core_names_the_first_pair_then_the_first_architecture(
+        self, archs, pair, got, expected, monkeypatch
+    ):
+        original = encoding.unsigned_product
+        # booth is off by 1 and hybrid by 2 on multiplicand 3; conventional by 3 on multiplicand 7
+        wrong = {Architecture.BOOTH: (3, 1), Architecture.HYBRID: (3, 2), Architecture.CONVENTIONAL: (7, 3)}
+
+        def wrong_core(multiplicand, multiplier, arch):
+            product, counts = original(multiplicand, multiplier, arch)
+            at, offset = wrong[arch]
+            return product + offset * (multiplicand.bits == at), counts
+
+        monkeypatch.setattr(encoding, "unsigned_product", wrong_core)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            count_pairs([(65, 34), (-3, 5), (7, 9)], archs, 8)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_shared_counts_stay_frozen(self, arch):
+        _, first = unsigned_product(Word(3, 8), Word(5, 8), arch)
+        _, again = unsigned_product(Word(200, 8), Word(5, 8), arch)
+        assert first is again
+        with pytest.raises(FrozenInstanceError):
+            first.add_count = 0
+        assert again == multiply(3, 5, arch, 8).counts
