@@ -170,7 +170,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
-    campaign = _campaign(args)
+    campaign = _campaign(args, simulate_toggles=True)
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
     # opened before the simulation, so an unwritable path fails before any work
     with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:

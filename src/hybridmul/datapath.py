@@ -46,11 +46,13 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from .bitnum import Word, check_operand_width, to_sign_magnitude
+from .bitnum import Word, check_operand_width
 from .encoding import (
     Architecture,
     PPMatrix,
-    ProductMismatchError,
+    ProductMismatchError,  # noqa: F401  (re-exported: simulate_stream raises it)
+    _check_operands,
+    _checked,
     booth_pp,
     booth_recode,
     conventional_pp,
@@ -353,17 +355,16 @@ class _LaneToggles(NamedTuple):
     row_frozen: tuple[int, ...]
     col_frozen: int
 
-    def tally(self, window: int) -> "ToggleReport":
-        """The record of the evaluations whose column bits ``window`` covers."""
-        row_bits = tuple((x & window).bit_count() for x in self.rows)
-        csa = tuple(sum((x & window).bit_count() for x in xs) for xs in self.csa)
-        frozen = sum((z & window).bit_count() for z in self.row_frozen[1:])
+    def tally(self) -> "ToggleReport":
+        """The record of the whole run; every node and mask holds column bits only."""
+        frozen = sum(z.bit_count() for z in self.row_frozen[1:])
         return ToggleReport(
-            row_bit_toggles=row_bits,
-            csa_toggles=csa,
-            cpa_toggles=sum((x & window).bit_count() for x in self.cpa),
-            frozen_cell_evaluations=frozen + (self.col_frozen & window).bit_count(),
-            operations_simulated=(window & self.layout.ones).bit_count(),
+            row_bit_toggles=tuple(x.bit_count() for x in self.rows),
+            csa_toggles=tuple(sum(x.bit_count() for x in xs) for xs in self.csa),
+            cpa_toggles=sum(x.bit_count() for x in self.cpa),
+            frozen_cell_evaluations=frozen + self.col_frozen.bit_count(),
+            operations_simulated=self.layout.count,
+            lanes=self,
         )
 
 
@@ -492,10 +493,7 @@ class ArrayState:
             t, self._cpa[k] = _settle(node, self._cpa[k], schedule, lay)
             cpa_x.append(t)
 
-        lanes = _LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen)
-        run = lanes.tally(cmask)
-        run.lanes = lanes
-        return s, run
+        return s, _LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen).tally()
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:
@@ -528,12 +526,12 @@ def simulate_stream(
     Consumes ``pairs`` in runs of :data:`STREAM_CHUNK`, each one lane-packed
     array run from the state the previous run left.  Gates the array when
     ``ssst_enabled`` and accumulates node toggles from an all-zero reset
-    state.  Every product is checked against the native-multiply oracle; a
-    mismatch raises :class:`ProductMismatchError` for the first bad pair.  ``trace``, if given, is called as
-    ``trace(index, record)`` with each evaluation's :class:`ToggleReport`.
+    state.  Operands and products pass ``multiply``'s range gate and oracle:
+    a bad operand or a wrong product raises its error for the first bad pair.
+    ``trace``, if given, is called as ``trace(index, record)`` with each
+    evaluation's :class:`ToggleReport`.
     """
     state = ArrayState(width, arch)
-    top = 1 << width
     zeros = (0,) * state.geometry.rows
     report = ToggleReport(zeros, zeros, cpa_toggles=0, frozen_cell_evaluations=0, operations_simulated=0)
     stream = iter(pairs)
@@ -541,11 +539,8 @@ def simulate_stream(
     while chunk := list(islice(stream, STREAM_CHUNK)):
         ma = tuple(abs(a) for a, _ in chunk)
         mb = tuple(abs(b) for _, b in chunk)
-        if max(ma) >= top or max(mb) >= top:
-            # raises OverflowError for the first operand out of range
-            for a, b in chunk:
-                to_sign_magnitude(a, width)
-                to_sign_magnitude(b, width)
+        if (max(ma) | max(mb)) >> width:
+            _check_operands(chunk, width)
         pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
         products, run = state.evaluate(pp, ssst_enabled)
         lay = pp.layout
@@ -554,9 +549,8 @@ def simulate_stream(
             bad = products ^ expected
             i = ((bad & -bad).bit_length() - 1) // lay.lane
             a, b = chunk[i]
-            got = (products >> i * lay.lane) & ((1 << lay.cols) - 1)
-            # the lanes hold magnitudes; report signed values, as multiply does
-            raise ProductMismatchError(a, b, -got if (a < 0) != (b < 0) else got, a * b)
+            # lane i is not |a * b|, so this raises
+            _checked(a, b, (products >> i * lay.lane) & ((1 << lay.cols) - 1), a * b)
         report.accumulate(run)
         if trace is not None:
             for index, one in enumerate(run.split(), start=done):

@@ -9,15 +9,15 @@ Three ways to turn (multiplicand, multiplier) into a product:
   of the lowest set bit), denser multipliers are split in half once and each
   half re-dispatched.
 
-All encoders work on unsigned magnitudes; :func:`multiply` takes signed ints
-and an operand width, and applies the sign glue around whichever core is
-selected, and checks the signed product against the native ``a * b``.
-:func:`count_pairs` is the same for a whole run of pairs on several
-architectures at once: one range check for the run, then one pass over the
-pairs that decodes each pair once (its two :class:`Word` magnitudes and its
-native product) and runs every architecture's core on it, each product
-checked, the counts summed per architecture.  ``multiply`` is its one-pair
-case.
+All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run
+of signed pairs, an operand width and the architectures to run: one range
+check for the run (:func:`_check_operands`), then one pass over the pairs
+that decodes each pair once (its two :class:`Word` magnitudes and its native
+product) and runs every architecture's core on it, each signed product
+checked against ``a * b`` (:func:`_checked`), the counts summed per
+architecture.  :func:`multiply` is its one-pair, one-architecture case, and
+the array stream raises its range and mismatch errors through the same two
+checks.
 The integer core that multiplies runs on plain ints and is the only place
 that counts partial products, additions and shifts.  :class:`Word` values
 appear only in the views, which carry no counts: the classification, plan
@@ -55,6 +55,9 @@ class Architecture(enum.Enum):
     CONVENTIONAL = "conventional"
     BOOTH = "booth"
     HYBRID = "hybrid"
+
+    # members are singletons compared by identity; Enum's own hash runs in Python
+    __hash__ = object.__hash__
 
     def __str__(self) -> str:
         return self.value
@@ -369,8 +372,8 @@ def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
     """Raise the decode or width error of the first bad pair, if there is one.
 
     One pass over the magnitudes clears a valid run; only a bad run is
-    decoded pair by pair, so the error is exactly the one :func:`multiply`
-    raises for that pair.
+    decoded pair by pair, so every caller, the array stream included,
+    raises exactly the sign-magnitude decode's error for that pair.
     """
     seen = 0
     for a, b in pairs:
@@ -382,14 +385,15 @@ def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
         to_sign_magnitude(a, width)
         to_sign_magnitude(b, width)
         check_operand_width(width)
+    # an empty run has no pair to raise it
+    check_operand_width(width)
 
 
-def _checked(a: int, b: int, magnitude: int, expected: int) -> int:
-    """The signed product of ``a * b`` from the core's magnitude, checked against ``expected = a * b``."""
+def _checked(a: int, b: int, magnitude: int, expected: int) -> None:
+    """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``expected = a * b``."""
     product = -magnitude if (a < 0) != (b < 0) else magnitude
     if product != expected:
         raise ProductMismatchError(a, b, product, expected)
-    return product
 
 
 def count_pairs(
@@ -401,13 +405,15 @@ def count_pairs(
     are range-checked once for the whole pass.  The pass runs pair by pair:
     each pair is decoded once (two :class:`Word` magnitudes and the native
     product) and then multiplied on each architecture in turn, so it keeps
-    nothing per pair.  Each product is checked as :func:`multiply` checks
-    it; a mismatch raises :class:`ProductMismatchError` for the first bad
-    pair, and within that pair for the first architecture in ``archs``.
+    nothing per pair.  Each signed product is checked against ``a * b``; a
+    mismatch raises :class:`ProductMismatchError` for the first bad pair,
+    and within that pair for the first architecture in ``archs``.
     """
     _check_operands(pairs, width)
     totals = [[0, 0, 0] for _ in archs]
     for a, b in pairs:
+        # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
+        # replacement core is patched in at, and such a core may read ``.bits``
         multiplicand, multiplier = Word(abs(a), width), Word(abs(b), width)
         expected = a * b
         for arch, total in zip(archs, totals):
@@ -422,11 +428,9 @@ def count_pairs(
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
-    Both operands are signed ints whose magnitudes fit in ``width`` bits.
-    Signs are handled outside the unsigned core: the encoders see magnitudes
-    and the result carries sign(a) * sign(b).  Raises
-    :class:`ProductMismatchError` if that product is not ``a * b``.
+    The one-pair, one-architecture case of :func:`count_pairs`, so it raises
+    what that raises: the range error of a bad operand or width, and
+    :class:`ProductMismatchError` if the core's signed product is not
+    ``a * b``.  The product it returns is that checked ``a * b``.
     """
-    _check_operands(((a, b),), width)
-    magnitude, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
-    return MultiplyResult(product=_checked(a, b, magnitude, a * b), counts=counts)
+    return MultiplyResult(a * b, *count_pairs(((a, b),), (arch,), width))

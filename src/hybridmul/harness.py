@@ -6,7 +6,7 @@ aggregates operation counts, optional cell-level toggle totals, and cost-model
 power/delay figures into one report that can be emitted as ASCII, CSV, JSON,
 or an SVG chart.  The operation counts come from one pass over the pairs for
 all selected architectures (:func:`~hybridmul.encoding.count_pairs`), which
-decodes each pair once.
+decodes each pair once; ``trace`` makes one such call for its one pair.
 
 Random streams use the Mersenne Twister as exposed by ``random.Random(seed)``,
 so a (count, seed, distribution) triple always reproduces the same pairs.
@@ -36,7 +36,6 @@ from .encoding import (
     classify,
     count_pairs,
     hybrid_plan,
-    multiply,
     split,
 )
 from .metrics import CostGrid, CostModel, reduction_percent, vdd_label
@@ -208,6 +207,8 @@ class Campaign:
             raise ValueError("a campaign needs at least one architecture")
         if not self.vdds:
             raise ValueError("a campaign needs at least one supply voltage")
+        if self.ssst and not self.simulate_toggles:
+            raise ValueError("ssst=True needs simulate_toggles=True: gating acts only on the toggle simulation")
 
 
 @dataclass
@@ -368,9 +369,9 @@ def trace(a: int, b: int, width: int = 8) -> TraceResult:
     else:
         plan = hybrid_plan(sb.magnitude)
 
-    hybrid = multiply(a, b, Architecture.HYBRID, width=width)
-    booth = multiply(a, b, Architecture.BOOTH, width=width)
-    conventional = multiply(a, b, Architecture.CONVENTIONAL, width=width)
+    hybrid, booth, conventional = count_pairs(
+        ((a, b),), (Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL), width
+    )
 
     return TraceResult(
         a=a,
@@ -382,10 +383,10 @@ def trace(a: int, b: int, width: int = 8) -> TraceResult:
         plan=plan,
         split_halves=halves,
         booth_digits=booth_recode(sb.magnitude),
-        product=hybrid.product,
-        hybrid_counts=hybrid.counts,
-        booth_counts=booth.counts,
-        conventional_counts=conventional.counts,
+        product=a * b,
+        hybrid_counts=hybrid,
+        booth_counts=booth,
+        conventional_counts=conventional,
     )
 
 

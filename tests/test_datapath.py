@@ -14,6 +14,7 @@ from hybridmul.encoding import (
     booth_recode,
     conventional_pp,
     hybrid_pp,
+    multiply,
 )
 import hybridmul.datapath as dp
 from hybridmul.datapath import (
@@ -395,8 +396,19 @@ class TestLaneKernel:
         assert seen == expected
 
     def test_out_of_range_operand_rejected(self):
-        with pytest.raises(OverflowError):
-            simulate_stream([(1, 2), (256, 1)], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+        """The first bad pair raises exactly ``multiply``'s error, in the first chunk or a later one."""
+        good = gen_inputs(RandomSource(STREAM_CHUNK + 9, "uniform"), 8, seed=3)
+        for arch in Architecture:
+            for at, bad in ((1, (256, 1)), (STREAM_CHUNK + 2, (300, 1)), (STREAM_CHUNK + 2, (-4096, 999))):
+                pairs = list(good)
+                pairs[at] = bad
+                # a second bad pair later in the same chunk must not be the one reported
+                pairs[at + 3] = (1, -1000)
+                with pytest.raises(OverflowError) as want:
+                    multiply(*bad, arch, 8)
+                with pytest.raises(OverflowError) as got:
+                    simulate_stream(pairs, arch, 8, ssst_enabled=True)
+                assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 def held_run(new, old, live, lay):

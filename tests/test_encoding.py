@@ -525,12 +525,14 @@ class TestCountPairs:
 
     @pytest.mark.parametrize("width", [0, 3, 33, -1])
     def test_bad_width_raises_multiplys_error(self, width, monkeypatch):
-        pairs = [(1, 1), (300, 2)]
-        expected = _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width))
+        first_pair = _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width))
         monkeypatch.setattr(encoding, "unsigned_product", _refuse_core)
-        for arch in Architecture:
-            assert _raised(lambda: count_pairs(pairs, (arch,), width)) == expected
-        assert _raised(lambda: count_pairs(pairs, tuple(Architecture), width)) == expected
+        # an empty run has no pair to decode, and still raises the width error
+        width_error = _raised(lambda: check_operand_width(width))
+        for pairs, expected in (([(1, 1), (300, 2)], first_pair), ([], width_error)):
+            for arch in Architecture:
+                assert _raised(lambda: count_pairs(pairs, (arch,), width)) == expected
+            assert _raised(lambda: count_pairs(pairs, tuple(Architecture), width)) == expected
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_wrong_core_product_names_the_first_pair(self, arch, monkeypatch):
@@ -570,6 +572,16 @@ class TestCountPairs:
         with pytest.raises(ProductMismatchError) as excinfo:
             count_pairs([(65, 34), (-3, 5), (7, 9)], archs, 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
+
+    @given(st.data(), st.sampled_from(list(Architecture)))
+    @settings(max_examples=150)
+    def test_multiply_is_the_one_pair_case(self, data, arch):
+        width = data.draw(st.integers(min_value=4, max_value=32))
+        top = 2**width - 1
+        operand = st.one_of(st.sampled_from([0, top, -top]), st.integers(min_value=-top, max_value=top))
+        a, b = data.draw(operand), data.draw(operand)
+        result = multiply(a, b, arch, width)
+        assert (result.product, result.counts) == (a * b, *count_pairs([(a, b)], (arch,), width))
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_shared_counts_stay_frozen(self, arch):

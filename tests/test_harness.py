@@ -262,6 +262,12 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match=message):
             Campaign(width=8, source=RandomSource(5), **{empty: ()})
 
+    def test_ssst_without_toggles_rejected(self):
+        # gating acts only on the toggle simulation, so a report must not claim it
+        with pytest.raises(ValueError, match="ssst=True needs simulate_toggles=True"):
+            Campaign(width=8, source=RandomSource(5), ssst=True)
+        assert Campaign(width=8, source=RandomSource(5), ssst=True, simulate_toggles=True).ssst
+
     def test_exhaustive_small_width(self):
         report = run_campaign(
             Campaign(width=4, architectures=(Architecture.HYBRID,), source=ExhaustiveSource())
@@ -365,6 +371,27 @@ class TestTrace:
         assert result.category.kind == CategoryKind.SPLIT
         assert result.split_halves is not None
         assert "split" in result.render()
+
+    def test_one_count_pass_and_no_multiply(self, monkeypatch):
+        calls = []
+        original = harness.count_pairs
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("trace must count through count_pairs, not multiply")
+
+        monkeypatch.setattr(harness, "count_pairs", spy)
+        monkeypatch.setattr(encoding, "multiply", refuse)
+        result = trace(-65, 34)
+        H, B, C = Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL
+        assert calls == [(((-65, 34),), (H, B, C), 8)]
+        assert (result.product, result.hybrid_counts, result.booth_counts, result.conventional_counts) == (
+            -2210,
+            *original([(-65, 34)], (H, B, C), 8),
+        )
 
 
 class TestCli:
