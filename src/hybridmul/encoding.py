@@ -11,13 +11,14 @@ Three ways to turn (multiplicand, multiplier) into a product:
 
 All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run
 of signed pairs, an operand width and the architectures to run: one range
-check for the run (:func:`_check_operands`), then one pass over the pairs
-that decodes each pair once (its two :class:`Word` magnitudes and its native
-product) and runs every architecture's core on it, each signed product
-checked against ``a * b`` (:func:`_checked`), the counts summed per
-architecture.  :func:`multiply` is its one-pair, one-architecture case, and
-the array stream raises its range and mismatch errors through the same two
-checks.
+check for the run, the width before any operand (:func:`_check_operands`),
+then one pass over the pairs that decodes each pair once (its two
+:class:`Word` magnitudes and its native product) and runs every
+architecture's core on it, each signed product checked against ``a * b``
+(:func:`_checked`), the counts summed per architecture.  :func:`multiply` is
+its one-pair, one-architecture case, and the array stream raises its range
+and mismatch errors through the same two checks, so every entry point
+rejects a bad width before it decodes an operand.
 The integer core that multiplies runs on plain ints and is the only place
 that counts partial products, additions and shifts.  :class:`Word` values
 appear only in the views, which carry no counts: the classification, plan
@@ -32,13 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence, Union
 
-from .bitnum import (
-    MAX_OPERAND_WIDTH,
-    MIN_OPERAND_WIDTH,
-    Word,
-    check_operand_width,
-    to_sign_magnitude,
-)
+from .bitnum import Word, check_operand_width, to_sign_magnitude
 
 
 class ProductMismatchError(RuntimeError):
@@ -369,24 +364,22 @@ def unsigned_product(
 
 
 def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
-    """Raise the decode or width error of the first bad pair, if there is one.
+    """Raise the width error, else the decode error of the first bad pair, if any.
 
-    One pass over the magnitudes clears a valid run; only a bad run is
-    decoded pair by pair, so every caller, the array stream included,
-    raises exactly the sign-magnitude decode's error for that pair.
+    The width is checked before any operand.  One pass over the magnitudes
+    then clears a valid run; only a bad run is decoded pair by pair, so
+    every caller, the array stream included, raises exactly the
+    sign-magnitude decode's error for that pair.
     """
+    check_operand_width(width)
     seen = 0
     for a, b in pairs:
         seen |= abs(a) | abs(b)
-    if MIN_OPERAND_WIDTH <= width <= MAX_OPERAND_WIDTH and not seen >> width:
+    if not seen >> width:
         return
     for a, b in pairs:
-        # the decode and width checks, in this order, raise the exact error
         to_sign_magnitude(a, width)
         to_sign_magnitude(b, width)
-        check_operand_width(width)
-    # an empty run has no pair to raise it
-    check_operand_width(width)
 
 
 def _checked(a: int, b: int, magnitude: int, expected: int) -> None:
@@ -401,11 +394,11 @@ def count_pairs(
 ) -> tuple[OpCounts, ...]:
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
-    Returns one record per architecture, in ``archs`` order.  The operands
-    are range-checked once for the whole pass.  The pass runs pair by pair:
-    each pair is decoded once (two :class:`Word` magnitudes and the native
-    product) and then multiplied on each architecture in turn, so it keeps
-    nothing per pair.  Each signed product is checked against ``a * b``; a
+    Returns one record per architecture, in ``archs`` order.  The width,
+    then the operands, are range-checked once for the whole pass.  The pass
+    runs pair by pair: each pair is decoded once (two :class:`Word`
+    magnitudes and the native product) and then multiplied on each
+    architecture in turn, so it keeps nothing per pair.  Each signed product is checked against ``a * b``; a
     mismatch raises :class:`ProductMismatchError` for the first bad pair,
     and within that pair for the first architecture in ``archs``.
     """
@@ -429,7 +422,7 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
     The one-pair, one-architecture case of :func:`count_pairs`, so it raises
-    what that raises: the range error of a bad operand or width, and
+    what that raises: the error of a bad width, else of a bad operand, and
     :class:`ProductMismatchError` if the core's signed product is not
     ``a * b``.  The product it returns is that checked ``a * b``.
     """

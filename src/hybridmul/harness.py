@@ -284,21 +284,22 @@ def run_campaign(
     if campaign.prefer_sparse:
         # one operand order for the counts and the toggles alike
         pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
-    summaries = []
+    # the count pass first: a mismatch raises before any toggle work
     arch_counts = count_pairs(pairs, campaign.architectures, campaign.width)
+    reports = toggle_reports(campaign, pairs) if campaign.simulate_toggles else {}
+    summaries = []
     for arch, counts in zip(campaign.architectures, arch_counts):
         mean_adds = counts.add_count / len(pairs)
         per_vdd = {vdd: (power * mean_adds, delay * mean_adds) for vdd, (power, delay) in unit_costs.items()}
+        toggled = reports.get(arch)
         summaries.append(
             ArchSummary(
-                arch, len(pairs), counts.pp_count, counts.add_count, counts.shift_count, per_vdd=per_vdd
+                arch, len(pairs), counts.pp_count, counts.add_count, counts.shift_count,
+                toggles=toggled.total_toggles if toggled else None,
+                frozen_cell_evaluations=toggled.frozen_cell_evaluations if toggled else None,
+                per_vdd=per_vdd,
             )
         )
-    if campaign.simulate_toggles:
-        reports = toggle_reports(campaign, pairs)
-        for summary in summaries:
-            summary.toggles = reports[summary.arch].total_toggles
-            summary.frozen_cell_evaluations = reports[summary.arch].frozen_cell_evaluations
     return CampaignReport(campaign=campaign, summaries=summaries)
 
 
@@ -356,8 +357,14 @@ class TraceResult:
 
 
 def trace(a: int, b: int, width: int = 8) -> TraceResult:
-    """Explain how a single pair multiplies under each architecture."""
-    check_operand_width(width)
+    """Explain how a single pair multiplies under each architecture.
+
+    The one count pass runs first and raises any width or operand error
+    (width first), so the decodes for the views below cannot fail.
+    """
+    hybrid, booth, conventional = count_pairs(
+        ((a, b),), (Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL), width
+    )
     sa = to_sign_magnitude(a, width)
     sb = to_sign_magnitude(b, width)
     category = classify(sb.magnitude)
@@ -368,10 +375,6 @@ def trace(a: int, b: int, width: int = 8) -> TraceResult:
             halves = split(sb.magnitude)
     else:
         plan = hybrid_plan(sb.magnitude)
-
-    hybrid, booth, conventional = count_pairs(
-        ((a, b),), (Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL), width
-    )
 
     return TraceResult(
         a=a,

@@ -12,6 +12,7 @@ from reference_encoding import (
 )
 
 import hybridmul.encoding as encoding
+from hybridmul import simulate_stream, trace
 from hybridmul.bitnum import Word, check_operand_width, to_sign_magnitude
 from hybridmul.encoding import (
     AddM,
@@ -443,9 +444,9 @@ class TestMultiplyInputErrors:
 
     @staticmethod
     def _checks(a, b, width):
+        check_operand_width(width)
         to_sign_magnitude(a, width)
         to_sign_magnitude(b, width)
-        check_operand_width(width)
 
     @pytest.mark.parametrize(
         "a, b, width",
@@ -466,6 +467,26 @@ class TestMultiplyInputErrors:
                 ValueError,
                 f"operand width must be in [4, 32], got {width}",
             )
+
+
+class TestWidthPrecedence:
+    """Every entry point rejects a bad width before it decodes an operand."""
+
+    @pytest.mark.parametrize("width", [-1, 0, 3, 33])
+    @pytest.mark.parametrize("pair", [(1 << 40, 1), (1, -(1 << 40))], ids=["bad_a", "bad_b"])
+    def test_width_error_first(self, width, pair):
+        calls = [lambda arch=arch: multiply(*pair, arch, width) for arch in Architecture]
+        calls += [lambda arch=arch: count_pairs([pair], (arch,), width) for arch in Architecture]
+        calls.append(lambda: count_pairs([(1, 1), pair], tuple(Architecture), width))
+        calls += [
+            lambda arch=arch, gated=gated: simulate_stream([(1, 1), pair], arch, width, gated)
+            for arch in Architecture
+            for gated in (False, True)
+        ]
+        calls.append(lambda: trace(*pair, width))
+        expected = (ValueError, f"operand width must be in [4, 32], got {width}")
+        for call in calls:
+            assert _raised(call) == expected
 
 
 @st.composite

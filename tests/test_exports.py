@@ -51,7 +51,15 @@ def test_every_export_resolves():
         assert hasattr(hybridmul, name), name
 
 
+def _library_section():
+    return README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
+
+
 def test_readme_library_section_lists_the_exports():
-    library = README.read_text().split("## Library", 1)[1].split("\n## ", 1)[0]
-    listed = library.split("Exported from `hybridmul`:", 1)[1].split("\n\n", 1)[0]
+    listed = _library_section().split("Exported from `hybridmul`:", 1)[1].split("\n\n", 1)[0]
     assert sorted(re.findall(r"`(\w+)`", listed)) == EXPORTS
+
+
+def test_readme_library_example_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", _library_section(), re.DOTALL)
+    exec(compile(block, "README.md", "exec"), {})
