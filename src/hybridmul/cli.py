@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from contextlib import nullcontext
 
@@ -44,6 +45,11 @@ from .harness import (
 from .metrics import REFERENCE_SWITCHING_REDUCTION_PCT, CostModel, table2_report
 
 _ARCH_BY_NAME = {a.value: a for a in Architecture}
+# each command's --format names, as the emitters they select
+_REPORT_FORMATS = dict(ascii=render_ascii, csv=render_csv, json=render_json, svg=render_svg)
+_GRID_FORMATS = dict(
+    ascii=render_cost_grid_ascii, csv=render_cost_grid_csv, json=render_cost_grid_json, svg=render_cost_grid_svg
+)
 
 
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:
@@ -86,6 +92,13 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
     )
 
 
+def _refuse_overwrite(flag: str, dest: str | None, *inputs: str | None) -> None:
+    """Refuse, before any file is opened, a destination that is one of the command's input files."""
+    for path in inputs:
+        if dest and path and os.path.exists(dest) and os.path.exists(path) and os.path.samefile(dest, path):
+            raise InputFormatError(f"{flag} {dest} is the input file {path}")
+
+
 def _output(out: str | None):
     """The report's destination: ``out`` opened for writing, or stdout.
 
@@ -109,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--interpolate", action="store_true", help="allow off-grid voltages via linear interpolation")
     compare.add_argument("--model", help="cost-model config file (vdd power_uW delay_ns per line)")
     compare.add_argument("--prefer-sparse", action="store_true", help="use the operand with fewer set bits as multiplier")
-    compare.add_argument("--format", choices=("ascii", "csv", "json", "svg"), default="ascii")
+    compare.add_argument("--format", choices=tuple(_REPORT_FORMATS), default="ascii")
     compare.add_argument("--out", help="write the report to a file instead of stdout")
 
     tr = sub.add_parser("trace", help="explain one multiplication")
@@ -119,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     t2 = sub.add_parser("table2", help="print the calibrated power/delay grid")
     t2.add_argument("--model", help="cost-model config file (vdd power_uW delay_ns per line)")
-    t2.add_argument("--format", choices=("ascii", "csv", "json", "svg"), default="ascii")
+    t2.add_argument("--format", choices=tuple(_GRID_FORMATS), default="ascii")
     t2.add_argument("--out", help="write the grid to a file instead of stdout")
 
     st = sub.add_parser("stream", help="cell-level toggle simulation over a stream")
@@ -138,15 +151,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         vdds=tuple(args.vdd or (1.2,)),
         prefer_sparse=args.prefer_sparse,
     )
+    _refuse_overwrite("--out", args.out, getattr(campaign.source, "path", None), args.model)
     model = CostModel.load(args.model) if args.model else CostModel.default()
-    renderer = {
-        "ascii": render_ascii,
-        "csv": render_csv,
-        "json": render_json,
-        "svg": render_svg,
-    }[args.format]
     with _output(args.out) as out:
-        out.write(renderer(run_campaign(campaign, model, interpolate=args.interpolate)))
+        out.write(_REPORT_FORMATS[args.format](run_campaign(campaign, model, interpolate=args.interpolate)))
     return 0
 
 
@@ -157,20 +165,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    _refuse_overwrite("--out", args.out, args.model)
     model = CostModel.load(args.model) if args.model else CostModel.default()
-    renderer = {
-        "ascii": render_cost_grid_ascii,
-        "csv": render_cost_grid_csv,
-        "json": render_cost_grid_json,
-        "svg": render_cost_grid_svg,
-    }[args.format]
     with _output(args.out) as out:
-        out.write(renderer(table2_report(model)))
+        out.write(_GRID_FORMATS[args.format](table2_report(model)))
     return 0
 
 
 def _cmd_stream(args: argparse.Namespace) -> int:
     campaign = _campaign(args, simulate_toggles=True)
+    _refuse_overwrite("--trace-toggles", args.trace_toggles, getattr(campaign.source, "path", None))
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
     # opened before the simulation, so an unwritable path fails before any work
     with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:

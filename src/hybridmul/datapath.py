@@ -34,10 +34,10 @@ the next.  Each node class (a row's bits, a cell row's a/b/cin/sum/cout) is
 one such integer; its toggles are ``popcount(x ^ (x << lane))``.  Under
 gating, a frozen node holds its last value, which a log-doubling
 fill-forward over the lanes reproduces (Chen & Chu, IEEE TVLSI 15(7), 2007,
-for the freeze semantics).  The five nodes of a carry-save row share one
-live mask, as do the final adder's, so each group's fill-forward schedule
-is worked out once and applied to all five.  A single evaluation is a run
-of one lane.
+for the freeze semantics).  Every node group (the PP row bits, each
+carry-save row, the final adder) settles through one step from its live
+mask, which works out the group's fill-forward schedule once for all its
+nodes.  A single evaluation is a run of one lane.
 """
 
 from __future__ import annotations
@@ -229,6 +229,16 @@ def _settle(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Lay
     return (seq ^ (seq >> lane)) & lay.full, seq >> (lay.last + lane)
 
 
+def _settle_group(nodes, state: list[int], live: int, lay: _Layout) -> tuple[int, ...]:
+    """Each node's toggled bits over a run, bits outside ``live`` held; ``state`` moves to the run's end."""
+    schedule = _fill_schedule(live, lay)
+    toggled = []
+    for k, node in enumerate(nodes):
+        t, state[k] = _settle(node, state[k], schedule, lay)
+        toggled.append(t)
+    return tuple(toggled)
+
+
 @dataclass(frozen=True, slots=True)
 class Lanes:
     """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane."""
@@ -349,7 +359,7 @@ class _LaneToggles(NamedTuple):
     """Toggled bits of one array run, lane-packed, kept to split it by evaluation."""
 
     layout: _Layout
-    rows: list[int]
+    rows: tuple[int, ...]
     csa: list[tuple[int, ...]]  # a/b/cin/sum/cout per adder row; () for row 0
     cpa: tuple[int, ...]
     row_frozen: tuple[int, ...]
@@ -390,7 +400,7 @@ class ToggleReport:
         return rows + [self.cpa_toggles]
 
     def accumulate(self, run: "ToggleReport") -> None:
-        """Add ``run``'s record, field by field."""
+        """Add ``run``'s record, field by field; the sum is no one run's, so :meth:`split` refuses it."""
         self.row_bit_toggles = tuple(
             x + y for x, y in zip(self.row_bit_toggles, run.row_bit_toggles, strict=True)
         )
@@ -398,6 +408,7 @@ class ToggleReport:
         self.cpa_toggles += run.cpa_toggles
         self.frozen_cell_evaluations += run.frozen_cell_evaluations
         self.operations_simulated += run.operations_simulated
+        self.lanes = None
 
     def split(self) -> list["ToggleReport"]:
         """One record per evaluation of the array run this record came from, in order."""
@@ -449,36 +460,22 @@ class ArrayState:
             raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
         row_frozen = detect_freeze(pp, g) if gated else (0,) * len(rows)
         cmask = lay.cmask
-        row_x = []
-        for r, x in enumerate(rows):
-            toggled, self._row_bits[r] = _settle(x, self._row_bits[r], (), lay)
-            row_x.append(toggled)
+        row_x = _settle_group(rows, self._row_bits, cmask, lay)
 
         csa_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
         s_bus, c_bus = rows[0], 0
         for r in range(1, len(rows)):
-            z = row_frozen[r]
-            if z == cmask:
+            live = cmask ^ row_frozen[r]
+            if not live:
                 # every lane bypasses this row: busses pass, cells hold
                 csa_x.append(())
                 continue
             a, b, cin = s_bus, rows[r], c_bus
             s = a ^ b ^ cin
             cout = (a & b) | (cin & (a ^ b))
-            live = cmask ^ z
-            schedule = _fill_schedule(live, lay)
-            cells = self._csa[r - 1]
-            toggled = []
-            for k, node in enumerate((a, b, cin, s, cout)):
-                t, cells[k] = _settle(node, cells[k], schedule, lay)
-                toggled.append(t)
-            csa_x.append(tuple(toggled))
-            carry = (cout << 1) & cmask
-            if z:
-                s_bus ^= (s_bus ^ s) & live
-                c_bus ^= (c_bus ^ carry) & live
-            else:
-                s_bus, c_bus = s, carry
+            csa_x.append(_settle_group((a, b, cin, s, cout), self._csa[r - 1], live, lay))
+            s_bus ^= (s_bus ^ s) & live
+            c_bus ^= (c_bus ^ (cout << 1)) & live
 
         # Final carry-propagate adder; a lane's carry-out lands in its guard bit.
         a, b = s_bus, c_bus
@@ -487,13 +484,9 @@ class ArrayState:
         cin = (a ^ b ^ total) & cmask
         cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
         col_frozen = cmask ^ (a | b) if gated else 0
-        schedule = _fill_schedule(cmask ^ col_frozen, lay)
-        cpa_x = []
-        for k, node in enumerate((a, b, cin, s, cout)):
-            t, self._cpa[k] = _settle(node, self._cpa[k], schedule, lay)
-            cpa_x.append(t)
+        cpa_x = _settle_group((a, b, cin, s, cout), self._cpa, cmask ^ col_frozen, lay)
 
-        return s, _LaneToggles(lay, row_x, csa_x, tuple(cpa_x), row_frozen, col_frozen).tally()
+        return s, _LaneToggles(lay, row_x, csa_x, cpa_x, row_frozen, col_frozen).tally()
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Mapping
 
 from . import __version__
-from .bitnum import Word, check_operand_width, to_sign_magnitude
+from .bitnum import Word, check_operand_width
 from .datapath import ToggleReport, simulate_stream
 from .encoding import (
     Architecture,
@@ -38,7 +38,7 @@ from .encoding import (
     hybrid_plan,
     split,
 )
-from .metrics import CostGrid, CostModel, reduction_percent, vdd_label
+from .metrics import CostGrid, CostModel, priced, reduction_percent, vdd_label
 
 ALL_ARCHITECTURES = (Architecture.CONVENTIONAL, Architecture.BOOTH, Architecture.HYBRID)
 
@@ -289,15 +289,13 @@ def run_campaign(
     reports = toggle_reports(campaign, pairs) if campaign.simulate_toggles else {}
     summaries = []
     for arch, counts in zip(campaign.architectures, arch_counts):
-        mean_adds = counts.add_count / len(pairs)
-        per_vdd = {vdd: (power * mean_adds, delay * mean_adds) for vdd, (power, delay) in unit_costs.items()}
         toggled = reports.get(arch)
         summaries.append(
             ArchSummary(
                 arch, len(pairs), counts.pp_count, counts.add_count, counts.shift_count,
                 toggles=toggled.total_toggles if toggled else None,
                 frozen_cell_evaluations=toggled.frozen_cell_evaluations if toggled else None,
-                per_vdd=per_vdd,
+                per_vdd=priced(unit_costs, counts.add_count / len(pairs)),
             )
         )
     return CampaignReport(campaign=campaign, summaries=summaries)
@@ -312,7 +310,6 @@ class TraceResult:
 
     a: int
     b: int
-    sign: int
     multiplicand: Word
     multiplier: Word
     category: Category
@@ -360,32 +357,30 @@ def trace(a: int, b: int, width: int = 8) -> TraceResult:
     """Explain how a single pair multiplies under each architecture.
 
     The one count pass runs first and raises any width or operand error
-    (width first), so the decodes for the views below cannot fail.
+    (width first), so the views' words below cannot fail.
     """
     hybrid, booth, conventional = count_pairs(
         ((a, b),), (Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL), width
     )
-    sa = to_sign_magnitude(a, width)
-    sb = to_sign_magnitude(b, width)
-    category = classify(sb.magnitude)
+    multiplier = Word(abs(b), width)
+    category = classify(multiplier)
     plan = None
     halves = None
     if category.kind is CategoryKind.SPLIT:
         if width % 2 == 0:
-            halves = split(sb.magnitude)
+            halves = split(multiplier)
     else:
-        plan = hybrid_plan(sb.magnitude)
+        plan = hybrid_plan(multiplier)
 
     return TraceResult(
         a=a,
         b=b,
-        sign=sa.sign * sb.sign,
-        multiplicand=sa.magnitude,
-        multiplier=sb.magnitude,
+        multiplicand=Word(abs(a), width),
+        multiplier=multiplier,
         category=category,
         plan=plan,
         split_halves=halves,
-        booth_digits=booth_recode(sb.magnitude),
+        booth_digits=booth_recode(multiplier),
         product=a * b,
         hybrid_counts=hybrid,
         booth_counts=booth,

@@ -163,12 +163,14 @@ class CostGrid:
         )
 
 
+def priced(units: Mapping[float, tuple[float, float]], adds: float) -> dict[float, tuple[float, float]]:
+    """The cost of ``adds`` additions at each voltage of ``units``: ``adds`` times the unit cost."""
+    return {vdd: (power * adds, delay * adds) for vdd, (power, delay) in units.items()}
+
+
 def table2_report(model: CostModel | None = None) -> CostGrid:
     """Build the 3-architecture x 9-voltage power and delay grid."""
     model = model or CostModel.default()
     units = {v: model.unit_cost(v) for v in model.voltages}
-    costs = {
-        arch: {v: (adds * p, adds * d) for v, (p, d) in units.items()}
-        for arch, adds in REFERENCE_ADD_COUNTS.items()
-    }
+    costs = {arch: priced(units, adds) for arch, adds in REFERENCE_ADD_COUNTS.items()}
     return CostGrid(voltages=model.voltages, add_counts=REFERENCE_ADD_COUNTS, costs=costs)

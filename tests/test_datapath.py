@@ -208,6 +208,15 @@ class TestSimulateStream:
         with pytest.raises(ValueError, match="ArrayState.evaluate"):
             report.split()
 
+    def test_run_record_with_another_added_cannot_be_split(self):
+        state = ArrayState(8, Architecture.CONVENTIONAL)
+        _, run = state.evaluate(build_pp(Lanes((65, 3), 8), Lanes((34, 5), 8), Architecture.CONVENTIONAL))
+        _, more = state.evaluate(build_pp(*magnitudes(7, 9), Architecture.CONVENTIONAL))
+        run.accumulate(more)
+        assert run.operations_simulated == 3
+        with pytest.raises(ValueError, match="ArrayState.evaluate"):
+            run.split()
+
     def test_seed42_regression_totals(self):
         pairs = seed42_pairs()
         for arch, expected in SEED42_PLAIN_TOTALS.items():

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -29,7 +30,7 @@ from hybridmul.harness import (
     trace,
 )
 from hybridmul.cli import main
-from hybridmul.metrics import CostModel, OffGridVoltageError
+from hybridmul.metrics import CostModel, OffGridVoltageError, table2_report
 
 
 @pytest.fixture()
@@ -179,6 +180,13 @@ class TestRunCampaign:
         power, delay = by_arch[Architecture.CONVENTIONAL].per_vdd[1.2]
         assert power == pytest.approx(122.5)
         assert delay == pytest.approx(4.165)
+
+    def test_per_vdd_prices_like_table2(self, pixel_campaign):
+        """65 x 34 needs 7 / 3 / 1 adds, the reference grid's ladder: both price paths agree exactly."""
+        grid = table2_report()
+        campaign = Campaign(**{**pixel_campaign.__dict__, "vdds": grid.voltages})
+        for s in run_campaign(campaign).summaries:
+            assert s.per_vdd == grid.costs[s.arch.value]
 
     def test_toggle_simulation_optional(self, pixel_campaign):
         plain = run_campaign(pixel_campaign)
@@ -364,7 +372,8 @@ class TestTrace:
     def test_negative_operands(self):
         result = trace(-65, 34)
         assert result.product == -2210
-        assert result.sign == -1
+        assert result.multiplicand.bits == 65
+        assert "(input -65)" in result.render()
 
     def test_split_multiplier(self):
         result = trace(65, 0b11110001)
@@ -537,6 +546,40 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "missing" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["compare", "--inputs", "file:{f}", "--out", "{dest}"], "65 34\n"),
+            (["stream", "--inputs", "file:{f}", "--trace-toggles", "{dest}"], "65 34\n"),
+            (["compare", "--inputs", "random:3", "--model", "{f}", "--out", "{dest}"], "1.2 17.50 0.595\n"),
+            (["table2", "--model", "{f}", "--out", "{dest}"], "1.2 17.50 0.595\n"),
+        ],
+        ids=["compare-pairs", "stream-pairs", "compare-model", "table2-model"],
+    )
+    def test_output_naming_an_input_file_is_refused(self, argv, text, tmp_path, capsys):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        dest = f"{tmp_path}/./input.txt"  # the same file under another spelling
+        argv = [arg.format(f=f, dest=dest) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{argv[-2]} {dest} is the input file {f}" in captured.err
+        assert f.read_text() == text
+
+    @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
+    def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
+        formats = getattr(cli, emitters)
+        (sub,) = [a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (option,) = [a for a in sub.choices[command]._actions if "--format" in a.option_strings]
+        assert option.choices == tuple(formats)
+        extra = ["--inputs", "random:2"] if command == "compare" else []
+        for name in formats:
+            assert main([command, *extra, "--format", name]) == 0
+        with pytest.raises(SystemExit) as refused:
+            main([command, *extra, "--format", "md"])
+        assert refused.value.code == 2
 
     def test_stream_prints_reference_claims(self, capsys):
         assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
