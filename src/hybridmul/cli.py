@@ -93,9 +93,14 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
 
 
 def _refuse_overwrite(flag: str, dest: str | None, *inputs: str | None) -> None:
-    """Refuse, before any file is opened, a destination that is one of the command's input files."""
-    for path in inputs:
-        if dest and path and os.path.exists(dest) and os.path.exists(path) and os.path.samefile(dest, path):
+    """Refuse, before any file is opened, a missing input file or a destination that is one of them.
+
+    A missing input raises the error its read would, naming it, so no
+    destination is created for a command that cannot run.
+    """
+    for path in filter(None, inputs):
+        os.stat(path)
+        if dest and os.path.exists(dest) and os.path.samefile(dest, path):
             raise InputFormatError(f"{flag} {dest} is the input file {path}")
 
 
@@ -151,7 +156,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         vdds=tuple(args.vdd or (1.2,)),
         prefer_sparse=args.prefer_sparse,
     )
-    _refuse_overwrite("--out", args.out, getattr(campaign.source, "path", None), args.model)
+    # the model is read first, so a missing model is reported before a missing input
+    _refuse_overwrite("--out", args.out, args.model, getattr(campaign.source, "path", None))
     model = CostModel.load(args.model) if args.model else CostModel.default()
     with _output(args.out) as out:
         out.write(_REPORT_FORMATS[args.format](run_campaign(campaign, model, interpolate=args.interpolate)))

@@ -38,6 +38,13 @@ for the freeze semantics).  Every node group (the PP row bits, each
 carry-save row, the final adder) settles through one step from its live
 mask, which works out the group's fill-forward schedule once for all its
 nodes.  A single evaluation is a run of one lane.
+
+Every adder, carry-save row or final adder, is one row of the same
+full-adder cell over the run.  A carry-save row's carry-in is the carry
+bus; the final adder's carry-ins are its ripple carries, which one add
+resolves for every lane.  One check matches a run's columns and rows to
+the array before any node moves.  A run's operands share one width, and
+each lane value must fit it, as a :class:`Word`'s bits must.
 """
 
 from __future__ import annotations
@@ -99,7 +106,7 @@ class ArrayGeometry:
 class _Layout:
     """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit."""
 
-    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "top", "last")
+    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "last")
 
     def __init__(self, cols: int, count: int):
         lane = cols + 1
@@ -109,7 +116,6 @@ class _Layout:
         self.full = (1 << lane * count) - 1  # every bit of every lane
         self.ones = self.full // ((1 << lane) - 1)  # bit 0 of every lane
         self.cmask = self.ones * ((1 << cols) - 1)  # the column bits of every lane
-        self.top = self.ones << (cols - 1)  # the top column bit of every lane
         self.last = lane * (count - 1)  # offset of the last lane
 
 
@@ -239,12 +245,28 @@ def _settle_group(nodes, state: list[int], live: int, lay: _Layout) -> tuple[int
     return tuple(toggled)
 
 
+def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layout) -> tuple[int, int, tuple[int, ...]]:
+    """A row of full adders over a run: (sum, carry-out, toggled a/b/cin/sum/cout); cells outside ``live`` hold."""
+    s = a ^ b ^ cin
+    cout = (a & b) | (cin & (a ^ b))
+    return s, cout, _settle_group((a, b, cin, s, cout), state, live, lay)
+
+
 @dataclass(frozen=True, slots=True)
 class Lanes:
-    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane."""
+    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane.
+
+    Every value must fit in ``width`` bits, as a :class:`Word`'s must; one
+    that does not raises rather than spilling into a neighbouring lane.
+    """
 
     values: tuple[int, ...]
     width: int
+
+    def __post_init__(self) -> None:
+        if self.values and (min(self.values) < 0 or max(self.values) >> self.width):
+            bad = next(v for v in self.values if v < 0 or v >> self.width)
+            raise ValueError(f"lane value {bad} does not fit in {self.width} bits")
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,9 +360,11 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
 
 
 def _run_layout(pp: PPLanes, geometry: ArrayGeometry) -> _Layout:
-    """The lane layout of ``pp``, which must have been built for ``geometry``'s columns."""
+    """The lane layout of ``pp``, which must have been built for ``geometry``'s rows and columns."""
     if pp.layout.cols != geometry.cols:
         raise GeometryError(f"a {pp.layout.cols}-column run offered to a {geometry.cols}-column array")
+    if len(pp.rows) != geometry.rows:
+        raise GeometryError(f"{len(pp.rows)} lane rows offered to a {geometry.rows}-row array")
     return pp.layout
 
 
@@ -360,18 +384,18 @@ class _LaneToggles(NamedTuple):
 
     layout: _Layout
     rows: tuple[int, ...]
-    csa: list[tuple[int, ...]]  # a/b/cin/sum/cout per adder row; () for row 0
-    cpa: tuple[int, ...]
+    adders: list[tuple[int, ...]]  # a/b/cin/sum/cout per adder row, () for row 0, the final adder last
     row_frozen: tuple[int, ...]
     col_frozen: int
 
     def tally(self) -> "ToggleReport":
         """The record of the whole run; every node and mask holds column bits only."""
         frozen = sum(z.bit_count() for z in self.row_frozen[1:])
+        *csa, cpa = (sum(x.bit_count() for x in xs) for xs in self.adders)
         return ToggleReport(
             row_bit_toggles=tuple(x.bit_count() for x in self.rows),
-            csa_toggles=tuple(sum(x.bit_count() for x in xs) for xs in self.csa),
-            cpa_toggles=sum(x.bit_count() for x in self.cpa),
+            csa_toggles=tuple(csa),
+            cpa_toggles=cpa,
             frozen_cell_evaluations=frozen + self.col_frozen.bit_count(),
             operations_simulated=self.layout.count,
             lanes=self,
@@ -418,8 +442,8 @@ class ToggleReport:
         lay = lanes.layout
         steps = _popcount_masks(lay)
         rows = zip(*(_lane_counts((x,), lay, steps) for x in lanes.rows))
-        csa = zip(*(_lane_counts(xs, lay, steps) for xs in lanes.csa))
-        cpa = _lane_counts(lanes.cpa, lay, steps)
+        *csa, cpa = (_lane_counts(xs, lay, steps) for xs in lanes.adders)
+        csa = zip(*csa)
         frozen = _lane_counts(lanes.row_frozen[1:] + (lanes.col_frozen,), lay, steps)
         return [
             ToggleReport(r, c, p, z, operations_simulated=1) for r, c, p, z in zip(rows, csa, cpa, frozen)
@@ -441,8 +465,8 @@ class ArrayState:
         self.geometry = ArrayGeometry.create(width, arch)
         g = self.geometry
         self._row_bits = [0] * g.rows
-        self._csa = [[0] * 5 for _ in range(g.rows - 1)]  # a, b, cin, sum, cout
-        self._cpa = [0] * 5
+        # a, b, cin, sum, cout of each carry-save row, then of the final adder
+        self._adders = [[0] * 5 for _ in range(g.rows)]
 
     def evaluate(self, pp: PPLanes, gated: bool = False) -> tuple[int, ToggleReport]:
         """Evaluate the array on a run of lanes from :func:`build_pp`.
@@ -456,45 +480,40 @@ class ArrayState:
         """
         g = self.geometry
         rows, lay = pp.rows, _run_layout(pp, g)
-        if len(rows) != g.rows:
-            raise GeometryError(f"{len(rows)} lane rows offered to a {g.rows}-row array")
         row_frozen = detect_freeze(pp, g) if gated else (0,) * len(rows)
         cmask = lay.cmask
         row_x = _settle_group(rows, self._row_bits, cmask, lay)
 
-        csa_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
+        adder_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
         s_bus, c_bus = rows[0], 0
         for r in range(1, len(rows)):
             live = cmask ^ row_frozen[r]
             if not live:
                 # every lane bypasses this row: busses pass, cells hold
-                csa_x.append(())
+                adder_x.append(())
                 continue
-            a, b, cin = s_bus, rows[r], c_bus
-            s = a ^ b ^ cin
-            cout = (a & b) | (cin & (a ^ b))
-            csa_x.append(_settle_group((a, b, cin, s, cout), self._csa[r - 1], live, lay))
+            s, cout, toggled = _adder_row(s_bus, rows[r], c_bus, self._adders[r - 1], live, lay)
+            adder_x.append(toggled)
             s_bus ^= (s_bus ^ s) & live
             c_bus ^= (c_bus ^ (cout << 1)) & live
 
-        # Final carry-propagate adder; a lane's carry-out lands in its guard bit.
+        # Final adder: its carry-ins are the ripple carries, which one add resolves for every lane.
         a, b = s_bus, c_bus
-        total = a + b
-        s = total & cmask
-        cin = (a ^ b ^ total) & cmask
-        cout = ((cin >> 1) | ((total >> 1) & lay.top)) & cmask
         col_frozen = cmask ^ (a | b) if gated else 0
-        cpa_x = _settle_group((a, b, cin, s, cout), self._cpa, cmask ^ col_frozen, lay)
-
-        return s, _LaneToggles(lay, row_x, csa_x, cpa_x, row_frozen, col_frozen).tally()
+        s, _, toggled = _adder_row(a, b, (a ^ b ^ (a + b)) & cmask, self._adders[-1], cmask ^ col_frozen, lay)
+        adder_x.append(toggled)
+        return s, _LaneToggles(lay, row_x, adder_x, row_frozen, col_frozen).tally()
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:
     """Architecture-specific PP placement for the array, as a run of folded rows.
 
     Two :class:`Lanes` give the rows of the whole run; two :class:`Word` give
-    a run of one, folded from the encoder's own PP matrix.
+    a run of one, folded from the encoder's own PP matrix.  The two operands
+    must have the same width.
     """
+    if multiplicand.width != multiplier.width:
+        raise ValueError(f"operand widths differ: {multiplicand.width} and {multiplier.width}")
     if isinstance(multiplicand, Lanes):
         return _lane_rows(multiplicand, multiplier, arch)
     if arch is Architecture.CONVENTIONAL:

@@ -25,6 +25,7 @@ from hybridmul.datapath import (
     Lanes,
     ProductMismatchError,
     _Layout,
+    _adder_row,
     _fill_schedule,
     _fold_rows,
     _lane_counts,
@@ -160,6 +161,28 @@ class TestEvaluate:
             state.evaluate(pp)
         with pytest.raises(GeometryError):
             detect_freeze(pp, state.geometry)
+
+
+class TestOperandWidths:
+    """A lane value or operand pair that does not fit the run's width raises, never folds into a wrong product."""
+
+    @pytest.mark.parametrize("values", [(1 << 9, 7), (3, -1), (256,)])
+    def test_lane_value_must_fit_its_width(self, values):
+        with pytest.raises(ValueError, match="does not fit in 8 bits"):
+            Lanes(values, 8)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_oversized_multiplier_lane_is_refused(self, arch):
+        # before the check, conventional gave [0, 35] and Booth [64000, 34]
+        with pytest.raises(ValueError):
+            ArrayState(8, arch).evaluate(build_pp(Lanes((3, 5), 8), Lanes((1 << 9, 7), 8), arch))
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    @pytest.mark.parametrize("operand", [lambda v, w: Lanes((v,), w), Word], ids=["lanes", "word"])
+    def test_operands_of_different_widths_are_refused(self, operand, arch):
+        # before the check, conventional lanes gave 0 where 3 * 1024 is right
+        with pytest.raises(ValueError, match="operand widths differ: 8 and 12"):
+            build_pp(operand(3, 8), operand(1 << 10, 12), arch)
 
 
 class TestDetectFreeze:
@@ -510,3 +533,89 @@ class TestLaneCounts:
         lane_value = st.integers(0, (1 << lay.lane) - 1)
         values = data.draw(st.lists(lane_value, min_size=lay.count, max_size=lay.count))
         assert _unpack(_pack(values, lay.lane), lay) == values
+
+
+def lane(x, i, lay):
+    """Column bits of lane ``i`` of ``x``."""
+    return (x >> i * lay.lane) & ((1 << lay.cols) - 1)
+
+
+def full_adders(a, b, cin, cols):
+    """One lane's full adders, column by column: (sum, carry-out), column j's carry-out at bit j."""
+    s = cout = 0
+    for j in range(cols):
+        x, y, z = (a >> j) & 1, (b >> j) & 1, (cin >> j) & 1
+        s |= (x ^ y ^ z) << j
+        cout |= ((x + y + z) >> 1) << j
+    return s, cout
+
+
+def ripple_carries(a, b, cols):
+    """The carry into each column of a ripple adder of one lane, column by column."""
+    carries = carry = 0
+    for j in range(cols):
+        carries |= carry << j
+        carry = (((a >> j) & 1) + ((b >> j) & 1) + carry) >> 1
+    return carries
+
+
+@st.composite
+def adder_rows(draw):
+    """(layout, a, b, carry-in, live mask, old a/b/cin/sum/cout) of one adder row.
+
+    The carry-in is a carry bus drawn freely, or the final adder's ripple
+    carries worked out by one add.
+    """
+    lay = _Layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 8)))
+    cell = st.integers(0, (1 << lay.cols) - 1)
+
+    def run():
+        return _pack(draw(st.lists(cell, min_size=lay.count, max_size=lay.count)), lay.lane)
+
+    a, b = run(), run()
+    cin = (a ^ b ^ (a + b)) & lay.cmask if draw(st.booleans()) else run()
+    return lay, a, b, cin, run(), draw(st.lists(cell, min_size=5, max_size=5))
+
+
+class TestAdderRow:
+    """The one full-adder row behind every carry-save row and the final adder."""
+
+    @given(adder_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_each_lane_is_per_column_full_adders(self, case):
+        lay, a, b, cin, _, old = case
+        s, cout, _ = _adder_row(a, b, cin, list(old), lay.cmask, lay)
+        assert not (s | cout) & ~lay.cmask
+        for i in range(lay.count):
+            assert (lane(s, i, lay), lane(cout, i, lay)) == full_adders(
+                lane(a, i, lay), lane(b, i, lay), lane(cin, i, lay), lay.cols
+            )
+
+    @given(st.integers(4, 32), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_one_add_gives_the_ripple_carries(self, width, data):
+        lay = _Layout(2 * width, data.draw(st.integers(1, 8)))
+        cells = (1 << lay.cols) - 1
+        values = st.lists(st.integers(0, cells), min_size=lay.count, max_size=lay.count)
+        xs, ys = data.draw(values), data.draw(values)
+        a, b = _pack(xs, lay.lane), _pack(ys, lay.lane)
+        s, cout, _ = _adder_row(a, b, (a ^ b ^ (a + b)) & lay.cmask, [0] * 5, lay.cmask, lay)
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            carries = ripple_carries(x, y, lay.cols)
+            assert (lane(s, i, lay), lane(cout, i, lay)) == full_adders(x, y, carries, lay.cols)
+            assert lane(s, i, lay) == (x + y) & cells
+            assert lane(cout, i, lay) >> (lay.cols - 1) == (x + y) >> lay.cols
+
+    @given(adder_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_cells_outside_live_hold(self, case):
+        lay, a, b, cin, live, old = case
+        state = list(old)
+        s, cout, toggled = _adder_row(a, b, cin, state, live, lay)
+        never_live = (1 << lay.cols) - 1
+        for i in range(lay.count):
+            never_live &= ~lane(live, i, lay)
+        for node, t, before, after in zip((a, b, cin, s, cout), toggled, old, state):
+            assert not t & ~live
+            assert after & never_live == before & never_live
+            assert (t, after) == held_run(node, before, live, lay)

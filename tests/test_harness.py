@@ -568,6 +568,14 @@ class TestCli:
         assert f"{argv[-2]} {dest} is the input file {f}" in captured.err
         assert f.read_text() == text
 
+    def test_output_naming_a_missing_input_file_is_not_created(self, tmp_path, capsys):
+        missing = tmp_path / "missing.txt"
+        assert main(["compare", "--inputs", f"file:{missing}", "--out", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"No such file or directory: '{missing}'" in captured.err
+        assert not missing.exists()
+
     @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
     def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
         formats = getattr(cli, emitters)
