@@ -45,6 +45,13 @@ bus; the final adder's carry-ins are its ripple carries, which one add
 resolves for every lane.  One check matches a run's columns and rows to
 the array before any node moves.  A run's operands share one width, and
 each lane value must fit it, as a :class:`Word`'s bits must.
+
+The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`,
+:class:`PPLanes`, the lane masks and the conventional/Booth row rule) lives
+in :mod:`~hybridmul.encoding`, whose count pass checks products through
+the same rows; this module imports it back under the same names.
+:func:`simulate_stream` range-checks each chunk once, when it builds the
+chunk's :class:`Lanes`.
 """
 
 from __future__ import annotations
@@ -53,23 +60,30 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from .bitnum import Word, check_operand_width
+from .bitnum import Word
 from .encoding import (
+    STREAM_CHUNK,
     Architecture,
+    ArrayGeometry,
+    Lanes,
+    PPLanes,
     PPMatrix,
     ProductMismatchError,  # noqa: F401  (re-exported: simulate_stream raises it)
     _check_operands,
     _checked,
+    _first_bad_lane,
+    _lane,
+    _Layout,
+    _nonzero,
+    _pack,
+    _pp_rows,
+    _spread,
     booth_pp,
     booth_recode,
     conventional_pp,
     hybrid_int,
     hybrid_pp,
 )
-
-# Evaluations per kernel call in simulate_stream: bounds the size of the
-# lane-packed integers, so memory stays O(chunk) for any stream length.
-STREAM_CHUNK = 256
 
 
 class GeometryError(RuntimeError):
@@ -79,59 +93,7 @@ class GeometryError(RuntimeError):
     """
 
 
-@dataclass(frozen=True, slots=True)
-class ArrayGeometry:
-    """Fixed array shape for one (width, architecture) pair."""
-
-    width: int
-    arch: Architecture
-    rows: int
-    cols: int
-
-    @classmethod
-    def create(cls, width: int, arch: Architecture) -> "ArrayGeometry":
-        check_operand_width(width)
-        if arch is Architecture.BOOTH:
-            # worst case digit count (top-bit-set operand needs one extra
-            # digit) plus the shared sign-correction row
-            rows = width // 2 + 2
-        else:
-            rows = width
-        return cls(width=width, arch=arch, rows=rows, cols=2 * width)
-
-
 # -- lanes ----------------------------------------------------------------------
-
-
-class _Layout:
-    """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit."""
-
-    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "last")
-
-    def __init__(self, cols: int, count: int):
-        lane = cols + 1
-        self.cols = cols
-        self.count = count
-        self.lane = lane
-        self.full = (1 << lane * count) - 1  # every bit of every lane
-        self.ones = self.full // ((1 << lane) - 1)  # bit 0 of every lane
-        self.cmask = self.ones * ((1 << cols) - 1)  # the column bits of every lane
-        self.last = lane * (count - 1)  # offset of the last lane
-
-
-def _pack(values, lane: int) -> int:
-    """Lane-pack non-negative ints, the first value in lane 0.
-
-    Merges neighbours pairwise, so no step rebuilds a long integer per value.
-    """
-    values = list(values)
-    while len(values) > 1:
-        if len(values) % 2:
-            values.append(0)
-        pairs = iter(values)
-        values = [lo | (hi << lane) for lo, hi in zip(pairs, pairs)]
-        lane *= 2
-    return values[0] if values else 0
 
 
 def _unpack(x: int, lay: _Layout) -> list[int]:
@@ -184,19 +146,6 @@ def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> l
             x = (x & low) + ((x >> f) & high)
         total += x
     return _unpack(total, lay)
-
-
-def _spread(flags: int, lay: _Layout) -> int:
-    """Column mask of the lanes whose bit 0 is set in ``flags``."""
-    return (flags << lay.cols) - flags
-
-
-def _nonzero(x: int, lay: _Layout) -> int:
-    """Bit 0 set in each lane of ``x`` that holds a nonzero value.
-
-    Adding 2**cols - 1 carries into a lane's guard bit iff the lane is nonzero.
-    """
-    return ((x + lay.cmask) >> lay.cols) & lay.ones
 
 
 def _fill_schedule(live: int, lay: _Layout) -> tuple[tuple[int, int], ...]:
@@ -252,36 +201,6 @@ def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layo
     return s, cout, _settle_group((a, b, cin, s, cout), state, live, lay)
 
 
-@dataclass(frozen=True, slots=True)
-class Lanes:
-    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane.
-
-    Every value must fit in ``width`` bits, as a :class:`Word`'s must; one
-    that does not raises rather than spilling into a neighbouring lane.
-    """
-
-    values: tuple[int, ...]
-    width: int
-
-    def __post_init__(self) -> None:
-        if self.values and (min(self.values) < 0 or max(self.values) >> self.width):
-            bad = next(v for v in self.values if v < 0 or v >> self.width)
-            raise ValueError(f"lane value {bad} does not fit in {self.width} bits")
-
-
-@dataclass(frozen=True, slots=True)
-class PPLanes:
-    """Folded PP rows of a run of evaluations, lane-packed in ``layout``.
-
-    ``rows[r]`` holds row r's contribution to evaluation i in bits
-    ``[i*layout.lane, i*layout.lane + layout.cols)``, the Booth correction
-    row included.
-    """
-
-    rows: tuple[int, ...]
-    layout: _Layout
-
-
 def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
     """The row contributions :func:`_fold_rows` gives, built for all lanes at once."""
     w = multiplicand.width
@@ -291,33 +210,8 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
         # row 0 is the encoder's own chain result, so the oracle checks it
         products = [hybrid_int(a, b, w)[0] for a, b in zip(multiplicand.values, multiplier.values)]
         return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay)
-    a = _pack(multiplicand.values, lay.lane)
-    b = _pack(multiplier.values, lay.lane)
-    ones = lay.ones
-    if arch is Architecture.CONVENTIONAL:
-        rows = tuple((a << r) & _spread((b >> r) & ones, lay) for r in range(w))
-        return PPLanes(rows, lay)
-    # Radix-4 digit k reads bits (2k+1, 2k, 2k-1) of the multiplier, with
-    # bit -1 and the bits above the width zero; the top digit is never
-    # negative.  Negated rows enter as 2**(w+1) - |d|*M and owe
-    # 2**(w+1+2k) to the correction row.
-    nonzero_a = _nonzero(a, lay)
-    window = b << 1
-    rows = []
-    debt = 0
-    for k in range(g.rows - 1):
-        b0 = window & ones
-        b1 = (window >> 1) & ones
-        b2 = (window >> 2) & ones
-        window >>= 2
-        mag = (a & _spread(b0 ^ b1, lay)) | ((a << 1) & _spread((b2 ^ b1) & ~(b1 ^ b0), lay))
-        neg = b2 & ~(b1 & b0) & nonzero_a
-        neg_cols = _spread(neg, lay)
-        value = (mag & ~neg_cols) | ((neg << (w + 1)) - (mag & neg_cols))
-        rows.append(value << 2 * k)
-        debt += neg << (w + 1 + 2 * k)
-    rows.append(((ones << g.cols) - debt) & lay.cmask)
-    return PPLanes(tuple(rows), lay)
+    a, b = _pack(multiplicand.values, lay.lane), _pack(multiplier.values, lay.lane)
+    return PPLanes(_pp_rows(a, b, w, arch, lay), lay)
 
 
 # -- freeze masks and toggle accounting -------------------------------------------
@@ -551,18 +445,21 @@ def simulate_stream(
     while chunk := list(islice(stream, STREAM_CHUNK)):
         ma = tuple(abs(a) for a, _ in chunk)
         mb = tuple(abs(b) for _, b in chunk)
-        if (max(ma) | max(mb)) >> width:
-            _check_operands(chunk, width)
-        pp = build_pp(Lanes(ma, width), Lanes(mb, width), arch)
+        try:
+            # the chunk's one range check
+            multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
+        except ValueError:
+            _check_operands(chunk, width)  # raises the first bad pair's own error
+            raise
+        pp = build_pp(multiplicand, multiplier, arch)
         products, run = state.evaluate(pp, ssst_enabled)
         lay = pp.layout
         expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
         if products != expected:
-            bad = products ^ expected
-            i = ((bad & -bad).bit_length() - 1) // lay.lane
+            i = _first_bad_lane(products, expected, lay)
             a, b = chunk[i]
             # lane i is not |a * b|, so this raises
-            _checked(a, b, (products >> i * lay.lane) & ((1 << lay.cols) - 1), a * b)
+            _checked(a, b, _lane(products, i, lay), a * b)
         report.accumulate(run)
         if trace is not None:
             for index, one in enumerate(run.split(), start=done):

@@ -12,18 +12,31 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run
 of signed pairs, an operand width and the architectures to run: one range
 check for the run, the width before any operand (:func:`_check_operands`),
-then one pass over the pairs that decodes each pair once (its two
-:class:`Word` magnitudes and its native product) and runs every
-architecture's core on it, each signed product checked against ``a * b``
-(:func:`_checked`), the counts summed per architecture.  :func:`multiply` is
-its one-pair, one-architecture case, and the array stream raises its range
-and mismatch errors through the same two checks, so every entry point
-rejects a bad width before it decodes an operand.
+then one pass over the run in chunks of :data:`STREAM_CHUNK` pairs that
+decodes each magnitude once.  The conventional and Booth products of a
+chunk are checked lane by lane: the lane builder below packs the chunk's
+magnitudes, one per lane of a Python integer (SWAR: Knuth, TAOCP 4A,
+7.1.3), builds each array's PP rows for every lane at once, and each lane's
+rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  The hybrid
+runs pair by pair through :func:`unsigned_product`.  Every signed product
+is checked against ``a * b`` (:func:`_checked`).  :func:`multiply` is the
+one-pair, one-architecture case, and the array stream raises its range and
+mismatch errors through the same two checks, so every entry point rejects
+a bad width before it decodes an operand.
+
+The lane builder (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`,
+the lane masks and the conventional/Booth row rule :func:`_pp_rows`) lives
+here, next to the encoders, and :mod:`~hybridmul.datapath` imports it: the
+array's PP rows and the count pass's product check are one rule, and the
+count pass calls no array code.
 The integer core that multiplies runs on plain ints and is the only place
-that counts partial products, additions and shifts.  :class:`Word` values
-appear only in the views, which carry no counts: the classification, plan
-steps and Booth digits ``trace`` prints, and the partial-product matrices of
-a one-pair array run.
+that counts partial products, additions and shifts; the conventional and
+Booth counts depend on the width and the multiplier's top bit alone, so the
+count pass asks their cores once for each top bit.  :class:`Word` values
+appear only in the views, which carry no counts, and at the hybrid's
+:func:`unsigned_product` seam: the classification, plan steps and Booth
+digits ``trace`` prints, and the partial-product matrices of a one-pair
+array run.
 """
 
 from __future__ import annotations
@@ -363,6 +376,174 @@ def unsigned_product(
     return product, _shared_counts(pp, adds, shifts)
 
 
+# -- lane-packed partial-product rows --------------------------------------------
+
+# Pairs per lane-packed run, in the count pass and the array stream: bounds
+# the size of the lane-packed integers, so memory stays O(chunk) for any run.
+STREAM_CHUNK = 256
+
+
+@dataclass(frozen=True, slots=True)
+class ArrayGeometry:
+    """Fixed array shape for one (width, architecture) pair."""
+
+    width: int
+    arch: Architecture
+    rows: int
+    cols: int
+
+    @classmethod
+    def create(cls, width: int, arch: Architecture) -> "ArrayGeometry":
+        check_operand_width(width)
+        if arch is Architecture.BOOTH:
+            # worst case digit count (top-bit-set operand needs one extra
+            # digit) plus the shared sign-correction row
+            rows = width // 2 + 2
+        else:
+            rows = width
+        return cls(width=width, arch=arch, rows=rows, cols=2 * width)
+
+
+class _Layout:
+    """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit."""
+
+    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "last")
+
+    def __init__(self, cols: int, count: int):
+        lane = cols + 1
+        self.cols = cols
+        self.count = count
+        self.lane = lane
+        self.full = (1 << lane * count) - 1  # every bit of every lane
+        self.ones = self.full // ((1 << lane) - 1)  # bit 0 of every lane
+        self.cmask = self.ones * ((1 << cols) - 1)  # the column bits of every lane
+        self.last = lane * (count - 1)  # offset of the last lane
+
+
+def _pack(values, lane: int) -> int:
+    """Lane-pack non-negative ints, the first value in lane 0.
+
+    Merges neighbours pairwise, so no step rebuilds a long integer per value.
+    """
+    values = list(values)
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        pairs = iter(values)
+        values = [lo | (hi << lane) for lo, hi in zip(pairs, pairs)]
+        lane *= 2
+    return values[0] if values else 0
+
+
+def _spread(flags: int, lay: _Layout) -> int:
+    """Column mask of the lanes whose bit 0 is set in ``flags``."""
+    return (flags << lay.cols) - flags
+
+
+def _nonzero(x: int, lay: _Layout) -> int:
+    """Bit 0 set in each lane of ``x`` that holds a nonzero value.
+
+    Adding 2**cols - 1 carries into a lane's guard bit iff the lane is nonzero.
+    """
+    return ((x + lay.cmask) >> lay.cols) & lay.ones
+
+
+def _lane(x: int, i: int, lay: _Layout) -> int:
+    """The column bits of lane ``i`` of ``x``."""
+    return (x >> i * lay.lane) & ((1 << lay.cols) - 1)
+
+
+def _first_bad_lane(got: int, expected: int, lay: _Layout) -> int:
+    """The lowest lane in which ``got`` and ``expected`` differ; they must differ somewhere."""
+    bad = got ^ expected
+    return ((bad & -bad).bit_length() - 1) // lay.lane
+
+
+@dataclass(frozen=True, slots=True)
+class Lanes:
+    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane.
+
+    Every value must fit in ``width`` bits, as a :class:`Word`'s must; one
+    that does not raises rather than spilling into a neighbouring lane.
+    """
+
+    values: tuple[int, ...]
+    width: int
+
+    def __post_init__(self) -> None:
+        if self.values and (min(self.values) < 0 or max(self.values) >> self.width):
+            bad = next(v for v in self.values if v < 0 or v >> self.width)
+            raise ValueError(f"lane value {bad} does not fit in {self.width} bits")
+
+
+@dataclass(frozen=True, slots=True)
+class PPLanes:
+    """Folded PP rows of a run of evaluations, lane-packed in ``layout``.
+
+    ``rows[r]`` holds row r's contribution to evaluation i in bits
+    ``[i*layout.lane, i*layout.lane + layout.cols)``, the Booth correction
+    row included.
+    """
+
+    rows: tuple[int, ...]
+    layout: _Layout
+
+
+def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tuple[int, ...]:
+    """The conventional or Booth array's folded PP rows of every lane at once.
+
+    ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each
+    lane's value already known to fit ``width`` bits.  Each lane's rows sum,
+    modulo 2**cols, to its product.  A row's lane select is :func:`_spread`
+    of a flag per lane, written out inline: this rule runs once per chunk
+    and once per one-pair :func:`multiply`.
+    """
+    ones, cols = lay.ones, lay.cols
+    if arch is Architecture.CONVENTIONAL:
+        rows = []
+        for r in range(width):
+            bit = (b >> r) & ones
+            rows.append((a << r) & ((bit << cols) - bit))
+        return tuple(rows)
+    # Radix-4 digit k reads bits (2k+1, 2k, 2k-1) of the multiplier, with
+    # bit -1 and the bits above the width zero; the top digit is never
+    # negative.  Negated rows enter as 2**(w+1) - |d|*M and owe
+    # 2**(w+1+2k) to the correction row.
+    nonzero_a = _nonzero(a, lay)
+    double_a = a << 1
+    window = b << 1
+    rows = []
+    debt = 0
+    for k in range(width // 2 + 1):  # the worst-case digit count
+        b0 = window & ones
+        b1 = (window >> 1) & ones
+        b2 = (window >> 2) & ones
+        window >>= 2
+        one = b0 ^ b1
+        two = (b2 ^ b1) & ~one
+        mag = (a & ((one << cols) - one)) | (double_a & ((two << cols) - two))
+        neg = b2 & ~(b1 & b0) & nonzero_a
+        neg_cols = (neg << cols) - neg
+        value = (mag & ~neg_cols) | ((neg << (width + 1)) - (mag & neg_cols))
+        rows.append(value << 2 * k)
+        debt += neg << (width + 1 + 2 * k)
+    rows.append(((ones << cols) - debt) & lay.cmask)
+    return tuple(rows)
+
+
+@cache
+def _top_bit_counts(core, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A lane core's ``(pp, adds, shifts)`` for a multiplier with the top bit clear, then set.
+
+    The conventional and Booth counts depend on the width and the
+    multiplier's top bit alone, so these two calls of the core count every pair.
+    """
+    return core(0, 0, width)[1:], core(0, 1 << (width - 1), width)[1:]
+
+
+# -- the count pass ---------------------------------------------------------------
+
+
 def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
     """Raise the width error, else the decode error of the first bad pair, if any.
 
@@ -396,26 +577,66 @@ def count_pairs(
 
     Returns one record per architecture, in ``archs`` order.  The width,
     then the operands, are range-checked once for the whole pass.  The pass
-    runs pair by pair: each pair is decoded once (two :class:`Word`
-    magnitudes and the native product) and then multiplied on each
-    architecture in turn, so it keeps nothing per pair.  Each signed product is checked against ``a * b``; a
-    mismatch raises :class:`ProductMismatchError` for the first bad pair,
-    and within that pair for the first architecture in ``archs``.
+    then runs in chunks of :data:`STREAM_CHUNK` pairs, decoding each
+    magnitude once and keeping nothing from one chunk to the next.  The
+    conventional and Booth arrays build their PP rows for the whole chunk
+    from one packing of its multiplicands and multipliers; each lane's rows,
+    summed modulo 2**cols, must equal the packed ``|a * b|``.  The hybrid
+    runs pair by pair through :func:`unsigned_product`.  Each signed product
+    is checked against ``a * b``; a mismatch raises
+    :class:`ProductMismatchError` for the first bad pair, and within that
+    pair for the first architecture in ``archs``.
     """
     _check_operands(pairs, width)
-    totals = [[0, 0, 0] for _ in archs]
-    for a, b in pairs:
-        # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
-        # replacement core is patched in at, and such a core may read ``.bits``
-        multiplicand, multiplier = Word(abs(a), width), Word(abs(b), width)
-        expected = a * b
-        for arch, total in zip(archs, totals):
-            magnitude, counts = unsigned_product(multiplicand, multiplier, arch)
-            _checked(a, b, magnitude, expected)
-            total[0] += counts.pp_count
-            total[1] += counts.add_count
-            total[2] += counts.shift_count
-    return tuple(OpCounts(*total) for total in totals)
+    lane_archs = [arch for arch in archs if arch is not Architecture.HYBRID]
+    hybrid = [0, 0, 0] if Architecture.HYBRID in archs else None
+    top_set = 0  # multipliers with the top bit set
+    for start in range(0, len(pairs), STREAM_CHUNK):
+        chunk = pairs[start : start + STREAM_CHUNK]
+        ma = [abs(a) for a, _ in chunk]
+        mb = [abs(b) for _, b in chunk]
+        sums = {}
+        bad = len(chunk)  # the first pair with a wrong lane product
+        if lane_archs:
+            lay = _Layout(2 * width, len(chunk))
+            cmask = lay.cmask
+            mcand, mplier = _pack(ma, lay.lane), _pack(mb, lay.lane)
+            top_set += ((mplier >> (width - 1)) & lay.ones).bit_count()
+            expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
+            for arch in lane_archs:
+                total = 0
+                for row in _pp_rows(mcand, mplier, width, arch, lay):
+                    total = (total + row) & cmask
+                if total != expected:
+                    bad = min(bad, _first_bad_lane(total, expected, lay))
+                sums[arch] = total
+        if hybrid is not None:
+            # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
+            # replacement core is patched in at, and such a core may read ``.bits``
+            for (a, b), x, y in zip(chunk[:bad], ma, mb):
+                magnitude, counts = unsigned_product(Word(x, width), Word(y, width), Architecture.HYBRID)
+                _checked(a, b, magnitude, a * b)
+                hybrid[0] += counts.pp_count
+                hybrid[1] += counts.add_count
+                hybrid[2] += counts.shift_count
+        if bad < len(chunk):
+            a, b = chunk[bad]
+            for arch in archs:
+                if arch is Architecture.HYBRID:
+                    magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
+                else:
+                    magnitude = _lane(sums[arch], bad, lay)
+                # the first wrong architecture of this pair raises
+                _checked(a, b, magnitude, a * b)
+    records = []
+    for arch in archs:
+        if arch is Architecture.HYBRID:
+            records.append(OpCounts(*hybrid))
+        else:
+            low, high = _top_bit_counts(_INT_CORES[arch], width)
+            clear = len(pairs) - top_set
+            records.append(OpCounts(*[clear * x + top_set * y for x, y in zip(low, high)]))
+    return tuple(records)
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:

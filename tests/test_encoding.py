@@ -275,6 +275,33 @@ class TestPPMatrices:
         assert signed_sum(booth_pp(ma, booth_recode(mb))) == a * b
 
 
+def _inject_wrong_products(monkeypatch, wrong):
+    """Add ``offset`` to each ``arch`` product whose multiplicand is ``at`` (every one when ``at`` is None).
+
+    ``wrong`` maps an architecture to ``(at, offset)``.  The count pass
+    multiplies conventional and Booth pairs lane by lane, so their offsets
+    ride an extra row out of the lane row rule; the hybrid runs pair by
+    pair, so its offset rides :func:`unsigned_product`.
+    """
+    rule, core = encoding._pp_rows, encoding.unsigned_product
+
+    def hit(at, value):
+        return at is None or value == at
+
+    def wrong_rows(a, b, width, arch, lay):
+        at, offset = wrong.get(arch, (None, 0))
+        extra = [offset * hit(at, encoding._lane(a, i, lay)) for i in range(lay.count)]
+        return rule(a, b, width, arch, lay) + (encoding._pack(extra, lay.lane),)
+
+    def wrong_core(multiplicand, multiplier, arch):
+        product, counts = core(multiplicand, multiplier, arch)
+        at, offset = wrong.get(arch, (None, 0))
+        return product + offset * hit(at, multiplicand.bits), counts
+
+    monkeypatch.setattr(encoding, "_pp_rows", wrong_rows)
+    monkeypatch.setattr(encoding, "unsigned_product", wrong_core)
+
+
 class TestMultiply:
     def test_worked_example_counts(self):
         hybrid = multiply(65, 34, Architecture.HYBRID, width=8)
@@ -337,13 +364,7 @@ class TestMultiply:
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_wrong_core_product_raises(self, arch, monkeypatch):
-        original = encoding.unsigned_product
-
-        def off_by_one(multiplicand, multiplier, arch):
-            product, counts = original(multiplicand, multiplier, arch)
-            return product + 1, counts
-
-        monkeypatch.setattr(encoding, "unsigned_product", off_by_one)
+        _inject_wrong_products(monkeypatch, {arch: (None, 1)})
         with pytest.raises(ProductMismatchError) as excinfo:
             multiply(65, 34, arch, 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((65, 34), 2211, 2210)
@@ -498,8 +519,14 @@ def signed_runs(draw):
     return width, draw(st.lists(st.tuples(operand, operand), max_size=12))
 
 
-def _refuse_core(multiplicand, multiplier, arch):
+def _refuse_core(*args):
     raise AssertionError("the core must not run before the range check")
+
+
+def _refuse_cores(mp):
+    """Make the hybrid core and the conventional/Booth lane row rule fail the test if they run."""
+    mp.setattr(encoding, "unsigned_product", _refuse_core)
+    mp.setattr(encoding, "_pp_rows", _refuse_core)
 
 
 class TestCountPairs:
@@ -541,13 +568,13 @@ class TestCountPairs:
         arch = data.draw(st.sampled_from(list(Architecture)))
         expected = _raised(lambda: multiply(*pair, arch, width))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "unsigned_product", _refuse_core)
+            _refuse_cores(mp)
             assert _raised(lambda: count_pairs(run_pairs, (arch,), width)) == expected
 
     @pytest.mark.parametrize("width", [0, 3, 33, -1])
     def test_bad_width_raises_multiplys_error(self, width, monkeypatch):
         first_pair = _raised(lambda: multiply(1, 1, Architecture.HYBRID, width=width))
-        monkeypatch.setattr(encoding, "unsigned_product", _refuse_core)
+        _refuse_cores(monkeypatch)
         # an empty run has no pair to decode, and still raises the width error
         width_error = _raised(lambda: check_operand_width(width))
         for pairs, expected in (([(1, 1), (300, 2)], first_pair), ([], width_error)):
@@ -557,13 +584,7 @@ class TestCountPairs:
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_wrong_core_product_names_the_first_pair(self, arch, monkeypatch):
-        original = encoding.unsigned_product
-
-        def off_by_one_from_3(multiplicand, multiplier, arch):
-            product, counts = original(multiplicand, multiplier, arch)
-            return product + (multiplicand.bits == 3), counts
-
-        monkeypatch.setattr(encoding, "unsigned_product", off_by_one_from_3)
+        _inject_wrong_products(monkeypatch, {arch: (3, 1)})
         with pytest.raises(ProductMismatchError) as excinfo:
             count_pairs([(65, 34), (-3, 5), (3, 7)], (arch,), 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((-3, 5), -16, -15)
@@ -580,16 +601,9 @@ class TestCountPairs:
     def test_wrong_core_names_the_first_pair_then_the_first_architecture(
         self, archs, pair, got, expected, monkeypatch
     ):
-        original = encoding.unsigned_product
         # booth is off by 1 and hybrid by 2 on multiplicand 3; conventional by 3 on multiplicand 7
         wrong = {Architecture.BOOTH: (3, 1), Architecture.HYBRID: (3, 2), Architecture.CONVENTIONAL: (7, 3)}
-
-        def wrong_core(multiplicand, multiplier, arch):
-            product, counts = original(multiplicand, multiplier, arch)
-            at, offset = wrong[arch]
-            return product + offset * (multiplicand.bits == at), counts
-
-        monkeypatch.setattr(encoding, "unsigned_product", wrong_core)
+        _inject_wrong_products(monkeypatch, wrong)
         with pytest.raises(ProductMismatchError) as excinfo:
             count_pairs([(65, 34), (-3, 5), (7, 9)], archs, 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
@@ -612,3 +626,72 @@ class TestCountPairs:
         with pytest.raises(FrozenInstanceError):
             first.add_count = 0
         assert again == multiply(3, 5, arch, 8).counts
+
+
+class TestLaneCountPass:
+    """The count pass in chunks: conventional and Booth checked lane by lane, the hybrid pair by pair."""
+
+    @given(
+        signed_runs(),
+        st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3, unique=True),
+        st.sampled_from([1, 3, 7]),
+    )
+    @settings(max_examples=75)
+    def test_equals_summed_per_pair_cores_across_chunks(self, run, archs, chunk):
+        width, pairs = run
+        summed = []
+        for arch in archs:
+            total = [0, 0, 0]
+            for a, b in pairs:
+                product, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
+                assert product == abs(a * b)
+                total[0] += counts.pp_count
+                total[1] += counts.add_count
+                total[2] += counts.shift_count
+            summed.append(OpCounts(*total))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "STREAM_CHUNK", chunk)
+            assert count_pairs(pairs, archs, width) == tuple(summed)
+
+    @pytest.mark.parametrize("arch", [Architecture.CONVENTIONAL, Architecture.BOOTH])
+    @pytest.mark.parametrize(
+        "first_chunk, pair, got, expected",
+        [
+            # chunk 1 clean: the wrong lane of chunk 2 is named
+            ([(65, 34), (5, 5), (9, 9)], (3, 7), 22, 21),
+            # chunk 1 holds a wrong lane of its own, so chunk 2's is never reached
+            ([(65, 34), (5, 5), (-3, 9)], (-3, 9), -28, -27),
+        ],
+    )
+    def test_wrong_lane_in_a_later_chunk(self, arch, first_chunk, pair, got, expected, monkeypatch):
+        _inject_wrong_products(monkeypatch, {arch: (3, 1)})
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", 3)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            count_pairs(first_chunk + [(11, 2), (3, 7), (3, 9)], tuple(Architecture), 8)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
+
+    @pytest.mark.parametrize(
+        "archs",
+        [(Architecture.CONVENTIONAL, Architecture.HYBRID), (Architecture.HYBRID, Architecture.CONVENTIONAL)],
+    )
+    def test_wrong_hybrid_pair_before_a_wrong_lane_is_named(self, archs, monkeypatch):
+        # hybrid is off by 2 on multiplicand 5, conventional by 3 on multiplicand 7, in one chunk
+        _inject_wrong_products(monkeypatch, {Architecture.HYBRID: (5, 2), Architecture.CONVENTIONAL: (7, 3)})
+        with pytest.raises(ProductMismatchError) as excinfo:
+            count_pairs([(65, 34), (5, -3), (7, 9)], archs, 8)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((5, -3), -17, -15)
+
+    def test_row_rule_sees_at_most_one_chunk_of_lanes(self, monkeypatch):
+        rule = encoding._pp_rows
+        seen = []
+
+        def spy(a, b, width, arch, lay):
+            seen.append((arch, lay.count))
+            return rule(a, b, width, arch, lay)
+
+        monkeypatch.setattr(encoding, "_pp_rows", spy)
+        pairs = [(a % 256, (7 * a) % 256) for a in range(3 * encoding.STREAM_CHUNK + 5)]
+        count_pairs(pairs, tuple(Architecture), 8)
+        assert max(count for _, count in seen) <= encoding.STREAM_CHUNK
+        for arch in (Architecture.CONVENTIONAL, Architecture.BOOTH):
+            assert sum(count for a, count in seen if a is arch) == len(pairs)
