@@ -78,6 +78,7 @@ from .encoding import (
     _pack,
     _pp_rows,
     _spread,
+    _unpack16,
     booth_pp,
     booth_recode,
     conventional_pp,
@@ -94,21 +95,6 @@ class GeometryError(RuntimeError):
 
 
 # -- lanes ----------------------------------------------------------------------
-
-
-def _unpack(x: int, lay: _Layout) -> list[int]:
-    """The lane values of ``x``, lane 0 first: the inverse of :func:`_pack`.
-
-    Halves the integer level by level, so no step shifts the whole of it
-    once per lane.
-    """
-    width = lay.lane << (lay.count - 1).bit_length()
-    values = [x]
-    while width > lay.lane:
-        width >>= 1
-        low = (1 << width) - 1
-        values = [half for v in values for half in (v & low, v >> width)]
-    return values[: lay.count]
 
 
 def _popcount_masks(lay: _Layout) -> tuple[tuple[int, int, int], ...]:
@@ -136,8 +122,9 @@ def _popcount_masks(lay: _Layout) -> tuple[tuple[int, int, int], ...]:
 def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> list[int]:
     """Per lane, the set column bits of all of ``xs`` together, lane 0 first.
 
-    Each lane's total must fit in its ``cols + 1`` bits; a node group has at
-    most one integer per array row, far fewer than that allows.
+    Each lane's total must fit in 16 bits, and in its ``cols + 1``: a node
+    group has at most one integer per array row, so a total is at most
+    32 rows x 64 columns = 2048.
     """
     total = 0
     for x in xs:
@@ -145,7 +132,7 @@ def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> l
         for f, low, high in steps:
             x = (x & low) + ((x >> f) & high)
         total += x
-    return _unpack(total, lay)
+    return _unpack16(total, lay.lane, lay.count)
 
 
 def _fill_schedule(live: int, lay: _Layout) -> tuple[tuple[int, int], ...]:

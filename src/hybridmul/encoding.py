@@ -17,7 +17,10 @@ decodes each magnitude once.  The conventional and Booth products of a
 chunk are checked lane by lane: the lane builder below packs the chunk's
 magnitudes, one per lane of a Python integer (SWAR: Knuth, TAOCP 4A,
 7.1.3), builds each array's PP rows for every lane at once, and each lane's
-rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  The hybrid
+rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  A pack
+(:func:`_pack`) reads the values as the bytes of an ``array`` into one
+integer, then one log-step re-stride, cached by shape, moves every value
+from its byte-aligned slot to its lane.  The hybrid
 runs pair by pair through :func:`unsigned_product`.  Every signed product
 is checked against ``a * b`` (:func:`_checked`).  :func:`multiply` is the
 one-pair, one-architecture case, and the array stream raises its range and
@@ -42,6 +45,8 @@ array run.
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence, Union
@@ -420,19 +425,100 @@ class _Layout:
         self.last = lane * (count - 1)  # offset of the last lane
 
 
-def _pack(values, lane: int) -> int:
-    """Lane-pack non-negative ints, the first value in lane 0.
+# Array typecodes by item bits: lane values cross between a list and one
+# integer as the bytes of an array, at the stride of its items.
+_ITEM_CODES = {8 * array(code).itemsize: code for code in "QLIHB"}
+_BIG_ENDIAN = sys.byteorder == "big"
 
-    Merges neighbours pairwise, so no step rebuilds a long integer per value.
+
+@cache
+def _item_bits(lane: int) -> int:
+    """Bits of the narrowest array item that holds a whole lane, else of the widest."""
+    return min((bits for bits in _ITEM_CODES if bits >= lane), default=max(_ITEM_CODES))
+
+
+@cache
+def _restride_steps(src: int, dst: int, count: int) -> tuple[tuple[int, int], ...]:
+    """The ``(mask, shift)`` steps that move ``count`` fields from ``src`` to ``dst`` bits apart.
+
+    ``count`` is a power of two; each field's value must fit in the
+    narrower stride.  Step j moves, as blocks of 2**j fields, those whose
+    index has bit j set by 2**j times the stride difference, with the bits
+    of ``mask`` (SWAR: Knuth, TAOCP 4A, 7.1.3).  Closing up runs from bit 0
+    up and spreading out from the top bit down, so no block lands on
+    another.
     """
-    values = list(values)
-    while len(values) > 1:
-        if len(values) % 2:
-            values.append(0)
-        pairs = iter(values)
-        values = [lo | (hi << lane) for lo, hi in zip(pairs, pairs)]
-        lane *= 2
-    return values[0] if values else 0
+    narrow, wide = min(src, dst), max(src, dst)
+    steps = []
+    for j in range(count.bit_length() - 1):
+        block = 1 << j
+        period = 2 * block * wide
+        every = ((1 << period * (count // (2 * block))) - 1) // ((1 << period) - 1)
+        field = ((1 << block * narrow) - 1) << block * src
+        steps.append((field * every, block * (wide - narrow)))
+    return tuple(steps) if src > dst else tuple(reversed(steps))
+
+
+def _restride(x: int, src: int, dst: int, count: int) -> int:
+    """``x``'s first ``count`` fields, ``src`` bits apart, moved to ``dst`` bits apart in order.
+
+    Each field's value must fit in the narrower stride.  The steps come
+    from a cache keyed by the strides and the count rounded up to a power
+    of two, so a run of any length below 2**k shares one schedule.
+    """
+    if count < 2 or src == dst:
+        return x
+    steps = _restride_steps(src, dst, 1 << (count - 1).bit_length())
+    if src > dst:
+        for mask, shift in steps:
+            moving = x & mask
+            x ^= moving ^ (moving >> shift)
+    else:
+        for mask, shift in steps:
+            moving = x & mask
+            x ^= moving ^ (moving << shift)
+    return x
+
+
+def _pack_items(values, bits: int, lane: int) -> int:
+    """Lane-pack ``values`` that each fit in one ``bits``-bit array item."""
+    items = array(_ITEM_CODES[bits], values)
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return _restride(int.from_bytes(items, "little"), bits, lane, len(items))
+
+
+def _pack(values: Sequence[int], lane: int) -> int:
+    """Lane-pack ints in ``[0, 2**lane)``, the first value in lane 0.
+
+    The values go into an array of the narrowest item that holds a lane,
+    its bytes become one integer, and one cached re-stride
+    (:func:`_restride`) moves every lane to its place.  A lane wider than
+    any item (65 bits at width 32) packs a value of 2**64 or more as its
+    low and high items apart.
+    """
+    if len(values) < 2:
+        return values[0] if values else 0
+    bits = _item_bits(lane)
+    try:
+        return _pack_items(values, bits, lane)
+    except OverflowError:
+        if lane <= bits:
+            raise
+    low = (1 << bits) - 1
+    high = _pack_items([v >> bits for v in values], bits, lane)
+    return _pack_items([v & low for v in values], bits, lane) | high << bits
+
+
+def _unpack16(x: int, lane: int, count: int) -> list[int]:
+    """The ``count`` lane values of ``x``, lane 0 first, each below 2**16: the inverse of :func:`_pack`.
+
+    One re-stride moves the lanes 16 bits apart; the bytes then read back as an array.
+    """
+    items = array(_ITEM_CODES[16], _restride(x, lane, 16, count).to_bytes(2 * count, "little"))
+    if _BIG_ENDIAN:
+        items.byteswap()
+    return items.tolist()
 
 
 def _spread(flags: int, lay: _Layout) -> int:

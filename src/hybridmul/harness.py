@@ -112,7 +112,10 @@ def parse_input_spec(spec: str) -> InputSource:
             raise InputFormatError(f"bad random input spec {spec!r}") from None
         return RandomSource(n)
     if spec.startswith("file:"):
-        return FileSource(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        if not path:
+            raise InputFormatError(f"input spec {spec!r} names no file; use file:PATH")
+        return FileSource(path)
     raise InputFormatError(f"unknown input spec {spec!r}; use exhaustive, random:N, or file:PATH")
 
 

@@ -695,3 +695,31 @@ class TestLaneCountPass:
         assert max(count for _, count in seen) <= encoding.STREAM_CHUNK
         for arch in (Architecture.CONVENTIONAL, Architecture.BOOTH):
             assert sum(count for a, count in seen if a is arch) == len(pairs)
+
+
+@st.composite
+def lane_values(draw):
+    """(lane, values): a width-4..32 array's lane and 1..256 values below 2**lane, the edges drawn often."""
+    lane = 2 * draw(st.one_of(st.sampled_from([4, 32]), st.integers(4, 32))) + 1
+    count = draw(st.one_of(st.sampled_from([1, 2, 255, 256]), st.integers(1, 256)))
+    value = st.one_of(st.sampled_from([0, (1 << lane) - 1]), st.integers(0, (1 << lane) - 1))
+    return lane, draw(st.lists(value, min_size=count, max_size=count))
+
+
+class TestLanePacker:
+    """Lane values pack through the bytes of an array and one cached re-stride."""
+
+    @given(lane_values())
+    @settings(max_examples=60, deadline=None)
+    def test_pack_matches_shifted_sum(self, case):
+        lane, values = case
+        assert encoding._pack(values, lane) == sum(v << i * lane for i, v in enumerate(values))
+
+    def test_schedule_cache_grows_with_shapes_not_counts(self):
+        encoding._restride_steps.cache_clear()
+        for width in (8, 32):
+            lane = 2 * width + 1
+            for count in range(1, 257):
+                encoding._pack([(1 << 2 * width) - 1] * count, lane)
+        # one schedule per width for each power-of-two count from 2 to 256
+        assert encoding._restride_steps.cache_info().currsize == 2 * 8

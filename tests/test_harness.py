@@ -70,6 +70,10 @@ class TestInputSpecs:
         with pytest.raises(InputFormatError):
             parse_input_spec("random:0")
 
+    def test_empty_file_path_names_the_spec(self):
+        with pytest.raises(InputFormatError, match="'file:' names no file"):
+            parse_input_spec("file:")
+
     def test_random_count_bounded(self):
         assert RandomSource(MAX_RANDOM_PAIRS).count == MAX_RANDOM_PAIRS
         with pytest.raises(InputFormatError, match=f"{MAX_RANDOM_PAIRS}-pair limit"):
