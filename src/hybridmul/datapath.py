@@ -47,9 +47,11 @@ the array before any node moves.  A run's operands share one width, and
 each lane value must fit it, as a :class:`Word`'s bits must.
 
 The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`,
-:class:`PPLanes`, the lane masks and the conventional/Booth row rule) lives
-in :mod:`~hybridmul.encoding`, whose count pass checks products through
-the same rows; this module imports it back under the same names.
+:class:`PPLanes`, the lane masks and the row rule of all three arrays, the
+hybrid's row 0 from the lane form of its encoder) lives in
+:mod:`~hybridmul.encoding`, whose count pass checks products through the
+same rows; this module imports it back under the same names.  Each lane of
+a run's products is checked against the packed ``|a * b|``.
 :func:`simulate_stream` range-checks each chunk once, when it builds the
 chunk's :class:`Lanes`.
 """
@@ -74,15 +76,16 @@ from .encoding import (
     _first_bad_lane,
     _lane,
     _Layout,
+    _lane_popcount,
     _nonzero,
     _pack,
+    _popcount_masks,
     _pp_rows,
     _spread,
     _unpack16,
     booth_pp,
     booth_recode,
     conventional_pp,
-    hybrid_int,
     hybrid_pp,
 )
 
@@ -97,28 +100,6 @@ class GeometryError(RuntimeError):
 # -- lanes ----------------------------------------------------------------------
 
 
-def _popcount_masks(lay: _Layout) -> tuple[tuple[int, int, int], ...]:
-    """The ``(shift, low, high)`` steps of a per-lane popcount of the column bits.
-
-    Step ``shift = f`` adds neighbouring f-bit counts into 2f-bit fields.  A
-    field never reaches past column ``cols - 1``, so with the column count
-    not a power of two the high half of the last field is cut short (or
-    left out) rather than read from the guard bit and the next lane.
-    """
-    cols = lay.cols
-    steps = []
-    f = 1
-    while f < cols:
-        low = high = 0
-        for p in range(0, cols, 2 * f):
-            low |= ((1 << min(f, cols - p)) - 1) << p
-            if p + f < cols:
-                high |= ((1 << min(f, cols - p - f)) - 1) << p
-        steps.append((f, low * lay.ones, high * lay.ones))
-        f *= 2
-    return tuple(steps)
-
-
 def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> list[int]:
     """Per lane, the set column bits of all of ``xs`` together, lane 0 first.
 
@@ -126,12 +107,7 @@ def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> l
     group has at most one integer per array row, so a total is at most
     32 rows x 64 columns = 2048.
     """
-    total = 0
-    for x in xs:
-        x &= lay.cmask
-        for f, low, high in steps:
-            x = (x & low) + ((x >> f) & high)
-        total += x
+    total = sum(_lane_popcount(x & lay.cmask, steps) for x in xs)
     return _unpack16(total, lay.lane, lay.count)
 
 
@@ -193,10 +169,7 @@ def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PP
     w = multiplicand.width
     g = ArrayGeometry.create(w, arch)
     lay = _Layout(g.cols, len(multiplicand.values))
-    if arch is Architecture.HYBRID:
-        # row 0 is the encoder's own chain result, so the oracle checks it
-        products = [hybrid_int(a, b, w)[0] for a, b in zip(multiplicand.values, multiplier.values)]
-        return PPLanes((_pack(products, lay.lane),) + (0,) * (g.rows - 1), lay)
+    # the hybrid's row 0 is the lane form of its encoder, which the oracle checks lane by lane
     a, b = _pack(multiplicand.values, lay.lane), _pack(multiplier.values, lay.lane)
     return PPLanes(_pp_rows(a, b, w, arch, lay), lay)
 

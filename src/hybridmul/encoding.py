@@ -20,18 +20,20 @@ magnitudes, one per lane of a Python integer (SWAR: Knuth, TAOCP 4A,
 rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  A pack
 (:func:`_pack`) reads the values as the bytes of an ``array`` into one
 integer, then one log-step re-stride, cached by shape, moves every value
-from its byte-aligned slot to its lane.  The hybrid
-runs pair by pair through :func:`unsigned_product`.  Every signed product
-is checked against ``a * b`` (:func:`_checked`).  :func:`multiply` is the
-one-pair, one-architecture case, and the array stream raises its range and
-mismatch errors through the same two checks, so every entry point rejects
-a bad width before it decodes an operand.
+from its byte-aligned slot to its lane.  Only this pass runs the hybrid
+pair by pair, through :func:`unsigned_product`, the integer core's seam
+its counts come from.  Every signed product is checked against ``a * b``
+(:func:`_checked`).  :func:`multiply` is the one-pair, one-architecture
+case, and the array stream raises its range and mismatch errors through
+the same two checks, so every entry point rejects a bad width before it
+decodes an operand.
 
 The lane builder (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`,
-the lane masks and the conventional/Booth row rule :func:`_pp_rows`) lives
-here, next to the encoders, and :mod:`~hybridmul.datapath` imports it: the
-array's PP rows and the count pass's product check are one rule, and the
-count pass calls no array code.
+the lane masks and :func:`_pp_rows`, the row rule of all three arrays,
+whose hybrid row 0 makes :func:`hybrid_int`'s decisions in every lane at
+once) lives here, next to the encoders, and :mod:`~hybridmul.datapath`
+imports it: the array's PP rows and the count pass's product check are
+one rule, and the count pass calls no array code.
 The integer core that multiplies runs on plain ints and is the only place
 that counts partial products, additions and shifts; the conventional and
 Booth counts depend on the width and the multiplier's top bit alone, so the
@@ -575,32 +577,95 @@ class PPLanes:
     layout: _Layout
 
 
-def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tuple[int, ...]:
-    """The conventional or Booth array's folded PP rows of every lane at once.
+@cache
+def _popcount_steps(cols: int, count: int) -> tuple[tuple[int, int, int], ...]:
+    """The ``(shift, low, high)`` steps of a per-lane popcount of ``count`` lanes' ``cols`` column bits.
 
-    ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each
-    lane's value already known to fit ``width`` bits.  Each lane's rows sum,
-    modulo 2**cols, to its product.  A row's lane select is :func:`_spread`
-    of a flag per lane, written out inline: this rule runs once per chunk
-    and once per one-pair :func:`multiply`.
+    Step ``shift = f`` adds neighbouring f-bit counts into 2f-bit fields.  A
+    field never reaches past column ``cols - 1``, so with the column count
+    not a power of two the high half of the last field is cut short (or
+    left out) rather than read from the guard bit and the next lane.
+    """
+    ones = ((1 << (cols + 1) * count) - 1) // ((1 << cols + 1) - 1)
+    cells, steps, f = (1 << cols) - 1, [], 1
+    while f < cols:
+        # f ones then f zeros, from bit 0 up
+        fields = ((1 << f) - 1) * (((1 << 2 * f * cols) - 1) // ((1 << 2 * f) - 1))
+        steps.append((f, (fields & cells) * ones, (fields & cells >> f) * ones))
+        f *= 2
+    return tuple(steps)
+
+
+def _popcount_masks(lay: _Layout) -> tuple[tuple[int, int, int], ...]:
+    """:func:`_popcount_steps` for ``lay``, cached by its columns and its lane count rounded up to a power of two."""
+    return _popcount_steps(lay.cols, 1 << (lay.count - 1).bit_length())
+
+
+def _lane_popcount(x: int, steps: tuple[tuple[int, int, int], ...]) -> int:
+    """Per lane, the set column bits of ``x``, which must hold column bits only."""
+    for f, low, high in steps:
+        x = (x & low) + ((x >> f) & high)
+    return x
+
+
+def _lane_sum(rows, lay: _Layout) -> int:
+    """Per lane, the sum of ``rows`` modulo 2**cols."""
+    total = 0
+    for row in rows:
+        total = (total + row) & lay.cmask
+    return total
+
+
+def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int]:
+    """Per lane, the multiplier bits :func:`hybrid_int` hands its engines: ``(chain, chain_hi, booth, booth_hi)``.
+
+    A lane holds 0 in each route it does not take; the high halves run at
+    weight ``width // 2``.
+    """
+    steps = _popcount_masks(lay)
+
+    def dense(count: int) -> int:  # the lanes with more set bits than the chain's three
+        return _spread(((count + lay.cmask - 3 * lay.ones) >> lay.cols) & lay.ones, lay)
+
+    count = _lane_popcount(b, steps)
+    split = dense(count)
+    if not split:
+        return b, 0, 0, 0
+    whole = b ^ (b & split)
+    if width % 2:  # an odd width cannot split, so it runs Booth whole
+        return whole, 0, b & split, 0
+    half = width // 2
+    low = split & lay.ones * ((1 << half) - 1)
+    lo, hi = b & low, (b >> half) & low
+    lo_count = _lane_popcount(lo, steps)
+    lo_booth, hi_booth = dense(lo_count), dense(count - lo_count)
+    return whole | (lo ^ (lo & lo_booth)), hi ^ (hi & hi_booth), lo & lo_booth, hi & hi_booth
+
+
+def _conventional_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, ...]:
+    """Row r of the shift-and-add array: ``a << r`` in each lane whose multiplier bit r is set."""
+    ones, cols = lay.ones, lay.cols
+    rows = []
+    for r in range(width):
+        bit = (b >> r) & ones
+        rows.append((a << r) & ((bit << cols) - bit) if bit else 0)
+    return tuple(rows)
+
+
+def _booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
+    """Booth rows of ``digits`` radix-4 digits of ``b`` times ``width``-bit ``a``, then the correction row.
+
+    Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1 zero; the top digit
+    must read only zeros above ``b``'s top bit, so it is never negative.
+    Negated rows enter as 2**(w+1) - |d|*M and owe 2**(w+1+2k) to the correction row.
     """
     ones, cols = lay.ones, lay.cols
-    if arch is Architecture.CONVENTIONAL:
-        rows = []
-        for r in range(width):
-            bit = (b >> r) & ones
-            rows.append((a << r) & ((bit << cols) - bit))
-        return tuple(rows)
-    # Radix-4 digit k reads bits (2k+1, 2k, 2k-1) of the multiplier, with
-    # bit -1 and the bits above the width zero; the top digit is never
-    # negative.  Negated rows enter as 2**(w+1) - |d|*M and owe
-    # 2**(w+1+2k) to the correction row.
     nonzero_a = _nonzero(a, lay)
     double_a = a << 1
     window = b << 1
     rows = []
     debt = 0
-    for k in range(width // 2 + 1):  # the worst-case digit count
+    for k in range(digits):
         b0 = window & ones
         b1 = (window >> 1) & ones
         b2 = (window >> 2) & ones
@@ -615,6 +680,31 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
         debt += neg << (width + 1 + 2 * k)
     rows.append(((ones << cols) - debt) & lay.cmask)
     return tuple(rows)
+
+
+def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tuple[int, ...]:
+    """The array's folded PP rows of every lane at once, for any architecture.
+
+    ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each
+    lane's value already known to fit ``width`` bits.  Each lane's rows sum,
+    modulo 2**cols, to its product.  A row's lane select is :func:`_spread`
+    of a flag per lane, written out inline: this rule runs once per chunk
+    and once per one-pair :func:`multiply`.  The hybrid's row 0 is the
+    product :func:`hybrid_int` builds, and its other rows are zero.
+    """
+    if arch is Architecture.CONVENTIONAL:
+        return _conventional_rows(a, b, width, lay)
+    if arch is Architecture.BOOTH:
+        return _booth_rows(a, b, width // 2 + 1, width, lay)
+    half = width // 2
+    chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
+    # the chain's terms M << (p - 1) are the conventional rows of its bits
+    row = sum(_conventional_rows(a, chain | chain_hi << half, width, lay))
+    if booth:
+        row += _lane_sum(_booth_rows(a, booth, (width if width % 2 else half) // 2 + 1, width, lay), lay)
+    if booth_hi:  # reduced before the shift, so no bit spills into the next lane
+        row += _lane_sum(_booth_rows(a, booth_hi, half // 2 + 1, width, lay), lay) << half
+    return (row,) + (0,) * (width - 1)
 
 
 @cache
@@ -685,14 +775,11 @@ def count_pairs(
         bad = len(chunk)  # the first pair with a wrong lane product
         if lane_archs:
             lay = _Layout(2 * width, len(chunk))
-            cmask = lay.cmask
             mcand, mplier = _pack(ma, lay.lane), _pack(mb, lay.lane)
             top_set += ((mplier >> (width - 1)) & lay.ones).bit_count()
             expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
             for arch in lane_archs:
-                total = 0
-                for row in _pp_rows(mcand, mplier, width, arch, lay):
-                    total = (total + row) & cmask
+                total = _lane_sum(_pp_rows(mcand, mplier, width, arch, lay), lay)
                 if total != expected:
                     bad = min(bad, _first_bad_lane(total, expected, lay))
                 sums[arch] = total

@@ -723,3 +723,86 @@ class TestLanePacker:
                 encoding._pack([(1 << 2 * width) - 1] * count, lane)
         # one schedule per width for each power-of-two count from 2 to 256
         assert encoding._restride_steps.cache_info().currsize == 2 * 8
+
+
+@st.composite
+def hybrid_runs(draw):
+    """(width, multiplicands, multipliers): 1..256 lanes shaped to reach every route of the hybrid.
+
+    Widths 4..32, odd ones included, with 4 and 32 drawn often.  Each lane's
+    multiplier comes from a drawn set of up to 12: 0 or 2**w - 1, 0..6 set
+    bits, each half given its own count (3 and 4 drawn often, so a half
+    sits on either side of the chain's limit), or uniform, which is mostly
+    dense.  Lanes pick from the set, and multiplicands (0 and 2**w - 1
+    often), through one drawn random, so a run of 256 lanes stays cheap to
+    draw.
+    """
+    width = draw(st.one_of(st.sampled_from([4, 32]), st.integers(4, 32)))
+    top = (1 << width) - 1
+    half = width // 2
+
+    def bits_in(lo, hi, count):
+        count = min(count, hi - lo)
+        return sum(1 << p for p in draw(st.lists(st.integers(lo, hi - 1), min_size=count, max_size=count, unique=True)))
+
+    def multiplier():
+        shape = draw(st.sampled_from(["edge", "sparse", "halves", "dense"]))
+        if shape == "edge":
+            return draw(st.sampled_from([0, top]))
+        if shape == "sparse":
+            return bits_in(0, width, draw(st.integers(0, 6)))
+        if shape == "halves":
+            count = st.one_of(st.sampled_from([3, 4]), st.integers(0, 6))
+            return bits_in(0, half, draw(count)) | bits_in(half, width, draw(count))
+        return draw(st.integers(0, top))
+
+    pool = [multiplier() for _ in range(draw(st.integers(1, 12)))]
+    count = draw(st.one_of(st.sampled_from([1, 256]), st.integers(1, 256)))
+    rnd = draw(st.randoms(use_true_random=False))
+    multiplicands = [rnd.choice([0, top, rnd.randint(0, top)]) for _ in range(count)]
+    return width, multiplicands, [rnd.choice(pool) for _ in range(count)]
+
+
+def _int_routes(b, width):
+    """The ``(chain, chain_hi, booth, booth_hi)`` bits ``hybrid_int`` hands ``_chain`` and ``booth_int``."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(encoding, "_chain", lambda m, bits: calls.append(("chain", bits)) or (0, 0, 0, 0))
+        mp.setattr(encoding, "booth_int", lambda m, bits, w: calls.append(("booth", bits)) or (0, 0, 0, 0))
+        encoding.hybrid_int(1, b, width)
+    routes = {}
+    # a split runs the high half, then the low half
+    for (engine, bits), weight in zip(calls, ("hi", "") if len(calls) == 2 else ("",)):
+        routes[engine + weight] = bits
+    return tuple(routes.get(name, 0) for name in ("chain", "chainhi", "booth", "boothhi"))
+
+
+class TestLaneHybrid:
+    """The hybrid's lane rule: row 0 is ``hybrid_int``'s product, built by the routes it takes, in every lane."""
+
+    @given(hybrid_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_row_0_is_the_hybrid_product_in_every_lane(self, run):
+        width, ma, mb = run
+        lay = encoding._Layout(2 * width, len(ma))
+        a, b = encoding._pack(ma, lay.lane), encoding._pack(mb, lay.lane)
+        rows = encoding._pp_rows(a, b, width, Architecture.HYBRID, lay)
+        assert rows[1:] == (0,) * (width - 1)
+        assert rows[0] == encoding._pack([encoding.hybrid_int(x, y, width)[0] for x, y in zip(ma, mb)], lay.lane)
+
+    @given(hybrid_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_routes_are_the_ones_hybrid_int_takes(self, run):
+        # every route gives a * b, so only the routes themselves show a wrong limit
+        width, _, mb = run
+        lay = encoding._Layout(2 * width, len(mb))
+        routes = encoding._hybrid_routes(encoding._pack(mb, lay.lane), width, lay)
+        got = [tuple(encoding._lane(r, i, lay) for r in routes) for i in range(lay.count)]
+        assert got == [_int_routes(b, width) for b in mb]
+
+    def test_popcount_cache_grows_with_shapes_not_counts(self):
+        encoding._popcount_steps.cache_clear()
+        for count in range(1, 257):
+            encoding._popcount_masks(encoding._Layout(16, count))
+        # one schedule for each power-of-two count from 1 to 256
+        assert encoding._popcount_steps.cache_info().currsize == 9
