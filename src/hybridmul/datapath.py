@@ -37,7 +37,8 @@ fill-forward over the lanes reproduces (Chen & Chu, IEEE TVLSI 15(7), 2007,
 for the freeze semantics).  Every node group (the PP row bits, each
 carry-save row, the final adder) settles through one step from its live
 mask, which works out the group's fill-forward schedule once for all its
-nodes.  A single evaluation is a run of one lane.
+nodes; a gated adder row fills only its a, b and carry-in and derives its
+sum and carry-out from them.  A single evaluation is a run of one lane.
 
 Every adder, carry-save row or final adder, is one row of the same
 full-adder cell over the run.  A carry-save row's carry-in is the carry
@@ -51,15 +52,16 @@ The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`,
 hybrid's row 0 from the lane form of its encoder) lives in
 :mod:`~hybridmul.encoding`, whose count pass checks products through the
 same rows; this module imports it back under the same names.  Each lane of
-a run's products is checked against the packed ``|a * b|``.
-:func:`simulate_stream` range-checks each chunk once, when it builds the
-chunk's :class:`Lanes`.
+a run's products is checked against the packed ``|a * b|``.  Each operand
+run is packed once, by its :class:`Lanes`, and that pack is
+:func:`simulate_stream`'s one range check per chunk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from .bitnum import Word
@@ -130,26 +132,32 @@ def _fill_schedule(live: int, lay: _Layout) -> tuple[tuple[int, int], ...]:
     return tuple(steps)
 
 
-def _settle(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, int]:
-    """One node over a run: (toggled bits per lane, value after the run).
+def _filled(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> int:
+    """One node's values over a run, ``old`` in lane 0 and evaluation i in lane i + 1.
 
-    ``new`` holds the values the cells compute, ``old`` the value before
-    lane 0.  The bits ``schedule`` (from :func:`_fill_schedule`) holds keep
-    the previous lane's value.
+    The bits the non-empty ``schedule`` holds keep the previous lane's value.
     """
-    lane = lay.lane
-    if not schedule:
-        return (new ^ ((new << lane) | old)) & lay.full, new >> lay.last
-    seq = (new << lane) | old
+    seq = (new << lay.lane) | old
     seq ^= seq & schedule[0][1]
     for shift, hole in schedule:
         seq |= (seq << shift) & hole
-    return (seq ^ (seq >> lane)) & lay.full, seq >> (lay.last + lane)
+    return seq
 
 
-def _settle_group(nodes, state: list[int], live: int, lay: _Layout) -> tuple[int, ...]:
-    """Each node's toggled bits over a run, bits outside ``live`` held; ``state`` moves to the run's end."""
-    schedule = _fill_schedule(live, lay)
+def _held(seq: int, lay: _Layout) -> tuple[int, int]:
+    """(toggled bits per lane, value after the run) of a node's values from :func:`_filled`."""
+    return (seq ^ (seq >> lay.lane)) & lay.full, seq >> (lay.last + lay.lane)
+
+
+def _settle(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, int]:
+    """One node over a run: (toggled bits per lane, value after the run) of :func:`_filled`'s values."""
+    if not schedule:
+        return (new ^ ((new << lay.lane) | old)) & lay.full, new >> lay.last
+    return _held(_filled(new, old, schedule, lay), lay)
+
+
+def _settle_group(nodes, state: list[int], schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, ...]:
+    """Each node's toggled bits over a run, the bits ``schedule`` holds kept; ``state`` moves to the run's end."""
     toggled = []
     for k, node in enumerate(nodes):
         t, state[k] = _settle(node, state[k], schedule, lay)
@@ -158,20 +166,30 @@ def _settle_group(nodes, state: list[int], live: int, lay: _Layout) -> tuple[int
 
 
 def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layout) -> tuple[int, int, tuple[int, ...]]:
-    """A row of full adders over a run: (sum, carry-out, toggled a/b/cin/sum/cout); cells outside ``live`` hold."""
+    """A row of full adders over a run: (sum, carry-out, toggled a/b/cin/sum/cout); cells outside ``live`` hold.
+
+    A gated row whose state holds its inputs' sum and carry-out, as every run from reset leaves it, fills
+    only a, b and carry-in: a fill copies one earlier bit per position for the whole row, so it commutes
+    with the bitwise sum and carry.  Any other state settles all five nodes.
+    """
     s = a ^ b ^ cin
     cout = (a & b) | (cin & (a ^ b))
-    return s, cout, _settle_group((a, b, cin, s, cout), state, live, lay)
+    schedule = _fill_schedule(live, lay)
+    x, y, z, old_s, old_cout = state
+    if not schedule or old_s != x ^ y ^ z or old_cout != (x & y) | (z & (x ^ y)):
+        return s, cout, _settle_group((a, b, cin, s, cout), state, schedule, lay)
+    fa, fb, fc = _filled(a, x, schedule, lay), _filled(b, y, schedule, lay), _filled(cin, z, schedule, lay)
+    (ta, x), (tb, y), (tc, z) = _held(fa, lay), _held(fb, lay), _held(fc, lay)
+    tcout, c = _held((fa & fb) | (fc & (fa ^ fb)), lay)
+    state[:] = x, y, z, x ^ y ^ z, c
+    return s, cout, (ta, tb, tc, ta ^ tb ^ tc, tcout)
 
 
 def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
-    """The row contributions :func:`_fold_rows` gives, built for all lanes at once."""
-    w = multiplicand.width
-    g = ArrayGeometry.create(w, arch)
-    lay = _Layout(g.cols, len(multiplicand.values))
+    """The row contributions :func:`_fold_rows` gives, built for all lanes at once from each operand's one packing."""
+    lay = multiplicand.layout
     # the hybrid's row 0 is the lane form of its encoder, which the oracle checks lane by lane
-    a, b = _pack(multiplicand.values, lay.lane), _pack(multiplier.values, lay.lane)
-    return PPLanes(_pp_rows(a, b, w, arch, lay), lay)
+    return PPLanes(_pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
 
 
 # -- freeze masks and toggle accounting -------------------------------------------
@@ -244,10 +262,10 @@ class _LaneToggles(NamedTuple):
 
     def tally(self) -> "ToggleReport":
         """The record of the whole run; every node and mask holds column bits only."""
-        frozen = sum(z.bit_count() for z in self.row_frozen[1:])
-        *csa, cpa = (sum(x.bit_count() for x in xs) for xs in self.adders)
+        frozen = sum(map(int.bit_count, self.row_frozen[1:]))
+        *csa, cpa = (sum(map(int.bit_count, xs)) for xs in self.adders)
         return ToggleReport(
-            row_bit_toggles=tuple(x.bit_count() for x in self.rows),
+            row_bit_toggles=tuple(map(int.bit_count, self.rows)),
             csa_toggles=tuple(csa),
             cpa_toggles=cpa,
             frozen_cell_evaluations=frozen + self.col_frozen.bit_count(),
@@ -336,7 +354,7 @@ class ArrayState:
         rows, lay = pp.rows, _run_layout(pp, g)
         row_frozen = detect_freeze(pp, g) if gated else (0,) * len(rows)
         cmask = lay.cmask
-        row_x = _settle_group(rows, self._row_bits, cmask, lay)
+        row_x = _settle_group(rows, self._row_bits, (), lay)
 
         adder_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
         s_bus, c_bus = rows[0], 0
@@ -369,6 +387,9 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
     if multiplicand.width != multiplier.width:
         raise ValueError(f"operand widths differ: {multiplicand.width} and {multiplier.width}")
     if isinstance(multiplicand, Lanes):
+        count, other = len(multiplicand.values), len(multiplier.values)
+        if count != other or not count:
+            raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
         return _lane_rows(multiplicand, multiplier, arch)
     if arch is Architecture.CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
@@ -403,8 +424,8 @@ def simulate_stream(
     stream = iter(pairs)
     done = 0
     while chunk := list(islice(stream, STREAM_CHUNK)):
-        ma = tuple(abs(a) for a, _ in chunk)
-        mb = tuple(abs(b) for _, b in chunk)
+        ma = [abs(a) for a, _ in chunk]
+        mb = [abs(b) for _, b in chunk]
         try:
             # the chunk's one range check
             multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
@@ -414,7 +435,7 @@ def simulate_stream(
         pp = build_pp(multiplicand, multiplier, arch)
         products, run = state.evaluate(pp, ssst_enabled)
         lay = pp.layout
-        expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
+        expected = _pack(list(map(mul, ma, mb)), lay.lane)
         if products != expected:
             i = _first_bad_lane(products, expected, lay)
             a, b = chunk[i]

@@ -20,9 +20,10 @@ magnitudes, one per lane of a Python integer (SWAR: Knuth, TAOCP 4A,
 rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  A pack
 (:func:`_pack`) reads the values as the bytes of an ``array`` into one
 integer, then one log-step re-stride, cached by shape, moves every value
-from its byte-aligned slot to its lane.  Only this pass runs the hybrid
-pair by pair, through :func:`unsigned_product`, the integer core's seam
-its counts come from.  Every signed product is checked against ``a * b``
+from its byte-aligned slot to its lane; an operand run (:class:`Lanes`) is
+packed once, when it is built, and its pack is its range check.  Only this
+pass runs the hybrid pair by pair, through :func:`unsigned_product`, the
+integer core's seam its counts come from.  Every signed product is checked against ``a * b``
 (:func:`_checked`).  :func:`multiply` is the one-pair, one-architecture
 case, and the array stream raises its range and mismatch errors through
 the same two checks, so every entry point rejects a bad width before it
@@ -49,7 +50,7 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Sequence, Union
 
@@ -549,19 +550,32 @@ def _first_bad_lane(got: int, expected: int, lay: _Layout) -> int:
 
 @dataclass(frozen=True, slots=True)
 class Lanes:
-    """Unsigned ``width``-bit magnitudes of a run of evaluations, one per lane.
+    """Unsigned ``width``-bit magnitudes of a run of evaluations, packed once into ``layout``'s lanes as ``packed``.
 
-    Every value must fit in ``width`` bits, as a :class:`Word`'s must; one
-    that does not raises rather than spilling into a neighbouring lane.
+    Every value must fit in ``width`` bits, as a :class:`Word`'s must; one that does not raises rather
+    than spilling into a neighbouring lane.  The pack is the check: its array item, the narrowest that
+    holds ``width`` bits, is never wider than a lane, so the array refuses a negative value or one past
+    the item, and one AND finds any other bit from ``width`` up.
     """
 
-    values: tuple[int, ...]
+    values: Sequence[int]
     width: int
+    packed: int = field(init=False, repr=False, compare=False)
+    layout: _Layout = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.values and (min(self.values) < 0 or max(self.values) >> self.width):
-            bad = next(v for v in self.values if v < 0 or v >> self.width)
-            raise ValueError(f"lane value {bad} does not fit in {self.width} bits")
+        width = check_operand_width(self.width)
+        lay = _Layout(2 * width, len(self.values))
+        try:
+            packed = _pack_items(self.values, _item_bits(width), lay.lane)
+            fits = (packed & lay.ones * ((1 << width) - 1)) == packed
+        except OverflowError:
+            fits = False
+        if not fits:
+            bad = next(v for v in self.values if v < 0 or v >> width)
+            raise ValueError(f"lane value {bad} does not fit in {width} bits")
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "layout", lay)
 
 
 @dataclass(frozen=True, slots=True)

@@ -184,6 +184,18 @@ class TestOperandWidths:
         with pytest.raises(ValueError, match="operand widths differ: 8 and 12"):
             build_pp(operand(3, 8), operand(1 << 10, 12), arch)
 
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_operands_of_different_lane_counts_are_refused(self, arch):
+        # before the check, lane 1 was evaluated as 2 x 0
+        with pytest.raises(ValueError, match="operand lane counts must be equal and nonzero: 2 and 1"):
+            build_pp(Lanes((1, 2), 8), Lanes((3,), 8), arch)
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_empty_run_is_refused(self, arch):
+        # before the check, evaluate failed with "negative shift count"
+        with pytest.raises(ValueError, match="operand lane counts must be equal and nonzero: 0 and 0"):
+            build_pp(Lanes((), 8), Lanes((), 8), arch)
+
 
 class TestDetectFreeze:
     @staticmethod
@@ -584,6 +596,39 @@ def adder_rows(draw):
     return lay, a, b, cin, run(), draw(st.lists(cell, min_size=5, max_size=5))
 
 
+@st.composite
+def adder_chains(draw):
+    """(layout, 2..4 runs of (a, b, carry-in, live mask)) for one adder row driven from reset.
+
+    Widths 4..32 and 1..256 lanes, both ends drawn often; lane values come
+    from one drawn random, so a run of 256 lanes stays cheap to draw.  A
+    live mask holds whole lanes (a carry-save row), any columns (the final
+    adder), every cell or none.
+    """
+    width = draw(st.one_of(st.sampled_from([4, 32]), st.integers(4, 32)))
+    lay = _Layout(2 * width, draw(st.one_of(st.sampled_from([1, 256]), st.integers(1, 256))))
+    rnd = draw(st.randoms(use_true_random=False))
+    cells = (1 << lay.cols) - 1
+
+    def run(lane_value):
+        return _pack([lane_value() for _ in range(lay.count)], lay.lane)
+
+    runs = []
+    for _ in range(draw(st.integers(2, 4))):
+        a, b = run(lambda: rnd.getrandbits(lay.cols)), run(lambda: rnd.getrandbits(lay.cols))
+        cin = (a ^ b ^ (a + b)) & lay.cmask if draw(st.booleans()) else run(lambda: rnd.getrandbits(lay.cols))
+        shape = draw(st.sampled_from(["lanes", "columns", "all", "none"]))
+        if shape == "lanes":
+            p = draw(st.sampled_from([0.05, 0.5, 0.95]))
+            live = run(lambda: cells if rnd.random() < p else 0)
+        elif shape == "columns":
+            live = run(lambda: rnd.getrandbits(lay.cols))
+        else:
+            live = lay.cmask if shape == "all" else 0
+        runs.append((a, b, cin, live))
+    return lay, runs
+
+
 class TestAdderRow:
     """The one full-adder row behind every carry-save row and the final adder."""
 
@@ -612,6 +657,39 @@ class TestAdderRow:
             assert (lane(s, i, lay), lane(cout, i, lay)) == full_adders(x, y, carries, lay.cols)
             assert lane(s, i, lay) == (x + y) & cells
             assert lane(cout, i, lay) >> (lay.cols - 1) == (x + y) >> lay.cols
+
+    @given(adder_chains())
+    @settings(max_examples=80, deadline=None)
+    def test_gated_runs_from_reset_hold_every_node(self, case):
+        lay, runs = case
+        state = [0] * 5
+        for a, b, cin, live in runs:
+            old = list(state)
+            s, cout, toggled = _adder_row(a, b, cin, state, live, lay)
+            for node, t, before, after in zip((a, b, cin, s, cout), toggled, old, state):
+                assert (t, after) == held_run(node, before, live, lay)
+
+    @pytest.mark.parametrize("arch", [Architecture.CONVENTIONAL, Architecture.BOOTH])
+    def test_gated_rows_fill_only_their_inputs(self, arch, monkeypatch):
+        """Every gated adder row of a run from reset, and of the run after it, takes the three-fill route."""
+        fills, settled = [], []
+        filled, settle_group = dp._filled, dp._settle_group
+        monkeypatch.setattr(dp, "_filled", lambda *args: fills.append(1) or filled(*args))
+        monkeypatch.setattr(
+            dp, "_settle_group", lambda nodes, state, schedule, lay: settled.append(schedule) or settle_group(nodes, state, schedule, lay)
+        )
+        pairs = seed42_pairs()
+        state = ArrayState(8, arch)
+        gated_rows = 0
+        for chunk in (pairs[:256], pairs[256:512]):
+            ma, mb = [abs(a) for a, _ in chunk], [abs(b) for _, b in chunk]
+            _, run = state.evaluate(build_pp(Lanes(ma, 8), Lanes(mb, 8), arch), gated=True)
+            cmask = run.lanes.layout.cmask
+            gated_rows += sum(0 != z != cmask for z in run.lanes.row_frozen[1:]) + (run.lanes.col_frozen != 0)
+        assert gated_rows > 0
+        assert len(fills) == 3 * gated_rows
+        # only the PP row bits and rows live in every lane settle node by node
+        assert settled and all(schedule == () for schedule in settled)
 
     @given(adder_rows())
     @settings(max_examples=150, deadline=None)

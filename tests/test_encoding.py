@@ -1,3 +1,4 @@
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -723,6 +724,35 @@ class TestLanePacker:
                 encoding._pack([(1 << 2 * width) - 1] * count, lane)
         # one schedule per width for each power-of-two count from 2 to 256
         assert encoding._restride_steps.cache_info().currsize == 2 * 8
+
+
+class TestLanes:
+    """A run of operands packs once, into the array's lanes, and that pack is its range check."""
+
+    @pytest.mark.parametrize("width", [4, 5, 16, 17, 32])
+    @pytest.mark.parametrize("count", [0, 1, 2, 256])
+    def test_packed_is_the_array_lane_pack(self, width, count):
+        rnd = random.Random(width * 1000 + count)
+        top = (1 << width) - 1
+        values = [rnd.choice([0, top, rnd.randint(0, top)]) for _ in range(count)]
+        lanes = encoding.Lanes(values, width)
+        assert lanes.packed == encoding._pack(values, 2 * width + 1)
+        assert (lanes.layout.cols, lanes.layout.count) == (2 * width, count)
+
+    @pytest.mark.parametrize("width", [4, 5, 16, 17, 32])
+    @pytest.mark.parametrize("edge", ["negative", "width", "item", "lane"])
+    def test_value_out_of_range_names_itself(self, width, edge):
+        # the array item holding ``width`` bits refuses a negative value or one
+        # past the item; the width mask finds a value between the two
+        bad = {
+            "negative": -1,
+            "width": 1 << width,
+            "item": 1 << encoding._item_bits(width),
+            "lane": 1 << 2 * width + 1,
+        }[edge]
+        with pytest.raises(ValueError) as excinfo:
+            encoding.Lanes([3, 1, bad, 1 << width], width)
+        assert str(excinfo.value) == f"lane value {bad} does not fit in {width} bits"
 
 
 @st.composite
