@@ -610,19 +610,19 @@ def adder_chains(draw):
     rnd = draw(st.randoms(use_true_random=False))
     cells = (1 << lay.cols) - 1
 
-    def run(lane_value):
+    def run(lane_value=lambda: rnd.getrandbits(lay.cols)):
         return _pack([lane_value() for _ in range(lay.count)], lay.lane)
 
     runs = []
     for _ in range(draw(st.integers(2, 4))):
-        a, b = run(lambda: rnd.getrandbits(lay.cols)), run(lambda: rnd.getrandbits(lay.cols))
-        cin = (a ^ b ^ (a + b)) & lay.cmask if draw(st.booleans()) else run(lambda: rnd.getrandbits(lay.cols))
+        a, b = run(), run()
+        cin = (a ^ b ^ (a + b)) & lay.cmask if draw(st.booleans()) else run()
         shape = draw(st.sampled_from(["lanes", "columns", "all", "none"]))
         if shape == "lanes":
             p = draw(st.sampled_from([0.05, 0.5, 0.95]))
             live = run(lambda: cells if rnd.random() < p else 0)
         elif shape == "columns":
-            live = run(lambda: rnd.getrandbits(lay.cols))
+            live = run()
         else:
             live = lay.cmask if shape == "all" else 0
         runs.append((a, b, cin, live))
@@ -659,7 +659,7 @@ class TestAdderRow:
             assert lane(cout, i, lay) >> (lay.cols - 1) == (x + y) >> lay.cols
 
     @given(adder_chains())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_gated_runs_from_reset_hold_every_node(self, case):
         lay, runs = case
         state = [0] * 5
@@ -668,6 +668,19 @@ class TestAdderRow:
             s, cout, toggled = _adder_row(a, b, cin, state, live, lay)
             for node, t, before, after in zip((a, b, cin, s, cout), toggled, old, state):
                 assert (t, after) == held_run(node, before, live, lay)
+
+    @given(adder_rows(), st.sampled_from([3, 4]))
+    @settings(max_examples=60, deadline=None)
+    def test_state_with_a_foreign_sum_or_carry_settles_every_node(self, case, off):
+        """A state whose sum or carry-out is not its inputs' own cannot derive them, so all five nodes settle."""
+        lay, a, b, cin, live, old = case
+        x, y, z = old[:3]
+        state = [x, y, z, x ^ y ^ z, (x & y) | (z & (x ^ y))]
+        state[off] ^= 1
+        before = list(state)
+        s, cout, toggled = _adder_row(a, b, cin, state, live, lay)
+        for node, t, prev, after in zip((a, b, cin, s, cout), toggled, before, state):
+            assert (t, after) == held_run(node, prev, live, lay)
 
     @pytest.mark.parametrize("arch", [Architecture.CONVENTIONAL, Architecture.BOOTH])
     def test_gated_rows_fill_only_their_inputs(self, arch, monkeypatch):
