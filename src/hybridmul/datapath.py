@@ -1,60 +1,41 @@
 """Cell-level array multiplier model with freeze gating and toggle accounting.
 
-The array is the classic unsigned reduction structure: partial-product rows
-feed a stack of carry-save adder rows (one 3:2 compressor row per extra PP
-row) and a final ripple carry-propagate adder resolves the sum/carry pair.
-The whole array works modulo 2**(2*width), so two's-complement patterns for
-negated rows (Booth) sum to the exact product.
+The array is the classic unsigned reduction structure: partial-product rows feed a stack of
+carry-save adder rows (one 3:2 compressor row per extra PP row) and a final ripple carry-propagate
+adder resolves the sum/carry pair.  The whole array works modulo 2**(2*width), so two's-complement
+patterns for negated rows (Booth) sum to the exact product.
 
-Negated rows use the standard sign-extension-prevention construction: the
-row's field enters inverted with the +1 folded in at the row's weight, and
-the -2**(field_top) terms of all negated rows collapse into one shared
-correction row at the bottom of the array.  This keeps each row's live bits
-inside its own field instead of smearing sign bits across every column.
+Negated rows use the standard sign-extension-prevention construction: the row's field enters
+inverted with the +1 folded in at the row's weight, and the -2**(field_top) terms of all negated
+rows collapse into one shared correction row at the bottom of the array.  This keeps each row's live
+bits inside its own field instead of smearing sign bits across every column.
 
-Switching activity is the Hamming distance between consecutive values of a
-fixed node vector: every PP row bit, every carry-save cell's a/b/cin/sum/cout,
-and every final-adder cell's a/b/cin/sum/cout.  Control wiring (freeze lines,
-mux selects, the detector itself) is not counted.
+Switching activity is the Hamming distance between consecutive values of a fixed node vector: every
+PP row bit, every carry-save cell's a/b/cin/sum/cout, and every final-adder cell's
+a/b/cin/sum/cout.  Control wiring (freeze lines, mux selects, the detector itself) is not counted.
 
-Freezing: an all-zero PP row's adder row can be shut off, the incoming
-sum/carry busses bypass it unchanged; final-adder columns whose two summand
-bits are both zero can likewise be skipped with the incoming ripple carry
-forwarded to the product bit.  Frozen cells hold their previous node values,
-so they contribute zero toggles; the arithmetic is untouched because a
-bypassed row/column would not have changed the running total anyway.
+Freezing: an all-zero PP row's adder row can be shut off, the incoming sum/carry busses bypass it
+unchanged; final-adder columns whose two summand bits are both zero can likewise be skipped with the
+incoming ripple carry forwarded to the product bit.  Frozen cells hold their previous node values, so
+they contribute zero toggles; the arithmetic is untouched because a bypassed row/column would not
+have changed the running total anyway.
 
-Evaluation is zero-delay combinational: one value per node per evaluation,
-no glitch modeling.  The cells of a row are evaluated bit-parallel across
-columns and, for a run of evaluations, across time as well (SWAR: Knuth,
-TAOCP 4A, 7.1.3): evaluation ``i`` of a run is lane ``i`` of a Python
-integer, ``2*width`` column bits plus one guard bit that catches the final
-adder's carry-out, so one ``+`` resolves every lane without crossing into
-the next.  Each node class (a row's bits, a cell row's a/b/cin/sum/cout) is
-one such integer; its toggles are ``popcount(x ^ (x << lane))``.  Under
-gating, a frozen node holds its last value, which a log-doubling
-fill-forward over the lanes reproduces (Chen & Chu, IEEE TVLSI 15(7), 2007,
-for the freeze semantics).  Every node group (the PP row bits, each
-carry-save row, the final adder) settles through one step from its live
-mask, which works out the group's fill-forward schedule once for all its
-nodes; a gated adder row fills only its a, b and carry-in and derives its
-sum and carry-out from them.  A single evaluation is a run of one lane.
+Evaluation is zero-delay combinational: one value per node per evaluation, no glitch modeling.  A run
+of evaluations is evaluated bit-parallel across columns and time (SWAR: Knuth, TAOCP 4A, 7.1.3):
+evaluation ``i`` is lane ``i`` of a Python integer, ``2*width`` column bits plus a guard bit for the
+final adder's carry-out, one integer per node class, whose toggles are
+``popcount(x ^ (x << lane))``; a single evaluation is a run of one lane.  Under gating a frozen node
+holds its last value, which a log-doubling fill-forward over the lanes reproduces (Chen & Chu, IEEE
+TVLSI 15(7), 2007, for the freeze semantics); each node group works out its fill schedule once, and
+a gated adder row fills only its a, b and carry-in.  Every adder, carry-save row or final adder, is
+one row of the same full-adder cell over the run, with the carry bus or the ripple carries (one add
+for every lane) as its carry-in.  One check matches a run's columns and rows to the array before any
+node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
-Every adder, carry-save row or final adder, is one row of the same
-full-adder cell over the run.  A carry-save row's carry-in is the carry
-bus; the final adder's carry-ins are its ripple carries, which one add
-resolves for every lane.  One check matches a run's columns and rows to
-the array before any node moves.  A run's operands share one width, and
-each lane value must fit it, as a :class:`Word`'s bits must.
-
-The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`,
-:class:`PPLanes`, the lane masks and the row rule of all three arrays, the
-hybrid's row 0 from the lane form of its encoder) lives in
-:mod:`~hybridmul.encoding`, whose count pass checks products through the
-same rows; this module imports it back under the same names.  Each lane of
-a run's products is checked against the packed ``|a * b|``.  Each operand
-run is packed once, by its :class:`Lanes`, and that pack is
-:func:`simulate_stream`'s one range check per chunk.
+The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
+three arrays) lives in :mod:`~hybridmul.encoding`.  :func:`simulate_configs` drives every array
+configuration of a stream, and the count pass if asked, from one decode and one pack per chunk, and
+checks each lane of every array's products against the packed ``|a * b|``.
 """
 
 from __future__ import annotations
@@ -62,8 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import islice
 from operator import mul
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
+from . import encoding
 from .bitnum import Word
 from .encoding import (
     STREAM_CHUNK,
@@ -71,18 +53,20 @@ from .encoding import (
     ArrayGeometry,
     Lanes,
     PPLanes,
+    OpCounts,
     PPMatrix,
     ProductMismatchError,  # noqa: F401  (re-exported: simulate_stream raises it)
     _check_operands,
     _checked,
+    _CountPass,
     _first_bad_lane,
     _lane,
     _Layout,
     _lane_popcount,
+    _layout,
     _nonzero,
     _pack,
     _popcount_masks,
-    _pp_rows,
     _spread,
     _unpack16,
     booth_pp,
@@ -183,13 +167,6 @@ def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layo
     tcout, c = _held((fa & fb) | (fc & (fa ^ fb)), lay)
     state[:] = x, y, z, x ^ y ^ z, c
     return s, cout, (ta, tb, tc, ta ^ tb ^ tc, tcout)
-
-
-def _lane_rows(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
-    """The row contributions :func:`_fold_rows` gives, built for all lanes at once from each operand's one packing."""
-    lay = multiplicand.layout
-    # the hybrid's row 0 is the lane form of its encoder, which the oracle checks lane by lane
-    return PPLanes(_pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
 
 
 # -- freeze masks and toggle accounting -------------------------------------------
@@ -334,8 +311,7 @@ class ArrayState:
     """
 
     def __init__(self, width: int, arch: Architecture):
-        self.geometry = ArrayGeometry.create(width, arch)
-        g = self.geometry
+        g = self.geometry = ArrayGeometry.create(width, arch)
         self._row_bits = [0] * g.rows
         # a, b, cin, sum, cout of each carry-save row, then of the final adder
         self._adders = [[0] * 5 for _ in range(g.rows)]
@@ -390,7 +366,9 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
         count, other = len(multiplicand.values), len(multiplier.values)
         if count != other or not count:
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
-        return _lane_rows(multiplicand, multiplier, arch)
+        lay = multiplicand.layout
+        # the row rule is looked up in its module: one seam for the count pass and the arrays
+        return PPLanes(encoding._pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
     if arch is Architecture.CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
     elif arch is Architecture.BOOTH:
@@ -398,31 +376,31 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
     else:
         matrix = hybrid_pp(multiplicand, multiplier)
     geometry = ArrayGeometry.create(multiplicand.width, arch)
-    return PPLanes(tuple(_fold_rows(matrix, geometry)), _Layout(geometry.cols, 1))
+    return PPLanes(tuple(_fold_rows(matrix, geometry)), _layout(geometry.cols, 1))
 
 
-def simulate_stream(
-    pairs,
-    arch: Architecture,
-    width: int,
-    ssst_enabled: bool,
-    trace=None,
-) -> ToggleReport:
-    """Drive one array through a stream of signed operand pairs.
+def simulate_configs(
+    pairs, width: int, configs, count: Sequence[Architecture] = (), trace=None
+) -> tuple[dict[tuple[Architecture, bool], ToggleReport], tuple[OpCounts, ...]]:
+    """Drive one array per ``(arch, gated)`` configuration, and count ``count``'s architectures, in one pass.
 
-    Consumes ``pairs`` in runs of :data:`STREAM_CHUNK`, each one lane-packed
-    array run from the state the previous run left.  Gates the array when
-    ``ssst_enabled`` and accumulates node toggles from an all-zero reset
-    state.  Operands and products pass ``multiply``'s range gate and oracle:
-    a bad operand or a wrong product raises its error for the first bad pair.
-    ``trace``, if given, is called as ``trace(index, record)`` with each
-    evaluation's :class:`ToggleReport`.
+    Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
+    :func:`~hybridmul.encoding.count_pairs` returns for ``count``, which needs ``pairs`` as a sequence
+    and range-checks it whole first.  Each chunk is decoded and packed once (its two :class:`Lanes` are
+    its range check), and each architecture's rows are built once by :func:`build_pp`.  Per chunk the
+    count's checks come first (first bad pair, then ``count`` order), then each configuration's array,
+    so a fault in one place names the pair and architecture the count pass and then one
+    :func:`simulate_stream` per configuration would.  ``trace`` is called as ``trace(config, index, record)``.
     """
-    state = ArrayState(width, arch)
-    zeros = (0,) * state.geometry.rows
-    report = ToggleReport(zeros, zeros, cpa_toggles=0, frozen_cell_evaluations=0, operations_simulated=0)
-    stream = iter(pairs)
-    done = 0
+    if count:
+        _check_operands(pairs, width)
+    tally = _CountPass(count, width)
+    lane_count = [arch for arch in tally.archs if arch is not Architecture.HYBRID]
+    archs = tuple(dict.fromkeys([arch for arch, _ in configs] + lane_count))
+    states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
+    zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}
+    reports = {config: ToggleReport(rows, rows, 0, 0, 0) for config, rows in zeros.items()}
+    stream, done = iter(pairs), 0
     while chunk := list(islice(stream, STREAM_CHUNK)):
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
@@ -432,20 +410,34 @@ def simulate_stream(
         except ValueError:
             _check_operands(chunk, width)  # raises the first bad pair's own error
             raise
-        pp = build_pp(multiplicand, multiplier, arch)
-        products, run = state.evaluate(pp, ssst_enabled)
-        lay = pp.layout
+        lay = multiplicand.layout
         expected = _pack(list(map(mul, ma, mb)), lay.lane)
-        if products != expected:
-            i = _first_bad_lane(products, expected, lay)
-            a, b = chunk[i]
-            # lane i is not |a * b|, so this raises
-            _checked(a, b, _lane(products, i, lay), a * b)
-        report.accumulate(run)
-        if trace is not None:
-            for index, one in enumerate(run.split(), start=done):
-                trace(index, one)
+        pps = {arch: build_pp(multiplicand, multiplier, arch) for arch in archs}
+        if count:
+            tally.add(chunk, ma, mb, lay, multiplier.packed, expected, {arch: pps[arch].rows for arch in lane_count})
+        for config, state in states.items():
+            products, run = state.evaluate(pps[config[0]], config[1])
+            if products != expected:
+                i = _first_bad_lane(products, expected, lay)
+                a, b = chunk[i]
+                # lane i is not |a * b|, so this raises
+                _checked(a, b, _lane(products, i, lay), a * b)
+            reports[config].accumulate(run)
+            if trace is not None:
+                for index, one in enumerate(run.split(), start=done):
+                    trace(config, index, one)
         done += len(chunk)
     if not done:
         raise ValueError("input stream must not be empty")
+    return reports, tally.records()
+
+
+def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool, trace=None) -> ToggleReport:
+    """Drive one array, gated when ``ssst_enabled``, through a stream: :func:`simulate_configs` for one configuration.
+
+    A bad operand or a wrong product raises its error for the first bad pair.  ``trace``, if given, is
+    called as ``trace(index, record)`` with each evaluation's :class:`ToggleReport`.
+    """
+    each = None if trace is None else (lambda _, index, one: trace(index, one))
+    (report,) = simulate_configs(pairs, width, ((arch, ssst_enabled),), trace=each)[0].values()
     return report

@@ -9,40 +9,22 @@ Three ways to turn (multiplicand, multiplier) into a product:
   of the lowest set bit), denser multipliers are split in half once and each
   half re-dispatched.
 
-All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run
-of signed pairs, an operand width and the architectures to run: one range
-check for the run, the width before any operand (:func:`_check_operands`),
-then one pass over the run in chunks of :data:`STREAM_CHUNK` pairs that
-decodes each magnitude once.  The conventional and Booth products of a
-chunk are checked lane by lane: the lane builder below packs the chunk's
-magnitudes, one per lane of a Python integer (SWAR: Knuth, TAOCP 4A,
-7.1.3), builds each array's PP rows for every lane at once, and each lane's
-rows, summed modulo 2**cols, must equal the packed ``|a * b|``.  A pack
-(:func:`_pack`) reads the values as the bytes of an ``array`` into one
-integer, then one log-step re-stride, cached by shape, moves every value
-from its byte-aligned slot to its lane; an operand run (:class:`Lanes`) is
-packed once, when it is built, and its pack is its range check.  Only this
-pass runs the hybrid pair by pair, through :func:`unsigned_product`, the
-integer core's seam its counts come from.  Every signed product is checked against ``a * b``
-(:func:`_checked`).  :func:`multiply` is the one-pair, one-architecture
-case, and the array stream raises its range and mismatch errors through
-the same two checks, so every entry point rejects a bad width before it
-decodes an operand.
+All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run of signed pairs, an
+operand width and the architectures to run: one range check for the run, the width before any
+operand (:func:`_check_operands`), then one pass in chunks of :data:`STREAM_CHUNK` pairs, each
+decoded once, packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP 4A, 7.1.3) and
+checked and counted by :class:`_CountPass`, the per-chunk step the array stream's count shares.  Each
+lane's conventional or Booth rows, summed modulo 2**cols, must equal the packed ``|a * b|``; the
+hybrid runs pair by pair through :func:`unsigned_product`, the seam its counts come
+from.  :func:`multiply` is the one-pair, one-architecture case, and every entry point rejects a bad
+width before it decodes an operand.
 
-The lane builder (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`,
-the lane masks and :func:`_pp_rows`, the row rule of all three arrays,
-whose hybrid row 0 makes :func:`hybrid_int`'s decisions in every lane at
-once) lives here, next to the encoders, and :mod:`~hybridmul.datapath`
-imports it: the array's PP rows and the count pass's product check are
-one rule, and the count pass calls no array code.
-The integer core that multiplies runs on plain ints and is the only place
-that counts partial products, additions and shifts; the conventional and
-Booth counts depend on the width and the multiplier's top bit alone, so the
-count pass asks their cores once for each top bit.  :class:`Word` values
-appear only in the views, which carry no counts, and at the hybrid's
-:func:`unsigned_product` seam: the classification, plan steps and Booth
-digits ``trace`` prints, and the partial-product matrices of a one-pair
-array run.
+The lane builder (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
+whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
+arrays) lives here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass
+calls no array code.  The integer core runs on plain ints and is the only place that counts partial
+products, additions and shifts.  :class:`Word` values appear only in the views, which carry no
+counts, and at the hybrid's :func:`unsigned_product` seam.
 """
 
 from __future__ import annotations
@@ -51,7 +33,7 @@ import enum
 import sys
 from array import array
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence, Union
 
 from .bitnum import Word, check_operand_width, to_sign_magnitude
@@ -412,20 +394,26 @@ class ArrayGeometry:
         return cls(width=width, arch=arch, rows=rows, cols=2 * width)
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class _Layout:
-    """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit."""
+    """Bit masks of ``count`` lanes of ``cols`` column bits plus a guard bit; :func:`_layout` shares them."""
 
-    __slots__ = ("cols", "count", "lane", "ones", "cmask", "full", "last")
+    cols: int
+    count: int
+    lane: int
+    full: int  # every bit of every lane
+    ones: int  # bit 0 of every lane
+    cmask: int  # the column bits of every lane
+    last: int  # offset of the last lane
 
-    def __init__(self, cols: int, count: int):
-        lane = cols + 1
-        self.cols = cols
-        self.count = count
-        self.lane = lane
-        self.full = (1 << lane * count) - 1  # every bit of every lane
-        self.ones = self.full // ((1 << lane) - 1)  # bit 0 of every lane
-        self.cmask = self.ones * ((1 << cols) - 1)  # the column bits of every lane
-        self.last = lane * (count - 1)  # offset of the last lane
+
+@lru_cache(maxsize=32)
+def _layout(cols: int, count: int) -> _Layout:
+    """The one layout of ``count`` lanes of ``cols`` columns; frozen, so no run can write to it."""
+    lane = cols + 1
+    full = (1 << lane * count) - 1
+    ones = full // ((1 << lane) - 1)
+    return _Layout(cols, count, lane, full, ones, ones * ((1 << cols) - 1), lane * (count - 1))
 
 
 # Array typecodes by item bits: lane values cross between a list and one
@@ -565,7 +553,7 @@ class Lanes:
 
     def __post_init__(self) -> None:
         width = check_operand_width(self.width)
-        lay = _Layout(2 * width, len(self.values))
+        lay = _layout(2 * width, len(self.values))
         try:
             packed = _pack_items(self.values, _item_bits(width), lay.lane)
             fits = (packed & lay.ones * ((1 << width) - 1)) == packed
@@ -699,12 +687,11 @@ def _booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[
 def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tuple[int, ...]:
     """The array's folded PP rows of every lane at once, for any architecture.
 
-    ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each
-    lane's value already known to fit ``width`` bits.  Each lane's rows sum,
-    modulo 2**cols, to its product.  A row's lane select is :func:`_spread`
-    of a flag per lane, written out inline: this rule runs once per chunk
-    and once per one-pair :func:`multiply`.  The hybrid's row 0 is the
-    product :func:`hybrid_int` builds, and its other rows are zero.
+    ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each lane's value already known
+    to fit ``width`` bits.  Each lane's rows sum, modulo 2**cols, to its product.  A row's lane select is
+    :func:`_spread` of a flag per lane, written out inline: this rule, the one seam of the count pass
+    and the arrays, runs once per chunk and architecture.  The hybrid's row 0 is the product
+    :func:`hybrid_int` builds, and its other rows are zero.
     """
     if arch is Architecture.CONVENTIONAL:
         return _conventional_rows(a, b, width, lay)
@@ -737,9 +724,8 @@ def _top_bit_counts(core, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]
 def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
     """Raise the width error, else the decode error of the first bad pair, if any.
 
-    The width is checked before any operand.  One pass over the magnitudes
-    then clears a valid run; only a bad run is decoded pair by pair, so
-    every caller, the array stream included, raises exactly the
+    The width is checked before any operand.  One pass over the magnitudes then clears a valid run; only
+    a bad run is decoded pair by pair, so every caller, the array stream included, raises exactly the
     sign-magnitude decode's error for that pair.
     """
     check_operand_width(width)
@@ -760,43 +746,32 @@ def _checked(a: int, b: int, magnitude: int, expected: int) -> None:
         raise ProductMismatchError(a, b, product, expected)
 
 
-def count_pairs(
-    pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int
-) -> tuple[OpCounts, ...]:
-    """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
+class _CountPass:
+    """The summed counts of one count pass for ``archs``, fed one chunk at a time."""
 
-    Returns one record per architecture, in ``archs`` order.  The width,
-    then the operands, are range-checked once for the whole pass.  The pass
-    then runs in chunks of :data:`STREAM_CHUNK` pairs, decoding each
-    magnitude once and keeping nothing from one chunk to the next.  The
-    conventional and Booth arrays build their PP rows for the whole chunk
-    from one packing of its multiplicands and multipliers; each lane's rows,
-    summed modulo 2**cols, must equal the packed ``|a * b|``.  The hybrid
-    runs pair by pair through :func:`unsigned_product`.  Each signed product
-    is checked against ``a * b``; a mismatch raises
-    :class:`ProductMismatchError` for the first bad pair, and within that
-    pair for the first architecture in ``archs``.
-    """
-    _check_operands(pairs, width)
-    lane_archs = [arch for arch in archs if arch is not Architecture.HYBRID]
-    hybrid = [0, 0, 0] if Architecture.HYBRID in archs else None
-    top_set = 0  # multipliers with the top bit set
-    for start in range(0, len(pairs), STREAM_CHUNK):
-        chunk = pairs[start : start + STREAM_CHUNK]
-        ma = [abs(a) for a, _ in chunk]
-        mb = [abs(b) for _, b in chunk]
+    __slots__ = ("archs", "width", "pairs", "top_set", "hybrid")
+
+    def __init__(self, archs: Sequence[Architecture], width: int):
+        self.archs, self.width = tuple(archs), width
+        self.pairs = self.top_set = 0  # pairs seen, and multipliers with the top bit set
+        self.hybrid = [0, 0, 0] if Architecture.HYBRID in self.archs else None
+
+    def add(self, chunk, ma, mb, lay: _Layout | None, mplier: int, expected: int, rows: dict) -> None:
+        """Check and count a chunk of signed pairs; ``rows`` holds its conventional and Booth rows in ``lay``.
+
+        A wrong product raises for the chunk's first bad pair, then its first wrong architecture in ``archs``.
+        """
+        width = self.width
         sums = {}
         bad = len(chunk)  # the first pair with a wrong lane product
-        if lane_archs:
-            lay = _Layout(2 * width, len(chunk))
-            mcand, mplier = _pack(ma, lay.lane), _pack(mb, lay.lane)
-            top_set += ((mplier >> (width - 1)) & lay.ones).bit_count()
-            expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
-            for arch in lane_archs:
-                total = _lane_sum(_pp_rows(mcand, mplier, width, arch, lay), lay)
-                if total != expected:
-                    bad = min(bad, _first_bad_lane(total, expected, lay))
-                sums[arch] = total
+        for arch, arch_rows in rows.items():
+            total = _lane_sum(arch_rows, lay)
+            if total != expected:
+                bad = min(bad, _first_bad_lane(total, expected, lay))
+            sums[arch] = total
+        if rows:
+            self.top_set += ((mplier >> (width - 1)) & lay.ones).bit_count()
+        hybrid = self.hybrid
         if hybrid is not None:
             # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
             # replacement core is patched in at, and such a core may read ``.bits``
@@ -808,22 +783,51 @@ def count_pairs(
                 hybrid[2] += counts.shift_count
         if bad < len(chunk):
             a, b = chunk[bad]
-            for arch in archs:
+            for arch in self.archs:
                 if arch is Architecture.HYBRID:
                     magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
                 else:
                     magnitude = _lane(sums[arch], bad, lay)
                 # the first wrong architecture of this pair raises
                 _checked(a, b, magnitude, a * b)
-    records = []
-    for arch in archs:
-        if arch is Architecture.HYBRID:
-            records.append(OpCounts(*hybrid))
-        else:
-            low, high = _top_bit_counts(_INT_CORES[arch], width)
-            clear = len(pairs) - top_set
-            records.append(OpCounts(*[clear * x + top_set * y for x, y in zip(low, high)]))
-    return tuple(records)
+        self.pairs += len(chunk)
+
+    def records(self) -> tuple[OpCounts, ...]:
+        """One summed record per architecture, in ``archs`` order."""
+        records, clear, top = [], self.pairs - self.top_set, self.top_set
+        for arch in self.archs:
+            if arch is Architecture.HYBRID:
+                records.append(OpCounts(*self.hybrid))
+            else:
+                low, high = _top_bit_counts(_INT_CORES[arch], self.width)
+                records.append(OpCounts(*[clear * x + top * y for x, y in zip(low, high)]))
+        return tuple(records)
+
+
+def count_pairs(
+    pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int
+) -> tuple[OpCounts, ...]:
+    """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
+
+    Returns one record per architecture, in ``archs`` order.  The width, then the operands, are
+    range-checked once for the whole pass; then each chunk of :data:`STREAM_CHUNK` pairs is decoded and
+    packed once and checked and counted by :meth:`_CountPass.add`.
+    """
+    _check_operands(pairs, width)
+    tally = _CountPass(archs, width)
+    lane_archs = [arch for arch in tally.archs if arch is not Architecture.HYBRID]
+    for start in range(0, len(pairs), STREAM_CHUNK):
+        chunk = pairs[start : start + STREAM_CHUNK]
+        ma = [abs(a) for a, _ in chunk]
+        mb = [abs(b) for _, b in chunk]
+        lay, mplier, expected, rows = None, 0, 0, {}
+        if lane_archs:
+            lay = _layout(2 * width, len(chunk))
+            mcand, mplier = _pack(ma, lay.lane), _pack(mb, lay.lane)
+            expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
+            rows = {arch: _pp_rows(mcand, mplier, width, arch, lay) for arch in lane_archs}
+        tally.add(chunk, ma, mb, lay, mplier, expected, rows)
+    return tally.records()
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:

@@ -1,15 +1,14 @@
 """Campaign runner: input generation, architecture comparison, report emitters.
 
-A campaign multiplies a deterministic stream of operand pairs on each selected
-architecture, verifying every product against the native-multiply oracle, and
-aggregates operation counts, optional cell-level toggle totals, and cost-model
-power/delay figures into one report that can be emitted as ASCII, CSV, JSON,
-or an SVG chart.  The operation counts come from one pass over the pairs for
-all selected architectures (:func:`~hybridmul.encoding.count_pairs`), which
-decodes each pair once; ``trace`` makes one such call for its one pair.
+A campaign multiplies a deterministic stream of operand pairs on each selected architecture,
+verifying every product against the native-multiply oracle, and aggregates operation counts,
+optional cell-level toggle totals, and cost-model power/delay figures into one report that can be
+emitted as ASCII, CSV, JSON, or an SVG chart.  The operation counts come from one pass over the pairs
+for all selected architectures, which decodes each pair once; with toggles, the same chunk pass also
+drives every architecture's array.
 
-Random streams use the Mersenne Twister as exposed by ``random.Random(seed)``,
-so a (count, seed, distribution) triple always reproduces the same pairs.
+Random streams use the Mersenne Twister as exposed by ``random.Random(seed)``, so a (count, seed,
+distribution) triple always reproduces the same pairs.
 """
 
 from __future__ import annotations
@@ -18,13 +17,12 @@ import json
 import random
 import re
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Mapping
 
 from . import __version__
 from .bitnum import Word, check_operand_width
-from .datapath import ToggleReport, simulate_stream
+from .datapath import ToggleReport, simulate_configs
 from .encoding import (
     Architecture,
     Category,
@@ -258,17 +256,21 @@ def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
 
 
 def toggle_reports(campaign: Campaign, pairs, trace=None) -> dict[Architecture, ToggleReport]:
-    """Run the cell-level toggle simulation of ``pairs`` on each campaign architecture.
+    """Run the cell-level toggle simulation of ``pairs``, any iterable, on each campaign architecture.
 
-    ``trace``, if given, is called as ``trace(arch, index, record)`` with
-    every evaluation's :class:`ToggleReport`.
+    Untraced, one :func:`~hybridmul.datapath.simulate_configs` call runs every architecture per
+    chunk.  ``trace``, if given, is called as ``trace(arch, index, record)`` with every evaluation's
+    :class:`ToggleReport`, all of one architecture's before the next: one call per architecture.
     """
-    return {
-        arch: simulate_stream(
-            pairs, arch, campaign.width, campaign.ssst, trace=partial(trace, arch) if trace else None
-        )
-        for arch in campaign.architectures
-    }
+    configs = [(arch, campaign.ssst) for arch in campaign.architectures]
+    if trace is None:
+        reports, _ = simulate_configs(pairs, campaign.width, configs)
+    else:
+        pairs, reports = list(pairs), {}
+        for config in configs:
+            one, _ = simulate_configs(pairs, campaign.width, (config,), trace=lambda c, i, r: trace(c[0], i, r))
+            reports |= one
+    return {arch: reports[arch, campaign.ssst] for arch in campaign.architectures}
 
 
 def run_campaign(
@@ -278,8 +280,8 @@ def run_campaign(
 ) -> CampaignReport:
     """Run a campaign; raises ProductMismatchError on any oracle mismatch.
 
-    Every voltage is priced before any input is generated, so an off-grid
-    one fails before any work.
+    Every voltage is priced before any input is generated, so an off-grid one fails before any
+    work.  With toggles, one :func:`~hybridmul.datapath.simulate_configs` call counts and simulates.
     """
     model = model or CostModel.default()
     unit_costs = {vdd: model.unit_cost(vdd, interpolate) for vdd in campaign.vdds}
@@ -287,12 +289,14 @@ def run_campaign(
     if campaign.prefer_sparse:
         # one operand order for the counts and the toggles alike
         pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
-    # the count pass first: a mismatch raises before any toggle work
-    arch_counts = count_pairs(pairs, campaign.architectures, campaign.width)
-    reports = toggle_reports(campaign, pairs) if campaign.simulate_toggles else {}
+    if campaign.simulate_toggles:
+        configs = [(arch, campaign.ssst) for arch in campaign.architectures]
+        reports, arch_counts = simulate_configs(pairs, campaign.width, configs, campaign.architectures)
+    else:
+        reports, arch_counts = {}, count_pairs(pairs, campaign.architectures, campaign.width)
     summaries = []
     for arch, counts in zip(campaign.architectures, arch_counts):
-        toggled = reports.get(arch)
+        toggled = reports.get((arch, campaign.ssst))
         summaries.append(
             ArchSummary(
                 arch, len(pairs), counts.pp_count, counts.add_count, counts.shift_count,

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from reference_array import ReferenceArray
 
 from hybridmul.bitnum import Word, to_sign_magnitude
+import hybridmul.encoding as encoding
 from hybridmul.encoding import (
     Architecture,
     PPMatrix,
@@ -13,6 +14,7 @@ from hybridmul.encoding import (
     booth_pp,
     booth_recode,
     conventional_pp,
+    count_pairs,
     hybrid_pp,
     multiply,
 )
@@ -24,7 +26,7 @@ from hybridmul.datapath import (
     GeometryError,
     Lanes,
     ProductMismatchError,
-    _Layout,
+    _layout,
     _adder_row,
     _fill_schedule,
     _fold_rows,
@@ -317,14 +319,13 @@ class TestSimulateStream:
         assert delta_xy.total_toggles == delta_yx.total_toggles
 
     def test_oracle_mismatch_aborts(self, monkeypatch):
-        lane_rows = dp._lane_rows
+        rule = encoding._pp_rows
 
-        def broken_lane_rows(multiplicand, multiplier, arch):
+        def broken_rows(a, b, width, arch, lay):
             # flip the multiplier's low bit from lane 2 on
-            flipped = tuple(b ^ (i >= 2) for i, b in enumerate(multiplier.values))
-            return lane_rows(multiplicand, Lanes(flipped, multiplier.width), arch)
+            return rule(a, b ^ sum(1 << i * lay.lane for i in range(2, lay.count)), width, arch, lay)
 
-        monkeypatch.setattr(dp, "_lane_rows", broken_lane_rows)
+        monkeypatch.setattr(encoding, "_pp_rows", broken_rows)
         pairs = [(65, 34), (3, 5), (7, 9), (11, 13)]
         with pytest.raises(ProductMismatchError) as excinfo:
             dp.simulate_stream(pairs, Architecture.CONVENTIONAL, 8, ssst_enabled=False)
@@ -333,14 +334,13 @@ class TestSimulateStream:
 
     @pytest.mark.parametrize("pair, got, expected", [((-7, 9), -56, -63), ((-7, -9), 56, 63), ((7, -9), -56, -63)])
     def test_oracle_mismatch_reports_signed_values(self, pair, got, expected, monkeypatch):
-        lane_rows = dp._lane_rows
+        rule = encoding._pp_rows
 
-        def broken_lane_rows(multiplicand, multiplier, arch):
+        def broken_rows(a, b, width, arch, lay):
             # flip the multiplier's low bit in lane 1
-            flipped = tuple(b ^ (i == 1) for i, b in enumerate(multiplier.values))
-            return lane_rows(multiplicand, Lanes(flipped, multiplier.width), arch)
+            return rule(a, b ^ 1 << lay.lane, width, arch, lay)
 
-        monkeypatch.setattr(dp, "_lane_rows", broken_lane_rows)
+        monkeypatch.setattr(encoding, "_pp_rows", broken_rows)
         with pytest.raises(ProductMismatchError) as excinfo:
             dp.simulate_stream([(3, 5), pair], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
@@ -476,7 +476,7 @@ def fill_cases(draw):
     """(layout, live mask, new values, old value) with lane- or column-granular masks."""
     cols = 2 * draw(st.integers(4, 32))
     count = draw(st.integers(1, 80))
-    lay = _Layout(cols, count)
+    lay = _layout(cols, count)
     cells = (1 << cols) - 1
     lane_value = st.integers(0, cells)
     shape = draw(st.sampled_from(["lanes", "columns", "lane 0", "alternating"]))
@@ -508,14 +508,14 @@ class TestFillForward:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 64, 256])
     def test_all_live_is_the_empty_schedule(self, count):
-        lay = _Layout(16, count)
+        lay = _layout(16, count)
         assert _fill_schedule(lay.cmask, lay) == ()
         new = lay.cmask // 3
         assert _settle(new, 5, (), lay) == held_run(new, 5, lay.cmask, lay)
 
     @pytest.mark.parametrize("count", [1, 2, 7, 256])
     def test_nothing_live_holds_the_incoming_value(self, count):
-        lay = _Layout(16, count)
+        lay = _layout(16, count)
         toggled, after = _settle(lay.cmask, 0xBEEF, _fill_schedule(0, lay), lay)
         assert (toggled, after) == (0, 0xBEEF)
 
@@ -523,7 +523,7 @@ class TestFillForward:
 @st.composite
 def lane_runs(draw):
     """(layout, lane-packed ints) with every bit drawn, guard bits included."""
-    lay = _Layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 80)))
+    lay = _layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 80)))
     return lay, draw(st.lists(st.integers(0, lay.full), max_size=6))
 
 
@@ -541,7 +541,7 @@ class TestLaneCounts:
     @given(st.integers(4, 32), st.data())
     @settings(max_examples=100, deadline=None)
     def test_unpack_inverts_pack(self, width, data):
-        lay = _Layout(2 * width, data.draw(st.integers(1, 80)))
+        lay = _layout(2 * width, data.draw(st.integers(1, 80)))
         lane_value = st.integers(0, (1 << lay.lane) - 1)
         values = data.draw(st.lists(lane_value, min_size=lay.count, max_size=lay.count))
         x = _pack(values, lay.lane)
@@ -585,7 +585,7 @@ def adder_rows(draw):
     The carry-in is a carry bus drawn freely, or the final adder's ripple
     carries worked out by one add.
     """
-    lay = _Layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 8)))
+    lay = _layout(2 * draw(st.integers(4, 32)), draw(st.integers(1, 8)))
     cell = st.integers(0, (1 << lay.cols) - 1)
 
     def run():
@@ -606,7 +606,7 @@ def adder_chains(draw):
     adder), every cell or none.
     """
     width = draw(st.one_of(st.sampled_from([4, 32]), st.integers(4, 32)))
-    lay = _Layout(2 * width, draw(st.one_of(st.sampled_from([1, 256]), st.integers(1, 256))))
+    lay = _layout(2 * width, draw(st.one_of(st.sampled_from([1, 256]), st.integers(1, 256))))
     rnd = draw(st.randoms(use_true_random=False))
     cells = (1 << lay.cols) - 1
 
@@ -646,7 +646,7 @@ class TestAdderRow:
     @given(st.integers(4, 32), st.data())
     @settings(max_examples=100, deadline=None)
     def test_one_add_gives_the_ripple_carries(self, width, data):
-        lay = _Layout(2 * width, data.draw(st.integers(1, 8)))
+        lay = _layout(2 * width, data.draw(st.integers(1, 8)))
         cells = (1 << lay.cols) - 1
         values = st.lists(st.integers(0, cells), min_size=lay.count, max_size=lay.count)
         xs, ys = data.draw(values), data.draw(values)
@@ -717,3 +717,202 @@ class TestAdderRow:
             assert not t & ~live
             assert after & never_live == before & never_live
             assert (t, after) == held_run(node, before, live, lay)
+
+
+# -- one chunk pass for the count and every configuration --------------------------
+
+CONFIGS = [(arch, gated) for arch in Architecture for gated in (False, True)]
+
+
+@st.composite
+def config_runs(draw):
+    """(width, signed pairs, configurations, count architectures), repeats and every order drawn."""
+    width = draw(st.integers(4, 32))
+    top = (1 << width) - 1
+    operand = st.one_of(st.sampled_from([0, top, -top]), st.integers(-top, top))
+    pairs = draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=10))
+    configs = draw(st.lists(st.sampled_from(CONFIGS), min_size=1, max_size=8))
+    count = draw(st.lists(st.sampled_from(list(Architecture)), max_size=4))
+    return width, pairs, configs, count
+
+
+def _chunks_of(mp, chunk):
+    """Set the chunk size of the array stream and of the count pass alike."""
+    mp.setattr(dp, "STREAM_CHUNK", chunk)
+    mp.setattr(encoding, "STREAM_CHUNK", chunk)
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type, pair and text of the error it raises."""
+    try:
+        return call()
+    except (ProductMismatchError, ValueError, OverflowError) as exc:
+        return type(exc), getattr(exc, "pair", None), str(exc)
+
+
+def _one_call_per_step(pairs, width, configs, count):
+    """The count pass over the whole run, then one stream per distinct configuration in order."""
+    counts = count_pairs(pairs, count, width)
+    return {config: simulate_stream(pairs, *config[:1], width, config[1]) for config in dict.fromkeys(configs)}, counts
+
+
+# the bit a test fault flips in one architecture's products, so its error names the architecture
+FAULT_BIT = {Architecture.CONVENTIONAL: 0, Architecture.BOOTH: 1, Architecture.HYBRID: 2}
+
+
+def _flip_lanes(x, lanes, lay, arch):
+    """``x`` with ``arch``'s fault bit flipped in each of ``lanes``."""
+    return x ^ sum(1 << i * lay.lane + FAULT_BIT[arch] for i in lanes)
+
+
+class TestOneChunkPass:
+    """``simulate_configs``: one pass over the chunks counts and drives every configuration."""
+
+    @given(config_runs(), st.sampled_from([1, 3, 7]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_report_is_its_own_stream_and_counts_are_the_count_pass(self, run, chunk):
+        width, pairs, configs, count = run
+        with pytest.MonkeyPatch.context() as mp:
+            _chunks_of(mp, chunk)
+            reports, counts = dp.simulate_configs(pairs, width, configs, count)
+            assert list(reports) == list(dict.fromkeys(configs))
+            for (arch, gated), report in reports.items():
+                assert report == simulate_stream(pairs, arch, width, gated)
+                assert report.operations_simulated == len(pairs)
+            assert counts == count_pairs(pairs, count, width)
+
+    def test_takes_any_iterable_without_a_count(self):
+        pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "sparse3"), 8, seed=4)
+        listed, _ = dp.simulate_configs(pairs, 8, CONFIGS)
+        once, counts = dp.simulate_configs(iter(pairs), 8, CONFIGS)
+        assert once == listed and counts == ()
+
+    def test_trace_names_the_configuration(self):
+        pairs = [(65, 34), (3, 5), (7, 9)]
+        configs = [(Architecture.BOOTH, True), (Architecture.HYBRID, False)]
+        seen = []
+        dp.simulate_configs(pairs, 8, configs, trace=lambda config, i, one: seen.append((config, i, one)))
+        for arch, gated in configs:
+            alone = []
+            simulate_stream(pairs, arch, 8, gated, trace=lambda i, one: alone.append((i, one)))
+            assert [(i, one) for config, i, one in seen if config == (arch, gated)] == alone
+
+    @given(
+        config_runs(),
+        st.sampled_from([1, 3, 7]),
+        st.sampled_from(["_pp_rows", "unsigned_product", "evaluate"]),
+        st.one_of(st.none(), st.sampled_from(list(Architecture))),
+        st.integers(0, 9),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_fault_in_one_place_raises_what_one_call_per_step_raises(self, run, chunk, site, target, at):
+        """A wrong product in one architecture, or all of them, at one multiplicand value or one lane."""
+        width, pairs, configs, count = run
+        hit = at % len(pairs)
+        value = abs(pairs[hit][0])
+        rule, core, evaluate = encoding._pp_rows, encoding.unsigned_product, ArrayState.evaluate
+
+        def aimed(arch):
+            return target is None or arch is target
+
+        def wrong_rows(a, b, w, arch, lay):
+            rows = rule(a, b, w, arch, lay)
+            if not aimed(arch):
+                return rows
+            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == value]
+            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
+
+        def wrong_core(multiplicand, multiplier, arch):
+            product, counts = core(multiplicand, multiplier, arch)
+            return product + (aimed(arch) and multiplicand.bits == value) * 3, counts
+
+        def wrong_evaluate(self, pp, gated=False):
+            # lane ``hit % chunk`` of every chunk long enough, so chunk 0 holds the first wrong pair
+            products, record = evaluate(self, pp, gated)
+            if aimed(self.geometry.arch) and hit % chunk < pp.layout.count:
+                products = _flip_lanes(products, [hit % chunk], pp.layout, self.geometry.arch)
+            return products, record
+
+        with pytest.MonkeyPatch.context() as mp:
+            _chunks_of(mp, chunk)
+            if site == "_pp_rows":
+                mp.setattr(encoding, "_pp_rows", wrong_rows)
+            elif site == "unsigned_product":
+                mp.setattr(encoding, "unsigned_product", wrong_core)
+            else:
+                mp.setattr(ArrayState, "evaluate", wrong_evaluate)
+            want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
+            got = _outcome(lambda: dp.simulate_configs(pairs, width, configs, count))
+        assert got == want
+
+    @staticmethod
+    def _wrong_array(mp, arch, lane):
+        """Flip ``arch``'s fault bit in lane ``lane`` of every run its arrays evaluate."""
+        evaluate = ArrayState.evaluate
+
+        def wrong_evaluate(self, pp, gated=False):
+            products, record = evaluate(self, pp, gated)
+            if self.geometry.arch is arch and lane < pp.layout.count:
+                products = _flip_lanes(products, [lane], pp.layout, arch)
+            return products, record
+
+        mp.setattr(ArrayState, "evaluate", wrong_evaluate)
+
+    def test_with_a_count_the_whole_run_is_range_checked_first(self):
+        pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (300, 1)]
+        with pytest.raises(OverflowError) as want:
+            multiply(300, 1, Architecture.CONVENTIONAL, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            _chunks_of(mp, 3)
+            self._wrong_array(mp, Architecture.CONVENTIONAL, 0)
+            configs = [(Architecture.CONVENTIONAL, False)]
+            assert _outcome(lambda: dp.simulate_configs(pairs, 8, configs, [Architecture.HYBRID])) == (
+                OverflowError, None, str(want.value)
+            )
+            # without a count, chunk 0's wrong product comes before chunk 1's bad operand
+            assert _outcome(lambda: dp.simulate_configs(pairs, 8, configs)) == (
+                ProductMismatchError, (65, 34), "product mismatch for 65 * 34: got 2211, expected 2210"
+            )
+
+    @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
+    def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
+        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too
+        pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (-6, 7), (2, 2)]
+        rule, core = encoding._pp_rows, encoding.unsigned_product
+
+        def wrong_rows(a, b, w, arch, lay):
+            rows = rule(a, b, w, arch, lay)
+            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == 6]
+            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
+
+        def wrong_core(multiplicand, multiplier, arch):
+            product, counts = core(multiplicand, multiplier, arch)
+            return product + 3 * (multiplicand.bits == 6), counts
+
+        with pytest.MonkeyPatch.context() as mp:
+            _chunks_of(mp, 3)
+            self._wrong_array(mp, Architecture.BOOTH, 1)
+            if count_fault == "_pp_rows":
+                mp.setattr(encoding, "_pp_rows", wrong_rows)
+            else:
+                mp.setattr(encoding, "unsigned_product", wrong_core)
+            configs = [(arch, True) for arch in Architecture]
+            got = _outcome(lambda: dp.simulate_configs(pairs, 8, configs, tuple(Architecture)))
+            # one call per step would name the count's pair 4 first
+            assert _outcome(lambda: count_pairs(pairs, tuple(Architecture), 8))[1] == (-6, 7)
+        assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")
+
+    def test_a_chunks_count_checks_come_before_its_arrays(self):
+        # every row rule is wrong at multiplicand 3, so Booth's count and the conventional array both fail at (3, 5)
+        rule = encoding._pp_rows
+
+        def wrong_rows(a, b, w, arch, lay):
+            rows = rule(a, b, w, arch, lay)
+            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == 3]
+            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "_pp_rows", wrong_rows)
+            configs = [(Architecture.CONVENTIONAL, False)]
+            got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, [Architecture.BOOTH]))
+        assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")

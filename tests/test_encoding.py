@@ -726,6 +726,35 @@ class TestLanePacker:
         assert encoding._restride_steps.cache_info().currsize == 2 * 8
 
 
+class TestLayoutCache:
+    """One frozen lane layout per (cols, count), shared by every run of that shape."""
+
+    def test_one_layout_per_shape(self):
+        lay = encoding._layout(16, 256)
+        assert encoding._layout(16, 256) is lay
+        assert (lay.cols, lay.count, lay.lane) == (16, 256, 17)
+        assert encoding._layout(16, 255) is not lay
+        assert encoding._layout.cache_info().maxsize == 32
+
+    def test_a_shared_layout_cannot_be_written(self):
+        lay = encoding._layout(16, 3)
+        with pytest.raises(AttributeError):
+            lay.cmask = 0
+        assert lay.cmask == sum(0xFFFF << 17 * i for i in range(3))
+        assert (lay.ones, lay.last) == (1 | 1 << 17 | 1 << 34, 34)
+
+    def test_a_chunks_two_operand_runs_share_one_layout(self):
+        assert encoding.Lanes([1, 2, 3], 8).layout is encoding.Lanes([4, 5, 6], 8).layout
+
+    @pytest.mark.parametrize("arch", list(Architecture))
+    def test_a_one_pair_multiply_builds_no_new_layout(self, arch):
+        multiply(65, 34, arch, 8)
+        before = encoding._layout.cache_info()
+        multiply(7, -9, arch, 8)
+        after = encoding._layout.cache_info()
+        assert after.misses == before.misses
+
+
 class TestLanes:
     """A run of operands packs once, into the array's lanes, and that pack is its range check."""
 
@@ -814,7 +843,7 @@ class TestLaneHybrid:
     @settings(max_examples=80, deadline=None)
     def test_row_0_is_the_hybrid_product_in_every_lane(self, run):
         width, ma, mb = run
-        lay = encoding._Layout(2 * width, len(ma))
+        lay = encoding._layout(2 * width, len(ma))
         a, b = encoding._pack(ma, lay.lane), encoding._pack(mb, lay.lane)
         rows = encoding._pp_rows(a, b, width, Architecture.HYBRID, lay)
         assert rows[1:] == (0,) * (width - 1)
@@ -825,7 +854,7 @@ class TestLaneHybrid:
     def test_routes_are_the_ones_hybrid_int_takes(self, run):
         # every route gives a * b, so only the routes themselves show a wrong limit
         width, _, mb = run
-        lay = encoding._Layout(2 * width, len(mb))
+        lay = encoding._layout(2 * width, len(mb))
         routes = encoding._hybrid_routes(encoding._pack(mb, lay.lane), width, lay)
         got = [tuple(encoding._lane(r, i, lay) for r in routes) for i in range(lay.count)]
         assert got == [_int_routes(b, width) for b in mb]
@@ -833,6 +862,6 @@ class TestLaneHybrid:
     def test_popcount_cache_grows_with_shapes_not_counts(self):
         encoding._popcount_steps.cache_clear()
         for count in range(1, 257):
-            encoding._popcount_masks(encoding._Layout(16, count))
+            encoding._popcount_masks(encoding._layout(16, count))
         # one schedule for each power-of-two count from 1 to 256
         assert encoding._popcount_steps.cache_info().currsize == 9

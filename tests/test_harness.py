@@ -280,6 +280,56 @@ class TestRunCampaign:
             Campaign(width=8, source=RandomSource(5), ssst=True)
         assert Campaign(width=8, source=RandomSource(5), ssst=True, simulate_toggles=True).ssst
 
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_toggle_reports_take_a_one_shot_iterator(self, traced):
+        campaign = Campaign(width=8, source=RandomSource(5), simulate_toggles=True)
+        pairs = [(3, 5), (7, 9)]
+        seen = {False: [], True: []}
+
+        def calls(from_iterator):
+            return None if not traced else lambda arch, i, one: seen[from_iterator].append((arch, i, one))
+
+        listed = harness.toggle_reports(campaign, pairs, calls(False))
+        once = harness.toggle_reports(campaign, iter(pairs), calls(True))
+        assert once == listed
+        assert [r.operations_simulated for r in once.values()] == [2, 2, 2]
+        assert seen[True] == seen[False]
+
+    def test_traced_toggle_reports_write_one_architecture_at_a_time(self):
+        campaign = Campaign(width=8, source=RandomSource(5), simulate_toggles=True, ssst=True)
+        pairs = gen_inputs(RandomSource(300, "sparse3"), 8, seed=42)
+        seen = []
+        reports = harness.toggle_reports(campaign, pairs, lambda arch, i, one: seen.append((arch, i)))
+        assert seen == [(arch, i) for arch in campaign.architectures for i in range(len(pairs))]
+        assert reports == {arch: simulate_stream(pairs, arch, 8, True) for arch in campaign.architectures}
+
+    def test_toggles_and_counts_come_from_one_chunk_pass(self, monkeypatch):
+        calls = []
+        driver = harness.simulate_configs
+
+        def spy(pairs, width, configs, count=(), trace=None):
+            calls.append((tuple(configs), tuple(count)))
+            return driver(pairs, width, configs, count, trace)
+
+        def no_count(*args, **kwargs):
+            raise AssertionError("the chunk pass counts the pairs")
+
+        monkeypatch.setattr(harness, "simulate_configs", spy)
+        monkeypatch.setattr(harness, "count_pairs", no_count)
+        H, C = Architecture.HYBRID, Architecture.CONVENTIONAL
+        source = RandomSource(300, "sparse3")
+        campaign = Campaign(width=8, architectures=(H, C), source=source, seed=42, ssst=True, simulate_toggles=True)
+        report = run_campaign(campaign)
+        assert calls == [(((H, True), (C, True)), (H, C))]
+        pairs = gen_inputs(source, 8, seed=42)
+        counts = encoding.count_pairs(pairs, (H, C), 8)
+        assert [(s.arch, s.pp_total, s.add_total, s.shift_total) for s in report.summaries] == [
+            (arch, c.pp_count, c.add_count, c.shift_count) for arch, c in zip((H, C), counts)
+        ]
+        assert [s.toggles for s in report.summaries] == [
+            simulate_stream(pairs, arch, 8, True).total_toggles for arch in (H, C)
+        ]
+
     def test_exhaustive_small_width(self):
         report = run_campaign(
             Campaign(width=4, architectures=(Architecture.HYBRID,), source=ExhaustiveSource())
@@ -531,7 +581,7 @@ class TestCli:
         def no_stream(*args, **kwargs):
             raise AssertionError("the trace path must be opened before the simulation")
 
-        monkeypatch.setattr(harness, "simulate_stream", no_stream)
+        monkeypatch.setattr(harness, "simulate_configs", no_stream)
         argv = ["stream", "--inputs", "random:5", "--trace-toggles", str(tmp_path / "missing" / "t.csv")]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -659,7 +709,7 @@ class TestCli:
         def faulty_stream(*args, **kwargs):
             raise GeometryError("9 PP rows offered to a 8-row array")
 
-        monkeypatch.setattr(harness, "simulate_stream", faulty_stream)
+        monkeypatch.setattr(harness, "simulate_configs", faulty_stream)
         with pytest.raises(GeometryError):
             main(["stream", "--inputs", "random:3"])
 
