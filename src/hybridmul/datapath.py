@@ -385,14 +385,15 @@ def simulate_configs(
     """Drive one array per ``(arch, gated)`` configuration, and count ``count``'s architectures, in one pass.
 
     Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
-    :func:`~hybridmul.encoding.count_pairs` returns for ``count``, which needs ``pairs`` as a sequence
-    and range-checks it whole first.  Each chunk is decoded and packed once (its two :class:`Lanes` are
-    its range check), and each architecture's rows are built once by :func:`build_pp`.  Per chunk the
-    count's checks come first (first bad pair, then ``count`` order), then each configuration's array,
-    so a fault in one place names the pair and architecture the count pass and then one
-    :func:`simulate_stream` per configuration would.  ``trace`` is called as ``trace(config, index, record)``.
+    :func:`~hybridmul.encoding.count_pairs` returns for ``count``, which range-checks the whole run
+    first.  Each chunk is decoded and packed once (its two :class:`Lanes` are its range check), and each
+    architecture's rows are built once by :func:`build_pp`.  Chunk by chunk, the count's checks come
+    first (first bad pair, then ``count`` order), then each configuration's array, so a fault in one
+    place names the pair and architecture the count pass and then one :func:`simulate_stream` per
+    configuration would.  ``trace`` is called as ``trace(config, index, record)``.
     """
     if count:
+        pairs = pairs if isinstance(pairs, Sequence) else list(pairs)  # the whole-run check reads it first
         _check_operands(pairs, width)
     tally = _CountPass(count, width)
     lane_count = [arch for arch in tally.archs if arch is not Architecture.HYBRID]

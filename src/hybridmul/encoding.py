@@ -761,8 +761,7 @@ class _CountPass:
 
         A wrong product raises for the chunk's first bad pair, then its first wrong architecture in ``archs``.
         """
-        width = self.width
-        sums = {}
+        width, sums = self.width, {}
         bad = len(chunk)  # the first pair with a wrong lane product
         for arch, arch_rows in rows.items():
             total = _lane_sum(arch_rows, lay)

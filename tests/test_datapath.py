@@ -753,7 +753,7 @@ def _outcome(call):
 def _one_call_per_step(pairs, width, configs, count):
     """The count pass over the whole run, then one stream per distinct configuration in order."""
     counts = count_pairs(pairs, count, width)
-    return {config: simulate_stream(pairs, *config[:1], width, config[1]) for config in dict.fromkeys(configs)}, counts
+    return {(arch, gated): simulate_stream(pairs, arch, width, gated) for arch, gated in dict.fromkeys(configs)}, counts
 
 
 # the bit a test fault flips in one architecture's products, so its error names the architecture
@@ -781,11 +781,12 @@ class TestOneChunkPass:
                 assert report.operations_simulated == len(pairs)
             assert counts == count_pairs(pairs, count, width)
 
-    def test_takes_any_iterable_without_a_count(self):
+    @pytest.mark.parametrize("count", [(), tuple(Architecture)])
+    def test_takes_a_one_shot_iterator(self, count):
         pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "sparse3"), 8, seed=4)
-        listed, _ = dp.simulate_configs(pairs, 8, CONFIGS)
-        once, counts = dp.simulate_configs(iter(pairs), 8, CONFIGS)
-        assert once == listed and counts == ()
+        listed = dp.simulate_configs(pairs, 8, CONFIGS, count)
+        assert dp.simulate_configs(iter(pairs), 8, CONFIGS, count) == listed
+        assert listed[1] == (count_pairs(pairs, count, 8) if count else ())
 
     def test_trace_names_the_configuration(self):
         pairs = [(65, 34), (3, 5), (7, 9)]
