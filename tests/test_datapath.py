@@ -786,7 +786,7 @@ class TestOneChunkPass:
         pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "sparse3"), 8, seed=4)
         listed = dp.simulate_configs(pairs, 8, CONFIGS, count)
         assert dp.simulate_configs(iter(pairs), 8, CONFIGS, count) == listed
-        assert listed[1] == (count_pairs(pairs, count, 8) if count else ())
+        assert listed[1] == count_pairs(pairs, count, 8)
 
     def test_trace_names_the_configuration(self):
         pairs = [(65, 34), (3, 5), (7, 9)]
@@ -825,7 +825,7 @@ class TestOneChunkPass:
 
         def wrong_core(multiplicand, multiplier, arch):
             product, counts = core(multiplicand, multiplier, arch)
-            return product + (aimed(arch) and multiplicand.bits == value) * 3, counts
+            return product + (3 if aimed(arch) and multiplicand.bits == value else 0), counts
 
         def wrong_evaluate(self, pp, gated=False):
             # lane ``hit % chunk`` of every chunk long enough, so chunk 0 holds the first wrong pair
