@@ -32,7 +32,7 @@ one row of the same full-adder cell over the run, with the carry bus or the ripp
 for every lane) as its carry-in.  One check matches a run's columns and rows to the array before any
 node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
-The lane PP builder (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
+The lane PP rule set (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
 three arrays) lives in :mod:`~hybridmul.encoding`.  :func:`simulate_configs` drives every array
 configuration of a stream, and the count pass if asked, from one decode and one pack per chunk, and
 checks each lane of every array's products against the packed ``|a * b|``.

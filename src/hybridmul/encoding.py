@@ -19,7 +19,7 @@ hybrid runs pair by pair through :func:`unsigned_product`, the seam its counts c
 from.  :func:`multiply` is the one-pair, one-architecture case, and every entry point rejects a bad
 width before it decodes an operand.
 
-The lane builder (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
+The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
 arrays) lives here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass
 calls no array code.  The integer core runs on plain ints and is the only place that counts partial

@@ -305,11 +305,11 @@ class TestRunCampaign:
 
     def test_toggles_and_counts_come_from_one_chunk_pass(self, monkeypatch):
         calls = []
-        driver = harness.simulate_configs
+        chunk_pass = harness.simulate_configs
 
         def spy(pairs, width, configs, count=(), trace=None):
             calls.append((tuple(configs), tuple(count)))
-            return driver(pairs, width, configs, count, trace)
+            return chunk_pass(pairs, width, configs, count, trace)
 
         def no_count(*args, **kwargs):
             raise AssertionError("the chunk pass counts the pairs")
