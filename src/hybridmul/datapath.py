@@ -33,22 +33,18 @@ for every lane) as its carry-in.  One check matches a run's columns and rows to 
 node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
 The lane PP rule set (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
-three arrays) lives in :mod:`~hybridmul.encoding`.  :func:`simulate_configs` drives every array
-configuration of a stream, and the count pass if asked, from one decode and one pack per chunk, and
-checks each lane of every array's products against the packed ``|a * b|``.
+three arrays) and the one chunk loop live in :mod:`~hybridmul.encoding`.  :func:`simulate_configs`
+drives every array configuration of a stream, and the count pass if asked, as that loop's array step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import encoding
 from .bitnum import Word
 from .encoding import (
-    STREAM_CHUNK,
     Architecture,
     ArrayGeometry,
     Lanes,
@@ -56,16 +52,10 @@ from .encoding import (
     OpCounts,
     PPMatrix,
     ProductMismatchError,  # noqa: F401  (re-exported: simulate_stream raises it)
-    _check_operands,
-    _checked,
-    _CountPass,
-    _first_bad_lane,
-    _lane,
     _Layout,
     _lane_popcount,
     _layout,
     _nonzero,
-    _pack,
     _popcount_masks,
     _spread,
     _unpack16,
@@ -220,12 +210,13 @@ def _run_layout(pp: PPLanes, geometry: ArrayGeometry) -> _Layout:
 def detect_freeze(pp: PPLanes, geometry: ArrayGeometry) -> tuple[int, ...]:
     """The row masks the detection logic asserts: a row freezes iff it contributes zero.
 
-    Entry r is the column mask of the lanes in which row r is frozen.  The
-    final adder's quiet columns are not listed: their detector reads the
-    adder's own summand bits, so the array finds them in its pass.
+    Entry r is the column mask of the lanes in which row r is frozen: the whole
+    column mask for a row that is zero in every lane.  The final adder's quiet
+    columns are not listed: their detector reads the adder's own summand bits,
+    so the array finds them in its pass.
     """
     lay = _run_layout(pp, geometry)
-    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) for x in pp.rows)
+    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) if x else lay.cmask for x in pp.rows)
 
 
 class _LaneToggles(NamedTuple):
@@ -366,9 +357,8 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
         count, other = len(multiplicand.values), len(multiplier.values)
         if count != other or not count:
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
-        lay = multiplicand.layout
-        # the row rule is looked up in its module: one seam for the count pass and the arrays
-        return PPLanes(encoding._pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
+        # the lane rule is looked up in its module: one seam for the count pass and the arrays
+        return encoding._lane_pp(multiplicand, multiplier, arch)
     if arch is Architecture.CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
     elif arch is Architecture.BOOTH:
@@ -385,52 +375,24 @@ def simulate_configs(
     """Drive one array per ``(arch, gated)`` configuration, and count ``count``'s architectures, in one pass.
 
     Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
-    :func:`~hybridmul.encoding.count_pairs` returns for ``count``, which range-checks the whole run
-    first.  Each chunk is decoded and packed once (its two :class:`Lanes` are its range check), and each
-    architecture's rows are built once by :func:`build_pp`.  Chunk by chunk, the count's checks come
-    first (first bad pair, then ``count`` order), then each configuration's array, so a fault in one
-    place names the pair and architecture the count pass and then one :func:`simulate_stream` per
-    configuration would.  ``trace`` is called as ``trace(config, index, record)``.
+    :func:`~hybridmul.encoding.count_pairs` returns for ``count``: the step of
+    :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, with
+    :func:`build_pp` as its row builder.  ``trace`` is called as ``trace(config, index, record)``.
     """
-    if count:
-        pairs = pairs if isinstance(pairs, Sequence) else list(pairs)  # the whole-run check reads it first
-        _check_operands(pairs, width)
-    tally = _CountPass(count, width)
-    lane_count = [arch for arch in tally.archs if arch is not Architecture.HYBRID]
-    archs = tuple(dict.fromkeys([arch for arch, _ in configs] + lane_count))
     states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
     zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}
     reports = {config: ToggleReport(rows, rows, 0, 0, 0) for config, rows in zeros.items()}
-    stream, done = iter(pairs), 0
-    while chunk := list(islice(stream, STREAM_CHUNK)):
-        ma = [abs(a) for a, _ in chunk]
-        mb = [abs(b) for _, b in chunk]
-        try:
-            # the chunk's one range check
-            multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
-        except ValueError:
-            _check_operands(chunk, width)  # raises the first bad pair's own error
-            raise
-        lay = multiplicand.layout
-        expected = _pack(list(map(mul, ma, mb)), lay.lane)
-        pps = {arch: build_pp(multiplicand, multiplier, arch) for arch in archs}
-        if count:
-            tally.add(chunk, ma, mb, lay, multiplier.packed, expected, {arch: pps[arch].rows for arch in lane_count})
+
+    def step(start, pps):
         for config, state in states.items():
             products, run = state.evaluate(pps[config[0]], config[1])
-            if products != expected:
-                i = _first_bad_lane(products, expected, lay)
-                a, b = chunk[i]
-                # lane i is not |a * b|, so this raises
-                _checked(a, b, _lane(products, i, lay), a * b)
+            yield products  # checked before the run is counted
             reports[config].accumulate(run)
             if trace is not None:
-                for index, one in enumerate(run.split(), start=done):
+                for index, one in enumerate(run.split(), start=start):
                     trace(config, index, one)
-        done += len(chunk)
-    if not done:
-        raise ValueError("input stream must not be empty")
-    return reports, tally.records()
+
+    return reports, encoding._chunk_pass(pairs, width, count, build_pp, [arch for arch, _ in states], step)
 
 
 def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool, trace=None) -> ToggleReport:

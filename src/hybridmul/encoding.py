@@ -9,15 +9,12 @@ Three ways to turn (multiplicand, multiplier) into a product:
   of the lowest set bit), denser multipliers are split in half once and each
   half re-dispatched.
 
-All encoders work on unsigned magnitudes.  :func:`count_pairs` takes a run of signed pairs, an
-operand width and the architectures to run: one range check for the run, the width before any
-operand (:func:`_check_operands`), then one pass in chunks of :data:`STREAM_CHUNK` pairs, each
-decoded once, packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP 4A, 7.1.3) and
-checked and counted by :class:`_CountPass`, the per-chunk step the array stream's count shares.  Each
-lane's conventional or Booth rows, summed modulo 2**cols, must equal the packed ``|a * b|``; the
-hybrid runs pair by pair through :func:`unsigned_product`, the seam its counts come
-from.  :func:`multiply` is the one-pair, one-architecture case, and every entry point rejects a bad
-width before it decodes an operand.
+All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
+pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
+pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
+4A, 7.1.3).  Each lane's conventional or Booth rows, summed modulo 2**cols, must equal the packed
+``|a * b|``; the hybrid runs pair by pair through :func:`unsigned_product`, the seam its counts come
+from.  Every entry point rejects a bad width before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
@@ -34,6 +31,8 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from itertools import islice
+from operator import mul
 from typing import Sequence, Union
 
 from .bitnum import Word, check_operand_width, to_sign_magnitude
@@ -536,7 +535,7 @@ def _first_bad_lane(got: int, expected: int, lay: _Layout) -> int:
     return ((bad & -bad).bit_length() - 1) // lay.lane
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, init=False)
 class Lanes:
     """Unsigned ``width``-bit magnitudes of a run of evaluations, packed once into ``layout``'s lanes as ``packed``.
 
@@ -548,25 +547,25 @@ class Lanes:
 
     values: Sequence[int]
     width: int
-    packed: int = field(init=False, repr=False, compare=False)
-    layout: _Layout = field(init=False, repr=False, compare=False)
+    packed: int = field(repr=False, compare=False)
+    layout: _Layout = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        width = check_operand_width(self.width)
-        lay = _layout(2 * width, len(self.values))
+    def __init__(self, values: Sequence[int], width: int) -> None:
+        check_operand_width(width)
+        lay = _layout(2 * width, len(values))
         try:
-            packed = _pack_items(self.values, _item_bits(width), lay.lane)
+            # one value is its own pack, which the AND below checks
+            packed = values[0] if len(values) == 1 else _pack_items(values, _item_bits(width), lay.lane)
             fits = (packed & lay.ones * ((1 << width) - 1)) == packed
         except OverflowError:
             fits = False
         if not fits:
-            bad = next(v for v in self.values if v < 0 or v >> width)
+            bad = next(v for v in values if v < 0 or v >> width)
             raise ValueError(f"lane value {bad} does not fit in {width} bits")
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "layout", lay)
+        self.values, self.width, self.packed, self.layout = values, width, packed, lay
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PPLanes:
     """Folded PP rows of a run of evaluations, lane-packed in ``layout``.
 
@@ -612,9 +611,9 @@ def _lane_popcount(x: int, steps: tuple[tuple[int, int, int], ...]) -> int:
 
 def _lane_sum(rows, lay: _Layout) -> int:
     """Per lane, the sum of ``rows`` modulo 2**cols."""
-    total = 0
+    total, cmask = 0, lay.cmask
     for row in rows:
-        total = (total + row) & lay.cmask
+        total = (total + row) & cmask
     return total
 
 
@@ -746,61 +745,94 @@ def _checked(a: int, b: int, magnitude: int, expected: int) -> None:
         raise ProductMismatchError(a, b, product, expected)
 
 
-class _CountPass:
-    """The summed counts of one count pass for ``archs``, fed one chunk at a time."""
+def _lane_pp(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
+    """:func:`_pp_rows` of two runs of one width and lane count, in the multiplicand's layout."""
+    lay = multiplicand.layout
+    return PPLanes(_pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
 
-    __slots__ = ("archs", "width", "pairs", "top_set", "hybrid")
 
-    def __init__(self, archs: Sequence[Architecture], width: int):
-        self.archs, self.width = tuple(archs), width
-        self.pairs = self.top_set = 0  # pairs seen, and multipliers with the top bit set
-        self.hybrid = [0, 0, 0] if Architecture.HYBRID in self.archs else None
+def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(), step=None) -> tuple[OpCounts, ...]:
+    """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
 
-    def add(self, chunk, ma, mb, lay: _Layout | None, mplier: int, expected: int, rows: dict) -> None:
-        """Check and count a chunk of signed pairs; ``rows`` holds its conventional and Booth rows in ``lay``.
+    Each chunk of :data:`STREAM_CHUNK` pairs is decoded once and packed once, into two :class:`Lanes`
+    and a packed ``|a * b|``, and ``build(multiplicand, multiplier, arch)`` makes the :class:`PPLanes`
+    of each architecture in ``archs`` and of the count's conventional and Booth once.  A count of the
+    hybrid alone, with no ``archs``, packs nothing.  ``step(start, pps)``, if given, runs the arrays on
+    a chunk's rows and yields each array's packed products; a run with a step must not be empty.
 
-        A wrong product raises for the chunk's first bad pair, then its first wrong architecture in ``archs``.
-        """
-        width, sums = self.width, {}
-        bad = len(chunk)  # the first pair with a wrong lane product
-        for arch, arch_rows in rows.items():
-            total = _lane_sum(arch_rows, lay)
-            if total != expected:
-                bad = min(bad, _first_bad_lane(total, expected, lay))
-            sums[arch] = total
-        if rows:
-            self.top_set += ((mplier >> (width - 1)) & lay.ones).bit_count()
-        hybrid = self.hybrid
-        if hybrid is not None:
-            # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
-            # replacement core is patched in at, and such a core may read ``.bits``
-            for (a, b), x, y in zip(chunk[:bad], ma, mb):
-                magnitude, counts = unsigned_product(Word(x, width), Word(y, width), Architecture.HYBRID)
-                _checked(a, b, magnitude, a * b)
-                hybrid[0] += counts.pp_count
-                hybrid[1] += counts.add_count
-                hybrid[2] += counts.shift_count
-        if bad < len(chunk):
-            a, b = chunk[bad]
-            for arch in self.archs:
-                if arch is Architecture.HYBRID:
-                    magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
-                else:
-                    magnitude = _lane(sums[arch], bad, lay)
-                # the first wrong architecture of this pair raises
-                _checked(a, b, magnitude, a * b)
-        self.pairs += len(chunk)
-
-    def records(self) -> tuple[OpCounts, ...]:
-        """One summed record per architecture, in ``archs`` order."""
-        records, clear, top = [], self.pairs - self.top_set, self.top_set
-        for arch in self.archs:
-            if arch is Architecture.HYBRID:
-                records.append(OpCounts(*self.hybrid))
-            else:
-                low, high = _top_bit_counts(_INT_CORES[arch], self.width)
-                records.append(OpCounts(*[clear * x + top * y for x, y in zip(low, high)]))
-        return tuple(records)
+    The error order: with a count, the width and then the whole run are range-checked first
+    (:func:`_check_operands`); without one, each chunk's :class:`Lanes` are its range check.  Then,
+    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid pair by pair)
+    raise for the chunk's first bad pair and its first wrong architecture in ``count`` order, and then
+    each product ``step`` yields is checked as it comes, so the first wrong array raises.
+    """
+    hybrid = [0, 0, 0] if Architecture.HYBRID in count else None
+    lane_count = [arch for arch in count if arch is not Architecture.HYBRID]
+    archs = dict.fromkeys([*archs, *lane_count])
+    if count:
+        pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
+        _check_operands(pairs, width)
+    seen = top_set = 0  # pairs, and packed multipliers with the top bit set
+    stream = iter(pairs)
+    for first in stream:
+        chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
+        ma = [abs(a) for a, _ in chunk]
+        mb = [abs(b) for _, b in chunk]
+        pps, expected = {}, 0
+        if archs or not count:  # without a count, the Lanes are the chunk's range check
+            try:
+                multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
+            except ValueError:
+                _check_operands(chunk, width)  # raises the first bad pair's own error
+                raise
+            lay = multiplicand.layout
+            expected = _pack(list(map(mul, ma, mb)), lay.lane)
+            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
+            for arch in archs:
+                pps[arch] = build(multiplicand, multiplier, arch)
+        if count:
+            bad = len(chunk)  # the first pair with a wrong lane product
+            for arch in lane_count:
+                total = _lane_sum(pps[arch].rows, lay)
+                if total != expected:
+                    bad = min(bad, _first_bad_lane(total, expected, lay))
+            if hybrid is not None:
+                # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
+                # replacement core is patched in at, and such a core may read ``.bits``
+                for (a, b), x, y in zip(chunk[:bad], ma, mb):
+                    magnitude, counts = unsigned_product(Word(x, width), Word(y, width), Architecture.HYBRID)
+                    _checked(a, b, magnitude, a * b)
+                    hybrid[0] += counts.pp_count
+                    hybrid[1] += counts.add_count
+                    hybrid[2] += counts.shift_count
+            if bad < len(chunk):
+                a, b = chunk[bad]
+                for arch in count:
+                    if arch is Architecture.HYBRID:
+                        magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
+                    else:
+                        magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
+                    # the first wrong architecture of this pair raises
+                    _checked(a, b, magnitude, a * b)
+        if step is not None:
+            for products in step(seen, pps):
+                if products != expected:
+                    i = _first_bad_lane(products, expected, lay)
+                    a, b = chunk[i]
+                    _checked(a, b, _lane(products, i, lay), a * b)  # lane i is not |a * b|, so this raises
+        seen += len(chunk)
+    if step is not None and not seen:
+        raise ValueError("input stream must not be empty")
+    records, clear = [], seen - top_set
+    for arch in count:
+        if arch is Architecture.HYBRID:
+            records.append(OpCounts(*hybrid))
+        else:
+            (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
+            records.append(OpCounts(
+                clear * pp + top_set * top_pp, clear * adds + top_set * top_adds, clear * shifts + top_set * top_shifts
+            ))
+    return tuple(records)
 
 
 def count_pairs(
@@ -808,33 +840,19 @@ def count_pairs(
 ) -> tuple[OpCounts, ...]:
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
-    Returns one record per architecture, in ``archs`` order.  The width, then the operands, are
-    range-checked once for the whole pass; then each chunk of :data:`STREAM_CHUNK` pairs is decoded and
-    packed once and checked and counted by :meth:`_CountPass.add`.
+    Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with the lane rule
+    as its row builder and no array step, so it calls no array code.
     """
-    _check_operands(pairs, width)
-    tally = _CountPass(archs, width)
-    lane_archs = [arch for arch in tally.archs if arch is not Architecture.HYBRID]
-    for start in range(0, len(pairs), STREAM_CHUNK):
-        chunk = pairs[start : start + STREAM_CHUNK]
-        ma = [abs(a) for a, _ in chunk]
-        mb = [abs(b) for _, b in chunk]
-        lay, mplier, expected, rows = None, 0, 0, {}
-        if lane_archs:
-            lay = _layout(2 * width, len(chunk))
-            mcand, mplier = _pack(ma, lay.lane), _pack(mb, lay.lane)
-            expected = _pack([x * y for x, y in zip(ma, mb)], lay.lane)
-            rows = {arch: _pp_rows(mcand, mplier, width, arch, lay) for arch in lane_archs}
-        tally.add(chunk, ma, mb, lay, mplier, expected, rows)
-    return tally.records()
+    return _chunk_pass(pairs, width, archs, _lane_pp)
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
-    The one-pair, one-architecture case of :func:`count_pairs`, so it raises
-    what that raises: the error of a bad width, else of a bad operand, and
-    :class:`ProductMismatchError` if the core's signed product is not
-    ``a * b``.  The product it returns is that checked ``a * b``.
+    The one-pair, one-architecture case of :func:`count_pairs`, through the
+    same loop, so it raises what that raises: the error of a bad width, else
+    of a bad operand, and :class:`ProductMismatchError` if the core's signed
+    product is not ``a * b``.  The product it returns is that checked ``a * b``.
     """
-    return MultiplyResult(a * b, *count_pairs(((a, b),), (arch,), width))
+    (counts,) = _chunk_pass(((a, b),), width, (arch,), _lane_pp)
+    return MultiplyResult(a * b, counts)

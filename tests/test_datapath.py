@@ -11,6 +11,8 @@ from hybridmul.encoding import (
     Architecture,
     PPMatrix,
     PPRow,
+    STREAM_CHUNK,
+    _pack,
     booth_pp,
     booth_recode,
     conventional_pp,
@@ -20,7 +22,6 @@ from hybridmul.encoding import (
 )
 import hybridmul.datapath as dp
 from hybridmul.datapath import (
-    STREAM_CHUNK,
     ArrayGeometry,
     ArrayState,
     GeometryError,
@@ -31,7 +32,6 @@ from hybridmul.datapath import (
     _fill_schedule,
     _fold_rows,
     _lane_counts,
-    _pack,
     _popcount_masks,
     _settle,
     _unpack16,
@@ -227,6 +227,20 @@ class TestDetectFreeze:
         # single live row: the final adder sees exactly the product bits
         assert delta.lanes.col_frozen == ~2210 & (2**16 - 1)
 
+    @pytest.mark.parametrize("arch", [Architecture.CONVENTIONAL, Architecture.HYBRID])
+    def test_zero_rows_mixed_with_live_rows(self, arch):
+        """Each row's mask is the columns of exactly the lanes in which it is zero, literal-zero rows included."""
+        # multiplier bits 4 and 6 are clear in every lane, so those conventional rows are literal zeros;
+        # the hybrid's rows after row 0 always are
+        pp = build_pp(Lanes((65, 0, 3, 255, 7), 8), Lanes((34, 5, 0, 131, 9), 8), arch)
+        lay = pp.layout
+        assert 0 in pp.rows[1:] and any(pp.rows)
+        cells = (1 << lay.cols) - 1
+        masks = tuple(
+            sum(cells << i * lay.lane for i in range(lay.count) if not lane(row, i, lay)) for row in pp.rows
+        )
+        assert detect_freeze(pp, ArrayGeometry.create(8, arch)) == masks
+
 
 class TestSimulateStream:
     def test_identical_pairs_silent_after_first(self):
@@ -412,7 +426,7 @@ class TestLaneKernel:
     @settings(max_examples=60, deadline=None)
     def test_small_chunks_match_reference(self, stream, chunk):
         width, arch, gated, pairs = stream
-        with mock.patch.object(dp, "STREAM_CHUNK", chunk):
+        with mock.patch.object(encoding, "STREAM_CHUNK", chunk):
             report = dp.simulate_stream(pairs, arch, width, gated)
         totals, _ = reference_run(pairs, arch, width, gated)
         assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
@@ -737,8 +751,7 @@ def config_runs(draw):
 
 
 def _chunks_of(mp, chunk):
-    """Set the chunk size of the array stream and of the count pass alike."""
-    mp.setattr(dp, "STREAM_CHUNK", chunk)
+    """Set the chunk size of the one chunk loop, which the array stream and the count pass share."""
     mp.setattr(encoding, "STREAM_CHUNK", chunk)
 
 
@@ -787,6 +800,30 @@ class TestOneChunkPass:
         listed = dp.simulate_configs(pairs, 8, CONFIGS, count)
         assert dp.simulate_configs(iter(pairs), 8, CONFIGS, count) == listed
         assert listed[1] == count_pairs(pairs, count, 8)
+
+    def test_rows_are_built_once_per_chunk_and_architecture(self, monkeypatch):
+        """The count reuses the arrays' rows; a count pass alone builds none through ``build_pp``."""
+        build, built = dp.build_pp, []
+
+        def spy(multiplicand, multiplier, arch):
+            built.append((arch, len(multiplicand.values)))
+            return build(multiplicand, multiplier, arch)
+
+        monkeypatch.setattr(dp, "build_pp", spy)
+        _chunks_of(monkeypatch, 3)
+        pairs = [(a, (7 * a) % 256) for a in range(1, 9)]  # chunks of 3, 3 and 2 pairs
+        count = (Architecture.CONVENTIONAL, Architecture.BOOTH)
+        dp.simulate_configs(pairs, 8, [(Architecture.HYBRID, True)], count)
+        assert built == [(arch, n) for n in (3, 3, 2) for arch in (Architecture.HYBRID, *count)]
+        built.clear()
+        count_pairs(pairs, tuple(Architecture), 8)
+        assert built == []
+
+    @pytest.mark.parametrize("count", [(), (Architecture.HYBRID,), tuple(Architecture)])
+    @pytest.mark.parametrize("configs", [(), CONFIGS])
+    def test_empty_stream_rejected(self, configs, count):
+        with pytest.raises(ValueError, match="^input stream must not be empty$"):
+            dp.simulate_configs([], 8, configs, count)
 
     def test_trace_names_the_configuration(self):
         pairs = [(65, 34), (3, 5), (7, 9)]

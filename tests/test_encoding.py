@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import FrozenInstanceError
 
@@ -571,6 +572,11 @@ class TestCountPairs:
         with pytest.MonkeyPatch.context() as mp:
             _refuse_cores(mp)
             assert _raised(lambda: count_pairs(run_pairs, (arch,), width)) == expected
+
+    @pytest.mark.parametrize("size", range(4))
+    def test_empty_run_counts_zero(self, size):
+        for archs in itertools.permutations(Architecture, size):
+            assert count_pairs([], archs, 8) == (OpCounts(0, 0, 0),) * size
 
     @pytest.mark.parametrize("width", [0, 3, 33, -1])
     def test_bad_width_raises_multiplys_error(self, width, monkeypatch):
