@@ -60,6 +60,9 @@ class Architecture(enum.Enum):
         return self.value
 
 
+_CONVENTIONAL, _BOOTH, _HYBRID = Architecture  # plain globals: a read through the class runs EnumType's hook
+
+
 class CategoryKind(enum.Enum):
     ZERO = "Zero"
     A = "A"
@@ -471,9 +474,11 @@ def _restride(x: int, src: int, dst: int, count: int) -> int:
 
 
 def _pack_items(values, bits: int, lane: int) -> int:
-    """Lane-pack ``values`` that each fit in one ``bits``-bit array item."""
-    items = array(_ITEM_CODES[bits], values)
-    if _BIG_ENDIAN:
+    """Lane-pack ``values`` that each fit in one ``bits``-bit item; ``bytes`` packs a byte faster than an array."""
+    if len(values) == 1:
+        return values[0]
+    items = bytes(values) if bits == 8 else array(_ITEM_CODES[bits], values)
+    if _BIG_ENDIAN and bits > 8:
         items.byteswap()
     return _restride(int.from_bytes(items, "little"), bits, lane, len(items))
 
@@ -487,8 +492,6 @@ def _pack(values: Sequence[int], lane: int) -> int:
     any item (65 bits at width 32) packs a value of 2**64 or more as its
     low and high items apart.
     """
-    if len(values) < 2:
-        return values[0] if values else 0
     bits = _item_bits(lane)
     try:
         return _pack_items(values, bits, lane)
@@ -540,9 +543,10 @@ class Lanes:
     """Unsigned ``width``-bit magnitudes of a run of evaluations, packed once into ``layout``'s lanes as ``packed``.
 
     Every value must fit in ``width`` bits, as a :class:`Word`'s must; one that does not raises rather
-    than spilling into a neighbouring lane.  The pack is the check: its array item, the narrowest that
-    holds ``width`` bits, is never wider than a lane, so the array refuses a negative value or one past
-    the item, and one AND finds any other bit from ``width`` up.
+    than spilling into a neighbouring lane.  The pack is the check: its item, the narrowest that holds
+    ``width`` bits, is never wider than a lane, so the item refuses a negative value or one past it,
+    and one AND finds any other bit from ``width`` up.  Not frozen, as a frozen record's writes cost a
+    one-pair :func:`multiply` a fifth of its time; nothing may write to one once built.
     """
 
     values: Sequence[int]
@@ -554,10 +558,9 @@ class Lanes:
         check_operand_width(width)
         lay = _layout(2 * width, len(values))
         try:
-            # one value is its own pack, which the AND below checks
-            packed = values[0] if len(values) == 1 else _pack_items(values, _item_bits(width), lay.lane)
+            packed = _pack_items(values, _item_bits(width), lay.lane)
             fits = (packed & lay.ones * ((1 << width) - 1)) == packed
-        except OverflowError:
+        except (OverflowError, ValueError):
             fits = False
         if not fits:
             bad = next(v for v in values if v < 0 or v >> width)
@@ -571,7 +574,7 @@ class PPLanes:
 
     ``rows[r]`` holds row r's contribution to evaluation i in bits
     ``[i*layout.lane, i*layout.lane + layout.cols)``, the Booth correction
-    row included.
+    row included.  Not frozen, as :class:`Lanes` is not: nothing may write to one.
     """
 
     rows: tuple[int, ...]
@@ -692,9 +695,9 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     and the arrays, runs once per chunk and architecture.  The hybrid's row 0 is the product
     :func:`hybrid_int` builds, and its other rows are zero.
     """
-    if arch is Architecture.CONVENTIONAL:
+    if arch is _CONVENTIONAL:
         return _conventional_rows(a, b, width, lay)
-    if arch is Architecture.BOOTH:
+    if arch is _BOOTH:
         return _booth_rows(a, b, width // 2 + 1, width, lay)
     half = width // 2
     chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
@@ -707,6 +710,7 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     return (row,) + (0,) * (width - 1)
 
 
+@cache
 @cache
 def _top_bit_counts(core, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A lane core's ``(pp, adds, shifts)`` for a multiplier with the top bit clear, then set.
@@ -738,11 +742,11 @@ def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
         to_sign_magnitude(b, width)
 
 
-def _checked(a: int, b: int, magnitude: int, expected: int) -> None:
-    """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``expected = a * b``."""
+def _checked(a: int, b: int, magnitude: int) -> None:
+    """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``a * b``."""
     product = -magnitude if (a < 0) != (b < 0) else magnitude
-    if product != expected:
-        raise ProductMismatchError(a, b, product, expected)
+    if product != a * b:
+        raise ProductMismatchError(a, b, product, a * b)
 
 
 def _lane_pp(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
@@ -754,22 +758,23 @@ def _lane_pp(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLa
 def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(), step=None) -> tuple[OpCounts, ...]:
     """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
 
-    Each chunk of :data:`STREAM_CHUNK` pairs is decoded once and packed once, into two :class:`Lanes`
-    and a packed ``|a * b|``, and ``build(multiplicand, multiplier, arch)`` makes the :class:`PPLanes`
-    of each architecture in ``archs`` and of the count's conventional and Booth once.  A count of the
-    hybrid alone, with no ``archs``, packs nothing.  ``step(start, pps)``, if given, runs the arrays on
-    a chunk's rows and yields each array's packed products; a run with a step must not be empty.
+    Each chunk of :data:`STREAM_CHUNK` pairs is decoded and packed once, into two :class:`Lanes` and a
+    packed ``|a * b|``; ``build(multiplicand, multiplier, arch)`` makes the :class:`PPLanes` of each
+    architecture in ``archs`` and of the count's conventional and Booth once.  A count of the hybrid
+    alone packs nothing.  ``step(start, pps)``, if given, runs the arrays on a chunk's rows and yields
+    each array's packed products; a run with a step must not be empty.
 
-    The error order: with a count, the width and then the whole run are range-checked first
-    (:func:`_check_operands`); without one, each chunk's :class:`Lanes` are its range check.  Then,
+    The error order: with a count or no step, the width and then the whole run, even an empty one, are
+    range-checked first (:func:`_check_operands`); else each chunk's :class:`Lanes` are its check.  Then,
     chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid pair by pair)
-    raise for the chunk's first bad pair and its first wrong architecture in ``count`` order, and then
-    each product ``step`` yields is checked as it comes, so the first wrong array raises.
+    raise for the first bad pair and its first wrong architecture in ``count`` order, then each product
+    ``step`` yields is checked as it comes, so the first wrong array raises.
     """
-    hybrid = [0, 0, 0] if Architecture.HYBRID in count else None
-    lane_count = [arch for arch in count if arch is not Architecture.HYBRID]
+    hybrid = [0, 0, 0] if _HYBRID in count else None
+    lane_count = [arch for arch in count if arch is not _HYBRID]
     archs = dict.fromkeys([*archs, *lane_count])
-    if count:
+    checked = count or step is None
+    if checked:
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
         _check_operands(pairs, width)
     seen = top_set = 0  # pairs, and packed multipliers with the top bit set
@@ -779,7 +784,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
         pps, expected = {}, 0
-        if archs or not count:  # without a count, the Lanes are the chunk's range check
+        if archs or not checked:  # without the whole-run check, the Lanes are the chunk's range check
             try:
                 multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
             except ValueError:
@@ -800,32 +805,30 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
                 # replacement core is patched in at, and such a core may read ``.bits``
                 for (a, b), x, y in zip(chunk[:bad], ma, mb):
-                    magnitude, counts = unsigned_product(Word(x, width), Word(y, width), Architecture.HYBRID)
-                    _checked(a, b, magnitude, a * b)
+                    magnitude, counts = unsigned_product(Word(x, width), Word(y, width), _HYBRID)
+                    _checked(a, b, magnitude)
                     hybrid[0] += counts.pp_count
                     hybrid[1] += counts.add_count
                     hybrid[2] += counts.shift_count
             if bad < len(chunk):
-                a, b = chunk[bad]
                 for arch in count:
-                    if arch is Architecture.HYBRID:
+                    if arch is _HYBRID:
                         magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
                     else:
                         magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
                     # the first wrong architecture of this pair raises
-                    _checked(a, b, magnitude, a * b)
+                    _checked(*chunk[bad], magnitude)
         if step is not None:
             for products in step(seen, pps):
                 if products != expected:
                     i = _first_bad_lane(products, expected, lay)
-                    a, b = chunk[i]
-                    _checked(a, b, _lane(products, i, lay), a * b)  # lane i is not |a * b|, so this raises
+                    _checked(*chunk[i], _lane(products, i, lay))  # lane i is not |a * b|, so this raises
         seen += len(chunk)
     if step is not None and not seen:
         raise ValueError("input stream must not be empty")
     records, clear = [], seen - top_set
     for arch in count:
-        if arch is Architecture.HYBRID:
+        if arch is _HYBRID:
             records.append(OpCounts(*hybrid))
         else:
             (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
@@ -854,5 +857,4 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     of a bad operand, and :class:`ProductMismatchError` if the core's signed
     product is not ``a * b``.  The product it returns is that checked ``a * b``.
     """
-    (counts,) = _chunk_pass(((a, b),), width, (arch,), _lane_pp)
-    return MultiplyResult(a * b, counts)
+    return MultiplyResult(a * b, *_chunk_pass(((a, b),), width, (arch,), _lane_pp))

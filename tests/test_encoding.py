@@ -479,6 +479,7 @@ class TestMultiplyInputErrors:
         expected = _raised(lambda: self._checks(a, b, width))
         for arch in Architecture:
             assert _raised(lambda: multiply(a, b, arch, width=width)) == expected
+        assert _raised(lambda: count_pairs([(a, b)], (), width)) == expected
 
     def test_named_messages(self):
         assert _raised(lambda: multiply(300, 1, Architecture.HYBRID, width=8)) == (
@@ -588,6 +589,8 @@ class TestCountPairs:
             for arch in Architecture:
                 assert _raised(lambda: count_pairs(pairs, (arch,), width)) == expected
             assert _raised(lambda: count_pairs(pairs, tuple(Architecture), width)) == expected
+            # no architecture still runs the whole run's check
+            assert _raised(lambda: count_pairs(pairs, (), width)) == expected
 
     @pytest.mark.parametrize("arch", list(Architecture))
     def test_wrong_core_product_names_the_first_pair(self, arch, monkeypatch):
