@@ -773,8 +773,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
     hybrid = [0, 0, 0] if _HYBRID in count else None
     lane_count = [arch for arch in count if arch is not _HYBRID]
     archs = dict.fromkeys([*archs, *lane_count])
-    checked = count or step is None
-    if checked:
+    if checked := count or step is None:
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
         _check_operands(pairs, width)
     seen = top_set = 0  # pairs, and packed multipliers with the top bit set
@@ -832,9 +831,8 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
             records.append(OpCounts(*hybrid))
         else:
             (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
-            records.append(OpCounts(
-                clear * pp + top_set * top_pp, clear * adds + top_set * top_adds, clear * shifts + top_set * top_shifts
-            ))
+            records.append(OpCounts(clear * pp + top_set * top_pp, clear * adds + top_set * top_adds,
+                                    clear * shifts + top_set * top_shifts))
     return tuple(records)
 
 
