@@ -711,7 +711,6 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
 
 
 @cache
-@cache
 def _top_bit_counts(core, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """A lane core's ``(pp, adds, shifts)`` for a multiplier with the top bit clear, then set.
 
@@ -766,17 +765,19 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
 
     The error order: with a count or no step, the width and then the whole run, even an empty one, are
     range-checked first (:func:`_check_operands`); else each chunk's :class:`Lanes` are its check.  Then,
-    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid pair by pair)
+    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid pair by pair,
+    in pair order, on one shared :class:`Word` per distinct magnitude of the chunk)
     raise for the first bad pair and its first wrong architecture in ``count`` order, then each product
     ``step`` yields is checked as it comes, so the first wrong array raises.
     """
-    hybrid = [0, 0, 0] if _HYBRID in count else None
+    hybrid = _HYBRID in count
+    hybrid_pp = hybrid_adds = hybrid_shifts = 0
     lane_count = [arch for arch in count if arch is not _HYBRID]
     archs = dict.fromkeys([*archs, *lane_count])
     if checked := count or step is None:
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
         _check_operands(pairs, width)
-    seen = top_set = 0  # pairs, and packed multipliers with the top bit set
+    seen = top_set = 0  # pairs, and (for a conventional or Booth count) multipliers with the top bit set
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
@@ -791,7 +792,8 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 raise
             lay = multiplicand.layout
             expected = _pack(list(map(mul, ma, mb)), lay.lane)
-            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
+            if lane_count:
+                top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
             for arch in archs:
                 pps[arch] = build(multiplicand, multiplier, arch)
         if count:
@@ -800,19 +802,21 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 total = _lane_sum(pps[arch].rows, lay)
                 if total != expected:
                     bad = min(bad, _first_bad_lane(total, expected, lay))
-            if hybrid is not None:
-                # two Words per pair, not plain ints: ``unsigned_product`` is the seam a
-                # replacement core is patched in at, and such a core may read ``.bits``
+            if hybrid:
+                # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
+                # in at, and such a core may read ``.bits``; one Word per distinct magnitude of the chunk
+                words = {value: Word(value, width) for value in {*ma, *mb}}
                 for (a, b), x, y in zip(chunk[:bad], ma, mb):
-                    magnitude, counts = unsigned_product(Word(x, width), Word(y, width), _HYBRID)
-                    _checked(a, b, magnitude)
-                    hybrid[0] += counts.pp_count
-                    hybrid[1] += counts.add_count
-                    hybrid[2] += counts.shift_count
+                    magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
+                    if magnitude != x * y:
+                        _checked(a, b, magnitude)  # the signed product is not a * b, so this raises
+                    hybrid_pp += counts.pp_count
+                    hybrid_adds += counts.add_count
+                    hybrid_shifts += counts.shift_count
             if bad < len(chunk):
                 for arch in count:
                     if arch is _HYBRID:
-                        magnitude, _ = unsigned_product(Word(ma[bad], width), Word(mb[bad], width), arch)
+                        magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
                     else:
                         magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
                     # the first wrong architecture of this pair raises
@@ -828,7 +832,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
     records, clear = [], seen - top_set
     for arch in count:
         if arch is _HYBRID:
-            records.append(OpCounts(*hybrid))
+            records.append(OpCounts(hybrid_pp, hybrid_adds, hybrid_shifts))
         else:
             (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
             records.append(OpCounts(clear * pp + top_set * top_pp, clear * adds + top_set * top_adds,

@@ -638,22 +638,32 @@ class TestCountPairs:
         assert again == multiply(3, 5, arch, 8).counts
 
 
+@st.composite
+def repeating_runs(draw):
+    """(width, pairs): width 4..6 pairs drawn from a pool of a few operands, so every chunk repeats magnitudes."""
+    width = draw(st.integers(4, 6))
+    top = 2**width - 1
+    operand = st.one_of(st.sampled_from([0, top, -top]), st.integers(min_value=-top, max_value=top))
+    pool = st.sampled_from(draw(st.lists(operand, min_size=1, max_size=6)))
+    return width, draw(st.lists(st.tuples(pool, pool), max_size=300))
+
+
 class TestLaneCountPass:
     """The count pass in chunks: conventional and Booth checked lane by lane, the hybrid pair by pair."""
 
     @given(
-        signed_runs(),
+        st.one_of(signed_runs(), repeating_runs()),
         st.lists(st.sampled_from(list(Architecture)), min_size=1, max_size=3, unique=True),
-        st.sampled_from([1, 3, 7]),
+        st.sampled_from([1, 3, 7, 256]),
     )
-    @settings(max_examples=75)
+    @settings(max_examples=150, deadline=None)
     def test_equals_summed_per_pair_cores_across_chunks(self, run, archs, chunk):
         width, pairs = run
         summed = []
         for arch in archs:
             total = [0, 0, 0]
             for a, b in pairs:
-                product, counts = unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)
+                product, counts = reference_product(Word(abs(a), width), Word(abs(b), width), arch)
                 assert product == abs(a * b)
                 total[0] += counts.pp_count
                 total[1] += counts.add_count
@@ -705,6 +715,70 @@ class TestLaneCountPass:
         assert max(count for _, count in seen) <= encoding.STREAM_CHUNK
         for arch in (Architecture.CONVENTIONAL, Architecture.BOOTH):
             assert sum(count for a, count in seen if a is arch) == len(pairs)
+
+
+class TestHybridSeamWords:
+    """The count pass calls the hybrid seam once per pair, on one shared Word per distinct magnitude of a chunk."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 256])
+    @pytest.mark.parametrize("archs", [(Architecture.HYBRID,), tuple(Architecture)])
+    def test_one_call_per_pair_on_one_word_per_magnitude(self, chunk, archs, monkeypatch):
+        rng = random.Random(chunk)
+        width = 5
+        pairs = [(rng.randint(-4, 4), rng.choice([-31, -6, 0, 6, 31])) for _ in range(40)]
+        core, post_init = encoding.unsigned_product, Word.__post_init__
+        calls, built = [], []
+
+        def spy(multiplicand, multiplier, arch):
+            calls.append((multiplicand, multiplier))
+            return core(multiplicand, multiplier, arch)
+
+        def counting_post_init(word):
+            built.append(word.bits)
+            post_init(word)
+
+        monkeypatch.setattr(encoding, "unsigned_product", spy)
+        monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", chunk)
+        count_pairs(pairs, archs, width)
+        # once per pair, in pair order, on Words holding that pair's magnitudes
+        assert [(x.bits, y.bits, x.width, y.width) for x, y in calls] == [
+            (abs(a), abs(b), width, width) for a, b in pairs
+        ]
+        distinct = []
+        for start in range(0, len(pairs), chunk):
+            words = [word for pair in calls[start:start + chunk] for word in pair]
+            shared = {word.bits: word for word in words}
+            assert all(word is shared[word.bits] for word in words)  # equal magnitudes share one Word
+            distinct += shared
+        # each chunk builds one Word per distinct magnitude, and no other Word is built
+        assert sorted(built) == sorted(distinct)
+
+    @given(repeating_runs(), st.sampled_from([1, 3, 7, 256]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_seam_fault_on_a_repeated_pair_names_its_first_occurrence(self, run, chunk, data):
+        width, pairs = run
+        pairs = pairs or [(1, 1)]
+        at = data.draw(st.integers(0, len(pairs) - 1))
+        x, y = abs(pairs[at][0]), abs(pairs[at][1])
+        # the same magnitudes again, signs flipped, right after: the two share a chunk unless it holds one pair
+        pairs = pairs[:at + 1] + [(-pairs[at][0], -pairs[at][1])] + pairs[at + 1:]
+        first = next(i for i, (a, b) in enumerate(pairs) if (abs(a), abs(b)) == (x, y))
+        a, b = pairs[first]
+        got = -(x * y + 1) if (a < 0) != (b < 0) else x * y + 1
+        core = encoding.unsigned_product
+
+        def faulty(multiplicand, multiplier, arch):
+            product, counts = core(multiplicand, multiplier, arch)
+            return product + ((multiplicand.bits, multiplier.bits) == (x, y)), counts
+
+        archs = data.draw(st.sampled_from([(Architecture.HYBRID,), tuple(Architecture)]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "unsigned_product", faulty)
+            mp.setattr(encoding, "STREAM_CHUNK", chunk)
+            with pytest.raises(ProductMismatchError) as excinfo:
+                count_pairs(pairs, archs, width)
+        assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((a, b), got, a * b)
 
 
 @st.composite
