@@ -761,8 +761,11 @@ class TestHybridSeamWords:
         pairs = pairs or [(1, 1)]
         at = data.draw(st.integers(0, len(pairs) - 1))
         x, y = abs(pairs[at][0]), abs(pairs[at][1])
-        # the same magnitudes again, signs flipped, right after: the two share a chunk unless it holds one pair
-        pairs = pairs[:at + 1] + [(-pairs[at][0], -pairs[at][1])] + pairs[at + 1:]
+        # the same magnitudes, signs flipped, at another pair of at's chunk, before or after it
+        start = at - at % chunk
+        others = [i for i in range(start, min(start + chunk, len(pairs))) if i != at]
+        if others:
+            pairs[data.draw(st.sampled_from(others))] = (-pairs[at][0], -pairs[at][1])
         first = next(i for i, (a, b) in enumerate(pairs) if (abs(a), abs(b)) == (x, y))
         a, b = pairs[first]
         got = -(x * y + 1) if (a < 0) != (b < 0) else x * y + 1
