@@ -52,6 +52,8 @@ from .encoding import (
     OpCounts,
     PPMatrix,
     ProductMismatchError,  # noqa: F401  (re-exported: simulate_stream raises it)
+    _BOOTH,
+    _CONVENTIONAL,
     _Layout,
     _lane_popcount,
     _layout,
@@ -170,7 +172,7 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
     -2**(field_width + weight), and those debts sum (mod 2**cols) into the
     correction row.  Other architectures never produce negated rows.
     """
-    data_rows = geometry.rows - 1 if geometry.arch is Architecture.BOOTH else geometry.rows
+    data_rows = geometry.rows - 1 if geometry.arch is _BOOTH else geometry.rows
     if len(pp) > data_rows:
         raise GeometryError(f"{len(pp)} PP rows offered to a {data_rows}-row array")
     span = 1 << geometry.cols
@@ -184,7 +186,7 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
                 f"exceeds {geometry.cols} columns"
             )
         if row.negate and row.bits.bits:
-            if geometry.arch is not Architecture.BOOTH:
+            if geometry.arch is not _BOOTH:
                 raise GeometryError("negated rows require a booth array")
             field_width = row.bits.width
             inverted = (~row.bits.bits) & ((1 << field_width) - 1)
@@ -193,7 +195,7 @@ def _fold_rows(pp: PPMatrix, geometry: ArrayGeometry) -> list[int]:
         else:
             contributions.append(raw)
     contributions.extend([0] * (data_rows - len(pp)))
-    if geometry.arch is Architecture.BOOTH:
+    if geometry.arch is _BOOTH:
         contributions.append(correction)
     return contributions
 
@@ -359,9 +361,9 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
         # the lane rule is looked up in its module: one seam for the count pass and the arrays
         return encoding._lane_pp(multiplicand, multiplier, arch)
-    if arch is Architecture.CONVENTIONAL:
+    if arch is _CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
-    elif arch is Architecture.BOOTH:
+    elif arch is _BOOTH:
         matrix = booth_pp(multiplicand, booth_recode(multiplier))
     else:
         matrix = hybrid_pp(multiplicand, multiplier)

@@ -13,15 +13,18 @@ All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, 
 pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
 pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
 4A, 7.1.3).  Each lane's conventional or Booth rows, summed modulo 2**cols, must equal the packed
-``|a * b|``; the hybrid runs pair by pair through :func:`unsigned_product`, the seam its counts come
-from.  Every entry point rejects a bad width before it decodes an operand.
+``|a * b|``.  A pass that runs the hybrid's array takes the hybrid's counts from its lane routes
+(:func:`_hybrid_counts`), and the array checks its products; a pass without that array runs the
+hybrid pair by pair through :func:`unsigned_product`, the seam its counts and checks come from.
+Every entry point rejects a bad width before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
 arrays) lives here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass
-calls no array code.  The integer core runs on plain ints and is the only place that counts partial
-products, additions and shifts.  :class:`Word` values appear only in the views, which carry no
-counts, and at the hybrid's :func:`unsigned_product` seam.
+calls no array code.  The integer core runs on plain ints and counts partial products, additions
+and shifts; :func:`_hybrid_counts` sums the same hybrid counts over a chunk's lanes, and a
+differential test holds the two equal.  :class:`Word` values appear only in the views, which carry
+no counts, and at the hybrid's :func:`unsigned_product` seam.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ def hybrid_pp(multiplicand: Word, multiplier: Word) -> PPMatrix:
     logic can shut off.  Row 0 carries the chain's result; its width is the
     full product width.
     """
-    product, _ = unsigned_product(multiplicand, multiplier, Architecture.HYBRID)
+    product, _ = unsigned_product(multiplicand, multiplier, _HYBRID)
     rows = [PPRow(Word(product, multiplicand.width + multiplier.width), weight=0)]
     zero = Word(0, multiplicand.width)
     rows.extend(PPRow(zero, weight=k) for k in range(1, multiplier.width))
@@ -387,7 +390,7 @@ class ArrayGeometry:
     @classmethod
     def create(cls, width: int, arch: Architecture) -> "ArrayGeometry":
         check_operand_width(width)
-        if arch is Architecture.BOOTH:
+        if arch is _BOOTH:
             # worst case digit count (top-bit-set operand needs one extra
             # digit) plus the shared sign-correction row
             rows = width // 2 + 2
@@ -646,6 +649,37 @@ def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int
     return whole | (lo ^ (lo & lo_booth)), hi ^ (hi & hi_booth), lo & lo_booth, hi & hi_booth
 
 
+def _hybrid_counts(b: int, width: int, lay: _Layout) -> tuple[int, int, int]:
+    """:func:`hybrid_int`'s ``(pp, adds, shifts)`` summed over the lanes of ``b``, from :func:`_hybrid_routes`.
+
+    A chain leaf of c set bits makes 1 PP and c - 1 adds, and one shift more than adds when its bit 0
+    is clear.  A Booth leaf of width w makes ``(w + top + 1) // 2`` PPs, ``top`` its top bit, and one
+    add fewer.  A split lane adds one add to recombine its halves.  So a chunk's sums are popcounts of
+    the routes and of their :func:`_nonzero` flags.
+    """
+    chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
+    pp = adds = shifts = 0
+    for leaf in (chain, chain_hi):
+        if leaf:
+            nonzero = _nonzero(leaf, lay)
+            leaves = nonzero.bit_count()
+            links = leaf.bit_count() - leaves
+            pp += leaves
+            adds += links
+            shifts += links + (nonzero & ~leaf).bit_count()
+    half = width // 2
+    for leaf, w in ((booth, width if width % 2 else half), (booth_hi, half)):
+        if leaf:
+            leaves = _nonzero(leaf, lay).bit_count()
+            top = ((leaf >> (w - 1)) & lay.ones).bit_count()
+            digits = (leaves - top) * ((w + 1) // 2) + top * ((w + 2) // 2)
+            pp += digits
+            adds += digits - leaves
+    if not width % 2:  # every split lane holds a nonzero half in one of these routes
+        adds += _nonzero(chain_hi | booth | booth_hi, lay).bit_count()
+    return pp, adds, shifts
+
+
 def _conventional_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, ...]:
     """Row r of the shift-and-add array: ``a << r`` in each lane whose multiplier bit r is set."""
     ones, cols = lay.ones, lay.cols
@@ -763,15 +797,20 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
     alone packs nothing.  ``step(start, pps)``, if given, runs the arrays on a chunk's rows and yields
     each array's packed products; a run with a step must not be empty.
 
+    The hybrid's counts: a pass whose step runs the hybrid's array takes them from its lane routes
+    (:func:`_hybrid_counts`), and that array checks its products.  Any other pass runs the hybrid pair
+    by pair through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per distinct
+    magnitude of the chunk, and checks each product there.
+
     The error order: with a count or no step, the width and then the whole run, even an empty one, are
     range-checked first (:func:`_check_operands`); else each chunk's :class:`Lanes` are its check.  Then,
-    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid pair by pair,
-    in pair order, on one shared :class:`Word` per distinct magnitude of the chunk)
+    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid at its seam)
     raise for the first bad pair and its first wrong architecture in ``count`` order, then each product
     ``step`` yields is checked as it comes, so the first wrong array raises.
     """
     hybrid = _HYBRID in count
-    hybrid_pp = hybrid_adds = hybrid_shifts = 0
+    seam = hybrid and (step is None or _HYBRID not in archs)
+    hybrid_pps = hybrid_adds = hybrid_shifts = 0
     lane_count = [arch for arch in count if arch is not _HYBRID]
     archs = dict.fromkeys([*archs, *lane_count])
     if checked := count or step is None:
@@ -802,7 +841,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 total = _lane_sum(pps[arch].rows, lay)
                 if total != expected:
                     bad = min(bad, _first_bad_lane(total, expected, lay))
-            if hybrid:
+            if seam:
                 # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
                 # in at, and such a core may read ``.bits``; one Word per distinct magnitude of the chunk
                 words = {value: Word(value, width) for value in {*ma, *mb}}
@@ -810,15 +849,22 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                     magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
                     if magnitude != x * y:
                         _checked(a, b, magnitude)  # the signed product is not a * b, so this raises
-                    hybrid_pp += counts.pp_count
+                    hybrid_pps += counts.pp_count
                     hybrid_adds += counts.add_count
                     hybrid_shifts += counts.shift_count
+            elif hybrid:
+                pp, adds, shifts = _hybrid_counts(multiplier.packed, width, lay)
+                hybrid_pps += pp
+                hybrid_adds += adds
+                hybrid_shifts += shifts
             if bad < len(chunk):
                 for arch in count:
-                    if arch is _HYBRID:
+                    if arch is not _HYBRID:
+                        magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
+                    elif seam:
                         magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
                     else:
-                        magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
+                        continue  # the hybrid's array checks its products
                     # the first wrong architecture of this pair raises
                     _checked(*chunk[bad], magnitude)
         if step is not None:
@@ -832,7 +878,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
     records, clear = [], seen - top_set
     for arch in count:
         if arch is _HYBRID:
-            records.append(OpCounts(hybrid_pp, hybrid_adds, hybrid_shifts))
+            records.append(OpCounts(hybrid_pps, hybrid_adds, hybrid_shifts))
         else:
             (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
             records.append(OpCounts(clear * pp + top_set * top_pp, clear * adds + top_set * top_adds,

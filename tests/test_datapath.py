@@ -844,11 +844,18 @@ class TestOneChunkPass:
     )
     @settings(max_examples=80, deadline=None)
     def test_a_fault_in_one_place_raises_what_one_call_per_step_raises(self, run, chunk, site, target, at):
-        """A wrong product in one architecture, or all of them, at one multiplicand value or one lane."""
+        """A wrong product in one architecture, or all of them, at one multiplicand value or one lane.
+
+        A pass that counts the hybrid and runs its array takes the hybrid's counts from the lane routes
+        and never calls the per-pair core, so a fault there leaves that pass's outcome the clean run's.
+        """
         width, pairs, configs, count = run
         hit = at % len(pairs)
         value = abs(pairs[hit][0])
         rule, core, evaluate = encoding._pp_rows, encoding.unsigned_product, ArrayState.evaluate
+        core_calls = []
+        hybrid_array = any(arch is Architecture.HYBRID for arch, _ in configs)
+        core_unused = site == "unsigned_product" and Architecture.HYBRID in count and hybrid_array
 
         def aimed(arch):
             return target is None or arch is target
@@ -861,6 +868,7 @@ class TestOneChunkPass:
             return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
 
         def wrong_core(multiplicand, multiplier, arch):
+            core_calls.append(arch)
             product, counts = core(multiplicand, multiplier, arch)
             return product + (3 if aimed(arch) and multiplicand.bits == value else 0), counts
 
@@ -873,15 +881,21 @@ class TestOneChunkPass:
 
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, chunk)
+            if core_unused:
+                want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))  # the clean run
             if site == "_pp_rows":
                 mp.setattr(encoding, "_pp_rows", wrong_rows)
             elif site == "unsigned_product":
                 mp.setattr(encoding, "unsigned_product", wrong_core)
             else:
                 mp.setattr(ArrayState, "evaluate", wrong_evaluate)
-            want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
+            if not core_unused:
+                want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
+            core_calls.clear()
             got = _outcome(lambda: dp.simulate_configs(pairs, width, configs, count))
         assert got == want
+        if core_unused:
+            assert core_calls == []
 
     @staticmethod
     def _wrong_array(mp, arch, lane):
@@ -914,7 +928,8 @@ class TestOneChunkPass:
 
     @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
     def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
-        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too
+        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too.  A pass
+        # with the hybrid's array never calls the per-pair core, so that fault runs without it.
         pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (-6, 7), (2, 2)]
         rule, core = encoding._pp_rows, encoding.unsigned_product
 
@@ -934,7 +949,8 @@ class TestOneChunkPass:
                 mp.setattr(encoding, "_pp_rows", wrong_rows)
             else:
                 mp.setattr(encoding, "unsigned_product", wrong_core)
-            configs = [(arch, True) for arch in Architecture]
+            arrays = Architecture if count_fault == "_pp_rows" else (Architecture.CONVENTIONAL, Architecture.BOOTH)
+            configs = [(arch, True) for arch in arrays]
             got = _outcome(lambda: dp.simulate_configs(pairs, 8, configs, tuple(Architecture)))
             # one call per step would name the count's pair 4 first
             assert _outcome(lambda: count_pairs(pairs, tuple(Architecture), 8))[1] == (-6, 7)

@@ -15,6 +15,7 @@ from reference_encoding import (
 
 import hybridmul.encoding as encoding
 from hybridmul import simulate_stream, trace
+from hybridmul.datapath import simulate_configs
 from hybridmul.bitnum import Word, check_operand_width, to_sign_magnitude
 from hybridmul.encoding import (
     AddM,
@@ -722,6 +723,33 @@ class TestHybridSeamWords:
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 256])
     @pytest.mark.parametrize("archs", [(Architecture.HYBRID,), tuple(Architecture)])
+    def test_a_pass_with_the_hybrid_array_calls_no_core_and_builds_no_word(self, chunk, archs, monkeypatch):
+        rng = random.Random(chunk)
+        width = 6
+        pairs = [(rng.randint(-63, 63), rng.choice([-63, -6, 0, 6, 45, 63])) for _ in range(40)]
+        core, post_init = encoding.unsigned_product, Word.__post_init__
+        calls, built = [], []
+
+        def spy(multiplicand, multiplier, arch):
+            calls.append((multiplicand.bits, multiplier.bits))
+            return core(multiplicand, multiplier, arch)
+
+        def counting_post_init(word):
+            built.append(word.bits)
+            post_init(word)
+
+        monkeypatch.setattr(encoding, "unsigned_product", spy)
+        monkeypatch.setattr(Word, "__post_init__", counting_post_init)
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", chunk)
+        configs = [(Architecture.HYBRID, False), (Architecture.BOOTH, True)]
+        _, counts = simulate_configs(pairs, width, configs, archs)
+        assert (calls, built) == ([], [])
+        # the count pass alone, on the same run, still runs the core once per pair
+        assert count_pairs(pairs, archs, width) == counts
+        assert calls == [(abs(a), abs(b)) for a, b in pairs]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7, 256])
+    @pytest.mark.parametrize("archs", [(Architecture.HYBRID,), tuple(Architecture)])
     def test_one_call_per_pair_on_one_word_per_magnitude(self, chunk, archs, monkeypatch):
         rng = random.Random(chunk)
         width = 5
@@ -944,6 +972,33 @@ class TestLaneHybrid:
         routes = encoding._hybrid_routes(encoding._pack(mb, lay.lane), width, lay)
         got = [tuple(encoding._lane(r, i, lay) for r in routes) for i in range(lay.count)]
         assert got == [_int_routes(b, width) for b in mb]
+
+    @given(hybrid_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_lane_counts_are_the_per_pair_cores_summed(self, run):
+        width, ma, mb = run
+        lay = encoding._layout(2 * width, len(mb))
+        summed = [0, 0, 0]
+        for x, y in zip(ma, mb):
+            product, counts = reference_product(Word(x, width), Word(y, width), Architecture.HYBRID)
+            assert (product, counts) == unsigned_product(Word(x, width), Word(y, width), Architecture.HYBRID)
+            summed[0] += counts.pp_count
+            summed[1] += counts.add_count
+            summed[2] += counts.shift_count
+        assert encoding._hybrid_counts(encoding._pack(mb, lay.lane), width, lay) == tuple(summed)
+
+    @given(hybrid_runs(), st.sampled_from([1, 3, 7, 256]), st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_a_pass_with_the_hybrid_array_counts_what_the_count_pass_counts(self, run, chunk, gated, rnd):
+        width, ma, mb = run
+        pairs = [(rnd.choice([x, -x]), rnd.choice([y, -y])) for x, y in zip(ma, mb)]
+        archs = tuple(rnd.sample(list(Architecture), rnd.randint(1, 3)))
+        if Architecture.HYBRID not in archs:
+            archs += (Architecture.HYBRID,)
+        want = count_pairs(pairs, archs, width)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "STREAM_CHUNK", chunk)
+            assert simulate_configs(pairs, width, [(Architecture.HYBRID, gated)], archs)[1] == want
 
     def test_popcount_cache_grows_with_shapes_not_counts(self):
         encoding._popcount_steps.cache_clear()
