@@ -379,7 +379,10 @@ def simulate_configs(
     Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
     :func:`~hybridmul.encoding.count_pairs` returns for ``count``: the step of
     :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, with
-    :func:`build_pp` as its row builder.  ``trace`` is called as ``trace(config, index, record)``.
+    :func:`build_pp` as its row builder.  Every product is checked once, where it is made: a counted
+    architecture with an array here is checked by that array and counted from its multipliers, and
+    the count checks only the others.  With no configuration the whole run is range-checked first;
+    with one, each chunk's lanes are its check.  ``trace`` is called as ``trace(config, index, record)``.
     """
     states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
     zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}

@@ -12,11 +12,13 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
 pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
 pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
-4A, 7.1.3).  Each lane's conventional or Booth rows, summed modulo 2**cols, must equal the packed
-``|a * b|``.  A pass that runs the hybrid's array takes the hybrid's counts from its lane routes
-(:func:`_hybrid_counts`), and the array checks its products; a pass without that array runs the
-hybrid pair by pair through :func:`unsigned_product`, the seam its counts and checks come from.
-Every entry point rejects a bad width before it decodes an operand.
+4A, 7.1.3).  Every product is checked once, where it is made.  An architecture whose array runs in
+the pass is checked by that array, and its counts come from its multipliers alone: the top-bit
+popcount for conventional and Booth, the lane routes for the hybrid (:func:`_hybrid_counts`).  The
+count checks the counted architectures that no array runs: a conventional or Booth lane's rows,
+summed modulo 2**cols, must equal the packed ``|a * b|``, and the hybrid runs pair by pair through
+:func:`unsigned_product`, the seam its counts come from.  Every entry point rejects a bad width,
+then an architecture that is not an :class:`Architecture` member, before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
@@ -388,8 +390,11 @@ class ArrayGeometry:
     cols: int
 
     @classmethod
+    @cache  # frozen, so one geometry per shape serves every array and count
     def create(cls, width: int, arch: Architecture) -> "ArrayGeometry":
         check_operand_width(width)
+        if not isinstance(arch, Architecture):
+            raise ValueError(f"architecture must be an Architecture member, got {arch!r}")
         if arch is _BOOTH:
             # worst case digit count (top-bit-set operand needs one extra
             # digit) plus the shared sign-correction row
@@ -623,11 +628,13 @@ def _lane_sum(rows, lay: _Layout) -> int:
     return total
 
 
+@lru_cache(maxsize=1)
 def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int]:
     """Per lane, the multiplier bits :func:`hybrid_int` hands its engines: ``(chain, chain_hi, booth, booth_hi)``.
 
     A lane holds 0 in each route it does not take; the high halves run at
-    weight ``width // 2``.
+    weight ``width // 2``.  The last chunk's routes are kept, so the hybrid's
+    row rule works them out and :func:`_hybrid_counts` reads them.
     """
     steps = _popcount_masks(lay)
 
@@ -793,37 +800,40 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
 
     Each chunk of :data:`STREAM_CHUNK` pairs is decoded and packed once, into two :class:`Lanes` and a
     packed ``|a * b|``; ``build(multiplicand, multiplier, arch)`` makes the :class:`PPLanes` of each
-    architecture in ``archs`` and of the count's conventional and Booth once.  A count of the hybrid
-    alone packs nothing.  ``step(start, pps)``, if given, runs the arrays on a chunk's rows and yields
-    each array's packed products; a run with a step must not be empty.
+    architecture in ``archs`` and of each conventional or Booth count that no array runs.  A count of
+    the hybrid alone packs nothing.  ``step(start, pps)``, if given, runs the arrays on a chunk's rows
+    and yields each array's packed products; a run with a step must not be empty.
 
-    The hybrid's counts: a pass whose step runs the hybrid's array takes them from its lane routes
-    (:func:`_hybrid_counts`), and that array checks its products.  Any other pass runs the hybrid pair
-    by pair through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per distinct
-    magnitude of the chunk, and checks each product there.
+    Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
+    by its array alone, and its counts come from its multipliers: the top-bit popcount for
+    conventional and Booth, :func:`_hybrid_counts` on the routes the hybrid's row rule worked out for
+    the hybrid.  The count checks the counted architectures that no array runs: conventional and Booth
+    by lane sums, the hybrid pair by pair through :func:`unsigned_product`, in pair order, on one
+    shared :class:`Word` per distinct magnitude of the chunk.
 
-    The error order: with a count or no step, the width and then the whole run, even an empty one, are
-    range-checked first (:func:`_check_operands`); else each chunk's :class:`Lanes` are its check.  Then,
-    chunk by chunk, the count's checks (conventional and Booth by lane sums, the hybrid at its seam)
-    raise for the first bad pair and its first wrong architecture in ``count`` order, then each product
+    The error order: the width, then each counted architecture, is checked first.  A pass that runs
+    no array then range-checks the whole run, even an empty one (:func:`_check_operands`); with
+    arrays, each chunk's :class:`Lanes` are its check.  Then, chunk by chunk, the count's checks raise
+    for the first bad pair and its first wrong architecture in ``count`` order, then each product
     ``step`` yields is checked as it comes, so the first wrong array raises.
     """
-    hybrid = _HYBRID in count
-    seam = hybrid and (step is None or _HYBRID not in archs)
+    for arch in count:
+        ArrayGeometry.create(width, arch)  # refuses a bad width, then anything but an Architecture
+    checks = [arch for arch in count if arch not in archs]
+    lane_checks = [arch for arch in checks if arch is not _HYBRID]
     hybrid_pps = hybrid_adds = hybrid_shifts = 0
-    lane_count = [arch for arch in count if arch is not _HYBRID]
-    archs = dict.fromkeys([*archs, *lane_count])
-    if checked := count or step is None:
+    built = dict.fromkeys([*archs, *lane_checks])
+    if not archs:
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
         _check_operands(pairs, width)
-    seen = top_set = 0  # pairs, and (for a conventional or Booth count) multipliers with the top bit set
+    seen = top_set = 0  # pairs, and multipliers with the top bit set
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
         pps, expected = {}, 0
-        if archs or not checked:  # without the whole-run check, the Lanes are the chunk's range check
+        if built:
             try:
                 multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
             except ValueError:
@@ -831,42 +841,35 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 raise
             lay = multiplicand.layout
             expected = _pack(list(map(mul, ma, mb)), lay.lane)
-            if lane_count:
-                top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
-            for arch in archs:
+            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
+            for arch in built:
                 pps[arch] = build(multiplicand, multiplier, arch)
-        if count:
-            bad = len(chunk)  # the first pair with a wrong lane product
-            for arch in lane_count:
-                total = _lane_sum(pps[arch].rows, lay)
-                if total != expected:
-                    bad = min(bad, _first_bad_lane(total, expected, lay))
-            if seam:
-                # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
-                # in at, and such a core may read ``.bits``; one Word per distinct magnitude of the chunk
-                words = {value: Word(value, width) for value in {*ma, *mb}}
-                for (a, b), x, y in zip(chunk[:bad], ma, mb):
-                    magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
-                    if magnitude != x * y:
-                        _checked(a, b, magnitude)  # the signed product is not a * b, so this raises
-                    hybrid_pps += counts.pp_count
-                    hybrid_adds += counts.add_count
-                    hybrid_shifts += counts.shift_count
-            elif hybrid:
-                pp, adds, shifts = _hybrid_counts(multiplier.packed, width, lay)
-                hybrid_pps += pp
-                hybrid_adds += adds
-                hybrid_shifts += shifts
-            if bad < len(chunk):
-                for arch in count:
-                    if arch is not _HYBRID:
-                        magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
-                    elif seam:
-                        magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
-                    else:
-                        continue  # the hybrid's array checks its products
-                    # the first wrong architecture of this pair raises
-                    _checked(*chunk[bad], magnitude)
+        bad = len(chunk)  # the first pair with a wrong lane product
+        for arch in lane_checks:
+            total = _lane_sum(pps[arch].rows, lay)
+            if total != expected:
+                bad = min(bad, _first_bad_lane(total, expected, lay))
+        if _HYBRID in checks:
+            # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
+            # in at, and such a core may read ``.bits``; one Word per distinct magnitude of the chunk
+            words = {value: Word(value, width) for value in {*ma, *mb}}
+            for (a, b), x, y in zip(chunk[:bad], ma, mb):
+                magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
+                if magnitude != x * y:
+                    _checked(a, b, magnitude)  # the signed product is not a * b, so this raises
+                hybrid_pps += counts.pp_count
+                hybrid_adds += counts.add_count
+                hybrid_shifts += counts.shift_count
+        elif _HYBRID in count:  # the routes the hybrid's row rule worked out for this chunk
+            pp, adds, shifts = _hybrid_counts(multiplier.packed, width, lay)
+            hybrid_pps, hybrid_adds, hybrid_shifts = hybrid_pps + pp, hybrid_adds + adds, hybrid_shifts + shifts
+        if bad < len(chunk):
+            for arch in checks:  # the first wrong architecture of this pair raises
+                if arch is _HYBRID:
+                    magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
+                else:
+                    magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
+                _checked(*chunk[bad], magnitude)
         if step is not None:
             for products in step(seen, pps):
                 if products != expected:

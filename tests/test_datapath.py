@@ -764,9 +764,12 @@ def _outcome(call):
 
 
 def _one_call_per_step(pairs, width, configs, count):
-    """The count pass over the whole run, then one stream per distinct configuration in order."""
-    counts = count_pairs(pairs, count, width)
-    return {(arch, gated): simulate_stream(pairs, arch, width, gated) for arch, gated in dict.fromkeys(configs)}, counts
+    """The count pass over the counted architectures no array runs, one stream per distinct configuration
+    in order, then the counts: every product is checked once, where it is made."""
+    configs = dict.fromkeys(configs)
+    count_pairs(pairs, [arch for arch in count if arch not in {arch for arch, _ in configs}], width)
+    reports = {(arch, gated): simulate_stream(pairs, arch, width, gated) for arch, gated in configs}
+    return reports, count_pairs(pairs, count, width)
 
 
 # the bit a test fault flips in one architecture's products, so its error names the architecture
@@ -910,21 +913,48 @@ class TestOneChunkPass:
 
         mp.setattr(ArrayState, "evaluate", wrong_evaluate)
 
-    def test_with_a_count_the_whole_run_is_range_checked_first(self):
-        pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (300, 1)]
+    @staticmethod
+    def _wrong_rows_at(mp, value):
+        """Flip each architecture's fault bit in every lane whose multiplicand is ``value``."""
+        rule = encoding._pp_rows
+
+        def wrong_rows(a, b, w, arch, lay):
+            rows = rule(a, b, w, arch, lay)
+            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == value]
+            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
+
+        mp.setattr(encoding, "_pp_rows", wrong_rows)
+
+    RANGE_PAIRS = [(65, 34), (3, 5), (7, 9), (11, 13), (300, 1)]  # chunks of 3: the bad operand is in chunk 1
+
+    def test_with_no_array_the_whole_run_is_range_checked_first(self):
         with pytest.raises(OverflowError) as want:
             multiply(300, 1, Architecture.CONVENTIONAL, 8)
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)
+            self._wrong_rows_at(mp, 65)  # the count's lane sums are wrong in chunk 0
+            for count in [(Architecture.CONVENTIONAL,), tuple(Architecture)]:
+                for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
+                             lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
+                    assert _outcome(call) == (OverflowError, None, str(want.value))
+
+    def test_with_arrays_each_chunk_is_range_checked_by_its_lanes(self):
+        configs = [(Architecture.CONVENTIONAL, False)]
+        counts = [(), (Architecture.HYBRID,), tuple(Architecture)]
+        with pytest.raises(OverflowError) as want:
+            multiply(300, 1, Architecture.CONVENTIONAL, 8)
+        with pytest.MonkeyPatch.context() as mp:
+            _chunks_of(mp, 3)
+            for count in counts:
+                assert _outcome(lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, configs, count)) == (
+                    OverflowError, None, str(want.value)
+                )
+            # chunk 0's wrong product comes before chunk 1's bad operand, with a count or without
             self._wrong_array(mp, Architecture.CONVENTIONAL, 0)
-            configs = [(Architecture.CONVENTIONAL, False)]
-            assert _outcome(lambda: dp.simulate_configs(pairs, 8, configs, [Architecture.HYBRID])) == (
-                OverflowError, None, str(want.value)
-            )
-            # without a count, chunk 0's wrong product comes before chunk 1's bad operand
-            assert _outcome(lambda: dp.simulate_configs(pairs, 8, configs)) == (
-                ProductMismatchError, (65, 34), "product mismatch for 65 * 34: got 2211, expected 2210"
-            )
+            for count in counts:
+                assert _outcome(lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, configs, count)) == (
+                    ProductMismatchError, (65, 34), "product mismatch for 65 * 34: got 2211, expected 2210"
+                )
 
     @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
     def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
@@ -957,16 +987,32 @@ class TestOneChunkPass:
         assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")
 
     def test_a_chunks_count_checks_come_before_its_arrays(self):
-        # every row rule is wrong at multiplicand 3, so Booth's count and the conventional array both fail at (3, 5)
-        rule = encoding._pp_rows
-
-        def wrong_rows(a, b, w, arch, lay):
-            rows = rule(a, b, w, arch, lay)
-            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == 3]
-            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
-
+        # every row rule is wrong at multiplicand 3; Booth has no array, so its count fails (3, 5) first
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(encoding, "_pp_rows", wrong_rows)
+            self._wrong_rows_at(mp, 3)
             configs = [(Architecture.CONVENTIONAL, False)]
             got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, [Architecture.BOOTH]))
         assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")
+
+    def test_an_architecture_whose_array_runs_is_checked_by_its_array_alone(self):
+        # every row rule is wrong at multiplicand 3: the count checks neither architecture, so the
+        # first array, conventional's, names the pair with its own fault bit
+        with pytest.MonkeyPatch.context() as mp:
+            self._wrong_rows_at(mp, 3)
+            configs = [(Architecture.CONVENTIONAL, False), (Architecture.BOOTH, False)]
+            count = (Architecture.BOOTH, Architecture.CONVENTIONAL)
+            got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, count))
+        assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 14, expected 15")
+
+    def test_a_counted_architecture_whose_array_runs_gets_no_lane_sum(self, monkeypatch):
+        lane_sum, summed = encoding._lane_sum, []
+        monkeypatch.setattr(encoding, "_lane_sum", lambda rows, lay: summed.append(len(rows)) or lane_sum(rows, lay))
+        pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "uniform"), 8, seed=4)  # two chunks
+        count = (Architecture.CONVENTIONAL, Architecture.BOOTH)
+        dp.simulate_configs(pairs, 8, CONFIGS, count)
+        # only the hybrid's row rule sums rows: a half-width Booth leaf's 3 digits and correction row
+        assert set(summed) <= {4}
+        summed.clear()
+        count_pairs(pairs, count, 8)
+        # with no array, the count sums each chunk's 8 conventional and 6 Booth rows
+        assert summed == [8, 6] * 2

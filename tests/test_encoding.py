@@ -20,6 +20,7 @@ from hybridmul.bitnum import Word, check_operand_width, to_sign_magnitude
 from hybridmul.encoding import (
     AddM,
     Architecture,
+    ArrayGeometry,
     CategoryKind,
     OpCounts,
     ProductMismatchError,
@@ -509,9 +510,32 @@ class TestWidthPrecedence:
             for gated in (False, True)
         ]
         calls.append(lambda: trace(*pair, width))
+        # and before it refuses an architecture that is not an Architecture member
+        calls += [lambda: multiply(*pair, "booth", width), lambda: count_pairs([pair], ("booth",), width)]
+        calls.append(lambda: simulate_stream([(1, 1), pair], "booth", width, False))
         expected = (ValueError, f"operand width must be in [4, 32], got {width}")
         for call in calls:
             assert _raised(call) == expected
+
+
+class TestArchitecturePrecedence:
+    """A value that is not an ``Architecture`` member is refused after the width and before any operand."""
+
+    PAIRS = [(65, 34), (3, 5), (120, 77)]
+
+    def test_a_name_is_not_an_architecture(self):
+        calls = [
+            lambda: ArrayGeometry.create(8, "booth"),
+            lambda: multiply(65, 34, "booth", 8),
+            lambda: multiply(300, 1, "booth", 8),
+            lambda: count_pairs(self.PAIRS, (Architecture.CONVENTIONAL, "booth"), 8),
+            lambda: count_pairs([(300, 1)], ("booth",), 8),
+            lambda: simulate_stream(self.PAIRS, "booth", 8, False),
+            lambda: simulate_stream([(300, 1)], "booth", 8, True),
+            lambda: simulate_configs(self.PAIRS, 8, [(Architecture.CONVENTIONAL, False)], ["booth"]),
+        ]
+        for call in calls:
+            assert _raised(call) == (ValueError, "architecture must be an Architecture member, got 'booth'")
 
 
 @st.composite
@@ -999,6 +1023,17 @@ class TestLaneHybrid:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "STREAM_CHUNK", chunk)
             assert simulate_configs(pairs, width, [(Architecture.HYBRID, gated)], archs)[1] == want
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    def test_a_pass_with_the_hybrid_array_works_out_each_chunks_routes_once(self, chunk, monkeypatch):
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", chunk)
+        pairs = [(a - 10, 37 * a % 256) for a in range(1, 21)]  # no two multipliers alike
+        configs = [(Architecture.HYBRID, False), (Architecture.HYBRID, True)]
+        encoding._hybrid_routes.cache_clear()
+        simulate_configs(pairs, 8, configs, tuple(Architecture))
+        chunks = -(-len(pairs) // chunk)
+        # the row rule works the routes out once per chunk and the count reads them
+        assert encoding._hybrid_routes.cache_info()[:2] == (chunks, chunks)  # hits, misses
 
     def test_popcount_cache_grows_with_shapes_not_counts(self):
         encoding._popcount_steps.cache_clear()
