@@ -27,8 +27,8 @@ from .harness import (
     Campaign,
     InputFormatError,
     RandomSource,
-    gen_inputs,
     parse_input_spec,
+    read_campaign,
     render_ascii,
     render_cost_grid_ascii,
     render_cost_grid_csv,
@@ -36,13 +36,12 @@ from .harness import (
     render_cost_grid_svg,
     render_csv,
     render_json,
-    reductions,
+    render_stream,
     render_svg,
     run_campaign,
-    toggle_reports,
     trace,
 )
-from .metrics import REFERENCE_SWITCHING_REDUCTION_PCT, CostModel, table2_report
+from .metrics import CostModel, table2_report
 
 _ARCH_BY_NAME = {a.value: a for a in Architecture}
 # each command's --format names, as the emitters they select
@@ -78,6 +77,8 @@ def _campaign(args: argparse.Namespace, **options) -> Campaign:
     source = parse_input_spec(args.inputs)
     if isinstance(source, RandomSource):
         source = RandomSource(source.count, args.dist or "uniform")
+        if (args.seed or 0) < 0:
+            raise InputFormatError(f"--seed must be non-negative, got {args.seed}")
     else:
         for flag, value in (("--dist", args.dist), ("--seed", args.seed)):
             if value is not None:
@@ -107,7 +108,7 @@ def _refuse_overwrite(flag: str, dest: str | None, *inputs: str | None) -> None:
 def _output(out: str | None):
     """The report's destination: ``out`` opened for writing, or stdout.
 
-    Commands open it before they run, so an unwritable path fails before any work.
+    Commands open it between reading their inputs and simulating, so a bad input leaves ``out`` as it was.
     """
     return open(out, "w") if out else nullcontext(sys.stdout)
 
@@ -159,8 +160,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     # the model is read first, so a missing model is reported before a missing input
     _refuse_overwrite("--out", args.out, args.model, getattr(campaign.source, "path", None))
     model = CostModel.load(args.model) if args.model else CostModel.default()
+    read = read_campaign(campaign, model, args.interpolate)
     with _output(args.out) as out:
-        out.write(_REPORT_FORMATS[args.format](run_campaign(campaign, model, interpolate=args.interpolate)))
+        out.write(_REPORT_FORMATS[args.format](run_campaign(campaign, read=read)))
     return 0
 
 
@@ -181,8 +183,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 def _cmd_stream(args: argparse.Namespace) -> int:
     campaign = _campaign(args, simulate_toggles=True)
     _refuse_overwrite("--trace-toggles", args.trace_toggles, getattr(campaign.source, "path", None))
-    pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
-    # opened before the simulation, so an unwritable path fails before any work
+    read = read_campaign(campaign)
+    # opened once the inputs are read and before the simulation, as compare's --out
     with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:
 
         def record(arch: Architecture, index: int, one: ToggleReport) -> None:
@@ -193,25 +195,8 @@ def _cmd_stream(args: argparse.Namespace) -> int:
 
         if trace_file is not None:
             trace_file.write("operation,row,toggles,arch\n")
-        reports = toggle_reports(campaign, pairs, record if trace_file is not None else None)
-    lines = [
-        f"stream: width={args.width} inputs={args.inputs} pairs={len(pairs)} "
-        f"ssst={'on' if args.ssst else 'off'}",
-        f"{'arch':<14}{'toggles':>12}{'frozen_evals':>14}{'ops':>8}",
-    ]
-    for arch, report in reports.items():
-        lines.append(
-            f"{arch.value:<14}{report.total_toggles:>12}"
-            f"{report.frozen_cell_evaluations:>14}{report.operations_simulated:>8}"
-        )
-    measured = reductions({arch: r.total_toggles for arch, r in reports.items()})
-    for base, claim in REFERENCE_SWITCHING_REDUCTION_PCT.items():
-        pct = measured.get(f"hybrid_vs_{base}")
-        if pct is not None:
-            lines.append(
-                f"toggle reduction hybrid vs {base}: {pct:.2f}% (reference claim: {claim:.0f}%)"
-            )
-    sys.stdout.write("\n".join(lines) + "\n")
+        report = run_campaign(campaign, trace=record if trace_file is not None else None, read=read)
+    sys.stdout.write(render_stream(report))
     return 0
 
 

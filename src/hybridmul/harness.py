@@ -22,7 +22,7 @@ from typing import Mapping
 
 from . import __version__
 from .bitnum import Word, check_operand_width
-from .datapath import ToggleReport, simulate_configs
+from .datapath import simulate_configs
 from .encoding import (
     Architecture,
     Category,
@@ -36,7 +36,7 @@ from .encoding import (
     hybrid_plan,
     split,
 )
-from .metrics import CostGrid, CostModel, priced, reduction_percent, vdd_label
+from .metrics import REFERENCE_SWITCHING_REDUCTION_PCT, CostGrid, CostModel, priced, reduction_percent, vdd_label
 
 ALL_ARCHITECTURES = (Architecture.CONVENTIONAL, Architecture.BOOTH, Architecture.HYBRID)
 
@@ -138,29 +138,30 @@ def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
 
 
 def _random_pairs(source: RandomSource, width: int, seed: int) -> list[tuple[int, int]]:
-    rng = random.Random(seed)
-    top = 1 << width
     dist = source.distribution
     sparse = _SPARSE_RE.match(dist)
+    if sparse:
+        k = int(sparse.group(1))
+        if k > width:
+            raise InputFormatError(f"{dist} needs K <= width, got K={k} at width {width}")
+    elif dist == "uniform8" and width < 8:
+        raise InputFormatError("uniform8 needs width >= 8")
+    elif dist not in ("uniform", "uniform8"):
+        raise InputFormatError(f"unknown distribution {dist!r}; use uniform, uniform8, or sparseK")
+    rng = random.Random(seed)
+    top = 1 << width
     pairs = []
     for _ in range(source.count):
         if dist == "uniform":
             a = rng.randrange(-(top - 1), top)
             b = rng.randrange(-(top - 1), top)
         elif dist == "uniform8":
-            if width < 8:
-                raise InputFormatError("uniform8 needs width >= 8")
             a = rng.randrange(0, 256)
             b = rng.randrange(0, 256)
-        elif sparse:
-            k = min(int(sparse.group(1)), width)
+        else:
             a = rng.randrange(0, top)
             npop = rng.randint(0, k)
             b = sum(1 << p for p in rng.sample(range(width), npop))
-        else:
-            raise InputFormatError(
-                f"unknown distribution {dist!r}; use uniform, uniform8, or sparseK"
-            )
         pairs.append((a, b))
     return pairs
 
@@ -255,47 +256,43 @@ def swaps_for_sparsity(multiplicand: int, multiplier: int) -> bool:
     return abs(multiplicand).bit_count() < abs(multiplier).bit_count()
 
 
-def toggle_reports(campaign: Campaign, pairs, trace=None) -> dict[Architecture, ToggleReport]:
-    """Run the cell-level toggle simulation of ``pairs``, any iterable, on each campaign architecture.
-
-    Untraced, one :func:`~hybridmul.datapath.simulate_configs` call runs every architecture per
-    chunk.  ``trace``, if given, is called as ``trace(arch, index, record)`` with every evaluation's
-    :class:`ToggleReport`, all of one architecture's before the next: one call per architecture.
-    """
-    configs = [(arch, campaign.ssst) for arch in campaign.architectures]
-    if trace is None:
-        reports, _ = simulate_configs(pairs, campaign.width, configs)
-    else:
-        pairs, reports = list(pairs), {}
-        for config in configs:
-            one, _ = simulate_configs(pairs, campaign.width, (config,), trace=lambda c, i, r: trace(c[0], i, r))
-            reports |= one
-    return {arch: reports[arch, campaign.ssst] for arch in campaign.architectures}
-
-
-def run_campaign(
-    campaign: Campaign,
-    model: CostModel | None = None,
-    interpolate: bool = False,
-) -> CampaignReport:
-    """Run a campaign; raises ProductMismatchError on any oracle mismatch.
-
-    Every voltage is priced before any input is generated, so an off-grid one fails before any
-    work.  With toggles, one :func:`~hybridmul.datapath.simulate_configs` call counts and simulates.
-    """
+def read_campaign(campaign: Campaign, model: CostModel | None = None, interpolate: bool = False):
+    """The first step of :func:`run_campaign`: price every voltage, then generate and check the pairs."""
     model = model or CostModel.default()
     unit_costs = {vdd: model.unit_cost(vdd, interpolate) for vdd in campaign.vdds}
     pairs = gen_inputs(campaign.source, campaign.width, campaign.seed)
     if campaign.prefer_sparse:
         # one operand order for the counts and the toggles alike
         pairs = [(b, a) if swaps_for_sparsity(a, b) else (a, b) for a, b in pairs]
-    if campaign.simulate_toggles:
-        configs = [(arch, campaign.ssst) for arch in campaign.architectures]
-        reports, arch_counts = simulate_configs(pairs, campaign.width, configs, campaign.architectures)
+    return unit_costs, pairs
+
+
+def run_campaign(
+    campaign: Campaign, model: CostModel | None = None, interpolate: bool = False, trace=None, read=None
+) -> CampaignReport:
+    """Run a campaign; raises ProductMismatchError on any oracle mismatch.
+
+    ``read``, :func:`read_campaign`'s result for ``campaign``, stands in for that step, so a caller can
+    open its outputs between reading and simulating.  With toggles, one
+    :func:`~hybridmul.datapath.simulate_configs` call counts and simulates; ``trace(arch, index, record)``,
+    if given, gets every evaluation's record, one ``simulate_configs`` call per architecture.
+    """
+    if trace is not None and not campaign.simulate_toggles:
+        raise ValueError("a trace needs simulate_toggles=True: it records the toggle simulation")
+    unit_costs, pairs = read or read_campaign(campaign, model, interpolate)
+    width, archs = campaign.width, campaign.architectures
+    configs = [(arch, campaign.ssst) for arch in archs]
+    if not campaign.simulate_toggles:
+        reports, arch_counts = {}, count_pairs(pairs, archs, width)
+    elif trace is None:
+        reports, arch_counts = simulate_configs(pairs, width, configs, archs)
     else:
-        reports, arch_counts = {}, count_pairs(pairs, campaign.architectures, campaign.width)
+        reports, arch_counts = {}, ()
+        for config in configs:
+            one, counts = simulate_configs(pairs, width, (config,), config[:1], lambda c, i, r: trace(c[0], i, r))
+            reports, arch_counts = reports | one, arch_counts + counts
     summaries = []
-    for arch, counts in zip(campaign.architectures, arch_counts):
+    for arch, counts in zip(archs, arch_counts):
         toggled = reports.get((arch, campaign.ssst))
         summaries.append(
             ArchSummary(
@@ -482,6 +479,24 @@ def render_ascii(report: CampaignReport) -> str:
     for metric, vals in reductions.items():
         for key, pct in vals.items():
             lines.append(f"reduction {metric} {key}: {pct:.2f}%")
+    return "\n".join(lines) + "\n"
+
+
+def render_stream(report: CampaignReport) -> str:
+    """The ``stream`` table: each architecture's toggle totals, then the toggle reductions against the reference claims."""
+    c = report.campaign
+    lines = [
+        f"stream: width={c.width} inputs={c.source.describe()} pairs={report.summaries[0].pairs} "
+        f"ssst={'on' if c.ssst else 'off'}",
+        f"{'arch':<14}{'toggles':>12}{'frozen_evals':>14}{'ops':>8}",
+    ]
+    for s in report.summaries:
+        lines.append(f"{s.arch.value:<14}{s.toggles:>12}{s.frozen_cell_evaluations:>14}{s.pairs:>8}")
+    measured = report.reductions()["toggles"]
+    for base, claim in REFERENCE_SWITCHING_REDUCTION_PCT.items():
+        pct = measured.get(f"hybrid_vs_{base}")
+        if pct is not None:
+            lines.append(f"toggle reduction hybrid vs {base}: {pct:.2f}% (reference claim: {claim:.0f}%)")
     return "\n".join(lines) + "\n"
 
 

@@ -112,9 +112,12 @@ class TestGenInputs:
         for _, b in gen_inputs(RandomSource(300, "sparse3"), 8, seed=2):
             assert bin(b).count("1") <= 3
 
-    def test_sparse_k_capped_at_width(self):
-        for _, b in gen_inputs(RandomSource(50, "sparse12"), 8, seed=2):
+    def test_sparse_k_over_the_width_is_refused(self):
+        # a clamp would run sparse8 under the label sparse12
+        for _, b in gen_inputs(RandomSource(50, "sparse8"), 8, seed=2):
             assert 0 <= b < 256
+        with pytest.raises(InputFormatError, match="sparse12 needs K <= width, got K=12 at width 8"):
+            gen_inputs(RandomSource(50, "sparse12"), 8, seed=2)
 
     def test_unknown_distribution(self):
         with pytest.raises(InputFormatError):
@@ -280,28 +283,43 @@ class TestRunCampaign:
             Campaign(width=8, source=RandomSource(5), ssst=True)
         assert Campaign(width=8, source=RandomSource(5), ssst=True, simulate_toggles=True).ssst
 
-    @pytest.mark.parametrize("traced", [False, True])
-    def test_toggle_reports_take_a_one_shot_iterator(self, traced):
-        campaign = Campaign(width=8, source=RandomSource(5), simulate_toggles=True)
-        pairs = [(3, 5), (7, 9)]
-        seen = {False: [], True: []}
+    def test_a_traced_campaign_runs_one_pass_per_architecture(self, monkeypatch):
+        calls = []
+        chunk_pass = harness.simulate_configs
 
-        def calls(from_iterator):
-            return None if not traced else lambda arch, i, one: seen[from_iterator].append((arch, i, one))
+        def spy(pairs, width, configs, count=(), trace=None):
+            calls.append((tuple(configs), tuple(count), trace is not None))
+            return chunk_pass(pairs, width, configs, count, trace)
 
-        listed = harness.toggle_reports(campaign, pairs, calls(False))
-        once = harness.toggle_reports(campaign, iter(pairs), calls(True))
-        assert once == listed
-        assert [r.operations_simulated for r in once.values()] == [2, 2, 2]
-        assert seen[True] == seen[False]
-
-    def test_traced_toggle_reports_write_one_architecture_at_a_time(self):
-        campaign = Campaign(width=8, source=RandomSource(5), simulate_toggles=True, ssst=True)
-        pairs = gen_inputs(RandomSource(300, "sparse3"), 8, seed=42)
+        monkeypatch.setattr(harness, "simulate_configs", spy)
+        source = RandomSource(300, "sparse3")
+        campaign = Campaign(width=8, source=source, seed=42, simulate_toggles=True, ssst=True)
         seen = []
-        reports = harness.toggle_reports(campaign, pairs, lambda arch, i, one: seen.append((arch, i)))
-        assert seen == [(arch, i) for arch in campaign.architectures for i in range(len(pairs))]
-        assert reports == {arch: simulate_stream(pairs, arch, 8, True) for arch in campaign.architectures}
+        traced = run_campaign(campaign, trace=lambda arch, i, one: seen.append((arch, i, one)))
+        archs = campaign.architectures
+        assert calls == [(((arch, True),), (arch,), True) for arch in archs]
+        assert [(arch, i) for arch, i, _ in seen] == [(arch, i) for arch in archs for i in range(300)]
+        pairs = gen_inputs(source, 8, seed=42)
+        for arch in archs:
+            records = [one for seen_arch, _, one in seen if seen_arch is arch]
+            assert sum(one.total_toggles for one in records) == simulate_stream(pairs, arch, 8, True).total_toggles
+        calls.clear()
+        untraced = run_campaign(campaign)
+        assert calls == [(tuple((arch, True) for arch in archs), archs, False)]
+        assert render_json(traced) == render_json(untraced)
+
+    def test_a_trace_needs_the_toggle_simulation(self, no_work):
+        with pytest.raises(ValueError, match="a trace needs simulate_toggles=True"):
+            run_campaign(Campaign(width=8, source=RandomSource(5)), trace=lambda arch, i, one: None)
+
+    def test_a_read_campaign_is_not_read_again(self, monkeypatch):
+        campaign = Campaign(width=8, source=RandomSource(40, "sparse3"), seed=7, simulate_toggles=True)
+        read = harness.read_campaign(campaign)
+        assert read == ({1.2: CostModel.default().unit_cost(1.2)}, gen_inputs(campaign.source, 8, seed=7))
+        expected = render_json(run_campaign(campaign))
+        monkeypatch.setattr(harness, "gen_inputs", lambda *args: pytest.fail("a read campaign is not read again"))
+        monkeypatch.setattr(CostModel, "unit_cost", lambda *args: pytest.fail("a read campaign is priced"))
+        assert render_json(run_campaign(campaign, read=read)) == expected
 
     def test_toggles_and_counts_come_from_one_chunk_pass(self, monkeypatch):
         calls = []
@@ -629,6 +647,48 @@ class TestCli:
         assert captured.out == ""
         assert f"No such file or directory: '{missing}'" in captured.err
         assert not missing.exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "--inputs", "file:{bad}", "--out"],
+            ["compare", "--inputs", "random:5", "--width", "40", "--out"],
+            ["compare", "--inputs", "random:5", "--vdd", "1.25", "--out"],
+            ["stream", "--inputs", "file:{bad}", "--trace-toggles"],
+            ["stream", "--inputs", "random:5", "--width", "40", "--trace-toggles"],
+        ],
+        ids=["compare-bad-pair", "compare-width", "compare-vdd", "stream-bad-pair", "stream-width"],
+    )
+    def test_a_refused_input_leaves_the_output_as_it_was(self, argv, existing, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("horse 34\n")
+        dest = tmp_path / "old.out"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        assert main([arg.format(bad=bad) for arg in argv] + [str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
+    @pytest.mark.parametrize("command", ["compare", "stream"])
+    def test_a_negative_seed_is_refused(self, command, capsys):
+        # the generator would seed with |seed|, printing seed 5's campaign under seed -5
+        assert main([command, "--inputs", "random:5", "--seed", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed must be non-negative, got -5\n"
+
+    @pytest.mark.parametrize("command", ["compare", "stream"])
+    def test_sparse_k_over_the_width_is_refused(self, command, capsys):
+        assert main([command, "--inputs", "random:5", "--dist", "sparse99", "--width", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sparse99 needs K <= width, got K=99 at width 8\n"
 
     @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
     def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
