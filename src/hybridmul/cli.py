@@ -19,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from .datapath import ToggleReport
 from .encoding import Architecture, ProductMismatchError
@@ -105,12 +105,36 @@ def _refuse_overwrite(flag: str, dest: str | None, *inputs: str | None) -> None:
             raise InputFormatError(f"{flag} {dest} is the input file {path}")
 
 
+@contextmanager
 def _output(out: str | None):
-    """The report's destination: ``out`` opened for writing, or stdout.
+    """Yield a function that writes the report to ``out``, or to stdout.
 
-    Commands open it between reading their inputs and simulating, so a bad input leaves ``out`` as it was.
+    Commands enter it between reading their inputs and simulating, so an unwritable ``out`` fails before
+    the work.  ``out`` keeps its bytes until the report is written: a run that raises first leaves an
+    existing ``out`` as it was and removes the one it created.
     """
-    return open(out, "w") if out else nullcontext(sys.stdout)
+    if not out:
+        yield sys.stdout.write
+        return
+    try:
+        file, created = open(out, "x"), True
+    except FileExistsError:
+        file, created = open(out, "a"), False  # not truncated yet; once it is, appending writes from byte 0
+
+    def write(text: str) -> None:
+        # only a file with bytes is truncated: a device such as /dev/null has none and refuses it
+        if not created and os.fstat(file.fileno()).st_size:
+            file.truncate(0)
+        file.write(text)
+
+    with file:
+        try:
+            yield write
+        except BaseException:
+            if created:
+                file.close()
+                os.unlink(out)
+            raise
 
 
 @functools.cache
@@ -161,8 +185,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     _refuse_overwrite("--out", args.out, args.model, getattr(campaign.source, "path", None))
     model = CostModel.load(args.model) if args.model else CostModel.default()
     read = read_campaign(campaign, model, args.interpolate)
-    with _output(args.out) as out:
-        out.write(_REPORT_FORMATS[args.format](run_campaign(campaign, read=read)))
+    with _output(args.out) as write:
+        write(_REPORT_FORMATS[args.format](run_campaign(campaign, read=read)))
     return 0
 
 
@@ -175,8 +199,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     _refuse_overwrite("--out", args.out, args.model)
     model = CostModel.load(args.model) if args.model else CostModel.default()
-    with _output(args.out) as out:
-        out.write(_GRID_FORMATS[args.format](table2_report(model)))
+    with _output(args.out) as write:
+        write(_GRID_FORMATS[args.format](table2_report(model)))
     return 0
 
 

@@ -13,10 +13,11 @@ distribution) triple always reproduces the same pairs.
 
 from __future__ import annotations
 
-import json
+import math
 import random
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Mapping
 
@@ -119,8 +120,16 @@ def parse_input_spec(spec: str) -> InputSource:
 
 def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
     """Read signed decimal pairs, one per line; ``#`` starts a comment."""
-    pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    text = Path(path).read_text()
+    try:
+        # one pass for a plain file; a blank line, a comment, a line of other than two fields or a field
+        # int() refuses raises ValueError here, and the line loop below skips it or names its line
+        pairs = [(int(a), int(b)) for a, b in map(str.split, text.splitlines())]
+    except ValueError:
+        pairs = []
+    if pairs:
+        return pairs
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -209,6 +218,9 @@ class Campaign:
             raise ValueError("a campaign needs at least one architecture")
         if not self.vdds:
             raise ValueError("a campaign needs at least one supply voltage")
+        if self.seed < 0:
+            # random.Random seeds with |seed|, so seed -5 would run seed 5's pairs under seed -5's label
+            raise ValueError(f"a campaign's seed must be non-negative, got {self.seed}")
         if self.ssst and not self.simulate_toggles:
             raise ValueError("ssst=True needs simulate_toggles=True: gating acts only on the toggle simulation")
 
@@ -451,8 +463,41 @@ def _report_payload(report: CampaignReport) -> dict:
     }
 
 
+def _json(value, newline: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it; a NaN or infinity raises ValueError.
+
+    It takes dicts with str keys, lists, tuples, str, int, float, bool and None, the report payloads' types;
+    anything else raises TypeError.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"a report holds no NaN or infinity, got {value!r}")
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: CampaignReport) -> str:
-    return json.dumps(_report_payload(report), indent=2, sort_keys=True) + "\n"
+    return _json(_report_payload(report)) + "\n"
 
 
 def render_ascii(report: CampaignReport) -> str:
@@ -596,7 +641,7 @@ def render_cost_grid_json(grid: CostGrid) -> str:
         },
         "note": grid.reduction_note(),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json(payload) + "\n"
 
 
 def render_cost_grid_svg(grid: CostGrid) -> str:

@@ -46,6 +46,7 @@ CASES = {
     **{f"table2-{fmt}": ["table2", "--format", fmt] for fmt in ("ascii", "csv", "json", "svg")},
     "compare-interpolated-json": _COMPARE_INTERPOLATED + ["--format", "json"],
     "table2-model-csv": ["table2", "--model", MODEL, "--format", "csv"],
+    "table2-model-json": ["table2", "--model", MODEL, "--format", "json"],
     "stream-gated": _STREAM,
     "stream-wide": _STREAM_WIDE,
     "trace-d": ["trace", "65", "34"],
@@ -70,6 +71,7 @@ GOLDEN = {
     "table2-ascii": "439e5706198f151841a40853a06e5508609c14d341865827bb16d009cc640206",
     "table2-csv": "03ab7134f68221642b9194d1c14dac44edeb19af5e7ac36a56f351659f029d19",
     "table2-model-csv": "f9f43fa6372c80f07b043010418391f144fa24315ba6b4e523bf3ba62c1fdb79",
+    "table2-model-json": "ea6fa774d45f3009a6f6a117e186b1ef92e7d09434b5084b6500366993eb6ff3",
     "table2-json": "4d8f3b3d6083d44da42ecc56e69cee385fda60a4116bde52f3e6a79127cf9174",
     "table2-svg": "761685df5431441d2a4c424e05f61d0357d435e5b0f29bf491e51d04a5a52776",
     "trace-d": "b6162f988790381975de5fdb6d3511babf28fc3df738787fa14f10f07bb6d8e0",

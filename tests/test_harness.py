@@ -1,7 +1,9 @@
 import argparse
 import json
+import math
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import hybridmul.cli as cli
 import hybridmul.encoding as encoding
@@ -128,6 +130,60 @@ class TestGenInputs:
             gen_inputs(RandomSource(5, "uniform8"), 4, seed=0)
 
 
+def reference_parse_pairs_file(path):
+    """The straight-line pairs-file reader that ``parse_pairs_file`` must match, pairs and errors alike."""
+    pairs = []
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        fields = line.split()
+        if len(fields) != 2:
+            raise InputFormatError(f"{path}:{lineno}: expected two integers, got {raw!r}")
+        try:
+            a, b = int(fields[0]), int(fields[1])
+        except ValueError:
+            raise InputFormatError(f"{path}:{lineno}: non-integer field in {raw!r}") from None
+        pairs.append((a, b))
+    if not pairs:
+        raise InputFormatError(f"{path}: no operand pairs found")
+    return pairs
+
+
+def reference_file_pairs(path, width):
+    """``gen_inputs`` on a pairs file, with the range check pair by pair."""
+    pairs = reference_parse_pairs_file(path)
+    for a, b in pairs:
+        if abs(a) >= 1 << width or abs(b) >= 1 << width:
+            raise InputFormatError(f"pair ({a}, {b}) does not fit in {width} bits")
+    return pairs
+
+
+def outcome(function, *args):
+    """What a call returns, or the type and text of the error it raises."""
+    try:
+        return function(*args)
+    except InputFormatError as exc:
+        return type(exc), str(exc)
+
+
+# fields int() takes or refuses: signs, leading zeros, underscores, non-ASCII digits, values past width 16
+_FIELDS = st.one_of(
+    st.integers(min_value=-70000, max_value=70000).map(str),
+    st.sampled_from(["+5", "-0", "007", "1_000", "\u0663", "\uff11\uff12", "x", "1.5", "_1", "1__0", "0x1f", "--3"]),
+)
+
+
+@st.composite
+def pairs_file_lines(draw):
+    """One line of a pairs file: one to three fields, or blank, with mixed separators and endings."""
+    fields = draw(st.lists(_FIELDS, min_size=0, max_size=3))
+    separators = st.sampled_from([" ", "  ", "\t", " \t "])
+    line = "".join(field + draw(separators) for field in fields[:-1]) + (fields[-1] if fields else "")
+    line = draw(st.sampled_from(["", " ", "\t"])) + line + draw(st.sampled_from(["", " ", "\r"]))
+    return line + draw(st.sampled_from(["", "", "", "  # a comment", "#"]))
+
+
 class TestPairsFile:
     def test_worked_example_file(self, tmp_path):
         f = tmp_path / "pairs.txt"
@@ -162,6 +218,34 @@ class TestPairsFile:
         f.write_text("300 1\n")
         with pytest.raises(InputFormatError):
             gen_inputs(FileSource(str(f)), 8)
+
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_width_overflow_names_the_first_bad_pair(self, at, tmp_path):
+        pairs = [(65, 34), (-7, 9), (12, -255), (0, 1), (255, 3)]
+        pairs[at] = (3, -256)
+        if at < 4:
+            pairs[4] = (999, 1)  # a later bad pair is not the one named
+        f = tmp_path / "pairs.txt"
+        f.write_text("".join(f"{a} {b}\n" for a, b in pairs))
+        with pytest.raises(InputFormatError) as caught:
+            gen_inputs(FileSource(str(f)), 8)
+        assert str(caught.value) == "pair (3, -256) does not fit in 8 bits"
+
+    @given(lines=st.lists(pairs_file_lines(), max_size=6), width=st.integers(min_value=4, max_value=16))
+    @example(lines=["65 34", "-7\t9"], width=8)
+    @example(lines=["+5 007", "1_000 \u0663"], width=8)  # int() takes a sign, leading zeros, underscores, any Nd digit
+    @example(lines=["65 34", "", "1 2"], width=8)
+    @example(lines=["65 34 1"], width=8)
+    @example(lines=["65"], width=8)
+    @example(lines=["1.5 2"], width=8)
+    @example(lines=["7 8  # seven eight"], width=8)
+    @example(lines=["65 34\r", "300 1"], width=8)
+    def test_matches_the_line_loop(self, lines, width, tmp_path_factory):
+        """Both parse paths give the line loop's pairs, or its error text, and the range check names its pair."""
+        f = tmp_path_factory.mktemp("pairs") / "pairs.txt"
+        f.write_text("\n".join(lines) + ("\n" if lines else ""))
+        assert outcome(parse_pairs_file, f) == outcome(reference_parse_pairs_file, f)
+        assert outcome(gen_inputs, FileSource(str(f)), width) == outcome(reference_file_pairs, f, width)
 
 
 class TestRunCampaign:
@@ -283,6 +367,12 @@ class TestRunCampaign:
             Campaign(width=8, source=RandomSource(5), ssst=True)
         assert Campaign(width=8, source=RandomSource(5), ssst=True, simulate_toggles=True).ssst
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds with |seed|: seed -5 would run seed 5's pairs and label them -5
+        with pytest.raises(ValueError, match="seed must be non-negative, got -5"):
+            Campaign(width=8, source=RandomSource(50), seed=-5)
+        assert Campaign(width=8, source=RandomSource(50), seed=0).seed == 0
+
     def test_a_traced_campaign_runs_one_pass_per_architecture(self, monkeypatch):
         calls = []
         chunk_pass = harness.simulate_configs
@@ -355,6 +445,30 @@ class TestRunCampaign:
         assert report.summaries[0].pairs == 256
 
 
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: round(x, 6)),
+    st.sampled_from([-0.0, 0.0, 1e-07, 1e16, 0.1 + 0.2, 2.0**53]),
+    st.text(),
+)
+
+
+def report_values():
+    """Values shaped like a report payload: nested str-keyed dicts, lists and tuples of its scalars."""
+    return st.recursive(
+        _REPORT_SCALARS,
+        lambda children: st.one_of(
+            st.lists(children, max_size=3),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(st.text(max_size=8), children, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
 class TestEmitters:
     @pytest.fixture()
     def report(self):
@@ -401,6 +515,18 @@ class TestEmitters:
         assert payload["meta"]["seed"] == 7
         assert payload["meta"]["distribution"] == "sparse3"
         assert payload["meta"]["ssst"] is True
+
+    @given(report_values())
+    @example({"power_uW": [-0.0, 0.0, 1e-07, 1e16, 0.1 + 0.2, round(1 / 3, 6)], "count": 2**70, "none": None})
+    @example({"": [], "a": {}, "b": [True], "c": {"d": False}, "e": ()})
+    @example({"inputs": 'file:q"uote\\back\x00\x1f\x7f caf\u00e9 \u2028 \U0001f600 \ud800'})
+    def test_emitter_writes_json_dumps_bytes(self, value):
+        assert harness._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_emitter_refuses_nan_and_infinity(self, bad):
+        with pytest.raises(ValueError, match="no NaN or infinity"):
+            harness._json({"archs": [{"power_uW": bad}]})
 
     def test_ascii_mentions_archs(self, report):
         text = render_ascii(report)
@@ -841,6 +967,26 @@ class TestCli:
 
     def test_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["compare", "--inputs", "random:3"]) == 1
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_product_mismatch_leaves_the_output_as_it_was(self, existing, fmt, off_by_one_core, tmp_path, capsys):
+        dest = tmp_path / "old.out"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        assert main(["compare", "--inputs", "random:3", "--format", fmt, "--out", str(dest)]) == 1
+        assert capsys.readouterr().out == ""
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
+    def test_out_replaces_a_longer_report(self, tmp_path, capsys):
+        dest = tmp_path / "report.csv"
+        dest.write_text("x" * 10000)
+        assert main(["compare", "--inputs", "random:3", "--format", "csv", "--out", str(dest)]) == 0
+        assert main(["compare", "--inputs", "random:3", "--format", "csv"]) == 0
+        assert dest.read_text() == capsys.readouterr().out
 
     def test_trace_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["trace", "65", "34"]) == 1
