@@ -19,7 +19,8 @@ import argparse
 import functools
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+import tempfile
+from contextlib import contextmanager
 
 from .datapath import ToggleReport
 from .encoding import Architecture, ProductMismatchError
@@ -110,8 +111,8 @@ def _output(out: str | None):
     """Yield a function that writes the report to ``out``, or to stdout.
 
     Commands enter it between reading their inputs and simulating, so an unwritable ``out`` fails before
-    the work.  ``out`` keeps its bytes until the report is written: a run that raises first leaves an
-    existing ``out`` as it was and removes the one it created.
+    the work.  ``out`` keeps its bytes until the first write: a run that raises first leaves an existing
+    ``out`` as it was and removes the one it created.
     """
     if not out:
         yield sys.stdout.write
@@ -120,11 +121,14 @@ def _output(out: str | None):
         file, created = open(out, "x"), True
     except FileExistsError:
         file, created = open(out, "a"), False  # not truncated yet; once it is, appending writes from byte 0
+    kept = not created
 
     def write(text: str) -> None:
+        nonlocal kept
         # only a file with bytes is truncated: a device such as /dev/null has none and refuses it
-        if not created and os.fstat(file.fileno()).st_size:
+        if kept and os.fstat(file.fileno()).st_size:
             file.truncate(0)
+        kept = False
         file.write(text)
 
     with file:
@@ -208,18 +212,23 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     campaign = _campaign(args, simulate_toggles=True)
     _refuse_overwrite("--trace-toggles", args.trace_toggles, getattr(campaign.source, "path", None))
     read = read_campaign(campaign)
-    # opened once the inputs are read and before the simulation, as compare's --out
-    with open(args.trace_toggles, "w") if args.trace_toggles else nullcontext() as trace_file:
+    if not args.trace_toggles:
+        sys.stdout.write(render_stream(run_campaign(campaign, read=read)))
+        return 0
+    # the trace is spooled and written only once every product checked, so a failed run leaves the file as it was
+    with _output(args.trace_toggles) as write, tempfile.TemporaryFile("w+") as spool:
 
         def record(arch: Architecture, index: int, one: ToggleReport) -> None:
             *rows, final = one.per_row_toggles
             for row, toggles in enumerate(rows):
-                trace_file.write(f"{index},{row},{toggles},{arch.value}\n")
-            trace_file.write(f"{index},final,{final},{arch.value}\n")
+                spool.write(f"{index},{row},{toggles},{arch.value}\n")
+            spool.write(f"{index},final,{final},{arch.value}\n")
 
-        if trace_file is not None:
-            trace_file.write("operation,row,toggles,arch\n")
-        report = run_campaign(campaign, trace=record if trace_file is not None else None, read=read)
+        spool.write("operation,row,toggles,arch\n")
+        report = run_campaign(campaign, trace=record, read=read)
+        spool.seek(0)
+        for block in iter(lambda: spool.read(1 << 16), ""):
+            write(block)
     sys.stdout.write(render_stream(report))
     return 0
 

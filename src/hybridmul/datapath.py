@@ -26,11 +26,12 @@ evaluation ``i`` is lane ``i`` of a Python integer, ``2*width`` column bits plus
 final adder's carry-out, one integer per node class, whose toggles are
 ``popcount(x ^ (x << lane))``; a single evaluation is a run of one lane.  Under gating a frozen node
 holds its last value, which a log-doubling fill-forward over the lanes reproduces (Chen & Chu, IEEE
-TVLSI 15(7), 2007, for the freeze semantics); each node group works out its fill schedule once, and
-a gated adder row fills only its a, b and carry-in.  Every adder, carry-save row or final adder, is
-one row of the same full-adder cell over the run, with the carry bus or the ripple carries (one add
-for every lane) as its carry-in.  One check matches a run's columns and rows to the array before any
-node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
+TVLSI 15(7), 2007, for the freeze semantics).  Every adder, carry-save row or final adder, is one row
+of the same full-adder cell over the run, with the carry bus or the ripple carries (one add for every
+lane) as its carry-in, and takes one of three routes: live in every lane, four direct toggle terms;
+gated, one fill of its a, b and carry-in; and, only for a state whose sum or carry-out is not its
+inputs' own, a fill of all five nodes.  One check matches a run's columns and rows to the array before
+any node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
 The lane PP rule set (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
 three arrays) and the one chunk loop live in :mod:`~hybridmul.encoding`.  :func:`simulate_configs`
@@ -89,76 +90,51 @@ def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> l
     return _unpack16(total, lay.lane, lay.count)
 
 
-def _fill_schedule(live: int, lay: _Layout) -> tuple[tuple[int, int], ...]:
-    """The log-doubling fill-forward of a node group whose bits outside ``live`` hold.
-
-    Step ``(shift, hole)`` copies each held bit from ``shift`` bits lower;
-    the holes depend on ``live`` alone, so one schedule serves every node of
-    the group.  All live is the empty schedule.
-    """
-    lane = lay.lane
-    # lane 0 carries the incoming value; evaluation i sits in lane i + 1
-    hole = (lay.cmask ^ live) << lane
-    steps = []
-    shift = lane
-    while hole:
-        steps.append((shift, hole))
-        hole &= hole << shift
-        shift <<= 1
-    return tuple(steps)
-
-
-def _filled(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> int:
-    """One node's values over a run, ``old`` in lane 0 and evaluation i in lane i + 1.
-
-    The bits the non-empty ``schedule`` holds keep the previous lane's value.
-    """
-    seq = (new << lay.lane) | old
-    seq ^= seq & schedule[0][1]
-    for shift, hole in schedule:
-        seq |= (seq << shift) & hole
-    return seq
-
-
-def _held(seq: int, lay: _Layout) -> tuple[int, int]:
-    """(toggled bits per lane, value after the run) of a node's values from :func:`_filled`."""
-    return (seq ^ (seq >> lay.lane)) & lay.full, seq >> (lay.last + lay.lane)
-
-
-def _settle(new: int, old: int, schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, int]:
-    """One node over a run: (toggled bits per lane, value after the run) of :func:`_filled`'s values."""
-    if not schedule:
-        return (new ^ ((new << lay.lane) | old)) & lay.full, new >> lay.last
-    return _held(_filled(new, old, schedule, lay), lay)
-
-
-def _settle_group(nodes, state: list[int], schedule: tuple[tuple[int, int], ...], lay: _Layout) -> tuple[int, ...]:
-    """Each node's toggled bits over a run, the bits ``schedule`` holds kept; ``state`` moves to the run's end."""
-    toggled = []
-    for k, node in enumerate(nodes):
-        t, state[k] = _settle(node, state[k], schedule, lay)
-        toggled.append(t)
-    return tuple(toggled)
-
-
 def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layout) -> tuple[int, int, tuple[int, ...]]:
     """A row of full adders over a run: (sum, carry-out, toggled a/b/cin/sum/cout); cells outside ``live`` hold.
 
-    A gated row whose state holds its inputs' sum and carry-out, as every run from reset leaves it, fills
-    only a, b and carry-in: a fill copies one earlier bit per position for the whole row, so it commutes
-    with the bitwise sum and carry.  Any other state settles all five nodes.
+    A held bit takes the previous lane's value, or the state's in lane 0, by a log-doubling fill.  A state
+    holding its inputs' own sum and carry-out, as every run from reset leaves it, fills only a, b and
+    carry-in (none when every lane is live): a fill copies one earlier bit per position for the whole
+    row, so it commutes with the bitwise sum and carry, and the sum's toggles are its inputs' together.
+    Any other state fills all five nodes.
     """
     s = a ^ b ^ cin
     cout = (a & b) | (cin & (a ^ b))
-    schedule = _fill_schedule(live, lay)
     x, y, z, old_s, old_cout = state
-    if not schedule or old_s != x ^ y ^ z or old_cout != (x & y) | (z & (x ^ y)):
-        return s, cout, _settle_group((a, b, cin, s, cout), state, schedule, lay)
-    fa, fb, fc = _filled(a, x, schedule, lay), _filled(b, y, schedule, lay), _filled(cin, z, schedule, lay)
-    (ta, x), (tb, y), (tc, z) = _held(fa, lay), _held(fb, lay), _held(fc, lay)
-    tcout, c = _held((fa & fb) | (fc & (fa ^ fb)), lay)
-    state[:] = x, y, z, x ^ y ^ z, c
-    return s, cout, (ta, tb, tc, ta ^ tb ^ tc, tcout)
+    lane, full, last, cmask = lay.lane, lay.full, lay.last, lay.cmask
+    if old_s != x ^ y ^ z or old_cout != (x & y) | (z & (x ^ y)):
+        nodes = [a, b, cin, s, cout]
+        if live != cmask:
+            hole = cmask ^ live
+            nodes = [(node & live) | (old & hole) for node, old in zip(nodes, state)]
+            hole ^= hole & ((1 << lay.cols) - 1)
+            shift = lane
+            while hole:
+                nodes = [node | ((node << shift) & hole) for node in nodes]
+                hole &= hole << shift
+                shift <<= 1
+        toggled = tuple((node ^ ((node << lane) | old)) & full for node, old in zip(nodes, state))
+        state[:] = [node >> last for node in nodes]
+        return s, cout, toggled
+    carry = cout
+    if live != cmask:
+        # lane 0's held bits take the state's values, and a later lane's the lane before it
+        hole = cmask ^ live
+        a, b, cin = (a & live) | (x & hole), (b & live) | (y & hole), (cin & live) | (z & hole)
+        hole ^= hole & ((1 << lay.cols) - 1)
+        shift = lane
+        while hole:
+            a |= (a << shift) & hole
+            b |= (b << shift) & hole
+            cin |= (cin << shift) & hole
+            hole &= hole << shift
+            shift <<= 1
+        carry = (a & b) | (cin & (a ^ b))
+    ta, tb, tc = (a ^ ((a << lane) | x)) & full, (b ^ ((b << lane) | y)) & full, (cin ^ ((cin << lane) | z)) & full
+    x, y, z = a >> last, b >> last, cin >> last
+    state[:] = x, y, z, x ^ y ^ z, carry >> last
+    return s, cout, (ta, tb, tc, ta ^ tb ^ tc, (carry ^ ((carry << lane) | old_cout)) & full)
 
 
 # -- freeze masks and toggle accounting -------------------------------------------
@@ -229,19 +205,6 @@ class _LaneToggles(NamedTuple):
     adders: list[tuple[int, ...]]  # a/b/cin/sum/cout per adder row, () for row 0, the final adder last
     row_frozen: tuple[int, ...]
     col_frozen: int
-
-    def tally(self) -> "ToggleReport":
-        """The record of the whole run; every node and mask holds column bits only."""
-        frozen = sum(map(int.bit_count, self.row_frozen[1:]))
-        *csa, cpa = (sum(map(int.bit_count, xs)) for xs in self.adders)
-        return ToggleReport(
-            row_bit_toggles=tuple(map(int.bit_count, self.rows)),
-            csa_toggles=tuple(csa),
-            cpa_toggles=cpa,
-            frozen_cell_evaluations=frozen + self.col_frozen.bit_count(),
-            operations_simulated=self.layout.count,
-            lanes=self,
-        )
 
 
 @dataclass(slots=True)
@@ -322,28 +285,45 @@ class ArrayState:
         g = self.geometry
         rows, lay = pp.rows, _run_layout(pp, g)
         row_frozen = detect_freeze(pp, g) if gated else (0,) * len(rows)
-        cmask = lay.cmask
-        row_x = _settle_group(rows, self._row_bits, (), lay)
-
-        adder_x: list[tuple[int, ...]] = [()]  # row 0 feeds no adder row
+        cmask, lane, full, last = lay.cmask, lay.lane, lay.full, lay.last
+        held, adders = self._row_bits, self._adders
+        row_x, row_counts = [0] * len(rows), [0] * len(rows)
+        adder_x: list[tuple[int, ...]] = [()] * (len(rows) + 1)  # row 0 feeds no adder row; the final adder last
+        csa = [0] * len(rows)
         s_bus, c_bus = rows[0], 0
-        for r in range(1, len(rows)):
+        for r, x in enumerate(rows):
+            old = held[r]
+            if x or old:  # a zero row over a zero held value toggles nothing
+                t = row_x[r] = (x ^ ((x << lane) | old)) & full
+                row_counts[r] = t.bit_count()
+                held[r] = x >> last
             live = cmask ^ row_frozen[r]
-            if not live:
-                # every lane bypasses this row: busses pass, cells hold
-                adder_x.append(())
+            if not r or not live:
+                # row 0 only starts the sum bus; a row frozen in every lane is bypassed, its cells hold
                 continue
-            s, cout, toggled = _adder_row(s_bus, rows[r], c_bus, self._adders[r - 1], live, lay)
-            adder_x.append(toggled)
-            s_bus ^= (s_bus ^ s) & live
-            c_bus ^= (c_bus ^ (cout << 1)) & live
+            s, cout, toggled = _adder_row(s_bus, x, c_bus, adders[r - 1], live, lay)
+            adder_x[r] = toggled
+            csa[r] = sum(map(int.bit_count, toggled))
+            if live == cmask:
+                s_bus, c_bus = s, (cout << 1) & cmask
+            else:
+                s_bus ^= (s_bus ^ s) & live
+                c_bus ^= (c_bus ^ (cout << 1)) & live
 
         # Final adder: its carry-ins are the ripple carries, which one add resolves for every lane.
         a, b = s_bus, c_bus
         col_frozen = cmask ^ (a | b) if gated else 0
-        s, _, toggled = _adder_row(a, b, (a ^ b ^ (a + b)) & cmask, self._adders[-1], cmask ^ col_frozen, lay)
-        adder_x.append(toggled)
-        return s, _LaneToggles(lay, row_x, adder_x, row_frozen, col_frozen).tally()
+        s, _, toggled = _adder_row(a, b, (a ^ b ^ (a + b)) & cmask, adders[-1], cmask ^ col_frozen, lay)
+        adder_x[-1] = toggled
+        frozen = sum(map(int.bit_count, row_frozen[1:])) + col_frozen.bit_count() if gated else 0
+        return s, ToggleReport(
+            row_bit_toggles=tuple(row_counts),
+            csa_toggles=tuple(csa),
+            cpa_toggles=sum(map(int.bit_count, toggled)),
+            frozen_cell_evaluations=frozen,
+            operations_simulated=lay.count,
+            lanes=_LaneToggles(lay, tuple(row_x), adder_x, row_frozen, col_frozen),
+        )
 
 
 def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Architecture) -> PPLanes:

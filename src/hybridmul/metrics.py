@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping
@@ -67,7 +68,9 @@ class CostModel:
                     raise ValueError(f"unit cost at {vdd} V must be positive and finite, got {value!r}")
 
     @classmethod
+    @cache
     def default(cls) -> "CostModel":
+        """The calibrated model, built and checked once: frozen over a read-only map, so every caller shares it."""
         return cls(MappingProxyType(dict(_UNIT_COSTS)))
 
     @classmethod

@@ -29,11 +29,9 @@ from hybridmul.datapath import (
     ProductMismatchError,
     _layout,
     _adder_row,
-    _fill_schedule,
     _fold_rows,
     _lane_counts,
     _popcount_masks,
-    _settle,
     _unpack16,
     build_pp,
     detect_freeze,
@@ -398,6 +396,21 @@ def reference_run(pairs, arch, width, gated):
     return totals, per_pair
 
 
+@st.composite
+def gating_switches(draw):
+    """(width, arch, runs of (gated, magnitude pairs)) for one array: 1-7 lanes a run, gating alternating.
+
+    Sparse magnitudes come often, so gated runs freeze rows in some lanes and not in others.
+    """
+    width = draw(st.integers(4, 32))
+    top = (1 << width) - 1
+    sparse = st.lists(st.integers(0, width - 1), max_size=2).map(lambda bits: sum(1 << b for b in set(bits)))
+    magnitude = st.one_of(sparse, st.sampled_from([0, top]), st.integers(0, top))
+    first = draw(st.booleans())
+    runs = draw(st.lists(st.lists(st.tuples(magnitude, magnitude), min_size=1, max_size=7), min_size=2, max_size=5))
+    return width, draw(st.sampled_from(list(Architecture))), [(first ^ (i % 2 == 1), run) for i, run in enumerate(runs)]
+
+
 class TestLaneKernel:
     @given(streams())
     @settings(max_examples=80, deadline=None)
@@ -452,6 +465,25 @@ class TestLaneKernel:
             pp = build_pp(*magnitudes(a, b, width), arch)
             expected.append((index, state.evaluate(pp, gated)[1]))
         assert seen == expected
+
+    @given(gating_switches())
+    @settings(max_examples=80, deadline=None)
+    def test_switching_gating_on_one_array_matches_reference(self, case):
+        """One array whose runs switch gating on and off hands its node values from one route to the other."""
+        width, arch, runs = case
+        state = ArrayState(width, arch)
+        reference = ReferenceArray(width, arch)
+        for gated, run in runs:
+            ma, mb = [a for a, _ in run], [b for _, b in run]
+            products, record = state.evaluate(build_pp(Lanes(ma, width), Lanes(mb, width), arch), gated)
+            lay = record.lanes.layout
+            reference.ssst = gated
+            for i, (one, a, b) in enumerate(zip(record.split(), ma, mb)):
+                product, toggles = reference.evaluate(REFERENCE_PP[arch](Word(a, width), Word(b, width)))
+                assert lane(products, i, lay) == product == a * b
+                assert (one.total_toggles, one.per_row_toggles, one.frozen_cell_evaluations) == (
+                    toggles, reference.row_toggles, reference.frozen_cells
+                )
 
     def test_out_of_range_operand_rejected(self):
         """The first bad pair raises exactly ``multiply``'s error, in the first chunk or a later one."""
@@ -511,27 +543,37 @@ def fill_cases(draw):
     return lay, pack(masks), pack(new), draw(lane_value)
 
 
+def settled(new, old, live, lay):
+    """(toggled bits, value after the run) of one node under ``live``, through an adder row fed ``new``, 0, 0.
+
+    The row's state holds ``old`` as its a input and its sum, so it is its inputs' own.
+    """
+    state = [old, 0, 0, old, 0]
+    _, _, toggled = _adder_row(new, 0, 0, state, live, lay)
+    return toggled[0], state[0]
+
+
 class TestFillForward:
-    """The fill-forward schedule holds frozen bits exactly as a per-lane hold loop does."""
+    """An adder row's fill-forward holds frozen bits exactly as a per-lane hold loop does."""
 
     @given(fill_cases())
     @settings(max_examples=150, deadline=None)
     def test_schedule_matches_per_lane_hold(self, case):
         lay, live, new, old = case
-        assert _settle(new, old, _fill_schedule(live, lay), lay) == held_run(new, old, live, lay)
+        assert settled(new, old, live, lay) == held_run(new, old, live, lay)
 
     @pytest.mark.parametrize("count", [1, 2, 3, 64, 256])
     def test_all_live_is_the_empty_schedule(self, count):
+        """Every lane live: each node's toggles are its values against the lane below, nothing filled."""
         lay = _layout(16, count)
-        assert _fill_schedule(lay.cmask, lay) == ()
         new = lay.cmask // 3
-        assert _settle(new, 5, (), lay) == held_run(new, 5, lay.cmask, lay)
+        assert settled(new, 5, lay.cmask, lay) == held_run(new, 5, lay.cmask, lay)
+        assert settled(new, 5, lay.cmask, lay) == ((new ^ ((new << lay.lane) | 5)) & lay.full, new >> lay.last)
 
     @pytest.mark.parametrize("count", [1, 2, 7, 256])
     def test_nothing_live_holds_the_incoming_value(self, count):
         lay = _layout(16, count)
-        toggled, after = _settle(lay.cmask, 0xBEEF, _fill_schedule(0, lay), lay)
-        assert (toggled, after) == (0, 0xBEEF)
+        assert settled(lay.cmask, 0xBEEF, 0, lay) == (0, 0xBEEF)
 
 
 @st.composite
@@ -698,25 +740,29 @@ class TestAdderRow:
 
     @pytest.mark.parametrize("arch", [Architecture.CONVENTIONAL, Architecture.BOOTH])
     def test_gated_rows_fill_only_their_inputs(self, arch, monkeypatch):
-        """Every gated adder row of a run from reset, and of the run after it, takes the three-fill route."""
-        fills, settled = [], []
-        filled, settle_group = dp._filled, dp._settle_group
-        monkeypatch.setattr(dp, "_filled", lambda *args: fills.append(1) or filled(*args))
-        monkeypatch.setattr(
-            dp, "_settle_group", lambda nodes, state, schedule, lay: settled.append(schedule) or settle_group(nodes, state, schedule, lay)
-        )
+        """No adder row of a run from reset, or of the run after it, gated or not, takes the five-node route.
+
+        The route is read from the state a row meets: only a state whose sum or carry-out is not its
+        inputs' own fills all five nodes.
+        """
+        routes = []
+        adder_row = dp._adder_row
+
+        def spy(a, b, cin, state, live, lay):
+            x, y, z, s, cout = state
+            own = s == x ^ y ^ z and cout == (x & y) | (z & (x ^ y))
+            routes.append("five-node" if not own else "all live" if live == lay.cmask else "gated")
+            return adder_row(a, b, cin, state, live, lay)
+
+        monkeypatch.setattr(dp, "_adder_row", spy)
         pairs = seed42_pairs()
-        state = ArrayState(8, arch)
-        gated_rows = 0
-        for chunk in (pairs[:256], pairs[256:512]):
-            ma, mb = [abs(a) for a, _ in chunk], [abs(b) for _, b in chunk]
-            _, run = state.evaluate(build_pp(Lanes(ma, 8), Lanes(mb, 8), arch), gated=True)
-            cmask = run.lanes.layout.cmask
-            gated_rows += sum(0 != z != cmask for z in run.lanes.row_frozen[1:]) + (run.lanes.col_frozen != 0)
-        assert gated_rows > 0
-        assert len(fills) == 3 * gated_rows
-        # only the PP row bits and rows live in every lane settle node by node
-        assert settled and all(schedule == () for schedule in settled)
+        for gated in (False, True):
+            state = ArrayState(8, arch)
+            for chunk in (pairs[:256], pairs[256:512]):
+                ma, mb = [abs(a) for a, _ in chunk], [abs(b) for _, b in chunk]
+                state.evaluate(build_pp(Lanes(ma, 8), Lanes(mb, 8), arch), gated)
+        assert "gated" in routes and "all live" in routes
+        assert "five-node" not in routes
 
     @given(adder_rows())
     @settings(max_examples=150, deadline=None)

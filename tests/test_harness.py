@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -9,7 +10,7 @@ import hybridmul.cli as cli
 import hybridmul.encoding as encoding
 import hybridmul.harness as harness
 from hybridmul.datapath import GeometryError, simulate_stream
-from hybridmul.encoding import Architecture, CategoryKind
+from hybridmul.encoding import Architecture, CategoryKind, ProductMismatchError
 from hybridmul.harness import (
     ALL_ARCHITECTURES,
     MAX_EXHAUSTIVE_PAIRS,
@@ -980,6 +981,42 @@ class TestCli:
             assert dest.read_bytes() == b"kept\n"
         else:
             assert not dest.exists()
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    def test_stream_trace_is_kept_when_a_product_is_wrong(self, existing, tmp_path, capsys, monkeypatch):
+        """A stream that fails after tracing some pairs leaves the trace file as it was."""
+        simulate_configs = harness.simulate_configs
+
+        def traced_then_wrong(pairs, width, configs, count=(), trace=None):
+            simulate_configs(pairs[:3], width, configs, count, trace)
+            a, b = pairs[3]
+            raise ProductMismatchError(a, b, a * b + 1, a * b)
+
+        monkeypatch.setattr(harness, "simulate_configs", traced_then_wrong)
+        dest = tmp_path / "toggles.csv"
+        if existing:
+            dest.write_bytes(b"kept\n")
+        assert main(["stream", "--inputs", "random:5", "--trace-toggles", str(dest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: product mismatch")
+        if existing:
+            assert dest.read_bytes() == b"kept\n"
+        else:
+            assert not dest.exists()
+
+    def test_stream_trace_replaces_a_longer_file_and_goes_to_a_device(self, tmp_path, capsys):
+        """A trace longer than one copied block replaces a longer file whole, and /dev/null takes it too."""
+        argv = ["stream", "--inputs", "random:300", "--seed", "3", "--ssst", "--trace-toggles"]
+        dest = tmp_path / "toggles.csv"
+        assert main([*argv, str(dest)]) == 0
+        trace = dest.read_bytes()
+        dest.write_bytes(b"x" * (2 * len(trace)))
+        assert main([*argv, str(dest)]) == 0
+        assert dest.read_bytes() == trace
+        first = capsys.readouterr().out
+        assert main([*argv, os.devnull]) == 0
+        assert capsys.readouterr().out == first[: len(first) // 2]
 
     def test_out_replaces_a_longer_report(self, tmp_path, capsys):
         dest = tmp_path / "report.csv"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -146,6 +147,15 @@ class TestCostModel:
     def test_each_voltage_must_be_a_number(self, vdd):
         with pytest.raises(ValueError, match=re.escape(repr(vdd))):
             CostModel({vdd: (1.0, 1.0)})
+
+    def test_default_is_one_shared_read_only_model(self):
+        """Every caller gets the same default model, and none can change it for the others."""
+        assert CostModel.default() is CostModel.default() is DEFAULT
+        with pytest.raises(TypeError):
+            DEFAULT.units[1.2] = (1.0, 1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            DEFAULT.units = {1.2: (1.0, 1.0)}
+        assert DEFAULT.unit_cost(1.2) == (17.50, 0.595)
 
 
 class TestCostGrid:
