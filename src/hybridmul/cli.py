@@ -215,7 +215,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not args.trace_toggles:
         sys.stdout.write(render_stream(run_campaign(campaign, read=read)))
         return 0
-    # the trace is spooled and written only once every product checked, so a failed run leaves the file as it was
+    # the trace is spooled and written only once every product is checked, so a failed run leaves the file as it was
     with _output(args.trace_toggles) as write, tempfile.TemporaryFile("w+") as spool:
 
         def record(arch: Architecture, index: int, one: ToggleReport) -> None:
