@@ -30,8 +30,12 @@ TVLSI 15(7), 2007, for the freeze semantics).  Every adder, carry-save row or fi
 of the same full-adder cell over the run, with the carry bus or the ripple carries (one add for every
 lane) as its carry-in, and takes one of three routes: live in every lane, four direct toggle terms;
 gated, one fill of its a, b and carry-in; and, only for a state whose sum or carry-out is not its
-inputs' own, a fill of all five nodes.  One check matches a run's columns and rows to the array before
-any node moves, and each lane value must fit the run's width, as a :class:`Word`'s bits must.
+inputs' own, a fill of all five nodes.  Reset and both other routes leave an own state, so the
+array's rows count their a, b, carry-in and sum toggles as ``2 * (popcount(ta | tb | tc) +
+popcount(ta & tb & tc))``: the sum toggles iff an odd number of its inputs do, so a cell with k
+toggling inputs toggles those four nodes ``k + k % 2 = 2 * ceil(k / 2)`` times; the carry-out keeps
+its own popcount.  One check matches a run's columns and rows to the array before any node moves,
+and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
 The lane PP rule set (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
 three arrays) and the one chunk loop live in :mod:`~hybridmul.encoding`.  :func:`simulate_configs`
@@ -41,6 +45,7 @@ drives every array configuration of a stream, and the count pass if asked, as th
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import NamedTuple, Sequence
 
 from . import encoding
@@ -58,9 +63,7 @@ from .encoding import (
     _Layout,
     _lane_popcount,
     _layout,
-    _nonzero,
     _popcount_masks,
-    _spread,
     _unpack16,
     booth_pp,
     booth_recode,
@@ -137,6 +140,12 @@ def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layo
     return s, cout, (ta, tb, tc, ta ^ tb ^ tc, (carry ^ ((carry << lane) | old_cout)) & full)
 
 
+def _cell_toggles(toggled: tuple[int, ...]) -> int:
+    """The toggles of an adder row whose state was its inputs' own: two popcounts for a, b, carry-in and sum."""
+    ta, tb, tc, _, tcout = toggled
+    return 2 * ((ta | tb | tc).bit_count() + (ta & tb & tc).bit_count()) + tcout.bit_count()
+
+
 # -- freeze masks and toggle accounting -------------------------------------------
 
 
@@ -194,7 +203,9 @@ def detect_freeze(pp: PPLanes, geometry: ArrayGeometry) -> tuple[int, ...]:
     so the array finds them in its pass.
     """
     lay = _run_layout(pp, geometry)
-    return tuple(_spread(lay.ones ^ _nonzero(x, lay), lay) if x else lay.cmask for x in pp.rows)
+    ones, cols, cmask = lay.ones, lay.cols, lay.cmask
+    # :func:`_spread` of the lanes not :func:`_nonzero`, written out: this runs once per row and chunk
+    return tuple(((z := ones ^ (((x + cmask) >> cols) & ones)) << cols) - z if x else cmask for x in pp.rows)
 
 
 class _LaneToggles(NamedTuple):
@@ -230,10 +241,10 @@ class ToggleReport:
 
     def accumulate(self, run: "ToggleReport") -> None:
         """Add ``run``'s record, field by field; the sum is no one run's, so :meth:`split` refuses it."""
-        self.row_bit_toggles = tuple(
-            x + y for x, y in zip(self.row_bit_toggles, run.row_bit_toggles, strict=True)
-        )
-        self.csa_toggles = tuple(x + y for x, y in zip(self.csa_toggles, run.csa_toggles, strict=True))
+        if (len(self.row_bit_toggles), len(self.csa_toggles)) != (len(run.row_bit_toggles), len(run.csa_toggles)):
+            raise ValueError("records of arrays with different row counts cannot be added")
+        self.row_bit_toggles = tuple(map(add, self.row_bit_toggles, run.row_bit_toggles))
+        self.csa_toggles = tuple(map(add, self.csa_toggles, run.csa_toggles))
         self.cpa_toggles += run.cpa_toggles
         self.frozen_cell_evaluations += run.frozen_cell_evaluations
         self.operations_simulated += run.operations_simulated
@@ -303,7 +314,7 @@ class ArrayState:
                 continue
             s, cout, toggled = _adder_row(s_bus, x, c_bus, adders[r - 1], live, lay)
             adder_x[r] = toggled
-            csa[r] = sum(map(int.bit_count, toggled))
+            csa[r] = _cell_toggles(toggled)
             if live == cmask:
                 s_bus, c_bus = s, (cout << 1) & cmask
             else:
@@ -319,7 +330,7 @@ class ArrayState:
         return s, ToggleReport(
             row_bit_toggles=tuple(row_counts),
             csa_toggles=tuple(csa),
-            cpa_toggles=sum(map(int.bit_count, toggled)),
+            cpa_toggles=_cell_toggles(toggled),
             frozen_cell_evaluations=frozen,
             operations_simulated=lay.count,
             lanes=_LaneToggles(lay, tuple(row_x), adder_x, row_frozen, col_frozen),

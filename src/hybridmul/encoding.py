@@ -22,11 +22,12 @@ then an architecture that is not an :class:`Architecture` member, before it deco
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
-arrays) lives here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass
-calls no array code.  The integer core runs on plain ints and counts partial products, additions
-and shifts; :func:`_hybrid_counts` sums the same hybrid counts over a chunk's lanes, and a
-differential test holds the two equal.  :class:`Word` values appear only in the views, which carry
-no counts, and at the hybrid's :func:`unsigned_product` seam.
+arrays, whose Booth rows read each digit's flags from three words worked out once per chunk) lives
+here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass calls no array
+code.  The integer core runs on plain ints and counts partial products, additions and shifts;
+:func:`_hybrid_counts` sums the same hybrid counts over a chunk's lanes, and a differential test
+holds the two equal.  :class:`Word` values appear only in the views, which carry no counts, and at
+the hybrid's :func:`unsigned_product` seam.
 """
 
 from __future__ import annotations
@@ -700,30 +701,28 @@ def _conventional_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, .
 def _booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
     """Booth rows of ``digits`` radix-4 digits of ``b`` times ``width``-bit ``a``, then the correction row.
 
-    Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1 zero; the top digit
-    must read only zeros above ``b``'s top bit, so it is never negative.
-    Negated rows enter as 2**(w+1) - |d|*M and owe 2**(w+1+2k) to the correction row.
+    Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1 zero (MacSorley, Proc. IRE 49(1), 1961); the
+    top digit must read only zeros above ``b``'s top bit, so it is never negative.  The one, two and
+    negate flags of every digit of every lane are three words, worked out once, that hold digit k's
+    flag at column 2k of its lane (SWAR across digits as across lanes); each row reads its flags with
+    one shift.  A negated row enters as 2**(w+1) - |d|*M, that is |d|*M with its w+1 field bits
+    flipped, plus one, and owes 2**(w+1+2k) to the correction row, so the debts of all rows together
+    are the negate word shifted up by w+1.
     """
     ones, cols = lay.ones, lay.cols
+    digit = lay.cmask // 3  # column 2k of every lane: cols is even
+    b0, b1, b2 = (b << 1) & digit, b & digit, (b >> 1) & digit
     nonzero_a = _nonzero(a, lay)
-    double_a = a << 1
-    window = b << 1
+    one_all = b0 ^ b1
+    two_all = (b2 ^ b1) & ~one_all
+    neg_all = b2 & ~(b1 & b0) & ((nonzero_a << cols) - nonzero_a)
+    double_a, field = a << 1, (1 << (width + 1)) - 1
     rows = []
-    debt = 0
-    for k in range(digits):
-        b0 = window & ones
-        b1 = (window >> 1) & ones
-        b2 = (window >> 2) & ones
-        window >>= 2
-        one = b0 ^ b1
-        two = (b2 ^ b1) & ~one
+    for k in range(0, 2 * digits, 2):
+        one, two, neg = (one_all >> k) & ones, (two_all >> k) & ones, (neg_all >> k) & ones
         mag = (a & ((one << cols) - one)) | (double_a & ((two << cols) - two))
-        neg = b2 & ~(b1 & b0) & nonzero_a
-        neg_cols = (neg << cols) - neg
-        value = (mag & ~neg_cols) | ((neg << (width + 1)) - (mag & neg_cols))
-        rows.append(value << 2 * k)
-        debt += neg << (width + 1 + 2 * k)
-    rows.append(((ones << cols) - debt) & lay.cmask)
+        rows.append(((mag ^ (neg * field)) + neg) << k)
+    rows.append(((ones << cols) - (neg_all << (width + 1))) & lay.cmask)
     return tuple(rows)
 
 
@@ -743,7 +742,7 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     half = width // 2
     chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
     # the chain's terms M << (p - 1) are the conventional rows of its bits
-    row = sum(_conventional_rows(a, chain | chain_hi << half, width, lay))
+    row = sum(_conventional_rows(a, chain | chain_hi << half, width, lay)) if chain or chain_hi else 0
     if booth:
         row += _lane_sum(_booth_rows(a, booth, (width if width % 2 else half) // 2 + 1, width, lay), lay)
     if booth_hi:  # reduced before the shift, so no bit spills into the next lane

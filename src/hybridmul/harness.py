@@ -463,36 +463,50 @@ def _report_payload(report: CampaignReport) -> dict:
     }
 
 
+def _finite(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"a report holds no NaN or infinity, got {value!r}")
+    return float.__repr__(value)
+
+
+# the writer of each scalar type, by exact type: a subclass takes :func:`_json`'s isinstance path
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _finite,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _json(value, newline: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it; a NaN or infinity raises ValueError.
 
     It takes dicts with str keys, lists, tuples, str, int, float, bool and None, the report payloads' types;
-    anything else raises TypeError.
+    anything else raises TypeError.  A scalar dict value or list item is written from :data:`_SCALARS`
+    in line, with no call of this function.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"a report holds no NaN or infinity, got {value!r}")
-        return float.__repr__(value)
-    inner = newline + "  "
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner, scalars = newline + "  ", _SCALARS.get
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            write = scalars(type(item))
+            items.append(f"{encode_basestring_ascii(key)}: {write(item) if write else _json(item, inner)}")
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + newline + "]"
+        items = [write(item) if (write := scalars(type(item))) else _json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    for kind, write in _SCALARS.items():
+        if isinstance(value, kind):  # a subclass of str, int or float: the others have none
+            return write(value)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 

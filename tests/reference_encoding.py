@@ -18,6 +18,8 @@ from hybridmul.encoding import (
     Architecture,
     OpCounts,
     PPMatrix,
+    _Layout,
+    _nonzero,
     booth_pp,
     booth_recode,
     conventional_pp,
@@ -112,3 +114,34 @@ def unsigned_product(
     product = (hi_prod << (multiplier.width // 2)) + lo_prod
     counts = _add(_add(hi_counts, lo_counts), OpCounts(0, 1, 0))
     return product, counts
+
+
+def booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
+    """The lane Booth rows built digit by digit, a window of ``b`` shifted down two bits per digit.
+
+    Same contract as ``hybridmul.encoding._booth_rows``: ``digits`` radix-4 digits of ``b`` times
+    ``width``-bit ``a``, then the correction row.  Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1
+    zero; the top digit must read only zeros above ``b``'s top bit, so it is never negative.  Negated
+    rows enter as 2**(w+1) - |d|*M and owe 2**(w+1+2k) to the correction row.
+    """
+    ones, cols = lay.ones, lay.cols
+    nonzero_a = _nonzero(a, lay)
+    double_a = a << 1
+    window = b << 1
+    rows = []
+    debt = 0
+    for k in range(digits):
+        b0 = window & ones
+        b1 = (window >> 1) & ones
+        b2 = (window >> 2) & ones
+        window >>= 2
+        one = b0 ^ b1
+        two = (b2 ^ b1) & ~one
+        mag = (a & ((one << cols) - one)) | (double_a & ((two << cols) - two))
+        neg = b2 & ~(b1 & b0) & nonzero_a
+        neg_cols = (neg << cols) - neg
+        value = (mag & ~neg_cols) | ((neg << (width + 1)) - (mag & neg_cols))
+        rows.append(value << 2 * k)
+        debt += neg << (width + 1 + 2 * k)
+    rows.append(((ones << cols) - debt) & lay.cmask)
+    return tuple(rows)

@@ -266,6 +266,12 @@ class TestSimulateStream:
         with pytest.raises(ValueError, match="ArrayState.evaluate"):
             run.split()
 
+    def test_records_of_arrays_with_different_row_counts_cannot_be_added(self):
+        conventional = simulate_stream([(65, 34)], Architecture.CONVENTIONAL, 8, ssst_enabled=False)
+        booth = simulate_stream([(65, 34)], Architecture.BOOTH, 8, ssst_enabled=False)
+        with pytest.raises(ValueError, match="different row counts"):
+            conventional.accumulate(booth)
+
     def test_seed42_regression_totals(self):
         pairs = seed42_pairs()
         for arch, expected in SEED42_PLAIN_TOTALS.items():

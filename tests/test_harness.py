@@ -457,6 +457,20 @@ _REPORT_SCALARS = st.one_of(
 )
 
 
+class _Count(int):
+    """An int subclass whose own repr the emitter, as ``json.dumps``, must not use."""
+
+    def __repr__(self):
+        return "Count()"
+
+
+class _Label(str):
+    """A str subclass whose own repr the emitter must not use either."""
+
+    def __repr__(self):
+        return "Label()"
+
+
 def report_values():
     """Values shaped like a report payload: nested str-keyed dicts, lists and tuples of its scalars."""
     return st.recursive(
@@ -521,6 +535,9 @@ class TestEmitters:
     @example({"power_uW": [-0.0, 0.0, 1e-07, 1e16, 0.1 + 0.2, round(1 / 3, 6)], "count": 2**70, "none": None})
     @example({"": [], "a": {}, "b": [True], "c": {"d": False}, "e": ()})
     @example({"inputs": 'file:q"uote\\back\x00\x1f\x7f caf\u00e9 \u2028 \U0001f600 \ud800'})
+    @example({"count": _Count(7), "name": _Label("booth"), "rows": [_Count(-3), _Label('q"')]})
+    @example(_Count(2**70))
+    @example(_Label("file:caf\u00e9"))
     def test_emitter_writes_json_dumps_bytes(self, value):
         assert harness._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
