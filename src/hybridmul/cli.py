@@ -111,8 +111,9 @@ def _output(out: str | None):
     """Yield a function that writes the report to ``out``, or to stdout.
 
     Commands enter it between reading their inputs and simulating, so an unwritable ``out`` fails before
-    the work.  ``out`` keeps its bytes until the first write: a run that raises first leaves an existing
-    ``out`` as it was and removes the one it created.
+    the work.  An existing ``out`` is written over from byte 0, not truncated, and cut at the end of what
+    was written once the block ends: a run that raises first leaves it as it was, and removes the
+    ``out`` it created.
     """
     if not out:
         yield sys.stdout.write
@@ -120,25 +121,17 @@ def _output(out: str | None):
     try:
         file, created = open(out, "x"), True
     except FileExistsError:
-        file, created = open(out, "a"), False  # not truncated yet; once it is, appending writes from byte 0
-    kept = not created
-
-    def write(text: str) -> None:
-        nonlocal kept
-        # only a file with bytes is truncated: a device such as /dev/null has none and refuses it
-        if kept and os.fstat(file.fileno()).st_size:
-            file.truncate(0)
-        kept = False
-        file.write(text)
-
+        file, created = open(os.open(out, os.O_WRONLY), "w"), False  # no O_TRUNC: the old bytes stay
     with file:
         try:
-            yield write
+            yield file.write
         except BaseException:
             if created:
                 file.close()
                 os.unlink(out)
             raise
+        if os.path.isfile(out):  # a device such as /dev/null has no end to cut and refuses it
+            file.truncate()
 
 
 @functools.cache

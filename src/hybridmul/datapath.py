@@ -28,11 +28,10 @@ final adder's carry-out, one integer per node class, whose toggles are
 holds its last value, which a log-doubling fill-forward over the lanes reproduces (Chen & Chu, IEEE
 TVLSI 15(7), 2007, for the freeze semantics).  Every adder, carry-save row or final adder, is one row
 of the same full-adder cell over the run, with the carry bus or the ripple carries (one add for every
-lane) as its carry-in, and takes one of three routes: live in every lane, four direct toggle terms;
-gated, one fill of its a, b and carry-in; and, only for a state whose sum or carry-out is not its
-inputs' own, a fill of all five nodes.  Reset and both other routes leave an own state, so the
-array's rows count their a, b, carry-in and sum toggles as ``2 * (popcount(ta | tb | tc) +
-popcount(ta & tb & tc))``: the sum toggles iff an odd number of its inputs do, so a cell with k
+lane) as its carry-in.  Its state is its a, b and carry-in, whose sum and carry-out are its own, and
+it takes one of two routes: live in every lane, four direct toggle terms; gated, one fill of its a, b
+and carry-in.  So every row counts its a, b, carry-in and sum toggles as ``2 * (popcount(ta | tb |
+tc) + popcount(ta & tb & tc))``: the sum toggles iff an odd number of its inputs do, so a cell with k
 toggling inputs toggles those four nodes ``k + k % 2 = 2 * ceil(k / 2)`` times; the carry-out keeps
 its own popcount.  One check matches a run's columns and rows to the array before any node moves,
 and each lane value must fit the run's width, as a :class:`Word`'s bits must.
@@ -96,31 +95,15 @@ def _lane_counts(xs, lay: _Layout, steps: tuple[tuple[int, int, int], ...]) -> l
 def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layout) -> tuple[int, int, tuple[int, ...]]:
     """A row of full adders over a run: (sum, carry-out, toggled a/b/cin/sum/cout); cells outside ``live`` hold.
 
-    A held bit takes the previous lane's value, or the state's in lane 0, by a log-doubling fill.  A state
-    holding its inputs' own sum and carry-out, as every run from reset leaves it, fills only a, b and
-    carry-in (none when every lane is live): a fill copies one earlier bit per position for the whole
-    row, so it commutes with the bitwise sum and carry, and the sum's toggles are its inputs' together.
-    Any other state fills all five nodes.
+    ``state`` holds the row's a, b and carry-in after its last lane; its sum and carry-out are theirs.  A
+    held bit takes the previous lane's value, or the state's in lane 0, by a log-doubling fill of a, b and
+    carry-in (none when every lane is live): a fill copies one earlier bit per position for the whole row,
+    so it commutes with the bitwise sum and carry, and the sum's toggles are its inputs' together.
     """
     s = a ^ b ^ cin
-    cout = (a & b) | (cin & (a ^ b))
-    x, y, z, old_s, old_cout = state
+    cout = carry = (a & b) | (cin & (a ^ b))
+    x, y, z = state
     lane, full, last, cmask = lay.lane, lay.full, lay.last, lay.cmask
-    if old_s != x ^ y ^ z or old_cout != (x & y) | (z & (x ^ y)):
-        nodes = [a, b, cin, s, cout]
-        if live != cmask:
-            hole = cmask ^ live
-            nodes = [(node & live) | (old & hole) for node, old in zip(nodes, state)]
-            hole ^= hole & ((1 << lay.cols) - 1)
-            shift = lane
-            while hole:
-                nodes = [node | ((node << shift) & hole) for node in nodes]
-                hole &= hole << shift
-                shift <<= 1
-        toggled = tuple((node ^ ((node << lane) | old)) & full for node, old in zip(nodes, state))
-        state[:] = [node >> last for node in nodes]
-        return s, cout, toggled
-    carry = cout
     if live != cmask:
         # lane 0's held bits take the state's values, and a later lane's the lane before it
         hole = cmask ^ live
@@ -135,13 +118,12 @@ def _adder_row(a: int, b: int, cin: int, state: list[int], live: int, lay: _Layo
             shift <<= 1
         carry = (a & b) | (cin & (a ^ b))
     ta, tb, tc = (a ^ ((a << lane) | x)) & full, (b ^ ((b << lane) | y)) & full, (cin ^ ((cin << lane) | z)) & full
-    x, y, z = a >> last, b >> last, cin >> last
-    state[:] = x, y, z, x ^ y ^ z, carry >> last
-    return s, cout, (ta, tb, tc, ta ^ tb ^ tc, (carry ^ ((carry << lane) | old_cout)) & full)
+    state[:] = a >> last, b >> last, cin >> last
+    return s, cout, (ta, tb, tc, ta ^ tb ^ tc, (carry ^ ((carry << lane) | (x & y) | (z & (x ^ y)))) & full)
 
 
 def _cell_toggles(toggled: tuple[int, ...]) -> int:
-    """The toggles of an adder row whose state was its inputs' own: two popcounts for a, b, carry-in and sum."""
+    """The toggles of an adder row: two popcounts for a, b, carry-in and sum, one for the carry-out."""
     ta, tb, tc, _, tcout = toggled
     return 2 * ((ta | tb | tc).bit_count() + (ta & tb & tc).bit_count()) + tcout.bit_count()
 
@@ -280,8 +262,8 @@ class ArrayState:
     def __init__(self, width: int, arch: Architecture):
         g = self.geometry = ArrayGeometry.create(width, arch)
         self._row_bits = [0] * g.rows
-        # a, b, cin, sum, cout of each carry-save row, then of the final adder
-        self._adders = [[0] * 5 for _ in range(g.rows)]
+        # a, b, cin of each carry-save row, then of the final adder; a sum and carry-out are theirs
+        self._adders = [[0] * 3 for _ in range(g.rows)]
 
     def evaluate(self, pp: PPLanes, gated: bool = False) -> tuple[int, ToggleReport]:
         """Evaluate the array on a run of lanes from :func:`build_pp`.
@@ -372,8 +354,8 @@ def simulate_configs(
     :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, with
     :func:`build_pp` as its row builder.  Every product is checked once, where it is made: a counted
     architecture with an array here is checked by that array and counted from its multipliers, and
-    the count checks only the others.  With no configuration the whole run is range-checked first;
-    with one, each chunk's lanes are its check.  ``trace`` is called as ``trace(config, index, record)``.
+    the count checks only the others.  Each chunk is range-checked as it is read, by its lanes, or by
+    the decode check when it packs none.  ``trace`` is called as ``trace(config, index, record)``.
     """
     states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
     zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}

@@ -497,19 +497,12 @@ def _pack(values: Sequence[int], lane: int) -> int:
 
     The values go into an array of the narrowest item that holds a lane,
     its bytes become one integer, and one cached re-stride
-    (:func:`_restride`) moves every lane to its place.  A lane wider than
-    any item (65 bits at width 32) packs a value of 2**64 or more as its
-    low and high items apart.
+    (:func:`_restride`) moves every lane to its place.  A 65-bit lane (width
+    32) takes 64-bit items, which hold every product of two width-32
+    magnitudes; in a run of two or more, a value of 2**64 or more raises
+    :class:`OverflowError`.  One value packs as itself.
     """
-    bits = _item_bits(lane)
-    try:
-        return _pack_items(values, bits, lane)
-    except OverflowError:
-        if lane <= bits:
-            raise
-    low = (1 << bits) - 1
-    high = _pack_items([v >> bits for v in values], bits, lane)
-    return _pack_items([v & low for v in values], bits, lane) | high << bits
+    return _pack_items(values, _item_bits(lane), lane)
 
 
 def _unpack16(x: int, lane: int, count: int) -> list[int]:
@@ -810,25 +803,25 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
     by lane sums, the hybrid pair by pair through :func:`unsigned_product`, in pair order, on one
     shared :class:`Word` per distinct magnitude of the chunk.
 
-    The error order: the width, then each counted architecture, is checked first.  A pass that runs
-    no array then range-checks the whole run, even an empty one (:func:`_check_operands`); with
-    arrays, each chunk's :class:`Lanes` are its check.  Then, chunk by chunk, the count's checks raise
-    for the first bad pair and its first wrong architecture in ``count`` order, then each product
-    ``step`` yields is checked as it comes, so the first wrong array raises.
+    The error order: the width, then each counted architecture, is checked first.  Then, chunk by
+    chunk, the chunk's operands are range-checked as it is read: by its :class:`Lanes`, or by
+    :func:`_check_operands` when it packs none; the count's checks raise for the first bad pair and its
+    first wrong architecture in ``count`` order, then each product ``step`` yields is checked as it
+    comes, so the first wrong array raises.  So an earlier chunk's error comes before a later chunk's.
     """
+    check_operand_width(width)
     for arch in count:
-        ArrayGeometry.create(width, arch)  # refuses a bad width, then anything but an Architecture
+        ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
     checks = [arch for arch in count if arch not in archs]
     lane_checks = [arch for arch in checks if arch is not _HYBRID]
     hybrid_pps = hybrid_adds = hybrid_shifts = 0
     built = dict.fromkeys([*archs, *lane_checks])
-    if not archs:
-        pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)  # the whole-run check reads it first
-        _check_operands(pairs, width)
     seen = top_set = 0  # pairs, and multipliers with the top bit set
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
+        if not built:
+            _check_operands(chunk, width)  # no Lanes to check this chunk
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
         pps, expected = {}, 0

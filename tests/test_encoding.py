@@ -727,6 +727,25 @@ class TestLaneCountPass:
             count_pairs([(65, 34), (5, -3), (7, 9)], archs, 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == ((5, -3), -17, -15)
 
+    @pytest.mark.parametrize("archs", [(Architecture.CONVENTIONAL,), tuple(Architecture)])
+    def test_a_generator_is_read_chunk_by_chunk(self, archs, monkeypatch):
+        pulled, at_first_rows = [], []
+        rule = encoding._pp_rows
+
+        def spy(a, b, width, arch, lay):
+            at_first_rows.append(len(pulled))
+            return rule(a, b, width, arch, lay)
+
+        def pairs():
+            for a in range(1, 11):
+                pulled.append(a)
+                yield a, (7 * a) % 256
+
+        monkeypatch.setattr(encoding, "_pp_rows", spy)
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", 3)
+        assert count_pairs(pairs(), archs, 8) == count_pairs([(a, (7 * a) % 256) for a in range(1, 11)], archs, 8)
+        assert at_first_rows[0] <= 3
+
     def test_row_rule_sees_at_most_one_chunk_of_lanes(self, monkeypatch):
         rule = encoding._pp_rows
         seen = []
@@ -839,10 +858,10 @@ class TestHybridSeamWords:
 
 @st.composite
 def lane_values(draw):
-    """(lane, values): a width-4..32 array's lane and 1..256 values below 2**lane, the edges drawn often."""
+    """(lane, values): a width-4..32 array's lane and 1..256 products, below 2**(lane - 1), the edges drawn often."""
     lane = 2 * draw(st.one_of(st.sampled_from([4, 32]), st.integers(4, 32))) + 1
     count = draw(st.one_of(st.sampled_from([1, 2, 255, 256]), st.integers(1, 256)))
-    value = st.one_of(st.sampled_from([0, (1 << lane) - 1]), st.integers(0, (1 << lane) - 1))
+    value = st.one_of(st.sampled_from([0, (1 << lane - 1) - 1]), st.integers(0, (1 << lane - 1) - 1))
     return lane, draw(st.lists(value, min_size=count, max_size=count))
 
 
@@ -854,6 +873,15 @@ class TestLanePacker:
     def test_pack_matches_shifted_sum(self, case):
         lane, values = case
         assert encoding._pack(values, lane) == sum(v << i * lane for i, v in enumerate(values))
+
+    @pytest.mark.parametrize("values", [[0, 1 << 64], [1 << 64, 1]])
+    def test_a_value_past_the_widest_item_raises(self, values):
+        # a width-32 lane is 65 bits, but every product it packs fits 64
+        with pytest.raises(OverflowError):
+            encoding._pack(values, 65)
+
+    def test_one_value_packs_as_itself(self):
+        assert encoding._pack([1 << 64], 65) == 1 << 64
 
     def test_schedule_cache_grows_with_shapes_not_counts(self):
         encoding._restride_steps.cache_clear()
