@@ -130,7 +130,7 @@ def _output(out: str | None):
                 file.close()
                 os.unlink(out)
             raise
-        if os.path.isfile(out):  # a device such as /dev/null has no end to cut and refuses it
+        if not created and os.path.isfile(out):  # a device such as /dev/null has no end to cut and refuses it
             file.truncate()
 
 
