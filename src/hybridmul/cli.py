@@ -20,7 +20,7 @@ import functools
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
 from .datapath import ToggleReport
 from .encoding import Architecture, ProductMismatchError
@@ -111,11 +111,16 @@ def _output(out: str | None):
     """Yield a function that writes the report to ``out``, or to stdout.
 
     Commands enter it between reading their inputs and simulating, so an unwritable ``out`` fails before
-    the work.  An existing ``out`` is written over from byte 0, not truncated, and cut at the end of what
-    was written once the block ends: a run that raises first leaves it as it was, and removes the
-    ``out`` it created.
+    the work.  An ``out`` that is stdout's own file, such as ``/dev/stdout``, is written through stdout,
+    at its offset and in its mode.  Any other existing ``out`` is written over from byte 0, not
+    truncated, and cut at the end of what was written once the block ends: a run that raises first
+    leaves it as it was, and removes the ``out`` it created.
     """
-    if not out:
+    try:
+        to_stdout = not out or os.path.samestat(os.stat(out), os.fstat(1))
+    except OSError:  # no such file yet, or no stdout
+        to_stdout = False
+    if to_stdout:
         yield sys.stdout.write
         return
     try:
@@ -208,20 +213,24 @@ def _cmd_stream(args: argparse.Namespace) -> int:
     if not args.trace_toggles:
         sys.stdout.write(render_stream(run_campaign(campaign, read=read)))
         return 0
-    # the trace is spooled and written only once every product is checked, so a failed run leaves the file as it was
-    with _output(args.trace_toggles) as write, tempfile.TemporaryFile("w+") as spool:
+    # one spool per architecture, written arch by arch once every product is checked: a failed run leaves the file
+    with ExitStack() as stack:
+        write = stack.enter_context(_output(args.trace_toggles))
+        spools = {arch: stack.enter_context(tempfile.TemporaryFile("w+")) for arch in campaign.architectures}
 
         def record(arch: Architecture, index: int, one: ToggleReport) -> None:
+            spool = spools[arch]
             *rows, final = one.per_row_toggles
             for row, toggles in enumerate(rows):
                 spool.write(f"{index},{row},{toggles},{arch.value}\n")
             spool.write(f"{index},final,{final},{arch.value}\n")
 
-        spool.write("operation,row,toggles,arch\n")
         report = run_campaign(campaign, trace=record, read=read)
-        spool.seek(0)
-        for block in iter(lambda: spool.read(1 << 16), ""):
-            write(block)
+        write("operation,row,toggles,arch\n")
+        for spool in spools.values():
+            spool.seek(0)
+            for block in iter(lambda: spool.read(1 << 16), ""):
+                write(block)
     sys.stdout.write(render_stream(report))
     return 0
 

@@ -333,7 +333,8 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
         if count != other or not count:
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
         # the lane rule is looked up in its module: one seam for the count pass and the arrays
-        return encoding._lane_pp(multiplicand, multiplier, arch)
+        lay = multiplicand.layout
+        return PPLanes(encoding._pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
     if arch is _CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
     elif arch is _BOOTH:
@@ -350,18 +351,19 @@ def simulate_configs(
     """Drive one array per ``(arch, gated)`` configuration, and count ``count``'s architectures, in one pass.
 
     Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
-    :func:`~hybridmul.encoding.count_pairs` returns for ``count``: the step of
-    :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, with
-    :func:`build_pp` as its row builder.  Every product is checked once, where it is made: a counted
-    architecture with an array here is checked by that array and counted from its multipliers, and
-    the count checks only the others.  Each chunk is range-checked as it is read, by its lanes, or by
-    the decode check when it packs none.  ``trace`` is called as ``trace(config, index, record)``.
+    :func:`~hybridmul.encoding.count_pairs` returns for ``count``.  It is the step of
+    :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, and builds each
+    architecture's rows once per chunk through :func:`build_pp`.  Every product is checked once, where
+    it is made: a counted architecture with an array here is checked by that array, and the count checks
+    only the others.  ``trace(config, index, record)`` is called chunk by chunk, in configuration order.
     """
     states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
     zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}
     reports = {config: ToggleReport(rows, rows, 0, 0, 0) for config, rows in zeros.items()}
+    archs = list(dict.fromkeys(arch for arch, _ in states))
 
-    def step(start, pps):
+    def step(start, multiplicand, multiplier):
+        pps = {arch: build_pp(multiplicand, multiplier, arch) for arch in archs}
         for config, state in states.items():
             products, run = state.evaluate(pps[config[0]], config[1])
             yield products  # checked before the run is counted
@@ -370,7 +372,7 @@ def simulate_configs(
                 for index, one in enumerate(run.split(), start=start):
                     trace(config, index, one)
 
-    return reports, encoding._chunk_pass(pairs, width, count, build_pp, [arch for arch, _ in states], step)
+    return reports, encoding._chunk_pass(pairs, width, count, archs, step)
 
 
 def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool, trace=None) -> ToggleReport:

@@ -10,15 +10,15 @@ Three ways to turn (multiplicand, multiplier) into a product:
   half re-dispatched.
 
 All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
-pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
-pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
-4A, 7.1.3).  Every product is checked once, where it is made.  An architecture whose array runs in
-the pass is checked by that array, and its counts come from its multipliers alone: the top-bit
-popcount for conventional and Booth, the lane routes for the hybrid (:func:`_hybrid_counts`).  The
-count checks the counted architectures that no array runs: a conventional or Booth lane's rows,
-summed modulo 2**cols, must equal the packed ``|a * b|``, and the hybrid runs pair by pair through
-:func:`unsigned_product`, the seam its counts come from.  Every entry point rejects a bad width,
-then an architecture that is not an :class:`Architecture` member, before it decodes an operand.
+pass (:func:`count_pairs`, :func:`multiply`) and the array stream, whose step builds its own rows:
+chunks of :data:`STREAM_CHUNK` pairs, each decoded once and packed one magnitude per lane of a Python
+integer (SWAR: Knuth, TAOCP 4A, 7.1.3).  Every product is checked once, where it is made: by the array
+that runs it, else by the count, which sums a conventional or Booth lane's rows modulo 2**cols against
+the packed ``|a * b|`` and runs the hybrid pair by pair through :func:`unsigned_product`, the seam its
+counts come from.  Conventional and Booth counts are closed forms in the pair count and the
+multipliers' top bits; a hybrid whose array runs is counted from its lane routes
+(:func:`_hybrid_counts`).  Every entry point rejects a bad width, then an architecture that is not an
+:class:`Architecture` member, before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
@@ -622,13 +622,18 @@ def _lane_sum(rows, lay: _Layout) -> int:
     return total
 
 
+def _booth_digits(n: int, top: int, w: int) -> int:
+    """:func:`booth_recode`'s digits of ``n`` ``w``-bit multipliers, ``top`` of them with the top bit set."""
+    return (n - top) * ((w + 1) // 2) + top * ((w + 2) // 2)
+
+
 @lru_cache(maxsize=1)
 def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int]:
     """Per lane, the multiplier bits :func:`hybrid_int` hands its engines: ``(chain, chain_hi, booth, booth_hi)``.
 
     A lane holds 0 in each route it does not take; the high halves run at
-    weight ``width // 2``.  The last chunk's routes are kept, so the hybrid's
-    row rule works them out and :func:`_hybrid_counts` reads them.
+    weight ``width // 2``.  The last chunk's routes are kept, so
+    :func:`_hybrid_counts` works them out and the hybrid's row rule reads them.
     """
     steps = _popcount_masks(lay)
 
@@ -654,9 +659,9 @@ def _hybrid_counts(b: int, width: int, lay: _Layout) -> tuple[int, int, int]:
     """:func:`hybrid_int`'s ``(pp, adds, shifts)`` summed over the lanes of ``b``, from :func:`_hybrid_routes`.
 
     A chain leaf of c set bits makes 1 PP and c - 1 adds, and one shift more than adds when its bit 0
-    is clear.  A Booth leaf of width w makes ``(w + top + 1) // 2`` PPs, ``top`` its top bit, and one
-    add fewer.  A split lane adds one add to recombine its halves.  So a chunk's sums are popcounts of
-    the routes and of their :func:`_nonzero` flags.
+    is clear.  A Booth leaf of width w makes ``(w + top + 1) // 2`` PPs, ``top`` its top bit
+    (:func:`_booth_digits`), and one add fewer.  A split lane adds one add to recombine its halves.  So
+    a chunk's sums are popcounts of the routes and of their :func:`_nonzero` flags.
     """
     chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
     pp = adds = shifts = 0
@@ -672,8 +677,7 @@ def _hybrid_counts(b: int, width: int, lay: _Layout) -> tuple[int, int, int]:
     for leaf, w in ((booth, width if width % 2 else half), (booth_hi, half)):
         if leaf:
             leaves = _nonzero(leaf, lay).bit_count()
-            top = ((leaf >> (w - 1)) & lay.ones).bit_count()
-            digits = (leaves - top) * ((w + 1) // 2) + top * ((w + 2) // 2)
+            digits = _booth_digits(leaves, ((leaf >> (w - 1)) & lay.ones).bit_count(), w)
             pp += digits
             adds += digits - leaves
     if not width % 2:  # every split lane holds a nonzero half in one of these routes
@@ -743,16 +747,6 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     return (row,) + (0,) * (width - 1)
 
 
-@cache
-def _top_bit_counts(core, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """A lane core's ``(pp, adds, shifts)`` for a multiplier with the top bit clear, then set.
-
-    The conventional and Booth counts depend on the width and the
-    multiplier's top bit alone, so these two calls of the core count every pair.
-    """
-    return core(0, 0, width)[1:], core(0, 1 << (width - 1), width)[1:]
-
-
 # -- the count pass ---------------------------------------------------------------
 
 
@@ -781,27 +775,23 @@ def _checked(a: int, b: int, magnitude: int) -> None:
         raise ProductMismatchError(a, b, product, a * b)
 
 
-def _lane_pp(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> PPLanes:
-    """:func:`_pp_rows` of two runs of one width and lane count, in the multiplicand's layout."""
-    lay = multiplicand.layout
-    return PPLanes(_pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
-
-
-def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(), step=None) -> tuple[OpCounts, ...]:
+def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step=None) -> tuple[OpCounts, ...]:
     """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
 
-    Each chunk of :data:`STREAM_CHUNK` pairs is decoded and packed once, into two :class:`Lanes` and a
-    packed ``|a * b|``; ``build(multiplicand, multiplier, arch)`` makes the :class:`PPLanes` of each
-    architecture in ``archs`` and of each conventional or Booth count that no array runs.  A count of
-    the hybrid alone packs nothing.  ``step(start, pps)``, if given, runs the arrays on a chunk's rows
-    and yields each array's packed products; a run with a step must not be empty.
+    The loop checks and counts; the arrays' step builds its rows and runs.  Each chunk of
+    :data:`STREAM_CHUNK` pairs is decoded once and packed once, into two :class:`Lanes` and a packed
+    ``|a * b|``; a count of the hybrid alone packs nothing.  When ``archs`` is not empty,
+    ``step(start, multiplicand, multiplier)`` builds each of its architectures' rows from the chunk's
+    :class:`Lanes`, runs the arrays and yields each array's packed products; a pass with a step must
+    not be empty.
 
     Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
-    by its array alone, and its counts come from its multipliers: the top-bit popcount for
-    conventional and Booth, :func:`_hybrid_counts` on the routes the hybrid's row rule worked out for
-    the hybrid.  The count checks the counted architectures that no array runs: conventional and Booth
-    by lane sums, the hybrid pair by pair through :func:`unsigned_product`, in pair order, on one
-    shared :class:`Word` per distinct magnitude of the chunk.
+    by its array alone.  The count checks the counted architectures that no array runs: conventional
+    and Booth by the lane sums of the rows :func:`_pp_rows` builds here, the hybrid pair by pair
+    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per distinct magnitude
+    of the chunk.  The conventional and Booth counts are closed forms in the pair count and the number
+    of multipliers with the top bit set; a hybrid whose array runs is counted by :func:`_hybrid_counts`,
+    whose routes the hybrid's row rule then reads.
 
     The error order: the width, then each counted architecture, is checked first.  Then, chunk by
     chunk, the chunk's operands are range-checked as it is read: by its :class:`Lanes`, or by
@@ -814,18 +804,17 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
         ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
     checks = [arch for arch in count if arch not in archs]
     lane_checks = [arch for arch in checks if arch is not _HYBRID]
+    packs = bool(archs or lane_checks)
     hybrid_pps = hybrid_adds = hybrid_shifts = 0
-    built = dict.fromkeys([*archs, *lane_checks])
     seen = top_set = 0  # pairs, and multipliers with the top bit set
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
-        if not built:
+        if not packs:
             _check_operands(chunk, width)  # no Lanes to check this chunk
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
-        pps, expected = {}, 0
-        if built:
+        if packs:
             try:
                 multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
             except ValueError:
@@ -834,11 +823,10 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
             lay = multiplicand.layout
             expected = _pack(list(map(mul, ma, mb)), lay.lane)
             top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
-            for arch in built:
-                pps[arch] = build(multiplicand, multiplier, arch)
+        sums = {arch: _lane_sum(_pp_rows(multiplicand.packed, multiplier.packed, width, arch, lay), lay)
+                for arch in lane_checks}
         bad = len(chunk)  # the first pair with a wrong lane product
-        for arch in lane_checks:
-            total = _lane_sum(pps[arch].rows, lay)
+        for total in sums.values():
             if total != expected:
                 bad = min(bad, _first_bad_lane(total, expected, lay))
         if _HYBRID in checks:
@@ -852,7 +840,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 hybrid_pps += counts.pp_count
                 hybrid_adds += counts.add_count
                 hybrid_shifts += counts.shift_count
-        elif _HYBRID in count:  # the routes the hybrid's row rule worked out for this chunk
+        elif _HYBRID in count:  # this chunk's routes, which the hybrid's row rule reads in the step
             pp, adds, shifts = _hybrid_counts(multiplier.packed, width, lay)
             hybrid_pps, hybrid_adds, hybrid_shifts = hybrid_pps + pp, hybrid_adds + adds, hybrid_shifts + shifts
         if bad < len(chunk):
@@ -860,25 +848,20 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], build, archs=(
                 if arch is _HYBRID:
                     magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
                 else:
-                    magnitude = _lane(_lane_sum(pps[arch].rows, lay), bad, lay)
+                    magnitude = _lane(sums[arch], bad, lay)
                 _checked(*chunk[bad], magnitude)
-        if step is not None:
-            for products in step(seen, pps):
+        if archs:
+            for products in step(seen, multiplicand, multiplier):
                 if products != expected:
                     i = _first_bad_lane(products, expected, lay)
                     _checked(*chunk[i], _lane(products, i, lay))  # lane i is not |a * b|, so this raises
         seen += len(chunk)
     if step is not None and not seen:
         raise ValueError("input stream must not be empty")
-    records, clear = [], seen - top_set
-    for arch in count:
-        if arch is _HYBRID:
-            records.append(OpCounts(hybrid_pps, hybrid_adds, hybrid_shifts))
-        else:
-            (pp, adds, shifts), (top_pp, top_adds, top_shifts) = _top_bit_counts(_INT_CORES[arch], width)
-            records.append(OpCounts(clear * pp + top_set * top_pp, clear * adds + top_set * top_adds,
-                                    clear * shifts + top_set * top_shifts))
-    return tuple(records)
+    digits = _booth_digits(seen, top_set, width)  # conventional: a row per multiplier bit; Booth: per digit
+    counts = {_CONVENTIONAL: (seen * width, seen * (width - 1), 0), _BOOTH: (digits, digits - seen, 0),
+              _HYBRID: (hybrid_pps, hybrid_adds, hybrid_shifts)}
+    return tuple(OpCounts(*counts[arch]) for arch in count)
 
 
 def count_pairs(
@@ -886,10 +869,10 @@ def count_pairs(
 ) -> tuple[OpCounts, ...]:
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
-    Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with the lane rule
-    as its row builder and no array step, so it calls no array code.
+    Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with no array step,
+    so it calls no array code.
     """
-    return _chunk_pass(pairs, width, archs, _lane_pp)
+    return _chunk_pass(pairs, width, archs)
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
@@ -900,4 +883,4 @@ def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     of a bad operand, and :class:`ProductMismatchError` if the core's signed
     product is not ``a * b``.  The product it returns is that checked ``a * b``.
     """
-    return MultiplyResult(a * b, *_chunk_pass(((a, b),), width, (arch,), _lane_pp))
+    return MultiplyResult(a * b, *_chunk_pass(((a, b),), width, (arch,)))

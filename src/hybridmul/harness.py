@@ -287,22 +287,18 @@ def run_campaign(
     ``read``, :func:`read_campaign`'s result for ``campaign``, stands in for that step, so a caller can
     open its outputs between reading and simulating.  With toggles, one
     :func:`~hybridmul.datapath.simulate_configs` call counts and simulates; ``trace(arch, index, record)``,
-    if given, gets every evaluation's record, one ``simulate_configs`` call per architecture.
+    if given, gets every evaluation's record from it, chunk by chunk, with the architectures in
+    campaign order inside each chunk.
     """
     if trace is not None and not campaign.simulate_toggles:
         raise ValueError("a trace needs simulate_toggles=True: it records the toggle simulation")
     unit_costs, pairs = read or read_campaign(campaign, model, interpolate)
     width, archs = campaign.width, campaign.architectures
-    configs = [(arch, campaign.ssst) for arch in archs]
     if not campaign.simulate_toggles:
         reports, arch_counts = {}, count_pairs(pairs, archs, width)
-    elif trace is None:
-        reports, arch_counts = simulate_configs(pairs, width, configs, archs)
     else:
-        reports, arch_counts = {}, ()
-        for config in configs:
-            one, counts = simulate_configs(pairs, width, (config,), config[:1], lambda c, i, r: trace(c[0], i, r))
-            reports, arch_counts = reports | one, arch_counts + counts
+        each = None if trace is None else (lambda config, index, one: trace(config[0], index, one))
+        reports, arch_counts = simulate_configs(pairs, width, [(arch, campaign.ssst) for arch in archs], archs, each)
     summaries = []
     for arch, counts in zip(archs, arch_counts):
         toggled = reports.get((arch, campaign.ssst))

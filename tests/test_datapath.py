@@ -824,21 +824,29 @@ class TestOneChunkPass:
         assert listed[1] == count_pairs(pairs, count, 8)
 
     def test_rows_are_built_once_per_chunk_and_architecture(self, monkeypatch):
-        """The count reuses the arrays' rows; a count pass alone builds none through ``build_pp``."""
-        build, built = dp.build_pp, []
+        """The count builds the rows it checks, each array step its own; a count pass alone calls no ``build_pp``."""
+        rule, build, rows, built = encoding._pp_rows, dp.build_pp, [], []
 
-        def spy(multiplicand, multiplier, arch):
+        def rows_spy(a, b, width, arch, lay):
+            rows.append((arch, lay.count))
+            return rule(a, b, width, arch, lay)
+
+        def build_spy(multiplicand, multiplier, arch):
             built.append((arch, len(multiplicand.values)))
             return build(multiplicand, multiplier, arch)
 
-        monkeypatch.setattr(dp, "build_pp", spy)
+        monkeypatch.setattr(encoding, "_pp_rows", rows_spy)
+        monkeypatch.setattr(dp, "build_pp", build_spy)
         _chunks_of(monkeypatch, 3)
         pairs = [(a, (7 * a) % 256) for a in range(1, 9)]  # chunks of 3, 3 and 2 pairs
-        count = (Architecture.CONVENTIONAL, Architecture.BOOTH)
-        dp.simulate_configs(pairs, 8, [(Architecture.HYBRID, True)], count)
-        assert built == [(arch, n) for n in (3, 3, 2) for arch in (Architecture.HYBRID, *count)]
-        built.clear()
+        H, B, C = Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL
+        # the hybrid runs gated and plain, Booth is counted and run, conventional only counted
+        dp.simulate_configs(pairs, 8, [(H, True), (H, False), (B, False)], (C, B))
+        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, H, B)]
+        assert built == [(arch, n) for n in (3, 3, 2) for arch in (H, B)]
+        rows.clear(), built.clear()
         count_pairs(pairs, tuple(Architecture), 8)
+        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B)]  # the hybrid runs pair by pair
         assert built == []
 
     @pytest.mark.parametrize("count", [(), (Architecture.HYBRID,), tuple(Architecture)])

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,6 +581,20 @@ class TestCountPairs:
     def test_one_record_per_architecture_in_order(self, run, archs):
         width, pairs = run
         assert count_pairs(pairs, archs, width) == tuple(self._summed(pairs, arch, width) for arch in archs)
+
+    @given(signed_runs(), st.sampled_from([1, 3, 256]))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_counts_equal_the_cores_summed_pair_by_pair(self, run, chunk):
+        """Conventional and Booth counts are closed forms in the pair count and the multipliers' top bits."""
+        width, pairs = run
+        archs = (Architecture.CONVENTIONAL, Architecture.BOOTH)
+        summed = []
+        for arch in archs:
+            counts = [unsigned_product(Word(abs(a), width), Word(abs(b), width), arch)[1] for a, b in pairs]
+            summed.append(OpCounts(*(sum(c[i] for c in map(astuple, counts)) for i in range(3))))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoding, "STREAM_CHUNK", chunk)
+            assert count_pairs(pairs, archs, width) == tuple(summed)
 
     @given(signed_runs(), st.data())
     @settings(max_examples=100)

@@ -2,6 +2,8 @@ import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -374,7 +376,7 @@ class TestRunCampaign:
             Campaign(width=8, source=RandomSource(50), seed=-5)
         assert Campaign(width=8, source=RandomSource(50), seed=0).seed == 0
 
-    def test_a_traced_campaign_runs_one_pass_per_architecture(self, monkeypatch):
+    def test_a_traced_campaign_runs_one_pass(self, monkeypatch):
         calls = []
         chunk_pass = harness.simulate_configs
 
@@ -388,12 +390,16 @@ class TestRunCampaign:
         seen = []
         traced = run_campaign(campaign, trace=lambda arch, i, one: seen.append((arch, i, one)))
         archs = campaign.architectures
-        assert calls == [(((arch, True),), (arch,), True) for arch in archs]
-        assert [(arch, i) for arch, i, _ in seen] == [(arch, i) for arch in archs for i in range(300)]
+        assert calls == [(tuple((arch, True) for arch in archs), archs, True)]
+        # chunk by chunk, the architectures in campaign order inside each chunk
+        chunks = [range(0, encoding.STREAM_CHUNK), range(encoding.STREAM_CHUNK, 300)]
+        assert [(arch, i) for arch, i, _ in seen] == [(arch, i) for chunk in chunks for arch in archs for i in chunk]
         pairs = gen_inputs(source, 8, seed=42)
         for arch in archs:
-            records = [one for seen_arch, _, one in seen if seen_arch is arch]
-            assert sum(one.total_toggles for one in records) == simulate_stream(pairs, arch, 8, True).total_toggles
+            records = [(i, one) for seen_arch, i, one in seen if seen_arch is arch]
+            assert [i for i, _ in records] == list(range(300))
+            total = sum(one.total_toggles for _, one in records)
+            assert total == simulate_stream(pairs, arch, 8, True).total_toggles
         calls.clear()
         untraced = run_campaign(campaign)
         assert calls == [(tuple((arch, True) for arch in archs), archs, False)]
@@ -1035,6 +1041,23 @@ class TestCli:
         assert main([*argv, os.devnull]) == 0
         assert capsys.readouterr().out == first[: len(first) // 2]
 
+    def test_stream_trace_across_chunks_is_each_architectures_stream_in_turn(self, tmp_path, monkeypatch, capsys):
+        """Records arrive chunk by chunk, and the file holds every architecture's own trace, one after another."""
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", 3)
+        dest = tmp_path / "toggles.csv"
+        assert main(["stream", "--inputs", "random:10", "--seed", "4", "--ssst", "--trace-toggles", str(dest)]) == 0
+        pairs = gen_inputs(RandomSource(10), 8, seed=4)
+        lines = ["operation,row,toggles,arch"]
+        for arch in sorted(Architecture, key=str):  # the CLI's default order
+            records = []
+            simulate_stream(pairs, arch, 8, True, trace=lambda i, one: records.append((i, one)))
+            for i, one in records:
+                *rows, final = one.per_row_toggles
+                lines += [f"{i},{row},{toggles},{arch}" for row, toggles in enumerate(rows)]
+                lines.append(f"{i},final,{final},{arch}")
+        assert dest.read_text() == "\n".join(lines) + "\n"
+        assert capsys.readouterr().out.startswith("stream: width=8 inputs=random:10 pairs=10 ssst=on")
+
     def test_out_replaces_a_longer_report(self, tmp_path, capsys):
         dest = tmp_path / "report.csv"
         dest.write_text("x" * 10000)
@@ -1044,3 +1067,33 @@ class TestCli:
 
     def test_trace_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["trace", "65", "34"]) == 1
+
+
+def _cli(argv, stdout):
+    """Run ``python -m hybridmul`` from this source tree in a new process, ``stdout`` its standard output."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "hybridmul", *argv], stdout=stdout, env=env, check=True)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout on this system")
+class TestOutputIsStdout:
+    """An output path that names stdout's own file is written through stdout, at its offset and in its mode."""
+
+    def test_a_trace_to_dev_stdout_redirected_to_a_file_equals_the_piped_bytes(self, tmp_path):
+        argv = ["stream", "--inputs", "random:300", "--seed", "5", "--ssst", "--trace-toggles", "/dev/stdout"]
+        piped = _cli(argv, subprocess.PIPE).stdout
+        with open(tmp_path / "f", "wb") as f:
+            _cli(argv, f)
+        assert (tmp_path / "f").read_bytes() == piped
+        trace = tmp_path / "toggles.csv"
+        table = _cli([*argv[:-1], str(trace)], subprocess.PIPE).stdout
+        assert piped == trace.read_bytes() + table
+
+    def test_a_report_to_dev_stdout_appended_to_a_log_keeps_its_lines(self, tmp_path):
+        argv = ["compare", "--inputs", "random:3", "--format", "csv", "--out", "/dev/stdout"]
+        log = tmp_path / "log"
+        log.write_bytes(b"earlier line\n")
+        with open(log, "ab") as f:
+            _cli(argv, f)
+        assert log.read_bytes() == b"earlier line\n" + _cli(argv, subprocess.PIPE).stdout
