@@ -844,7 +844,8 @@ class TestOneChunkPass:
         dp.simulate_configs(pairs, 8, [(H, True), (H, False), (B, False)], (C, B))
         assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, H, B)]
         assert built == [(arch, n) for n in (3, 3, 2) for arch in (H, B)]
-        rows.clear(), built.clear()
+        rows.clear()
+        built.clear()
         count_pairs(pairs, tuple(Architecture), 8)
         assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B)]  # the hybrid runs pair by pair
         assert built == []
