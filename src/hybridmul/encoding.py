@@ -12,22 +12,22 @@ Three ways to turn (multiplicand, multiplier) into a product:
 All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
 pass (:func:`count_pairs`, :func:`multiply`) and the array stream, whose step builds its own rows:
 chunks of :data:`STREAM_CHUNK` pairs, each decoded once and packed one magnitude per lane of a Python
-integer (SWAR: Knuth, TAOCP 4A, 7.1.3).  Every product is checked once, where it is made: by the array
-that runs it, else by the count, which sums a conventional or Booth lane's rows modulo 2**cols against
-the packed ``|a * b|`` and runs the hybrid pair by pair through :func:`unsigned_product`, the seam its
-counts come from.  Conventional and Booth counts are closed forms in the pair count and the
-multipliers' top bits; a hybrid whose array runs is counted from its lane routes
-(:func:`_hybrid_counts`).  Every entry point rejects a bad width, then an architecture that is not an
-:class:`Architecture` member, before it decodes an operand.
+integer (SWAR: Knuth, TAOCP 4A, 7.1.3), in every pass, so the pack is every chunk's one range check.
+Every product is checked once, where it is made: by the array that runs it, else by the count, which
+sums a conventional or Booth lane's rows modulo 2**cols against the packed ``|a * b|`` and runs the
+hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from.  Conventional and
+Booth counts are closed forms in the pair count and the multipliers' top bits; a hybrid whose array
+runs is counted from its lane routes (:func:`_hybrid_counts`).  Every entry point rejects a bad width,
+then an architecture that is not an :class:`Architecture` member, before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
 arrays, whose Booth rows read each digit's flags from three words worked out once per chunk) lives
 here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass calls no array
-code.  The integer core runs on plain ints and counts partial products, additions and shifts;
-:func:`_hybrid_counts` sums the same hybrid counts over a chunk's lanes, and a differential test
-holds the two equal.  :class:`Word` values appear only in the views, which carry no counts, and at
-the hybrid's :func:`unsigned_product` seam.
+code.  The hybrid's integer core, :func:`hybrid_int`, runs on plain ints and counts partial products,
+additions and shifts; :func:`_hybrid_counts` sums the same counts over a chunk's lanes, and a
+differential test holds the two equal.  :class:`Word` values appear only in the views, which carry no
+counts, and at the hybrid's :func:`unsigned_product` seam.
 """
 
 from __future__ import annotations
@@ -281,23 +281,12 @@ class MultiplyResult:
     counts: OpCounts
 
 
-# The integer core: each encoder takes the multiplicand, the multiplier's bits
-# and its width as plain ints and returns (product, pp_count, add_count,
-# shift_count).  The counts are bit arithmetic on the multiplier alone; the
-# product is built the way the encoder builds it, never by one native multiply.
+# The hybrid's integer core and its leaves take the multiplicand, the multiplier's bits and its
+# width as plain ints and return (product, pp_count, add_count, shift_count).  The counts are bit
+# arithmetic on the multiplier alone; the product is built the way the encoder builds it, never by
+# one native multiply.
 
 IntCore = tuple[int, int, int, int]
-
-
-def conventional_int(m: int, bits: int, width: int) -> IntCore:
-    """One row per multiplier bit: ``m << k`` summed over the set bits k."""
-    product = 0
-    rest = bits
-    while rest:
-        low = rest & -rest
-        product += m << (low.bit_length() - 1)
-        rest ^= low
-    return product, width, width - 1, 0
 
 
 def booth_int(m: int, bits: int, width: int) -> IntCore:
@@ -355,22 +344,16 @@ def hybrid_int(m: int, bits: int, width: int) -> IntCore:
     return (hi << half) + lo, hi_pp + lo_pp, hi_adds + lo_adds + 1, hi_shifts + lo_shifts
 
 
-_INT_CORES = {
-    Architecture.CONVENTIONAL: conventional_int,
-    Architecture.BOOTH: booth_int,
-    Architecture.HYBRID: hybrid_int,
-}
-
 # One immutable record per distinct (pp, adds, shifts): a core's counts depend
 # on the multiplier's shape alone, so a run of pairs needs only a handful.
 _shared_counts = cache(OpCounts)
 
 
-def unsigned_product(
-    multiplicand: Word, multiplier: Word, arch: Architecture
-) -> tuple[int, OpCounts]:
-    """Multiply two magnitudes with the chosen architecture's integer core."""
-    product, pp, adds, shifts = _INT_CORES[arch](multiplicand.bits, multiplier.bits, multiplier.width)
+def unsigned_product(multiplicand: Word, multiplier: Word, arch: Architecture) -> tuple[int, OpCounts]:
+    """The hybrid's per-pair seam: :func:`hybrid_int` on two magnitudes; any other architecture raises ValueError."""
+    if arch is not _HYBRID:
+        raise ValueError(f"unsigned_product serves the hybrid only, not {arch}")
+    product, pp, adds, shifts = hybrid_int(multiplicand.bits, multiplier.bits, multiplier.width)
     return product, _shared_counts(pp, adds, shifts)
 
 
@@ -750,24 +733,6 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
 # -- the count pass ---------------------------------------------------------------
 
 
-def _check_operands(pairs: Sequence[tuple[int, int]], width: int) -> None:
-    """Raise the width error, else the decode error of the first bad pair, if any.
-
-    The width is checked before any operand.  One pass over the magnitudes then clears a valid run; only
-    a bad run is decoded pair by pair, so every caller, the array stream included, raises exactly the
-    sign-magnitude decode's error for that pair.
-    """
-    check_operand_width(width)
-    seen = 0
-    for a, b in pairs:
-        seen |= abs(a) | abs(b)
-    if not seen >> width:
-        return
-    for a, b in pairs:
-        to_sign_magnitude(a, width)
-        to_sign_magnitude(b, width)
-
-
 def _checked(a: int, b: int, magnitude: int) -> None:
     """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``a * b``."""
     product = -magnitude if (a < 0) != (b < 0) else magnitude
@@ -779,11 +744,10 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
     """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
 
     The loop checks and counts; the arrays' step builds its rows and runs.  Each chunk of
-    :data:`STREAM_CHUNK` pairs is decoded once and packed once, into two :class:`Lanes` and a packed
-    ``|a * b|``; a count of the hybrid alone packs nothing.  When ``archs`` is not empty,
-    ``step(start, multiplicand, multiplier)`` builds each of its architectures' rows from the chunk's
-    :class:`Lanes`, runs the arrays and yields each array's packed products; a pass with a step must
-    not be empty.
+    :data:`STREAM_CHUNK` pairs is decoded once and packed once, in every pass, into two :class:`Lanes`
+    and a packed ``|a * b|``.  When ``archs`` is not empty, ``step(start, multiplicand, multiplier)``
+    builds each of its architectures' rows from the chunk's :class:`Lanes`, runs the arrays and yields
+    each array's packed products; a pass with a step must not be empty.
 
     Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
     by its array alone.  The count checks the counted architectures that no array runs: conventional
@@ -794,35 +758,34 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
     whose routes the hybrid's row rule then reads.
 
     The error order: the width, then each counted architecture, is checked first.  Then, chunk by
-    chunk, the chunk's operands are range-checked as it is read: by its :class:`Lanes`, or by
-    :func:`_check_operands` when it packs none; the count's checks raise for the first bad pair and its
-    first wrong architecture in ``count`` order, then each product ``step`` yields is checked as it
-    comes, so the first wrong array raises.  So an earlier chunk's error comes before a later chunk's.
+    chunk, the chunk's operands are range-checked as it is read, by its :class:`Lanes`; a chunk they
+    refuse is decoded pair by pair, so the first bad pair raises the sign-magnitude decode's own
+    error.  The count's checks raise for the first bad pair and its first wrong architecture in
+    ``count`` order, then each product ``step`` yields is checked as it comes, so the first wrong
+    array raises.  So an earlier chunk's error comes before a later chunk's.
     """
     check_operand_width(width)
     for arch in count:
         ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
     checks = [arch for arch in count if arch not in archs]
     lane_checks = [arch for arch in checks if arch is not _HYBRID]
-    packs = bool(archs or lane_checks)
     hybrid_pps = hybrid_adds = hybrid_shifts = 0
     seen = top_set = 0  # pairs, and multipliers with the top bit set
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
-        if not packs:
-            _check_operands(chunk, width)  # no Lanes to check this chunk
         ma = [abs(a) for a, _ in chunk]
         mb = [abs(b) for _, b in chunk]
-        if packs:
-            try:
-                multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
-            except ValueError:
-                _check_operands(chunk, width)  # raises the first bad pair's own error
-                raise
-            lay = multiplicand.layout
-            expected = _pack(list(map(mul, ma, mb)), lay.lane)
-            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
+        try:
+            multiplicand, multiplier = Lanes(ma, width), Lanes(mb, width)
+        except ValueError:
+            for a, b in chunk:  # raises the first bad pair's own error
+                to_sign_magnitude(a, width)
+                to_sign_magnitude(b, width)
+            raise
+        lay = multiplicand.layout
+        expected = _pack(list(map(mul, ma, mb)), lay.lane)
+        top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
         sums = {arch: _lane_sum(_pp_rows(multiplicand.packed, multiplier.packed, width, arch, lay), lay)
                 for arch in lane_checks}
         bad = len(chunk)  # the first pair with a wrong lane product
@@ -870,7 +833,7 @@ def count_pairs(
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
     Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with no array step,
-    so it calls no array code.
+    so it calls no array code.  Every chunk packs its :class:`Lanes`, the hybrid alone included.
     """
     return _chunk_pass(pairs, width, archs)
 

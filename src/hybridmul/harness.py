@@ -120,7 +120,10 @@ def parse_input_spec(spec: str) -> InputSource:
 
 def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
     """Read signed decimal pairs, one per line; ``#`` starts a comment."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     try:
         # one pass for a plain file; a blank line, a comment, a line of other than two fields or a field
         # int() refuses raises ValueError here, and the line loop below skips it or names its line
@@ -279,20 +282,18 @@ def read_campaign(campaign: Campaign, model: CostModel | None = None, interpolat
     return unit_costs, pairs
 
 
-def run_campaign(
-    campaign: Campaign, model: CostModel | None = None, interpolate: bool = False, trace=None, read=None
-) -> CampaignReport:
+def run_campaign(campaign: Campaign, trace=None, read=None) -> CampaignReport:
     """Run a campaign; raises ProductMismatchError on any oracle mismatch.
 
     ``read``, :func:`read_campaign`'s result for ``campaign``, stands in for that step, so a caller can
-    open its outputs between reading and simulating.  With toggles, one
-    :func:`~hybridmul.datapath.simulate_configs` call counts and simulates; ``trace(arch, index, record)``,
-    if given, gets every evaluation's record from it, chunk by chunk, with the architectures in
-    campaign order inside each chunk.
+    open its outputs between reading and simulating, or price with another cost model; without it the
+    default model prices.  With toggles, one :func:`~hybridmul.datapath.simulate_configs` call counts
+    and simulates; ``trace(arch, index, record)``, if given, gets every evaluation's record from it,
+    chunk by chunk, with the architectures in campaign order inside each chunk.
     """
     if trace is not None and not campaign.simulate_toggles:
         raise ValueError("a trace needs simulate_toggles=True: it records the toggle simulation")
-    unit_costs, pairs = read or read_campaign(campaign, model, interpolate)
+    unit_costs, pairs = read or read_campaign(campaign)
     width, archs = campaign.width, campaign.architectures
     if not campaign.simulate_toggles:
         reports, arch_counts = {}, count_pairs(pairs, archs, width)

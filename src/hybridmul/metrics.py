@@ -82,7 +82,11 @@ class CostModel:
         """
         units: dict[float, tuple[float, float]] = {}
         line_of: dict[float, int] = {}
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

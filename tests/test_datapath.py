@@ -959,27 +959,29 @@ class TestOneChunkPass:
         counts = [(Architecture.HYBRID,), (Architecture.CONVENTIONAL,), tuple(Architecture)]
         with pytest.raises(OverflowError) as want:
             multiply(300, 1, Architecture.CONVENTIONAL, 8)
-        with pytest.MonkeyPatch.context() as mp:
-            _chunks_of(mp, 3)
-            for count in counts:
-                for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
-                             lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
-                    assert _outcome(call) == (OverflowError, None, str(want.value))
-            # chunk 0's wrong product comes before chunk 1's bad operand: the lane sums, or the hybrid core
-            self._wrong_rows_at(mp, 65)
-            core = encoding.unsigned_product
+        range_error = (OverflowError, None, str(want.value))
+        core = encoding.unsigned_product
 
-            def wrong_core(multiplicand, multiplier, arch):
-                product, op_counts = core(multiplicand, multiplier, arch)
-                return product ^ (multiplicand.bits == 65) << FAULT_BIT[arch], op_counts
+        def wrong_core(multiplicand, multiplier, arch):
+            product, op_counts = core(multiplicand, multiplier, arch)
+            return product ^ (multiplicand.bits == 65) << FAULT_BIT[arch], op_counts
 
-            mp.setattr(encoding, "unsigned_product", wrong_core)
-            for count, got in zip(counts, (2214, 2211, 2211)):
-                for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
-                             lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
-                    assert _outcome(call) == (
-                        ProductMismatchError, (65, 34), f"product mismatch for 65 * 34: got {got}, expected 2210"
-                    )
+        for chunk in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                _chunks_of(mp, chunk)
+                for count in counts:
+                    for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
+                                 lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
+                        assert _outcome(call) == range_error
+                # chunk 0's wrong product comes before a later chunk's bad operand: the lane sums, or the
+                # hybrid core; a chunk of 7 holds both, and its range check comes first
+                self._wrong_rows_at(mp, 65)
+                mp.setattr(encoding, "unsigned_product", wrong_core)
+                for count, got in zip(counts, (2214, 2211, 2211)):
+                    fault = (ProductMismatchError, (65, 34), f"product mismatch for 65 * 34: got {got}, expected 2210")
+                    for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
+                                 lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
+                        assert _outcome(call) == (fault if chunk < len(self.RANGE_PAIRS) else range_error)
 
     def test_with_arrays_each_chunk_is_range_checked_by_its_lanes(self):
         configs = [(Architecture.CONVENTIONAL, False)]

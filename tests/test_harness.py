@@ -344,7 +344,7 @@ class TestRunCampaign:
     def test_model_without_default_vdd_fails_before_any_work(self, no_work):
         model = CostModel({1.0: (12.08, 0.734)})
         with pytest.raises(OffGridVoltageError):
-            run_campaign(Campaign(width=8, source=RandomSource(5)), model)
+            harness.read_campaign(Campaign(width=8, source=RandomSource(5)), model)
 
     def test_repeats_run_and_print_once(self, pixel_campaign):
         H, B = Architecture.HYBRID, Architecture.BOOTH
@@ -839,6 +839,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: sparse99 needs K <= width, got K=99 at width 8\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["compare", "--inputs", "file:{f}"], ["table2", "--model", "{f}"]], ids=["pairs-file", "model-file"]
+    )
+    def test_a_file_that_is_not_utf8_is_named(self, argv, tmp_path, capsys):
+        f = tmp_path / "latin.txt"
+        f.write_bytes(b"\xff 1\n")
+        assert main([arg.format(f=f) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {f}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
     def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
