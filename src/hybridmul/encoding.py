@@ -15,10 +15,14 @@ chunks of :data:`STREAM_CHUNK` pairs, each decoded once and packed one magnitude
 integer (SWAR: Knuth, TAOCP 4A, 7.1.3), in every pass, so the pack is every chunk's one range check.
 Every product is checked once, where it is made: by the array that runs it, else by the count, which
 sums a conventional or Booth lane's rows modulo 2**cols against the packed ``|a * b|`` and runs the
-hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from.  Conventional and
-Booth counts are closed forms in the pair count and the multipliers' top bits; a hybrid whose array
-runs is counted from its lane routes (:func:`_hybrid_counts`).  Every entry point rejects a bad width,
-then an architecture that is not an :class:`Architecture` member, before it decodes an operand.
+hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from.  The seam's
+:class:`Word` magnitudes come from one table per width, built once per process, for each width whose
+table is no larger than the dict of distinct magnitudes one full chunk can build (``2 * STREAM_CHUNK``
+Words: up to :data:`_WORD_TABLE_WIDTH`, 9 at a chunk of 256); a wider chunk builds one Word per
+distinct magnitude, as its magnitudes rarely repeat.  Conventional and Booth counts are closed forms
+in the pair count and the multipliers' top bits; a hybrid whose array runs is counted from its lane
+routes (:func:`_hybrid_counts`).  Every entry point rejects a bad width, then an architecture that
+is not an :class:`Architecture` member, before it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
@@ -732,6 +736,18 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
 
 # -- the count pass ---------------------------------------------------------------
 
+# The widest operands whose every magnitude makes no more Words than one full chunk's dict of
+# distinct magnitudes can hold (two per pair): up to it, the hybrid seam's Words come from one
+# table per width, kept for the process; above it magnitudes rarely repeat, so a table would only
+# cost, and each chunk builds its own.
+_WORD_TABLE_WIDTH = (2 * STREAM_CHUNK).bit_length() - 1
+
+
+@cache
+def _word_table(width: int) -> tuple[Word, ...]:
+    """Every ``width``-bit magnitude as a frozen :class:`Word`, at its own index."""
+    return tuple(Word(value, width) for value in range(1 << width))
+
 
 def _checked(a: int, b: int, magnitude: int) -> None:
     """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``a * b``."""
@@ -745,17 +761,20 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
 
     The loop checks and counts; the arrays' step builds its rows and runs.  Each chunk of
     :data:`STREAM_CHUNK` pairs is decoded once and packed once, in every pass, into two :class:`Lanes`
-    and a packed ``|a * b|``.  When ``archs`` is not empty, ``step(start, multiplicand, multiplier)``
-    builds each of its architectures' rows from the chunk's :class:`Lanes`, runs the arrays and yields
-    each array's packed products; a pass with a step must not be empty.
+    and, when a lane check or an array reads it, a packed ``|a * b|``.  When ``archs`` is not empty,
+    ``step(start, multiplicand, multiplier)`` builds each of its architectures' rows from the chunk's
+    :class:`Lanes`, runs the arrays and yields each array's packed products; a pass with a step must
+    not be empty.
 
     Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
     by its array alone.  The count checks the counted architectures that no array runs: conventional
     and Booth by the lane sums of the rows :func:`_pp_rows` builds here, the hybrid pair by pair
-    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per distinct magnitude
-    of the chunk.  The conventional and Booth counts are closed forms in the pair count and the number
-    of multipliers with the top bit set; a hybrid whose array runs is counted by :func:`_hybrid_counts`,
-    whose routes the hybrid's row rule then reads.
+    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per magnitude: from
+    the width's table, built once per process, up to :data:`_WORD_TABLE_WIDTH` bits, where every
+    magnitude makes no more Words than one full chunk would; above it, one per distinct magnitude of
+    the chunk, which goes with the chunk.  The conventional and Booth counts are closed forms in the
+    pair count and, for Booth, the number of multipliers with the top bit set; a hybrid whose array
+    runs is counted by :func:`_hybrid_counts`, whose routes the hybrid's row rule then reads.
 
     The error order: the width, then each counted architecture, is checked first.  Then, chunk by
     chunk, the chunk's operands are range-checked as it is read, by its :class:`Lanes`; a chunk they
@@ -770,7 +789,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
     checks = [arch for arch in count if arch not in archs]
     lane_checks = [arch for arch in checks if arch is not _HYBRID]
     hybrid_pps = hybrid_adds = hybrid_shifts = 0
-    seen = top_set = 0  # pairs, and multipliers with the top bit set
+    seen = top_set = 0  # pairs, and multipliers with the top bit set (Booth's count reads it)
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
@@ -784,8 +803,9 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
                 to_sign_magnitude(b, width)
             raise
         lay = multiplicand.layout
-        expected = _pack(list(map(mul, ma, mb)), lay.lane)
-        top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
+        expected = _pack(list(map(mul, ma, mb)), lay.lane) if lane_checks or archs else None
+        if _BOOTH in count:
+            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
         sums = {arch: _lane_sum(_pp_rows(multiplicand.packed, multiplier.packed, width, arch, lay), lay)
                 for arch in lane_checks}
         bad = len(chunk)  # the first pair with a wrong lane product
@@ -794,8 +814,10 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
                 bad = min(bad, _first_bad_lane(total, expected, lay))
         if _HYBRID in checks:
             # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
-            # in at, and such a core may read ``.bits``; one Word per distinct magnitude of the chunk
-            words = {value: Word(value, width) for value in {*ma, *mb}}
+            # in at, and such a core may read ``.bits``; the width's table, else one Word per
+            # distinct magnitude of the chunk
+            words = (_word_table(width) if width <= _WORD_TABLE_WIDTH
+                     else {value: Word(value, width) for value in {*ma, *mb}})
             for (a, b), x, y in zip(chunk[:bad], ma, mb):
                 magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
                 if magnitude != x * y:

@@ -771,6 +771,25 @@ class TestLaneCountPass:
         assert count_pairs(pairs(), archs, 8) == count_pairs([(a, (7 * a) % 256) for a in range(1, 11)], archs, 8)
         assert at_first_rows[0] <= 3
 
+    def test_a_hybrid_only_count_packs_no_products(self, monkeypatch):
+        pack, packed = encoding._pack, []
+
+        def spy(values, lane):
+            packed.append(len(values))
+            return pack(values, lane)
+
+        monkeypatch.setattr(encoding, "_pack", spy)
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", 3)
+        pairs = [(a - 9, (7 * a) % 256 - 128) for a in range(20)]
+        hybrid = (Architecture.HYBRID,)
+        assert count_pairs(pairs, hybrid, 8) == count_pairs(pairs, hybrid, 8)
+        for width in (8, 32):
+            assert multiply(-5, 3, Architecture.HYBRID, width).product == -15
+        assert packed == []
+        # a lane check still packs |a * b|, once per chunk
+        count_pairs(pairs, (Architecture.HYBRID, Architecture.CONVENTIONAL), 8)
+        assert packed == [3] * 6 + [2]
+
     def test_row_rule_sees_at_most_one_chunk_of_lanes(self, monkeypatch):
         rule = encoding._pp_rows
         seen = []
@@ -821,8 +840,6 @@ class TestHybridSeamWords:
     @pytest.mark.parametrize("archs", [(Architecture.HYBRID,), tuple(Architecture)])
     def test_one_call_per_pair_on_one_word_per_magnitude(self, chunk, archs, monkeypatch):
         rng = random.Random(chunk)
-        width = 5
-        pairs = [(rng.randint(-4, 4), rng.choice([-31, -6, 0, 6, 31])) for _ in range(40)]
         core, post_init = encoding.unsigned_product, Word.__post_init__
         calls, built = [], []
 
@@ -834,22 +851,58 @@ class TestHybridSeamWords:
             built.append(word.bits)
             post_init(word)
 
+        def count(width, top):
+            pairs = [(rng.randint(-4, 4), rng.choice([-top, -6, 0, 6, top])) for _ in range(40)]
+            calls.clear()
+            built.clear()
+            count_pairs(pairs, archs, width)
+            # once per pair, in pair order, on Words holding that pair's magnitudes
+            assert [(x.bits, y.bits, x.width, y.width) for x, y in calls] == [
+                (abs(a), abs(b), width, width) for a, b in pairs
+            ]
+            return [word for pair in calls for word in pair]
+
         monkeypatch.setattr(encoding, "unsigned_product", spy)
         monkeypatch.setattr(Word, "__post_init__", counting_post_init)
         monkeypatch.setattr(encoding, "STREAM_CHUNK", chunk)
-        count_pairs(pairs, archs, width)
-        # once per pair, in pair order, on Words holding that pair's magnitudes
-        assert [(x.bits, y.bits, x.width, y.width) for x, y in calls] == [
-            (abs(a), abs(b), width, width) for a, b in pairs
-        ]
+        encoding._word_table.cache_clear()  # so the table's first build is this test's, in any order
+        assert encoding._WORD_TABLE_WIDTH == 9  # from the unpatched chunk of 256, fixed at import
+        # inside the bound: the first pass builds the width's whole table, a second pass builds none
+        words = count(5, 31)
+        assert built == list(range(1 << 5))
+        words += count(5, 31)
+        assert built == []
+        shared = {word.bits: word for word in words}
+        assert all(word is shared[word.bits] for word in words)  # equal magnitudes share one Word
+        # above it: each chunk builds one Word per distinct magnitude, and no other Word is built
+        words = count(10, 1023)
         distinct = []
-        for start in range(0, len(pairs), chunk):
-            words = [word for pair in calls[start:start + chunk] for word in pair]
-            shared = {word.bits: word for word in words}
-            assert all(word is shared[word.bits] for word in words)  # equal magnitudes share one Word
+        for start in range(0, len(words), 2 * chunk):
+            of_chunk = words[start:start + 2 * chunk]
+            shared = {word.bits: word for word in of_chunk}
+            assert all(word is shared[word.bits] for word in of_chunk)  # equal magnitudes share one Word
             distinct += shared
-        # each chunk builds one Word per distinct magnitude, and no other Word is built
         assert sorted(built) == sorted(distinct)
+
+    def test_separate_passes_share_the_tables_words(self, monkeypatch):
+        core = encoding.unsigned_product
+        calls = []
+
+        def spy(multiplicand, multiplier, arch):
+            calls.append((multiplicand, multiplier))
+            return core(multiplicand, multiplier, arch)
+
+        monkeypatch.setattr(encoding, "unsigned_product", spy)
+        monkeypatch.setattr(encoding, "STREAM_CHUNK", 3)
+        pairs = [(7, -200), (-200, 3), (0, 7), (3, 3), (200, -7)]
+        count_pairs(pairs, (Architecture.HYBRID,), 8)
+        first = [word for pair in calls for word in pair]
+        calls.clear()
+        count_pairs(pairs[::-1], tuple(Architecture), 8)
+        second = [word for pair in calls for word in pair]
+        assert len(first) == len(second) == 2 * len(pairs)
+        for word in second:
+            assert all(word is other for other in first if other.bits == word.bits)
 
     @given(repeating_runs(), st.sampled_from([1, 3, 7, 256]), st.data())
     @settings(max_examples=60, deadline=None)
