@@ -15,14 +15,12 @@ chunks of :data:`STREAM_CHUNK` pairs, each decoded once and packed one magnitude
 integer (SWAR: Knuth, TAOCP 4A, 7.1.3), in every pass, so the pack is every chunk's one range check.
 Every product is checked once, where it is made: by the array that runs it, else by the count, which
 sums a conventional or Booth lane's rows modulo 2**cols against the packed ``|a * b|`` and runs the
-hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from.  The seam's
-:class:`Word` magnitudes come from one table per width, built once per process, for each width whose
-table is no larger than the dict of distinct magnitudes one full chunk can build (``2 * STREAM_CHUNK``
-Words: up to :data:`_WORD_TABLE_WIDTH`, 9 at a chunk of 256); a wider chunk builds one Word per
-distinct magnitude, as its magnitudes rarely repeat.  Conventional and Booth counts are closed forms
-in the pair count and the multipliers' top bits; a hybrid whose array runs is counted from its lane
-routes (:func:`_hybrid_counts`).  Every entry point rejects a bad width, then an architecture that
-is not an :class:`Architecture` member, before it decodes an operand.
+hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from, on :class:`Word`
+magnitudes from a per-width table up to :data:`_WORD_TABLE_WIDTH` (see there), else from each chunk.
+Conventional and Booth counts are closed forms in the pair count and the multipliers' top bits; a
+hybrid whose array runs is counted from its lane routes (:func:`_hybrid_counts`).  Every entry point
+rejects a bad width, then an architecture that is not an :class:`Architecture` member, before it
+decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
 whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
@@ -736,10 +734,14 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
 
 # -- the count pass ---------------------------------------------------------------
 
-# The widest operands whose every magnitude makes no more Words than one full chunk's dict of
-# distinct magnitudes can hold (two per pair): up to it, the hybrid seam's Words come from one
-# table per width, kept for the process; above it magnitudes rarely repeat, so a table would only
-# cost, and each chunk builds its own.
+# Where the hybrid seam's Words come from.  Up to this width, one table per width of every
+# magnitude (built on first use, kept for the process); above it, each chunk builds one Word per
+# distinct magnitude and drops them with the chunk.  Once built, the table beat the per-chunk dict
+# at every width measured (8 to 16), but building it costs 2**width Words once, whatever the run's
+# length.  The bound caps that one-time cost (time and memory) at the 2 * STREAM_CHUNK Words one
+# full chunk's dict can hold, so a short run, such as one `multiply`, never pays more than one
+# chunk's worth.  It is a cost cap, not where the dict starts to win, which depends on the run's
+# length.
 _WORD_TABLE_WIDTH = (2 * STREAM_CHUNK).bit_length() - 1
 
 
@@ -769,12 +771,11 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
     Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
     by its array alone.  The count checks the counted architectures that no array runs: conventional
     and Booth by the lane sums of the rows :func:`_pp_rows` builds here, the hybrid pair by pair
-    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per magnitude: from
-    the width's table, built once per process, up to :data:`_WORD_TABLE_WIDTH` bits, where every
-    magnitude makes no more Words than one full chunk would; above it, one per distinct magnitude of
-    the chunk, which goes with the chunk.  The conventional and Booth counts are closed forms in the
-    pair count and, for Booth, the number of multipliers with the top bit set; a hybrid whose array
-    runs is counted by :func:`_hybrid_counts`, whose routes the hybrid's row rule then reads.
+    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per magnitude (from
+    :func:`_word_table` or the chunk; see :data:`_WORD_TABLE_WIDTH`).  The conventional and Booth
+    counts are closed forms in the pair count and, for Booth, the number of multipliers with the top
+    bit set; a hybrid whose array runs is counted by :func:`_hybrid_counts`, whose routes the
+    hybrid's row rule then reads.
 
     The error order: the width, then each counted architecture, is checked first.  Then, chunk by
     chunk, the chunk's operands are range-checked as it is read, by its :class:`Lanes`; a chunk they
@@ -814,8 +815,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
                 bad = min(bad, _first_bad_lane(total, expected, lay))
         if _HYBRID in checks:
             # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
-            # in at, and such a core may read ``.bits``; the width's table, else one Word per
-            # distinct magnitude of the chunk
+            # in at, and such a core may read ``.bits``; see _WORD_TABLE_WIDTH for where they come from
             words = (_word_table(width) if width <= _WORD_TABLE_WIDTH
                      else {value: Word(value, width) for value in {*ma, *mb}})
             for (a, b), x, y in zip(chunk[:bad], ma, mb):
