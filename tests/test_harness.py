@@ -37,6 +37,13 @@ from hybridmul.harness import (
 from hybridmul.cli import main
 from hybridmul.metrics import CostModel, OffGridVoltageError, table2_report
 
+from cli_pins import BY_ID, PINS, in_process, run
+
+
+def run_pin(id, tmp_path):
+    """Run row ``id`` of the CLI pin table (tests/cli_pins.py) in process: the row holds the full error line."""
+    run(BY_ID[id], str(tmp_path), in_process)
+
 
 @pytest.fixture()
 def no_work(monkeypatch):
@@ -96,7 +103,6 @@ class TestGenInputs:
         assert len(gen_inputs(ExhaustiveSource(), 8)) == MAX_EXHAUSTIVE_PAIRS
         with pytest.raises(InputFormatError, match="limit"):
             gen_inputs(ExhaustiveSource(), 9)
-        assert main(["compare", "--width", "9", "--inputs", "exhaustive"]) == 2
 
     def test_random_is_reproducible(self):
         source = RandomSource(30, "uniform8")
@@ -243,6 +249,8 @@ class TestPairsFile:
     @example(lines=["1.5 2"], width=8)
     @example(lines=["7 8  # seven eight"], width=8)
     @example(lines=["65 34\r", "300 1"], width=8)
+    @example(lines=["65 34", "-7 9", "255 -255", "0 1"], width=8)  # the same pairs, plain and with CRLF, tabs, comments
+    @example(lines=["# pairs\r", "65 34\r", "\r", "-7\t9\r", "255 -255  # last but one\r", "0\t1\r"], width=8)
     def test_matches_the_line_loop(self, lines, width, tmp_path_factory):
         """Both parse paths give the line loop's pairs, or its error text, and the range check names its pair."""
         f = tmp_path_factory.mktemp("pairs") / "pairs.txt"
@@ -633,9 +641,8 @@ class TestCli:
         assert "2210" in out
 
     @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_trace_width_checked_before_operands(self, width, capsys):
-        assert main(["trace", "65", "34", "--width", width]) == 2
-        assert f"operand width must be in [4, 32], got {width}" in capsys.readouterr().err
+    def test_trace_width_checked_before_operands(self, width, tmp_path):
+        run_pin(f"trace-width={width}", tmp_path)
 
     def test_compare_csv_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -672,11 +679,8 @@ class TestCli:
         assert "hybrid" in out
         assert "conventional" not in out
 
-    def test_compare_ssst_needs_toggles(self, capsys):
-        assert main(["compare", "--inputs", "random:5", "--ssst"]) == 2
-        captured = capsys.readouterr()
-        assert "--ssst applies only with --toggles" in captured.err
-        assert captured.out == ""
+    def test_compare_ssst_needs_toggles(self, tmp_path):
+        run_pin("ssst-without-toggles", tmp_path)
 
     def test_compare_runs_a_repeated_vdd_once(self, capsys):
         argv = ["compare", "--inputs", "random:3", "--vdd", "1.2", "--vdd", "0.8", "--vdd", "1.2"]
@@ -769,87 +773,31 @@ class TestCli:
         assert captured.out == ""
         assert "missing" in captured.err
 
-    @pytest.mark.parametrize(
-        "argv, text",
-        [
-            (["compare", "--inputs", "file:{f}", "--out", "{dest}"], "65 34\n"),
-            (["stream", "--inputs", "file:{f}", "--trace-toggles", "{dest}"], "65 34\n"),
-            (["compare", "--inputs", "random:3", "--model", "{f}", "--out", "{dest}"], "1.2 17.50 0.595\n"),
-            (["table2", "--model", "{f}", "--out", "{dest}"], "1.2 17.50 0.595\n"),
-        ],
-        ids=["compare-pairs", "stream-pairs", "compare-model", "table2-model"],
-    )
-    def test_output_naming_an_input_file_is_refused(self, argv, text, tmp_path, capsys):
-        f = tmp_path / "input.txt"
-        f.write_text(text)
-        dest = f"{tmp_path}/./input.txt"  # the same file under another spelling
-        argv = [arg.format(f=f, dest=dest) for arg in argv]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{argv[-2]} {dest} is the input file {f}" in captured.err
-        assert f.read_text() == text
+    @pytest.mark.parametrize("case", ["compare-pairs", "stream-pairs", "compare-model", "table2-model"])
+    def test_output_naming_an_input_file_is_refused(self, case, tmp_path):
+        run_pin(f"out-is-input-{case}", tmp_path)
 
-    def test_output_naming_a_missing_input_file_is_not_created(self, tmp_path, capsys):
-        missing = tmp_path / "missing.txt"
-        assert main(["compare", "--inputs", f"file:{missing}", "--out", str(missing)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"No such file or directory: '{missing}'" in captured.err
-        assert not missing.exists()
+    def test_output_naming_a_missing_input_file_is_not_created(self, tmp_path):
+        run_pin("out-is-missing-input", tmp_path)
 
-    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "missing"])
+    @pytest.mark.parametrize("state", ["existing", "missing"])
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["compare", "--inputs", "file:{bad}", "--out"],
-            ["compare", "--inputs", "random:5", "--width", "40", "--out"],
-            ["compare", "--inputs", "random:5", "--vdd", "1.25", "--out"],
-            ["stream", "--inputs", "file:{bad}", "--trace-toggles"],
-            ["stream", "--inputs", "random:5", "--width", "40", "--trace-toggles"],
-        ],
-        ids=["compare-bad-pair", "compare-width", "compare-vdd", "stream-bad-pair", "stream-width"],
+        "case", ["compare-bad-pair", "compare-width", "compare-vdd", "stream-bad-pair", "stream-width"]
     )
-    def test_a_refused_input_leaves_the_output_as_it_was(self, argv, existing, tmp_path, capsys):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("horse 34\n")
-        dest = tmp_path / "old.out"
-        if existing:
-            dest.write_bytes(b"kept\n")
-        assert main([arg.format(bad=bad) for arg in argv] + [str(dest)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        if existing:
-            assert dest.read_bytes() == b"kept\n"
-        else:
-            assert not dest.exists()
+    def test_a_refused_input_leaves_the_output_as_it_was(self, case, state, tmp_path):
+        run_pin(f"out-kept-{case}-{state}", tmp_path)
 
     @pytest.mark.parametrize("command", ["compare", "stream"])
-    def test_a_negative_seed_is_refused(self, command, capsys):
-        # the generator would seed with |seed|, printing seed 5's campaign under seed -5
-        assert main([command, "--inputs", "random:5", "--seed", "-5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: --seed must be non-negative, got -5\n"
+    def test_a_negative_seed_is_refused(self, command, tmp_path):
+        run_pin(f"seed-negative-{command}", tmp_path)
 
     @pytest.mark.parametrize("command", ["compare", "stream"])
-    def test_sparse_k_over_the_width_is_refused(self, command, capsys):
-        assert main([command, "--inputs", "random:5", "--dist", "sparse99", "--width", "8"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: sparse99 needs K <= width, got K=99 at width 8\n"
+    def test_sparse_k_over_the_width_is_refused(self, command, tmp_path):
+        run_pin(f"sparse-k-over-width-{command}", tmp_path)
 
-    @pytest.mark.parametrize(
-        "argv", [["compare", "--inputs", "file:{f}"], ["table2", "--model", "{f}"]], ids=["pairs-file", "model-file"]
-    )
-    def test_a_file_that_is_not_utf8_is_named(self, argv, tmp_path, capsys):
-        f = tmp_path / "latin.txt"
-        f.write_bytes(b"\xff 1\n")
-        assert main([arg.format(f=f) for arg in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {f}: not UTF-8 text (invalid start byte at byte 0)\n"
+    @pytest.mark.parametrize("kind", ["pairs-file", "model-file"])
+    def test_a_file_that_is_not_utf8_is_named(self, kind, tmp_path):
+        run_pin(f"not-utf8-{kind}", tmp_path)
 
     @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
     def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
@@ -874,32 +822,23 @@ class TestCli:
         f.write_text("65 34\n")
         assert main(["stream", "--inputs", f"file:{f}", "--arch", "conventional"]) == 0
 
-    def test_huge_random_count_is_input_error(self, capsys):
-        assert main(["compare", "--inputs", "random:4294967296"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{MAX_RANDOM_PAIRS}-pair limit" in captured.err
+    def test_huge_random_count_is_input_error(self, tmp_path):
+        run_pin("huge-random-count", tmp_path)
 
-    def test_missing_file_is_input_error(self):
-        assert main(["compare", "--inputs", "file:/nonexistent/pairs.txt"]) == 2
+    def test_missing_file_is_input_error(self, tmp_path):
+        run_pin("missing-pairs-file", tmp_path)
 
-    def test_bad_distribution_is_input_error(self):
-        assert main(["compare", "--inputs", "random:5", "--dist", "cauchy"]) == 2
+    def test_bad_distribution_is_input_error(self, tmp_path):
+        run_pin("dist-cauchy", tmp_path)
 
     @pytest.mark.parametrize("command", ["compare", "stream"])
     @pytest.mark.parametrize("option", [["--dist", "cauchy"], ["--dist", "uniform"], ["--seed", "0"]])
-    def test_random_only_options_refused_on_exhaustive(self, command, option, capsys):
-        argv = [command, "--inputs", "exhaustive", "--width", "4", *option]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"{option[0]} applies only to random:N inputs, not exhaustive" in err
+    def test_random_only_options_refused_on_exhaustive(self, command, option, tmp_path):
+        run_pin(f"random-only-exhaustive-{command}-{option[0][2:]}={option[1]}", tmp_path)
 
     @pytest.mark.parametrize("option", [["--dist", "sparse3"], ["--seed", "7"]])
-    def test_random_only_options_refused_on_file(self, option, capsys, tmp_path):
-        f = tmp_path / "pairs.txt"
-        f.write_text("65 34\n")
-        assert main(["compare", "--inputs", f"file:{f}", *option]) == 2
-        assert f"{option[0]} applies only to random:N inputs, not file:{f}" in capsys.readouterr().err
+    def test_random_only_options_refused_on_file(self, option, tmp_path):
+        run_pin(f"random-only-file-{option[0][2:]}={option[1]}", tmp_path)
 
     def test_random_options_default_when_unset(self, capsys):
         assert main(["compare", "--inputs", "random:30", "--format", "json"]) == 0
@@ -911,13 +850,10 @@ class TestCli:
         assert (implicit["meta"]["seed"], implicit["meta"]["distribution"]) == (0, "uniform")
 
     def test_bad_pair_file_is_input_error(self, tmp_path):
-        f = tmp_path / "pairs.txt"
-        f.write_text("horse 34\n")
-        assert main(["compare", "--inputs", f"file:{f}"]) == 2
+        run_pin("bad-pair", tmp_path)
 
-    def test_off_grid_vdd_is_input_error(self, capsys):
-        assert main(["compare", "--inputs", "random:5", "--vdd", "1.1"]) == 2
-        assert "--interpolate" in capsys.readouterr().err
+    def test_off_grid_vdd_is_input_error(self, tmp_path):
+        run_pin("off-grid-vdd", tmp_path)
 
     def test_off_grid_vdd_fails_before_any_work(self, no_work, capsys):
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.25"]) == 2
@@ -994,11 +930,10 @@ class TestCli:
             ("1.2 1 1\n# again\n1.2 2 2\n", "model.cfg:3: 1.2 V repeats line 1"),
         ],
     )
-    def test_bad_cost_model_is_input_error(self, tmp_path, capsys, text, message):
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text(text)
-        assert main(["table2", "--model", str(cfg)]) == 2
-        assert message in capsys.readouterr().err
+    def test_bad_cost_model_is_input_error(self, text, message, tmp_path):
+        (pin,) = [pin for pin in PINS if pin.files.get("model.cfg") == text.encode()]
+        assert message in pin.expect[0]
+        run(pin, str(tmp_path), in_process)
 
     def test_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["compare", "--inputs", "random:3"]) == 1
