@@ -97,6 +97,9 @@ class CostModel:
                 vdd, p, d = (float(f) for f in fields)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: non-numeric field in {raw!r}") from None
+            for name, value in zip(("vdd", "power_uW", "delay_ns"), (vdd, p, d)):
+                if not (math.isfinite(value) and value > 0):
+                    raise ValueError(f"{path}:{lineno}: {name} must be positive and finite, got {value!r}")
             if vdd in line_of:
                 raise ValueError(f"{path}:{lineno}: {vdd} V repeats line {line_of[vdd]}")
             line_of[vdd] = lineno

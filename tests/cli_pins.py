@@ -60,15 +60,18 @@ NOT_UTF8 = "error: {d}/latin.txt: not UTF-8 text (invalid start byte at byte 0)"
 
 PINS = (
     # every subcommand and output path runs
-    ok("trace", "trace 65 34"),
+    ok("trace", "trace 65 34", r"D \(i=2, j=4\)", "2210"),
     ok("trace-split", "trace 65 241"),
     ok("trace-split-width5", "trace 17 31 --width 5"),
     ok("compare-json", "compare --inputs random:50 --toggles --ssst --format json"),
     ok("stream-trace-file", "stream --inputs random:50 --ssst --trace-toggles {d}/toggles.csv"),
     ok("stream-trace-devnull", "stream --inputs random:50 --ssst --trace-toggles /dev/null"),
+    ok("table2", "table2", r"122\.500", r"0\.595", "^note:"),
     ok("table2-csv", "table2 --format csv"),
     ok("compare-interpolate", "compare --inputs random:50 --vdd 1.1 --interpolate --format csv"),
     ok("table2-model", "table2 --model {d}/m.cfg", files={"m.cfg": b"1.0 12.08 0.734\n1.2 17.50 0.595\n"}),
+    ok("table2-unit-model", "table2 --model {d}/m.cfg", r"7\.000", files={"m.cfg": b"1.0 1.0 1.0\n"}),
+    ok("stream-file", "stream --inputs file:{d}/pairs.txt --arch conventional", "^conventional +52 ", files=PAIRS),
     # one count pass serves every architecture asked for, and its rows come out in the order asked
     ok("arch-order", "compare --inputs random:50 --arch hybrid --arch conventional --format csv",
        r"\A.*\nhybrid,.*\nconventional,.*\n\Z"),
@@ -76,7 +79,9 @@ PINS = (
     ok("exhaustive-w8", "compare --inputs exhaustive --width 8 --format csv",
        "^booth,65536,294912,229376,", "^conventional,65536,524288,458752,", "^hybrid,65536,122880,189184,"),
     # the seed-42 sparse3 stream, plain and gated; gated conventional and Booth run four chunks through gated rows
-    ok("stream-sparse3", f"stream {SPARSE}", "^booth +111685 ", "^conventional +94226 ", "^hybrid +99008 "),
+    ok("stream-sparse3", f"stream {SPARSE}", "^booth +111685 ", "^conventional +94226 ", "^hybrid +99008 ",
+       r"^toggle reduction hybrid vs conventional: -5\.08% \(reference claim: 86%\)$",
+       r"^toggle reduction hybrid vs booth: 11\.35% \(reference claim: 46%\)$"),
     ok("stream-sparse3-gated", f"stream {SPARSE} --ssst", "^booth +65016 ", "^conventional +36760 ", "^hybrid +5856 "),
     # uniform width-32 multipliers split into halves and dense ones run Booth at half width; width 31 runs Booth whole
     ok("stream-w32", f"stream {WIDE % 32}", "^booth +1144564 ", "^conventional +1760765 ", "^hybrid +1217515 "),
@@ -171,22 +176,24 @@ PINS = (
           ("compare-vdd", "compare --inputs random:5 --vdd 1.25 --out", f"error: 1.25 V {GRID}", {}),
           ("stream-bad-pair", "stream --inputs file:{d}/bad.txt --trace-toggles", HORSE, BAD),
           ("stream-width", "stream --inputs random:5 --width 40 --trace-toggles", WIDTH40, {}))),
-    # a cost model prices each voltage once, positive and finite
+    # a cost model prices each voltage once, positive and finite, and a bad value names its line and field
     refused("model-repeat", "table2 --model {d}/repeat.cfg", "error: {d}/repeat.cfg:2: 1.2 V repeats line 1",
             {"repeat.cfg": b"1.2 17.50 0.595\n1.2 18.00 0.600\n"}),
-    *(refused(f"model-{id}", "table2 --model {d}/model.cfg", line, {"model.cfg": text})
-      for id, text, line in (
-          ("power-nan", b"1.2 nan 1\n", "error: unit cost at 1.2 V must be positive and finite, got nan"),
-          ("power-inf", b"1.2 inf 1\n", "error: unit cost at 1.2 V must be positive and finite, got inf"),
-          ("delay-nan", b"1.2 1 nan\n", "error: unit cost at 1.2 V must be positive and finite, got nan"),
-          ("vdd-zero", b"0 1 1\n", "error: supply voltage must be a positive finite number, got 0.0"),
-          ("vdd-negative", b"-1.2 1 1\n", "error: supply voltage must be a positive finite number, got -1.2"),
-          ("vdd-inf", b"inf 1 1\n", "error: supply voltage must be a positive finite number, got inf"),
-          ("vdd-nan", b"nan 1 1\n", "error: supply voltage must be a positive finite number, got nan"),
-          ("repeat-after-comment", b"1.2 1 1\n# again\n1.2 2 2\n", "error: {d}/model.cfg:3: 1.2 V repeats line 1"))),
+    *(refused(f"model-{id}", "table2 --model {d}/model.cfg", f"error: {{d}}/model.cfg:{tail}", {"model.cfg": text})
+      for id, text, tail in (
+          ("power-nan", b"1.2 nan 1\n", "1: power_uW must be positive and finite, got nan"),
+          ("power-inf", b"1.2 inf 1\n", "1: power_uW must be positive and finite, got inf"),
+          ("delay-nan", b"1.2 1 nan\n", "1: delay_ns must be positive and finite, got nan"),
+          ("vdd-zero", b"0 1 1\n", "1: vdd must be positive and finite, got 0.0"),
+          ("vdd-negative", b"-1.2 1 1\n", "1: vdd must be positive and finite, got -1.2"),
+          ("vdd-inf", b"inf 1 1\n", "1: vdd must be positive and finite, got inf"),
+          ("vdd-nan", b"nan 1 1\n", "1: vdd must be positive and finite, got nan"),
+          ("repeat-after-comment", b"1.2 1 1\n# again\n1.2 2 2\n", "3: 1.2 V repeats line 1"))),
+    refused("model-compare-delay-negative", "compare --inputs random:5 --model {d}/model.cfg",
+            "error: {d}/model.cfg:2: delay_ns must be positive and finite, got -0.734",
+            {"model.cfg": b"1.2 17.50 0.595\n1.0 12.08 -0.734\n"}),
 )
-BY_ID = {pin.id: pin for pin in PINS}
-assert len(BY_ID) == len(PINS), "two rows share an id"
+assert len({pin.id for pin in PINS}) == len(PINS), "two rows share an id"
 
 
 def check(pin: Pin, got: Outcome, d: str) -> None:

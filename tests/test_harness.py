@@ -37,13 +37,6 @@ from hybridmul.harness import (
 from hybridmul.cli import main
 from hybridmul.metrics import CostModel, OffGridVoltageError, table2_report
 
-from cli_pins import BY_ID, PINS, in_process, run
-
-
-def run_pin(id, tmp_path):
-    """Run row ``id`` of the CLI pin table (tests/cli_pins.py) in process: the row holds the full error line."""
-    run(BY_ID[id], str(tmp_path), in_process)
-
 
 @pytest.fixture()
 def no_work(monkeypatch):
@@ -634,16 +627,6 @@ class TestTrace:
 
 
 class TestCli:
-    def test_trace_command(self, capsys):
-        assert main(["trace", "65", "34"]) == 0
-        out = capsys.readouterr().out
-        assert "D (i=2, j=4)" in out
-        assert "2210" in out
-
-    @pytest.mark.parametrize("width", ["0", "-1"])
-    def test_trace_width_checked_before_operands(self, width, tmp_path):
-        run_pin(f"trace-width={width}", tmp_path)
-
     def test_compare_csv_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
         argv = [
@@ -679,9 +662,6 @@ class TestCli:
         assert "hybrid" in out
         assert "conventional" not in out
 
-    def test_compare_ssst_needs_toggles(self, tmp_path):
-        run_pin("ssst-without-toggles", tmp_path)
-
     def test_compare_runs_a_repeated_vdd_once(self, capsys):
         argv = ["compare", "--inputs", "random:3", "--vdd", "1.2", "--vdd", "0.8", "--vdd", "1.2"]
         assert main(argv + ["--format", "csv"]) == 0
@@ -693,13 +673,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert all([v["vdd"] for v in a["per_vdd"]] == [1.2, 0.8] for a in payload["archs"])
 
-    def test_table2_ascii(self, capsys):
-        assert main(["table2"]) == 0
-        out = capsys.readouterr().out
-        assert "122.500" in out  # conventional power at 1.2 V
-        assert "0.595" in out  # single-add delay at 1.2 V
-        assert "note:" in out
-
     def test_table2_formats(self, tmp_path):
         svg = tmp_path / "grid.svg"
         assert main(["table2", "--format", "svg", "--out", str(svg)]) == 0
@@ -707,13 +680,6 @@ class TestCli:
         csv_path = tmp_path / "grid.csv"
         assert main(["table2", "--format", "csv", "--out", str(csv_path)]) == 0
         assert csv_path.read_text().startswith("arch,adds,vdd")
-
-    def test_table2_custom_model(self, tmp_path, capsys):
-        cfg = tmp_path / "model.cfg"
-        cfg.write_text("1.0 1.0 1.0\n")
-        assert main(["table2", "--model", str(cfg)]) == 0
-        out = capsys.readouterr().out
-        assert "7.000" in out
 
     def test_stream_command(self, capsys, tmp_path):
         trace_csv = tmp_path / "toggles.csv"
@@ -773,32 +739,6 @@ class TestCli:
         assert captured.out == ""
         assert "missing" in captured.err
 
-    @pytest.mark.parametrize("case", ["compare-pairs", "stream-pairs", "compare-model", "table2-model"])
-    def test_output_naming_an_input_file_is_refused(self, case, tmp_path):
-        run_pin(f"out-is-input-{case}", tmp_path)
-
-    def test_output_naming_a_missing_input_file_is_not_created(self, tmp_path):
-        run_pin("out-is-missing-input", tmp_path)
-
-    @pytest.mark.parametrize("state", ["existing", "missing"])
-    @pytest.mark.parametrize(
-        "case", ["compare-bad-pair", "compare-width", "compare-vdd", "stream-bad-pair", "stream-width"]
-    )
-    def test_a_refused_input_leaves_the_output_as_it_was(self, case, state, tmp_path):
-        run_pin(f"out-kept-{case}-{state}", tmp_path)
-
-    @pytest.mark.parametrize("command", ["compare", "stream"])
-    def test_a_negative_seed_is_refused(self, command, tmp_path):
-        run_pin(f"seed-negative-{command}", tmp_path)
-
-    @pytest.mark.parametrize("command", ["compare", "stream"])
-    def test_sparse_k_over_the_width_is_refused(self, command, tmp_path):
-        run_pin(f"sparse-k-over-width-{command}", tmp_path)
-
-    @pytest.mark.parametrize("kind", ["pairs-file", "model-file"])
-    def test_a_file_that_is_not_utf8_is_named(self, kind, tmp_path):
-        run_pin(f"not-utf8-{kind}", tmp_path)
-
     @pytest.mark.parametrize("command, emitters", [("compare", "_REPORT_FORMATS"), ("table2", "_GRID_FORMATS")])
     def test_format_choices_are_the_emitter_map(self, command, emitters, capsys):
         formats = getattr(cli, emitters)
@@ -812,34 +752,6 @@ class TestCli:
             main([command, *extra, "--format", "md"])
         assert refused.value.code == 2
 
-    def test_stream_prints_reference_claims(self, capsys):
-        assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
-        out = capsys.readouterr().out
-        assert "reference claim" in out
-
-    def test_stream_file_input(self, capsys, tmp_path):
-        f = tmp_path / "pairs.txt"
-        f.write_text("65 34\n")
-        assert main(["stream", "--inputs", f"file:{f}", "--arch", "conventional"]) == 0
-
-    def test_huge_random_count_is_input_error(self, tmp_path):
-        run_pin("huge-random-count", tmp_path)
-
-    def test_missing_file_is_input_error(self, tmp_path):
-        run_pin("missing-pairs-file", tmp_path)
-
-    def test_bad_distribution_is_input_error(self, tmp_path):
-        run_pin("dist-cauchy", tmp_path)
-
-    @pytest.mark.parametrize("command", ["compare", "stream"])
-    @pytest.mark.parametrize("option", [["--dist", "cauchy"], ["--dist", "uniform"], ["--seed", "0"]])
-    def test_random_only_options_refused_on_exhaustive(self, command, option, tmp_path):
-        run_pin(f"random-only-exhaustive-{command}-{option[0][2:]}={option[1]}", tmp_path)
-
-    @pytest.mark.parametrize("option", [["--dist", "sparse3"], ["--seed", "7"]])
-    def test_random_only_options_refused_on_file(self, option, tmp_path):
-        run_pin(f"random-only-file-{option[0][2:]}={option[1]}", tmp_path)
-
     def test_random_options_default_when_unset(self, capsys):
         assert main(["compare", "--inputs", "random:30", "--format", "json"]) == 0
         implicit = json.loads(capsys.readouterr().out)
@@ -848,12 +760,6 @@ class TestCli:
         explicit = json.loads(capsys.readouterr().out)
         assert implicit == explicit
         assert (implicit["meta"]["seed"], implicit["meta"]["distribution"]) == (0, "uniform")
-
-    def test_bad_pair_file_is_input_error(self, tmp_path):
-        run_pin("bad-pair", tmp_path)
-
-    def test_off_grid_vdd_is_input_error(self, tmp_path):
-        run_pin("off-grid-vdd", tmp_path)
 
     def test_off_grid_vdd_fails_before_any_work(self, no_work, capsys):
         assert main(["compare", "--inputs", "random:5", "--vdd", "1.25"]) == 2
@@ -916,24 +822,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["archs"]["hybrid"]["power_uW"] == {"1.2": 17.5, "1.25": 20.0}
         assert payload["archs"]["hybrid"]["delay_ns"] == {"1.2": 0.595, "1.25": 0.5}
-
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("1.2 nan 1\n", "positive and finite"),
-            ("1.2 inf 1\n", "positive and finite"),
-            ("1.2 1 nan\n", "positive and finite"),
-            ("0 1 1\n", "supply voltage"),
-            ("-1.2 1 1\n", "supply voltage"),
-            ("inf 1 1\n", "supply voltage"),
-            ("nan 1 1\n", "supply voltage"),
-            ("1.2 1 1\n# again\n1.2 2 2\n", "model.cfg:3: 1.2 V repeats line 1"),
-        ],
-    )
-    def test_bad_cost_model_is_input_error(self, text, message, tmp_path):
-        (pin,) = [pin for pin in PINS if pin.files.get("model.cfg") == text.encode()]
-        assert message in pin.expect[0]
-        run(pin, str(tmp_path), in_process)
 
     def test_product_mismatch_exit_code(self, off_by_one_core):
         assert main(["compare", "--inputs", "random:3"]) == 1
