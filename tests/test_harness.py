@@ -627,6 +627,12 @@ class TestTrace:
 
 
 class TestCli:
+    def test_trace_command(self, capsys):
+        assert main(["trace", "65", "34"]) == 0
+        out = capsys.readouterr().out
+        assert "D (i=2, j=4)" in out
+        assert "2210" in out
+
     def test_compare_csv_to_file(self, tmp_path):
         out = tmp_path / "report.csv"
         argv = [
@@ -751,6 +757,11 @@ class TestCli:
         with pytest.raises(SystemExit) as refused:
             main([command, *extra, "--format", "md"])
         assert refused.value.code == 2
+
+    def test_stream_prints_reference_claims(self, capsys):
+        assert main(["stream", "--inputs", "random:10", "--seed", "3", "--dist", "sparse3"]) == 0
+        out = capsys.readouterr().out
+        assert "reference claim" in out
 
     def test_random_options_default_when_unset(self, capsys):
         assert main(["compare", "--inputs", "random:30", "--format", "json"]) == 0
