@@ -334,7 +334,7 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
         # the lane rule is looked up in its module: one seam for the count pass and the arrays
         lay = multiplicand.layout
-        return PPLanes(encoding._pp_rows(multiplicand.packed, multiplier.packed, multiplicand.width, arch, lay), lay)
+        return PPLanes(encoding._pp_rows(multiplicand.bits, multiplier.bits, multiplicand.width, arch, lay), lay)
     if arch is _CONVENTIONAL:
         matrix = conventional_pp(multiplicand, multiplier)
     elif arch is _BOOTH:

@@ -10,26 +10,19 @@ Three ways to turn (multiplicand, multiplier) into a product:
   half re-dispatched.
 
 All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
-pass (:func:`count_pairs`, :func:`multiply`) and the array stream, whose step builds its own rows:
-chunks of :data:`STREAM_CHUNK` pairs, each decoded once and packed one magnitude per lane of a Python
-integer (SWAR: Knuth, TAOCP 4A, 7.1.3), in every pass, so the pack is every chunk's one range check.
-Every product is checked once, where it is made: by the array that runs it, else by the count, which
-sums a conventional or Booth lane's rows modulo 2**cols against the packed ``|a * b|`` and runs the
-hybrid pair by pair through :func:`unsigned_product`, the seam its counts come from, on :class:`Word`
-magnitudes from a per-width table up to :data:`_WORD_TABLE_WIDTH` (see there), else from each chunk.
-Conventional and Booth counts are closed forms in the pair count and the multipliers' top bits; a
-hybrid whose array runs is counted from its lane routes (:func:`_hybrid_counts`).  Every entry point
-rejects a bad width, then an architecture that is not an :class:`Architecture` member, before it
-decodes an operand.
+pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
+pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
+4A, 7.1.3), so the pack is every chunk's one range check.  Every product is checked once, where it
+is made: by the array that runs it, else by the count's one product rule, :func:`unsigned_product`,
+which gives a chunk's every ``|a * b|`` from the rows :func:`_pp_rows` builds, and its counts: closed
+forms for conventional and Booth, popcounts of the hybrid's lane routes for the hybrid.  Every entry
+point rejects a bad width, then an architecture that is not an :class:`Architecture` member, before
+it decodes an operand.
 
 The lane PP rule set (:class:`ArrayGeometry`, one shared :class:`_Layout` per shape, :class:`Lanes`,
-whose pack is its range check, :class:`PPLanes` and :func:`_pp_rows`, the row rule of all three
-arrays, whose Booth rows read each digit's flags from three words worked out once per chunk) lives
-here, next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass calls no array
-code.  The hybrid's integer core, :func:`hybrid_int`, runs on plain ints and counts partial products,
-additions and shifts; :func:`_hybrid_counts` sums the same counts over a chunk's lanes, and a
-differential test holds the two equal.  :class:`Word` values appear only in the views, which carry no
-counts, and at the hybrid's :func:`unsigned_product` seam.
+:class:`PPLanes` and :func:`_pp_rows`, the row rule of the count and of all three arrays) lives here,
+next to the encoders; :mod:`~hybridmul.datapath` imports it, and the count pass calls no array code.
+:class:`Word` values appear only in the per-pair views, which carry no counts.
 """
 
 from __future__ import annotations
@@ -37,10 +30,10 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cache, lru_cache
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from typing import Sequence, Union
 
 from .bitnum import Word, check_operand_width, to_sign_magnitude
@@ -255,16 +248,14 @@ def booth_pp(multiplicand: Word, digits: tuple[int, ...]) -> PPMatrix:
 def hybrid_pp(multiplicand: Word, multiplier: Word) -> PPMatrix:
     """Array placement for the hybrid core: the encoded product in row 0.
 
-    The shift/add chain produces a single partial product, so the reduction
-    array sees one live row and (width - 1) all-zero rows that the freeze
-    logic can shut off.  Row 0 carries the chain's result; its width is the
-    full product width.
+    The shift/add chain produces a single partial product, so the reduction array sees one live row
+    and (width - 1) all-zero rows that the freeze logic can shut off.  Row 0 is a one-lane
+    :func:`unsigned_product`, at the full product width.
     """
-    product, _ = unsigned_product(multiplicand, multiplier, _HYBRID)
-    rows = [PPRow(Word(product, multiplicand.width + multiplier.width), weight=0)]
-    zero = Word(0, multiplicand.width)
-    rows.extend(PPRow(zero, weight=k) for k in range(1, multiplier.width))
-    return PPMatrix(tuple(rows))
+    width, zero = multiplicand.width, Word(0, multiplicand.width)
+    product, _ = unsigned_product(Lanes((multiplicand.bits,), width), Lanes((multiplier.bits,), width), _HYBRID)
+    rows = (PPRow(Word(product, width + multiplier.width), weight=0),)
+    return PPMatrix(rows + tuple(PPRow(zero, weight=k) for k in range(1, multiplier.width)))
 
 
 # -- top-level dispatch -------------------------------------------------------
@@ -281,82 +272,6 @@ class OpCounts:
 class MultiplyResult:
     product: int
     counts: OpCounts
-
-
-# The hybrid's integer core and its leaves take the multiplicand, the multiplier's bits and its
-# width as plain ints and return (product, pp_count, add_count, shift_count).  The counts are bit
-# arithmetic on the multiplier alone; the product is built the way the encoder builds it, never by
-# one native multiply.
-
-IntCore = tuple[int, int, int, int]
-
-
-def booth_int(m: int, bits: int, width: int) -> IntCore:
-    """Radix-4 Booth: digit k from the 3-bit window at 2k of ``bits << 1``, times ``m << 2k``.
-
-    The digit count is :func:`booth_recode`'s: the width plus one bit when
-    the top bit is set, rounded up to even, halved.
-    """
-    n = (width + (bits >> (width - 1)) + 1) // 2
-    window = bits << 1
-    product = 0
-    for k in range(n):
-        d = _BOOTH_DIGIT[(window >> 2 * k) & 7]
-        if d:
-            product += d * (m << 2 * k)
-    return product, n, n - 1, 0
-
-
-def _chain(m: int, bits: int) -> IntCore:
-    """Run :func:`hybrid_plan`'s shift/add chain for at most three set bits."""
-    if not bits:
-        return 0, 0, 0, 0
-    prev = bits.bit_length()
-    rest = bits ^ (1 << (prev - 1))
-    acc = m
-    adds = 0
-    while rest:
-        pos = rest.bit_length()
-        acc = (acc << (prev - pos)) + m
-        rest ^= 1 << (pos - 1)
-        prev = pos
-        adds += 1
-    # prev is the lowest set position; a final shift by 0 is dropped
-    if prev > 1:
-        return acc << (prev - 1), 1, adds, adds + 1
-    return acc, 1, adds, adds
-
-
-def _hybrid_leaf_int(m: int, bits: int, width: int) -> IntCore:
-    return _chain(m, bits) if bits.bit_count() <= 3 else booth_int(m, bits, width)
-
-
-def hybrid_int(m: int, bits: int, width: int) -> IntCore:
-    """Hybrid: the chain for at most three set bits, else split once into halves.
-
-    Each half runs the chain or, when dense, Booth; the half products
-    recombine with one extra addition.  An odd width cannot split evenly
-    and falls back to Booth whole.
-    """
-    if bits.bit_count() <= 3 or width % 2:
-        return _hybrid_leaf_int(m, bits, width)
-    half = width // 2
-    hi, hi_pp, hi_adds, hi_shifts = _hybrid_leaf_int(m, bits >> half, half)
-    lo, lo_pp, lo_adds, lo_shifts = _hybrid_leaf_int(m, bits & ((1 << half) - 1), half)
-    return (hi << half) + lo, hi_pp + lo_pp, hi_adds + lo_adds + 1, hi_shifts + lo_shifts
-
-
-# One immutable record per distinct (pp, adds, shifts): a core's counts depend
-# on the multiplier's shape alone, so a run of pairs needs only a handful.
-_shared_counts = cache(OpCounts)
-
-
-def unsigned_product(multiplicand: Word, multiplier: Word, arch: Architecture) -> tuple[int, OpCounts]:
-    """The hybrid's per-pair seam: :func:`hybrid_int` on two magnitudes; any other architecture raises ValueError."""
-    if arch is not _HYBRID:
-        raise ValueError(f"unsigned_product serves the hybrid only, not {arch}")
-    product, pp, adds, shifts = hybrid_int(multiplicand.bits, multiplier.bits, multiplier.width)
-    return product, _shared_counts(pp, adds, shifts)
 
 
 # -- lane-packed partial-product rows --------------------------------------------
@@ -514,20 +429,9 @@ def _nonzero(x: int, lay: _Layout) -> int:
     return ((x + lay.cmask) >> lay.cols) & lay.ones
 
 
-def _lane(x: int, i: int, lay: _Layout) -> int:
-    """The column bits of lane ``i`` of ``x``."""
-    return (x >> i * lay.lane) & ((1 << lay.cols) - 1)
-
-
-def _first_bad_lane(got: int, expected: int, lay: _Layout) -> int:
-    """The lowest lane in which ``got`` and ``expected`` differ; they must differ somewhere."""
-    bad = got ^ expected
-    return ((bad & -bad).bit_length() - 1) // lay.lane
-
-
 @dataclass(slots=True, init=False)
 class Lanes:
-    """Unsigned ``width``-bit magnitudes of a run of evaluations, packed once into ``layout``'s lanes as ``packed``.
+    """Unsigned ``width``-bit magnitudes of a run of evaluations, packed once into ``layout``'s lanes as ``bits``.
 
     Every value must fit in ``width`` bits, as a :class:`Word`'s must; one that does not raises rather
     than spilling into a neighbouring lane.  The pack is the check: its item, the narrowest that holds
@@ -538,7 +442,7 @@ class Lanes:
 
     values: Sequence[int]
     width: int
-    packed: int = field(repr=False, compare=False)
+    bits: int = field(repr=False, compare=False)
     layout: _Layout = field(repr=False, compare=False)
 
     def __init__(self, values: Sequence[int], width: int) -> None:
@@ -552,7 +456,7 @@ class Lanes:
         if not fits:
             bad = next(v for v in values if v < 0 or v >> width)
             raise ValueError(f"lane value {bad} does not fit in {width} bits")
-        self.values, self.width, self.packed, self.layout = values, width, packed, lay
+        self.values, self.width, self.bits, self.layout = values, width, packed, lay
 
 
 @dataclass(slots=True)
@@ -600,10 +504,13 @@ def _lane_popcount(x: int, steps: tuple[tuple[int, int, int], ...]) -> int:
 
 
 def _lane_sum(rows, lay: _Layout) -> int:
-    """Per lane, the sum of ``rows`` modulo 2**cols."""
+    """Per lane, the sum of ``rows`` modulo 2**cols; a single lane has no neighbour to carry into, so it sums once."""
     total, cmask = 0, lay.cmask
+    if lay.count == 1:
+        return sum(rows) & cmask
     for row in rows:
-        total = (total + row) & cmask
+        if row:
+            total = (total + row) & cmask
     return total
 
 
@@ -612,21 +519,23 @@ def _booth_digits(n: int, top: int, w: int) -> int:
     return (n - top) * ((w + 1) // 2) + top * ((w + 2) // 2)
 
 
+def _dense(count: int, lay: _Layout) -> int:
+    """Column mask of the lanes whose ``count`` is more set bits than the chain's three."""
+    return _spread(((count + lay.cmask - 3 * lay.ones) >> lay.cols) & lay.ones, lay)
+
+
 @lru_cache(maxsize=1)
 def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int]:
-    """Per lane, the multiplier bits :func:`hybrid_int` hands its engines: ``(chain, chain_hi, booth, booth_hi)``.
+    """Per lane, the multiplier bits each of the hybrid's engines takes: ``(chain, chain_hi, booth, booth_hi)``.
 
-    A lane holds 0 in each route it does not take; the high halves run at
-    weight ``width // 2``.  The last chunk's routes are kept, so
-    :func:`_hybrid_counts` works them out and the hybrid's row rule reads them.
+    At most three set bits run the shift/add chain whole; a denser multiplier splits into halves, each
+    run by the chain or, when dense, by Booth, and an odd width runs Booth whole.  A lane holds 0 in a
+    route it does not take; the high halves run at weight ``width // 2``.  The last chunk's routes are
+    kept, so the counts and the row rule of one chunk work them out once.
     """
-    steps = _popcount_masks(lay)
-
-    def dense(count: int) -> int:  # the lanes with more set bits than the chain's three
-        return _spread(((count + lay.cmask - 3 * lay.ones) >> lay.cols) & lay.ones, lay)
-
-    count = _lane_popcount(b, steps)
-    split = dense(count)
+    steps = _popcount_masks(lay) if lay.count > 1 else None  # one lane's popcount is the integer's own
+    count = _lane_popcount(b, steps) if steps else b.bit_count()
+    split = _dense(count, lay)
     if not split:
         return b, 0, 0, 0
     whole = b ^ (b & split)
@@ -635,13 +544,13 @@ def _hybrid_routes(b: int, width: int, lay: _Layout) -> tuple[int, int, int, int
     half = width // 2
     low = split & lay.ones * ((1 << half) - 1)
     lo, hi = b & low, (b >> half) & low
-    lo_count = _lane_popcount(lo, steps)
-    lo_booth, hi_booth = dense(lo_count), dense(count - lo_count)
+    lo_count = _lane_popcount(lo, steps) if steps else lo.bit_count()
+    lo_booth, hi_booth = _dense(lo_count, lay), _dense(count - lo_count, lay)
     return whole | (lo ^ (lo & lo_booth)), hi ^ (hi & hi_booth), lo & lo_booth, hi & hi_booth
 
 
 def _hybrid_counts(b: int, width: int, lay: _Layout) -> tuple[int, int, int]:
-    """:func:`hybrid_int`'s ``(pp, adds, shifts)`` summed over the lanes of ``b``, from :func:`_hybrid_routes`.
+    """The hybrid's ``(pp, adds, shifts)`` summed over the lanes of ``b``, from :func:`_hybrid_routes`.
 
     A chain leaf of c set bits makes 1 PP and c - 1 adds, and one shift more than adds when its bit 0
     is clear.  A Booth leaf of width w makes ``(w + top + 1) // 2`` PPs, ``top`` its top bit
@@ -680,24 +589,40 @@ def _conventional_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, .
     return tuple(rows)
 
 
+def _booth_flags(a: int, b: int, lay: _Layout) -> tuple[int, int, int]:
+    """The one, two and negate flags of every radix-4 digit of every lane of ``b``, digit k's at column 2k.
+
+    Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1 zero (MacSorley, Proc. IRE 49(1), 1961); a
+    lane whose multiplicand ``a`` is zero negates no row (-0 is 0).
+    """
+    digit = lay.cmask // 3  # column 2k of every lane: cols is even
+    b0, b1, b2 = (b << 1) & digit, b & digit, (b >> 1) & digit
+    one = b0 ^ b1
+    return one, (b2 ^ b1) & ~one, b2 & ~(b1 & b0) & _spread(_nonzero(a, lay), lay)
+
+
+def _shift_adds(a: int, bits: int) -> int:
+    """``a << p`` summed over the set bits p of ``bits``: one lane's shift/add terms."""
+    total = 0
+    while bits:
+        low = bits & -bits
+        total += a * low
+        bits ^= low
+    return total
+
+
 def _booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
     """Booth rows of ``digits`` radix-4 digits of ``b`` times ``width``-bit ``a``, then the correction row.
 
-    Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1 zero (MacSorley, Proc. IRE 49(1), 1961); the
-    top digit must read only zeros above ``b``'s top bit, so it is never negative.  The one, two and
-    negate flags of every digit of every lane are three words, worked out once, that hold digit k's
-    flag at column 2k of its lane (SWAR across digits as across lanes); each row reads its flags with
-    one shift.  A negated row enters as 2**(w+1) - |d|*M, that is |d|*M with its w+1 field bits
-    flipped, plus one, and owes 2**(w+1+2k) to the correction row, so the debts of all rows together
-    are the negate word shifted up by w+1.
+    The top digit must read only zeros above ``b``'s top bit, so it is never negative.  The one, two
+    and negate flags of every digit of every lane are three words (:func:`_booth_flags`), worked out
+    once (SWAR across digits as across lanes); each row reads its flags with one shift.  A negated row
+    enters as 2**(w+1) - |d|*M, that is |d|*M with its w+1 field bits flipped, plus one, and owes
+    2**(w+1+2k) to the correction row, so the debts of all rows together are the negate word shifted
+    up by w+1.
     """
     ones, cols = lay.ones, lay.cols
-    digit = lay.cmask // 3  # column 2k of every lane: cols is even
-    b0, b1, b2 = (b << 1) & digit, b & digit, (b >> 1) & digit
-    nonzero_a = _nonzero(a, lay)
-    one_all = b0 ^ b1
-    two_all = (b2 ^ b1) & ~one_all
-    neg_all = b2 & ~(b1 & b0) & ((nonzero_a << cols) - nonzero_a)
+    one_all, two_all, neg_all = _booth_flags(a, b, lay)
     double_a, field = a << 1, (1 << (width + 1)) - 1
     rows = []
     for k in range(0, 2 * digits, 2):
@@ -712,10 +637,13 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     """The array's folded PP rows of every lane at once, for any architecture.
 
     ``a`` and ``b`` are the lane-packed multiplicands and multipliers, each lane's value already known
-    to fit ``width`` bits.  Each lane's rows sum, modulo 2**cols, to its product.  A row's lane select is
-    :func:`_spread` of a flag per lane, written out inline: this rule, the one seam of the count pass
-    and the arrays, runs once per chunk and architecture.  The hybrid's row 0 is the product
-    :func:`hybrid_int` builds, and its other rows are zero.
+    to fit ``width`` bits.  Each lane's rows sum, modulo 2**cols, to its product.  This rule, the one
+    seam of the count pass and the arrays, runs once per chunk and architecture, so a row's lane select
+    (:func:`_spread` of a flag per lane) is written out inline.  The hybrid's row 0 is its product and
+    its other rows are zero: the chain's bits of both halves (:func:`_hybrid_routes`) as conventional
+    rows, and the Booth routes' bits of both halves as one Booth row set, as Booth digits sum to the
+    bits they recode.  One lane builds no row set: its row 0 sums ``+/-M << p`` over the chain's bits
+    and the bits of each Booth digit's magnitude, read from the row set's own flags.
     """
     if arch is _CONVENTIONAL:
         return _conventional_rows(a, b, width, lay)
@@ -723,74 +651,88 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
         return _booth_rows(a, b, width // 2 + 1, width, lay)
     half = width // 2
     chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
-    # the chain's terms M << (p - 1) are the conventional rows of its bits
-    row = sum(_conventional_rows(a, chain | chain_hi << half, width, lay)) if chain or chain_hi else 0
-    if booth:
-        row += _lane_sum(_booth_rows(a, booth, (width if width % 2 else half) // 2 + 1, width, lay), lay)
-    if booth_hi:  # reduced before the shift, so no bit spills into the next lane
-        row += _lane_sum(_booth_rows(a, booth_hi, half // 2 + 1, width, lay), lay) << half
+    chain |= chain_hi << half
+    booth |= booth_hi << half
+    if lay.count == 1:
+        one, two, neg = _booth_flags(a, booth, lay)
+        magnitudes, negated = one | two << 1, neg * 3  # a digit's negate flag covers both its bits
+        row = _shift_adds(a, chain) + _shift_adds(a, magnitudes & ~negated) - _shift_adds(a, magnitudes & negated)
+    else:  # the chain's terms M << (p - 1) are the conventional rows of its bits
+        row = sum(_conventional_rows(a, chain, width, lay)) if chain else 0
+        if booth:
+            row += _lane_sum(_booth_rows(a, booth, width // 2 + 1, width, lay), lay)
     return (row,) + (0,) * (width - 1)
 
 
 # -- the count pass ---------------------------------------------------------------
 
-# Where the hybrid seam's Words come from.  Up to this width, one table per width of every
-# magnitude (built on first use, kept for the process); above it, each chunk builds one Word per
-# distinct magnitude and drops them with the chunk.  Once built, the table beat the per-chunk dict
-# at every width measured (8 to 16), but building it costs 2**width Words once, whatever the run's
-# length.  The bound caps that one-time cost (time and memory) at the 2 * STREAM_CHUNK Words one
-# full chunk's dict can hold, so a short run, such as one `multiply`, never pays more than one
-# chunk's worth.  It is a cost cap, not where the dict starts to win, which depends on the run's
-# length.
-_WORD_TABLE_WIDTH = (2 * STREAM_CHUNK).bit_length() - 1
+
+def _chunk_counts(multiplier: Lanes, arch: Architecture) -> OpCounts:
+    """``arch``'s counts summed over the lanes of ``multiplier``, which alone they read.
+
+    Conventional makes a row per multiplier bit, Booth one per digit (:func:`_booth_digits`), each one
+    add fewer; the hybrid is counted from its lane routes (:func:`_hybrid_counts`).
+    """
+    b, width, lay, n = multiplier.bits, multiplier.width, multiplier.layout, len(multiplier.values)
+    if arch is _CONVENTIONAL:
+        return OpCounts(n * width, n * (width - 1), 0)
+    if arch is _BOOTH:
+        digits = _booth_digits(n, ((b >> (width - 1)) & lay.ones).bit_count(), width)
+        return OpCounts(digits, digits - n, 0)
+    return OpCounts(*_hybrid_counts(b, width, lay))
 
 
-@cache
-def _word_table(width: int) -> tuple[Word, ...]:
-    """Every ``width``-bit magnitude as a frozen :class:`Word`, at its own index."""
-    return tuple(Word(value, width) for value in range(1 << width))
+def unsigned_product(multiplicand: Lanes, multiplier: Lanes, arch: Architecture) -> tuple[int, OpCounts]:
+    """The count's one product rule: every lane's ``|a * b|`` on ``arch``, lane-packed, and the lanes' summed counts.
+
+    The products are the lane sums of the rows :func:`_pp_rows` builds, the rows the arrays run; the
+    counts are :func:`_chunk_counts`.  The two runs share one width and one layout.
+    """
+    lay = multiplicand.layout
+    rows = _pp_rows(multiplicand.bits, multiplier.bits, multiplicand.width, arch, lay)
+    return _lane_sum(rows, lay), _chunk_counts(multiplier, arch)
 
 
-def _checked(a: int, b: int, magnitude: int) -> None:
-    """Raise :class:`ProductMismatchError` unless the core's ``magnitude``, signed, is ``a * b``."""
-    product = -magnitude if (a < 0) != (b < 0) else magnitude
-    if product != a * b:
-        raise ProductMismatchError(a, b, product, a * b)
+def _mismatch(chunk, wrong: Sequence[int], expected: int, lay: _Layout) -> ProductMismatchError:
+    """The error for the first pair of ``chunk`` that a packed product in ``wrong`` gets wrong, the first such product on a tie.
+
+    Each product differs from ``expected``, the packed ``|a * b|``.  A lane is read with its guard bit,
+    and the last with every bit above it, so the value named is never the pair's ``|a * b|``.
+    """
+    last, firsts = len(chunk) - 1, []
+    for got in wrong:
+        bad = got ^ expected
+        firsts.append(min(((bad & -bad).bit_length() - 1) // lay.lane, last))
+    i = min(firsts)
+    magnitude = wrong[firsts.index(i)] >> i * lay.lane
+    if i < last:
+        magnitude &= (1 << lay.lane) - 1
+    a, b = chunk[i]
+    return ProductMismatchError(a, b, -magnitude if (a < 0) != (b < 0) else magnitude, a * b)
 
 
 def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step=None) -> tuple[OpCounts, ...]:
     """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
 
-    The loop checks and counts; the arrays' step builds its rows and runs.  Each chunk of
-    :data:`STREAM_CHUNK` pairs is decoded once and packed once, in every pass, into two :class:`Lanes`
-    and, when a lane check or an array reads it, a packed ``|a * b|``.  When ``archs`` is not empty,
-    ``step(start, multiplicand, multiplier)`` builds each of its architectures' rows from the chunk's
-    :class:`Lanes`, runs the arrays and yields each array's packed products; a pass with a step must
-    not be empty.
-
-    Every product is checked once, where it is made.  A counted architecture in ``archs`` is checked
-    by its array alone.  The count checks the counted architectures that no array runs: conventional
-    and Booth by the lane sums of the rows :func:`_pp_rows` builds here, the hybrid pair by pair
-    through :func:`unsigned_product`, in pair order, on one shared :class:`Word` per magnitude (from
-    :func:`_word_table` or the chunk; see :data:`_WORD_TABLE_WIDTH`).  The conventional and Booth
-    counts are closed forms in the pair count and, for Booth, the number of multipliers with the top
-    bit set; a hybrid whose array runs is counted by :func:`_hybrid_counts`, whose routes the
-    hybrid's row rule then reads.
+    Each chunk of :data:`STREAM_CHUNK` pairs is decoded once and packed once into two :class:`Lanes`
+    and, when a count or an array reads it, a packed ``|a * b|``.  Every product is checked once, where
+    it is made.  A counted architecture that no array runs is one :func:`unsigned_product` call per
+    chunk, its products checked against ``|a * b|`` as one integer; one in ``archs`` takes its chunk's
+    counts (:func:`_chunk_counts`) and is checked by its array.  When ``archs`` is not empty,
+    ``step(start, multiplicand, multiplier)`` builds their rows from the chunk's :class:`Lanes`, runs
+    the arrays and yields each array's packed products; a pass with a step must not be empty.
 
     The error order: the width, then each counted architecture, is checked first.  Then, chunk by
-    chunk, the chunk's operands are range-checked as it is read, by its :class:`Lanes`; a chunk they
-    refuse is decoded pair by pair, so the first bad pair raises the sign-magnitude decode's own
-    error.  The count's checks raise for the first bad pair and its first wrong architecture in
-    ``count`` order, then each product ``step`` yields is checked as it comes, so the first wrong
-    array raises.  So an earlier chunk's error comes before a later chunk's.
+    chunk, the chunk's operands are range-checked by its :class:`Lanes`; a chunk they refuse is decoded
+    pair by pair, so the first bad pair raises the sign-magnitude decode's own error.  Then the count
+    raises for the first bad pair and its first wrong architecture in ``count`` order, then the arrays
+    for the first wrong one.  So an earlier chunk's error comes before a later chunk's.
     """
     check_operand_width(width)
     for arch in count:
         ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
-    checks = [arch for arch in count if arch not in archs]
-    lane_checks = [arch for arch in checks if arch is not _HYBRID]
-    hybrid_pps = hybrid_adds = hybrid_shifts = 0
-    seen = top_set = 0  # pairs, and multipliers with the top bit set (Booth's count reads it)
+    totals = [None] * len(count)  # a one-chunk pass returns its own records
+    seen = 0
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
@@ -804,58 +746,35 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
                 to_sign_magnitude(b, width)
             raise
         lay = multiplicand.layout
-        expected = _pack(list(map(mul, ma, mb)), lay.lane) if lane_checks or archs else None
-        if _BOOTH in count:
-            top_set += ((multiplier.packed >> (width - 1)) & lay.ones).bit_count()
-        sums = {arch: _lane_sum(_pp_rows(multiplicand.packed, multiplier.packed, width, arch, lay), lay)
-                for arch in lane_checks}
-        bad = len(chunk)  # the first pair with a wrong lane product
-        for total in sums.values():
-            if total != expected:
-                bad = min(bad, _first_bad_lane(total, expected, lay))
-        if _HYBRID in checks:
-            # Words, not plain ints: ``unsigned_product`` is the seam a replacement core is patched
-            # in at, and such a core may read ``.bits``; see _WORD_TABLE_WIDTH for where they come from
-            words = (_word_table(width) if width <= _WORD_TABLE_WIDTH
-                     else {value: Word(value, width) for value in {*ma, *mb}})
-            for (a, b), x, y in zip(chunk[:bad], ma, mb):
-                magnitude, counts = unsigned_product(words[x], words[y], _HYBRID)
-                if magnitude != x * y:
-                    _checked(a, b, magnitude)  # the signed product is not a * b, so this raises
-                hybrid_pps += counts.pp_count
-                hybrid_adds += counts.add_count
-                hybrid_shifts += counts.shift_count
-        elif _HYBRID in count:  # this chunk's routes, which the hybrid's row rule reads in the step
-            pp, adds, shifts = _hybrid_counts(multiplier.packed, width, lay)
-            hybrid_pps, hybrid_adds, hybrid_shifts = hybrid_pps + pp, hybrid_adds + adds, hybrid_shifts + shifts
-        if bad < len(chunk):
-            for arch in checks:  # the first wrong architecture of this pair raises
-                if arch is _HYBRID:
-                    magnitude, _ = unsigned_product(words[ma[bad]], words[mb[bad]], arch)
-                else:
-                    magnitude = _lane(sums[arch], bad, lay)
-                _checked(*chunk[bad], magnitude)
+        expected = _pack(list(map(mul, ma, mb)), lay.lane) if count or archs else None
+        wrong = []
+        for i, arch in enumerate(count):
+            if arch in archs:
+                counts = _chunk_counts(multiplier, arch)
+            else:
+                products, counts = unsigned_product(multiplicand, multiplier, arch)
+                if products != expected:
+                    wrong.append(products)
+            if totals[i] is not None:  # a later chunk: its counts add to the earlier chunks'
+                counts = OpCounts(*map(add, astuple(totals[i]), astuple(counts)))
+            totals[i] = counts
+        if wrong:
+            raise _mismatch(chunk, wrong, expected, lay)
         if archs:
             for products in step(seen, multiplicand, multiplier):
                 if products != expected:
-                    i = _first_bad_lane(products, expected, lay)
-                    _checked(*chunk[i], _lane(products, i, lay))  # lane i is not |a * b|, so this raises
+                    raise _mismatch(chunk, (products,), expected, lay)
         seen += len(chunk)
     if step is not None and not seen:
         raise ValueError("input stream must not be empty")
-    digits = _booth_digits(seen, top_set, width)  # conventional: a row per multiplier bit; Booth: per digit
-    counts = {_CONVENTIONAL: (seen * width, seen * (width - 1), 0), _BOOTH: (digits, digits - seen, 0),
-              _HYBRID: (hybrid_pps, hybrid_adds, hybrid_shifts)}
-    return tuple(OpCounts(*counts[arch]) for arch in count)
+    return tuple(totals) if seen else (OpCounts(0, 0, 0),) * len(count)
 
 
-def count_pairs(
-    pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int
-) -> tuple[OpCounts, ...]:
+def count_pairs(pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int) -> tuple[OpCounts, ...]:
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
     Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with no array step,
-    so it calls no array code.  Every chunk packs its :class:`Lanes`, the hybrid alone included.
+    so it calls no array code, and one :func:`unsigned_product` call per chunk and architecture.
     """
     return _chunk_pass(pairs, width, archs)
 

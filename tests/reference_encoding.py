@@ -1,13 +1,13 @@
 """Straight-line reference for the encoders' products and operation counts.
 
-Independent check for the integer core in ``hybridmul.encoding``: every
+Independent check for the count's product rule in ``hybridmul.encoding``: every
 product here is composed from the public :class:`Word`-level views (the
 hybrid plan run step by step, Booth digits summed as signed PP rows,
 conventional rows summed) and every count is read off those views: a plan's
 additions are its ``AddM`` steps and its shifts its ``ShiftLeft`` steps, it
 makes one partial product unless the multiplier is zero, and Booth makes one
 per digit.  The views carry no counts of their own, so no count rule is
-shared with the core.
+shared with the rule.
 """
 
 from __future__ import annotations
@@ -114,6 +114,22 @@ def unsigned_product(
     product = (hi_prod << (multiplier.width // 2)) + lo_prod
     counts = _add(_add(hi_counts, lo_counts), OpCounts(0, 1, 0))
     return product, counts
+
+
+def hybrid_routes(bits: int, width: int) -> tuple[int, int, int, int]:
+    """The multiplier bits :func:`unsigned_product`'s hybrid dispatch hands each engine: ``(chain, chain_hi, booth, booth_hi)``.
+
+    The high half's bits are given at weight 0; a route the dispatch does not take holds 0.
+    """
+    multiplier = Word(bits, width)
+    if multiplier.popcount() <= 3:
+        return bits, 0, 0, 0
+    if width % 2:
+        return 0, 0, bits, 0
+    hi, lo = split(multiplier)
+    chain, booth = (lo.bits, 0) if lo.popcount() <= 3 else (0, lo.bits)
+    chain_hi, booth_hi = (hi.bits, 0) if hi.popcount() <= 3 else (0, hi.bits)
+    return chain, chain_hi, booth, booth_hi
 
 
 def booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:

@@ -847,7 +847,7 @@ class TestOneChunkPass:
         rows.clear()
         built.clear()
         count_pairs(pairs, tuple(Architecture), 8)
-        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B)]  # the hybrid runs pair by pair
+        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B, H)]  # one rule call per chunk and architecture
         assert built == []
 
     @pytest.mark.parametrize("count", [(), (Architecture.HYBRID,), tuple(Architecture)])
@@ -877,16 +877,15 @@ class TestOneChunkPass:
     def test_a_fault_in_one_place_raises_what_one_call_per_step_raises(self, run, chunk, site, target, at):
         """A wrong product in one architecture, or all of them, at one multiplicand value or one lane.
 
-        A pass that counts the hybrid and runs its array takes the hybrid's counts from the lane routes
-        and never calls the per-pair core, so a fault there leaves that pass's outcome the clean run's.
+        A counted architecture whose array runs is checked by its array and never reaches the count's
+        product rule, so a fault in the rule is aimed only at the counted architectures with no array.
         """
         width, pairs, configs, count = run
         hit = at % len(pairs)
         value = abs(pairs[hit][0])
         rule, core, evaluate = encoding._pp_rows, encoding.unsigned_product, ArrayState.evaluate
         core_calls = []
-        hybrid_array = any(arch is Architecture.HYBRID for arch, _ in configs)
-        core_unused = site == "unsigned_product" and Architecture.HYBRID in count and hybrid_array
+        arrays = {arch for arch, _ in configs}
 
         def aimed(arch):
             return target is None or arch is target
@@ -895,13 +894,15 @@ class TestOneChunkPass:
             rows = rule(a, b, w, arch, lay)
             if not aimed(arch):
                 return rows
-            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == value]
+            lanes = [i for i in range(lay.count) if lane(a, i, lay) == value]
             return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
 
         def wrong_core(multiplicand, multiplier, arch):
             core_calls.append(arch)
             product, counts = core(multiplicand, multiplier, arch)
-            return product + (3 if aimed(arch) and multiplicand.bits == value else 0), counts
+            if aimed(arch) and arch not in arrays:
+                product += sum(3 << i * multiplicand.layout.lane for i, x in enumerate(multiplicand.values) if x == value)
+            return product, counts
 
         def wrong_evaluate(self, pp, gated=False):
             # lane ``hit % chunk`` of every chunk long enough, so chunk 0 holds the first wrong pair
@@ -912,21 +913,17 @@ class TestOneChunkPass:
 
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, chunk)
-            if core_unused:
-                want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))  # the clean run
             if site == "_pp_rows":
                 mp.setattr(encoding, "_pp_rows", wrong_rows)
             elif site == "unsigned_product":
                 mp.setattr(encoding, "unsigned_product", wrong_core)
             else:
                 mp.setattr(ArrayState, "evaluate", wrong_evaluate)
-            if not core_unused:
-                want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
+            want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
             core_calls.clear()
             got = _outcome(lambda: dp.simulate_configs(pairs, width, configs, count))
         assert got == want
-        if core_unused:
-            assert core_calls == []
+        assert arrays.isdisjoint(core_calls)
 
     @staticmethod
     def _wrong_array(mp, arch, lane):
@@ -948,7 +945,7 @@ class TestOneChunkPass:
 
         def wrong_rows(a, b, w, arch, lay):
             rows = rule(a, b, w, arch, lay)
-            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == value]
+            lanes = [i for i in range(lay.count) if lane(a, i, lay) == value]
             return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
 
         mp.setattr(encoding, "_pp_rows", wrong_rows)
@@ -960,12 +957,6 @@ class TestOneChunkPass:
         with pytest.raises(OverflowError) as want:
             multiply(300, 1, Architecture.CONVENTIONAL, 8)
         range_error = (OverflowError, None, str(want.value))
-        core = encoding.unsigned_product
-
-        def wrong_core(multiplicand, multiplier, arch):
-            product, op_counts = core(multiplicand, multiplier, arch)
-            return product ^ (multiplicand.bits == 65) << FAULT_BIT[arch], op_counts
-
         for chunk in (1, 3, 7):
             with pytest.MonkeyPatch.context() as mp:
                 _chunks_of(mp, chunk)
@@ -973,10 +964,9 @@ class TestOneChunkPass:
                     for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
                                  lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
                         assert _outcome(call) == range_error
-                # chunk 0's wrong product comes before a later chunk's bad operand: the lane sums, or the
-                # hybrid core; a chunk of 7 holds both, and its range check comes first
+                # chunk 0's wrong product comes before a later chunk's bad operand; a chunk of 7 holds
+                # both, and its range check comes first
                 self._wrong_rows_at(mp, 65)
-                mp.setattr(encoding, "unsigned_product", wrong_core)
                 for count, got in zip(counts, (2214, 2211, 2211)):
                     fault = (ProductMismatchError, (65, 34), f"product mismatch for 65 * 34: got {got}, expected 2210")
                     for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
@@ -1003,19 +993,20 @@ class TestOneChunkPass:
 
     @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
     def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
-        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too.  A pass
-        # with the hybrid's array never calls the per-pair core, so that fault runs without it.
+        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too.  An
+        # architecture whose array runs never reaches the count's rule, so that fault runs without the
+        # hybrid's array.
         pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (-6, 7), (2, 2)]
         rule, core = encoding._pp_rows, encoding.unsigned_product
 
         def wrong_rows(a, b, w, arch, lay):
             rows = rule(a, b, w, arch, lay)
-            lanes = [i for i in range(lay.count) if encoding._lane(a, i, lay) == 6]
+            lanes = [i for i in range(lay.count) if lane(a, i, lay) == 6]
             return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
 
         def wrong_core(multiplicand, multiplier, arch):
             product, counts = core(multiplicand, multiplier, arch)
-            return product + 3 * (multiplicand.bits == 6), counts
+            return product + sum(3 << i * multiplicand.layout.lane for i, x in enumerate(multiplicand.values) if x == 6), counts
 
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)
@@ -1055,8 +1046,8 @@ class TestOneChunkPass:
         pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "uniform"), 8, seed=4)  # two chunks
         count = (Architecture.CONVENTIONAL, Architecture.BOOTH)
         dp.simulate_configs(pairs, 8, CONFIGS, count)
-        # only the hybrid's row rule sums rows: a half-width Booth leaf's 3 digits and correction row
-        assert set(summed) <= {4}
+        # only the hybrid's row rule sums rows: its Booth routes' 5 digits and correction row
+        assert set(summed) <= {6}
         summed.clear()
         count_pairs(pairs, count, 8)
         # with no array, the count sums each chunk's 8 conventional and 6 Booth rows
