@@ -694,10 +694,10 @@ def unsigned_product(multiplicand: Lanes, multiplier: Lanes, arch: Architecture)
 
 
 def _mismatch(chunk, wrong: Sequence[int], expected: int, lay: _Layout) -> ProductMismatchError:
-    """The error for the first pair of ``chunk`` that a packed product in ``wrong`` gets wrong, the first such product on a tie.
+    """The error for the first pair of ``chunk`` whose lane of a product in ``wrong`` is not its ``|a * b|``.
 
-    Each product differs from ``expected``, the packed ``|a * b|``.  A lane is read with its guard bit,
-    and the last with every bit above it, so the value named is never the pair's ``|a * b|``.
+    Each product differs from ``expected``, the packed ``|a * b|``; on a tie the first is named.  A lane
+    is read with its guard bit, the last with every bit above it, so the value named is never ``|a * b|``.
     """
     last, firsts = len(chunk) - 1, []
     for got in wrong:
@@ -731,7 +731,7 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
     check_operand_width(width)
     for arch in count:
         ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
-    totals = [None] * len(count)  # a one-chunk pass returns its own records
+    totals = [None] * len(count)  # a one-chunk pass returns the records as the chunk made them
     seen = 0
     stream = iter(pairs)
     for first in stream:

@@ -117,9 +117,10 @@ def unsigned_product(
 
 
 def hybrid_routes(bits: int, width: int) -> tuple[int, int, int, int]:
-    """The multiplier bits :func:`unsigned_product`'s hybrid dispatch hands each engine: ``(chain, chain_hi, booth, booth_hi)``.
+    """The multiplier bits the hybrid dispatch of :func:`unsigned_product` hands each engine.
 
-    The high half's bits are given at weight 0; a route the dispatch does not take holds 0.
+    Returns ``(chain, chain_hi, booth, booth_hi)``.  The high half's bits are given at weight 0; a
+    route the dispatch does not take holds 0.
     """
     multiplier = Word(bits, width)
     if multiplier.popcount() <= 3:

@@ -847,7 +847,7 @@ class TestOneChunkPass:
         rows.clear()
         built.clear()
         count_pairs(pairs, tuple(Architecture), 8)
-        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B, H)]  # one rule call per chunk and architecture
+        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B, H)]  # one rule call per chunk and arch
         assert built == []
 
     @pytest.mark.parametrize("count", [(), (Architecture.HYBRID,), tuple(Architecture)])
@@ -901,7 +901,8 @@ class TestOneChunkPass:
             core_calls.append(arch)
             product, counts = core(multiplicand, multiplier, arch)
             if aimed(arch) and arch not in arrays:
-                product += sum(3 << i * multiplicand.layout.lane for i, x in enumerate(multiplicand.values) if x == value)
+                lane = multiplicand.layout.lane
+                product += sum(3 << i * lane for i, x in enumerate(multiplicand.values) if x == value)
             return product, counts
 
         def wrong_evaluate(self, pp, gated=False):
@@ -1006,7 +1007,8 @@ class TestOneChunkPass:
 
         def wrong_core(multiplicand, multiplier, arch):
             product, counts = core(multiplicand, multiplier, arch)
-            return product + sum(3 << i * multiplicand.layout.lane for i, x in enumerate(multiplicand.values) if x == 6), counts
+            lane = multiplicand.layout.lane
+            return product + sum(3 << i * lane for i, x in enumerate(multiplicand.values) if x == 6), counts
 
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)

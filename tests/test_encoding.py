@@ -435,9 +435,10 @@ def core_cases(draw):
 
 
 class TestIntCoreAgainstReference:
-    """The hybrid's one-lane route, the plain-int core of a one-pair call, equals the Word-level composition in ``reference_encoding``.
+    """The hybrid's one-lane route, the plain-int core of a one-pair call, equals the reference.
 
-    Dense halves and odd widths take its Booth terms, so both of its engines are held.
+    The reference is the Word-level composition in ``reference_encoding``.  Dense halves and odd
+    widths take its Booth terms, so both of its engines are held.
     """
 
     @given(core_cases())
@@ -660,6 +661,22 @@ class TestCountPairs:
         with pytest.raises(ProductMismatchError) as excinfo:
             count_pairs([(65, 34), (-3, 5), (7, 9)], archs, 8)
         assert (excinfo.value.pair, excinfo.value.got, excinfo.value.expected) == (pair, got, expected)
+
+    @pytest.mark.parametrize("spill", ["guard", "past"])
+    def test_a_wrong_bit_outside_the_columns_names_its_pair(self, spill, monkeypatch):
+        # a rule may return any integer: a bit in lane 0's guard names pair 0, one past the last lane the last pair
+        rule = encoding.unsigned_product
+
+        def spilling(multiplicand, multiplier, arch):
+            product, counts = rule(multiplicand, multiplier, arch)
+            lay = multiplicand.layout
+            return product | 1 << (lay.cols if spill == "guard" else lay.lane * lay.count), counts
+
+        monkeypatch.setattr(encoding, "unsigned_product", spilling)
+        with pytest.raises(ProductMismatchError) as excinfo:
+            count_pairs([(3, 5), (-7, 9)], (Architecture.BOOTH,), 8)
+        want = ((3, 5), 15 | 1 << 16) if spill == "guard" else ((-7, 9), -(63 | 1 << 17))
+        assert (excinfo.value.pair, excinfo.value.got) == want
 
     @given(st.data(), st.sampled_from(list(Architecture)))
     @settings(max_examples=150)
@@ -904,8 +921,8 @@ class TestHybridSeamWords:
         def faulty(multiplicand, multiplier, arch):
             # one more in every lane that holds the magnitudes (x, y)
             product, counts = core(multiplicand, multiplier, arch)
-            lanes = zip(multiplicand.values, multiplier.values)
-            return product + sum(1 << i * multiplicand.layout.lane for i, pair in enumerate(lanes) if pair == (x, y)), counts
+            hits = [i for i, pair in enumerate(zip(multiplicand.values, multiplier.values)) if pair == (x, y)]
+            return product + sum(1 << i * multiplicand.layout.lane for i in hits), counts
 
         archs = data.draw(st.sampled_from([(Architecture.HYBRID,), tuple(Architecture)]))
         with pytest.MonkeyPatch.context() as mp:
@@ -1082,7 +1099,7 @@ def hybrid_runs(draw):
 
 
 class TestLaneHybrid:
-    """The hybrid's lane rule: row 0 is the product, built by the routes the per-pair dispatch takes, in every lane."""
+    """The hybrid's lane rule: row 0 is the product, built by the per-pair dispatch's routes, in every lane."""
 
     @given(hybrid_runs())
     @settings(max_examples=80, deadline=None)
@@ -1161,6 +1178,5 @@ class TestProductRule:
         products, counts = unsigned_product(Lanes(ma, width), Lanes(mb, width), arch)
         want = [reference_product(Word(x, width), Word(y, width), arch) for x, y in zip(ma, mb)]
         lay = encoding._layout(2 * width, len(ma))
-        assert [_lane(products, i, lay) for i in range(lay.count)] == [product for product, _ in want]
-        assert products >> lay.lane * lay.count == 0  # nothing past the last lane
+        assert products == encoding._pack([product for product, _ in want], lay.lane)
         assert astuple(counts) == tuple(sum(field) for field in zip(*(astuple(c) for _, c in want)))
