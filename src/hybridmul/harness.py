@@ -13,6 +13,7 @@ distribution) triple always reproduces the same pairs.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import re
@@ -98,6 +99,7 @@ class FileSource:
 InputSource = ExhaustiveSource | RandomSource | FileSource
 
 _SPARSE_RE = re.compile(r"^sparse([1-9]\d*)$")
+_DECIMAL_FIELD = str.maketrans("", "", "-0123456789")  # deletes every character of a decimal field
 
 
 def parse_input_spec(spec: str) -> InputSource:
@@ -124,14 +126,19 @@ def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    try:
-        # one pass for a plain file; a blank line, a comment, a line of other than two fields or a field
-        # int() refuses raises ValueError here, and the line loop below skips it or names its line
-        pairs = [(int(a), int(b)) for a, b in map(str.split, text.splitlines())]
-    except ValueError:
-        pairs = []
-    if pairs:
-        return pairs
+    # one C-level scan when every line is "A B\n" of digits and "-": json.loads reads each field as int()
+    # does, or refuses it; any other file (a comment, a tab, "+5", no final newline) and any field
+    # json.loads refuses ("007", one past the digit limit) take the line loop, which skips or names a line
+    body = text.replace("\r\n", "\n")
+    rest = body.translate(_DECIMAL_FIELD)
+    if rest and rest == " \n" * (len(rest) >> 1):
+        try:
+            fields = iter(json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]"))
+        except ValueError:
+            pass
+        else:
+            return list(zip(fields, fields))
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -135,7 +135,7 @@ class TestGenInputs:
 def reference_parse_pairs_file(path):
     """The straight-line pairs-file reader that ``parse_pairs_file`` must match, pairs and errors alike."""
     pairs = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -172,7 +172,12 @@ def outcome(function, *args):
 # fields int() takes or refuses: signs, leading zeros, underscores, non-ASCII digits, values past width 16
 _FIELDS = st.one_of(
     st.integers(min_value=-70000, max_value=70000).map(str),
-    st.sampled_from(["+5", "-0", "007", "1_000", "\u0663", "\uff11\uff12", "x", "1.5", "_1", "1__0", "0x1f", "--3"]),
+    st.sampled_from(["+5", "-0", "007", "1_000", "\u0663", "\uff11\uff12", "x", "1.5", "_1", "1__0", "0x1f", "--3", "5-"]),
+)
+
+# "A B" lines, CRLF now and then: a file of these reaches the one-scan read unless a field is refused
+_PLAIN_LINES = st.builds(
+    "{} {}{}".format, *[st.one_of(st.integers(-70000, 70000).map(str), _FIELDS)] * 2, st.sampled_from(["", "", "\r"])
 )
 
 
@@ -233,21 +238,34 @@ class TestPairsFile:
             gen_inputs(FileSource(str(f)), 8)
         assert str(caught.value) == "pair (3, -256) does not fit in 8 bits"
 
-    @given(lines=st.lists(pairs_file_lines(), max_size=6), width=st.integers(min_value=4, max_value=16))
-    @example(lines=["65 34", "-7\t9"], width=8)
-    @example(lines=["+5 007", "1_000 \u0663"], width=8)  # int() takes a sign, leading zeros, underscores, any Nd digit
-    @example(lines=["65 34", "", "1 2"], width=8)
-    @example(lines=["65 34 1"], width=8)
-    @example(lines=["65"], width=8)
-    @example(lines=["1.5 2"], width=8)
-    @example(lines=["7 8  # seven eight"], width=8)
-    @example(lines=["65 34\r", "300 1"], width=8)
-    @example(lines=["65 34", "-7 9", "255 -255", "0 1"], width=8)  # the same pairs, plain and with CRLF, tabs, comments
-    @example(lines=["# pairs\r", "65 34\r", "\r", "-7\t9\r", "255 -255  # last but one\r", "0\t1\r"], width=8)
-    def test_matches_the_line_loop(self, lines, width, tmp_path_factory):
+    @given(
+        lines=st.one_of(st.lists(_PLAIN_LINES, max_size=6), st.lists(pairs_file_lines(), max_size=6)),
+        end=st.sampled_from(["\n", "\n", ""]),
+        width=st.integers(min_value=4, max_value=16),
+    )
+    @example(lines=["65 34", "-7\t9"], end="\n", width=8)
+    @example(lines=["+5 007", "1_000 \u0663"], end="\n", width=8)  # int() takes a sign, leading zeros, underscores, any Nd digit
+    @example(lines=["65 34", "", "1 2"], end="\n", width=8)
+    @example(lines=["65 34 1"], end="\n", width=8)
+    @example(lines=["65"], end="\n", width=8)
+    @example(lines=["1.5 2"], end="\n", width=8)
+    @example(lines=["7 8  # seven eight"], end="\n", width=8)
+    @example(lines=["65 34\r", "300 1"], end="\n", width=8)
+    @example(lines=["65 34", "-7 9", "255 -255", "0 1"], end="\n", width=8)  # the same pairs, plain and with CRLF, tabs, comments
+    @example(lines=["# pairs\r", "65 34\r", "\r", "-7\t9\r", "255 -255  # last but one\r", "0\t1\r"], end="\n", width=8)
+    # single-space lines the scan reads or refuses: a leading zero, a doubled or trailing sign, minus zero,
+    # a field past int()'s 4300-digit limit, no final newline, and CRLF endings
+    @example(lines=["65 34", "007 1"], end="\n", width=8)
+    @example(lines=["65 34", "--3 1"], end="\n", width=8)
+    @example(lines=["65 34", "5- 1"], end="\n", width=8)
+    @example(lines=["-0 5", "65 34"], end="\n", width=8)
+    @example(lines=["65 34", "9" * 5000 + " 1"], end="\n", width=8)
+    @example(lines=["65 34", "-7 9"], end="", width=8)
+    @example(lines=["65 34\r", "-7 9\r", "255 -255\r"], end="\n", width=8)
+    def test_matches_the_line_loop(self, lines, end, width, tmp_path_factory):
         """Both parse paths give the line loop's pairs, or its error text, and the range check names its pair."""
         f = tmp_path_factory.mktemp("pairs") / "pairs.txt"
-        f.write_text("\n".join(lines) + ("\n" if lines else ""))
+        f.write_text("\n".join(lines) + (end if lines else ""), encoding="utf-8")
         assert outcome(parse_pairs_file, f) == outcome(reference_parse_pairs_file, f)
         assert outcome(gen_inputs, FileSource(str(f)), width) == outcome(reference_file_pairs, f, width)
 
