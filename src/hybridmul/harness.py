@@ -128,7 +128,7 @@ def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     # one C-level scan when every line is "A B\n" of digits and "-": json.loads reads each field as int()
     # does, or refuses it; any other file (a comment, a tab, "+5", no final newline) and any field
-    # json.loads refuses ("007", one past the digit limit) take the line loop, which skips or names a line
+    # json.loads refuses ("007", a field past int()'s digit limit) take the line loop, which skips or names a line
     body = text.replace("\r\n", "\n")
     rest = body.translate(_DECIMAL_FIELD)
     if rest and rest == " \n" * (len(rest) >> 1):

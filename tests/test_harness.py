@@ -176,9 +176,8 @@ _FIELDS = st.one_of(
 )
 
 # "A B" lines, CRLF now and then: a file of these reaches the one-scan read unless a field is refused
-_PLAIN_LINES = st.builds(
-    "{} {}{}".format, *[st.one_of(st.integers(-70000, 70000).map(str), _FIELDS)] * 2, st.sampled_from(["", "", "\r"])
-)
+_PLAIN_FIELDS = st.one_of(st.integers(-70000, 70000).map(str), _FIELDS)
+_PLAIN_LINES = st.builds("{} {}{}".format, _PLAIN_FIELDS, _PLAIN_FIELDS, st.sampled_from(["", "", "\r"]))
 
 
 @st.composite
@@ -251,7 +250,8 @@ class TestPairsFile:
     @example(lines=["1.5 2"], end="\n", width=8)
     @example(lines=["7 8  # seven eight"], end="\n", width=8)
     @example(lines=["65 34\r", "300 1"], end="\n", width=8)
-    @example(lines=["65 34", "-7 9", "255 -255", "0 1"], end="\n", width=8)  # the same pairs, plain and with CRLF, tabs, comments
+    # the same pairs, plain and with CRLF, tabs, comments
+    @example(lines=["65 34", "-7 9", "255 -255", "0 1"], end="\n", width=8)
     @example(lines=["# pairs\r", "65 34\r", "\r", "-7\t9\r", "255 -255  # last but one\r", "0\t1\r"], end="\n", width=8)
     # single-space lines the scan reads or refuses: a leading zero, a doubled or trailing sign, minus zero,
     # a field past int()'s 4300-digit limit, no final newline, and CRLF endings

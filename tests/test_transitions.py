@@ -19,18 +19,12 @@ from typing import Iterator
 import pytest
 
 from reference_array import ReferenceArray
+from test_datapath import REFERENCE_PP
 
 import hybridmul.encoding as encoding
 from hybridmul.bitnum import Word
 from hybridmul.datapath import simulate_stream
-from hybridmul.encoding import Architecture, booth_pp, booth_recode, conventional_pp, hybrid_pp
-
-# The encoder's PP matrix of each architecture, the form the reference array reads.
-REFERENCE_PP = {
-    Architecture.CONVENTIONAL: conventional_pp,
-    Architecture.BOOTH: lambda ma, mb: booth_pp(ma, booth_recode(mb)),
-    Architecture.HYBRID: hybrid_pp,
-}
+from hybridmul.encoding import Architecture
 
 
 def de_bruijn(k: int, n: int) -> Iterator[int]:
@@ -70,9 +64,11 @@ def reference_snapshots(width: int, arch: Architecture) -> dict[tuple[int, int],
     """
     reference = ReferenceArray(width, arch)
     cols, cells = reference.cols, 5 * reference.cols
-    bits = reference.rows * cols
-    spans = [[(0, cols)]] + [[(r * cols, (r + 1) * cols), (bits + (r - 1) * cells, bits + r * cells)] for r in range(1, reference.rows)]
-    spans.append([(len(reference.nodes) - cells, len(reference.nodes))])
+    adders = reference.rows * cols  # the row bits come first, then each adder row's cells; row 0 feeds none
+    spans = [
+        ((r * cols, (r + 1) * cols), (adders + max(r - 1, 0) * cells, adders + r * cells)) for r in range(reference.rows)
+    ]
+    spans.append(((len(reference.nodes) - cells, len(reference.nodes)),))
     snapshots, last = {}, (0,) * len(spans)
     for a in range(1 << width):
         for b in range(1 << width):
@@ -82,7 +78,7 @@ def reference_snapshots(width: int, arch: Architecture) -> dict[tuple[int, int],
             now = tuple(int("".join(str(nodes[i]) for lo, hi in group for i in range(lo, hi)), 2) for group in spans)
             assert [(x ^ y).bit_count() for x, y in zip(last, now)] == reference.row_toggles
             assert sum(reference.row_toggles) == toggles
-            snapshots[a, b], last = now, now
+            snapshots[a, b] = last = now
     return snapshots
 
 
@@ -117,7 +113,8 @@ def mismatches(pairs, width: int, arch: Architecture, gated: bool, expected) -> 
 
     report = simulate_stream(pairs, arch, width, gated, trace=check)
     assert next(want, None) is None, "the stream made fewer evaluations than it has pairs"
-    if not bad and (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) != (total, rows, frozen):
+    summed = (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations)
+    if not bad and summed != (total, rows, frozen):
         bad.append("stream")
     return bad
 

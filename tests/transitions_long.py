@@ -13,7 +13,8 @@ import sys
 import time
 
 from reference_array import ReferenceArray
-from test_transitions import REFERENCE_PP, mismatches, transition_stream, ungated_reference
+from test_datapath import REFERENCE_PP
+from test_transitions import mismatches, transition_stream, ungated_reference
 
 from hybridmul.bitnum import Word
 from hybridmul.encoding import Architecture
@@ -35,7 +36,8 @@ def main() -> int:
     for width, gated, reference in ((5, False, ungated_reference), (4, True, gated_reference)):
         for arch in Architecture:
             start = time.perf_counter()
-            bad = mismatches(transition_stream(width), width, arch, gated, reference(transition_stream(width), width, arch))
+            expected = reference(transition_stream(width), width, arch)
+            bad = mismatches(transition_stream(width), width, arch, gated, expected)
             label = f"width {width} {'gated' if gated else 'ungated'} {arch.value}"
             if bad:
                 failed += 1
