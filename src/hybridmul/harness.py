@@ -126,12 +126,12 @@ def parse_pairs_file(path: str | Path) -> list[tuple[int, int]]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    # one C-level scan when every line is "A B\n" of digits and "-": json.loads reads each field as int()
-    # does, or refuses it; any other file (a comment, a tab, "+5", no final newline) and any field
+    # one C-level scan when every line is "A B\n" of digits and "-", the last one too: json.loads reads each
+    # field as int() does, or refuses it; any other file (a comment, a tab, "+5", no final newline) and any field
     # json.loads refuses ("007", a field past int()'s digit limit) take the line loop, which skips or names a line
     body = text.replace("\r\n", "\n")
     rest = body.translate(_DECIMAL_FIELD)
-    if rest and rest == " \n" * (len(rest) >> 1):
+    if rest and body[-1] == "\n" and rest == " \n" * (len(rest) >> 1):
         try:
             fields = iter(json.loads("[" + body[:-1].replace(" ", ",").replace("\n", ",") + "]"))
         except ValueError:

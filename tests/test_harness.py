@@ -261,6 +261,7 @@ class TestPairsFile:
     @example(lines=["-0 5", "65 34"], end="\n", width=8)
     @example(lines=["65 34", "9" * 5000 + " 1"], end="\n", width=8)
     @example(lines=["65 34", "-7 9"], end="", width=8)
+    @example(lines=["65 34", "79"], end="", width=8)  # a one-field last line, cut off with no newline
     @example(lines=["65 34\r", "-7 9\r", "255 -255\r"], end="\n", width=8)
     def test_matches_the_line_loop(self, lines, end, width, tmp_path_factory):
         """Both parse paths give the line loop's pairs, or its error text, and the range check names its pair."""
