@@ -37,15 +37,16 @@ its own popcount.  One check matches a run's columns and rows to the array befor
 and each lane value must fit the run's width, as a :class:`Word`'s bits must.
 
 The lane PP rule set (:class:`ArrayGeometry`, :class:`Lanes`, :class:`PPLanes`, the row rule of all
-three arrays) and the one chunk loop live in :mod:`~hybridmul.encoding`.  :func:`simulate_configs`
-drives every array configuration of a stream, and the count pass if asked, as that loop's array step.
+three arrays) and the chunk reader live in :mod:`~hybridmul.encoding`.  :func:`simulate_configs` is
+the array pass: its own loop over that reader's chunks drives every array configuration of a stream,
+and counts their architectures if asked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import add
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from . import encoding
 from .bitnum import Word
@@ -332,7 +333,7 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
         count, other = len(multiplicand.values), len(multiplier.values)
         if count != other or not count:
             raise ValueError(f"operand lane counts must be equal and nonzero: {count} and {other}")
-        # the lane rule is looked up in its module: one seam for the count pass and the arrays
+        # looked up in its module, so one replacement of the lane rule reaches the product rule and the arrays
         lay = multiplicand.layout
         return PPLanes(encoding._pp_rows(multiplicand.bits, multiplier.bits, multiplicand.width, arch, lay), lay)
     if arch is _CONVENTIONAL:
@@ -346,33 +347,40 @@ def build_pp(multiplicand: Word | Lanes, multiplier: Word | Lanes, arch: Archite
 
 
 def simulate_configs(
-    pairs, width: int, configs, count: Sequence[Architecture] = (), trace=None
+    pairs, width: int, configs, count: bool = False, trace=None
 ) -> tuple[dict[tuple[Architecture, bool], ToggleReport], tuple[OpCounts, ...]]:
-    """Drive one array per ``(arch, gated)`` configuration, and count ``count``'s architectures, in one pass.
+    """Drive one array per ``(arch, gated)`` configuration through one pass over the pairs.
 
-    Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and what
-    :func:`~hybridmul.encoding.count_pairs` returns for ``count``.  It is the step of
-    :func:`~hybridmul.encoding._chunk_pass`, whose docstring gives the error order, and builds each
-    architecture's rows once per chunk through :func:`build_pp`.  Every product is checked once, where
-    it is made: a counted architecture with an array here is checked by that array, and the count checks
-    only the others.  ``trace(config, index, record)`` is called chunk by chunk, in configuration order.
+    Returns a :class:`ToggleReport` per distinct configuration, in first-seen order, and, when
+    ``count``, what :func:`~hybridmul.encoding.count_pairs` returns for their architectures in
+    first-seen order, else ``()``.  Per chunk of :func:`~hybridmul.encoding._read_chunks`, each
+    architecture's rows are built once through :func:`build_pp`, and each array's products are checked
+    against the chunk's ``|a * b|`` before its run is accumulated or traced.  An array checks its own
+    products, so a count reads only the multipliers (:func:`~hybridmul.encoding._chunk_counts`).
+    ``trace(config, index, record)`` is called chunk by chunk, in configuration order.  A run of no
+    pairs raises ``ValueError``.
     """
     states = {config: ArrayState(width, config[0]) for config in configs}  # a repeat runs once
     zeros = {config: (0,) * state.geometry.rows for config, state in states.items()}
     reports = {config: ToggleReport(rows, rows, 0, 0, 0) for config, rows in zeros.items()}
     archs = list(dict.fromkeys(arch for arch, _ in states))
-
-    def step(start, multiplicand, multiplier):
+    totals, seen = None, 0
+    for chunk, multiplicand, multiplier, expected in encoding._read_chunks(pairs, width):
         pps = {arch: build_pp(multiplicand, multiplier, arch) for arch in archs}
         for config, state in states.items():
             products, run = state.evaluate(pps[config[0]], config[1])
-            yield products  # checked before the run is counted
+            if products != expected:
+                raise encoding._mismatch(chunk, (products,), expected, multiplicand.layout)
             reports[config].accumulate(run)
             if trace is not None:
-                for index, one in enumerate(run.split(), start=start):
+                for index, one in enumerate(run.split(), start=seen):
                     trace(config, index, one)
-
-    return reports, encoding._chunk_pass(pairs, width, count, archs, step)
+        if count:
+            totals = encoding._summed(totals, [encoding._chunk_counts(multiplier, arch) for arch in archs])
+        seen += len(chunk)
+    if not seen:
+        raise ValueError("input stream must not be empty")
+    return reports, totals or ()
 
 
 def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool, trace=None) -> ToggleReport:

@@ -9,11 +9,12 @@ Three ways to turn (multiplicand, multiplier) into a product:
   of the lowest set bit), denser multipliers are split in half once and each
   half re-dispatched.
 
-All encoders work on unsigned magnitudes.  One chunk loop, :func:`_chunk_pass`, serves the count
-pass (:func:`count_pairs`, :func:`multiply`) and the array stream: chunks of :data:`STREAM_CHUNK`
+All encoders work on unsigned magnitudes.  One chunk reader, :func:`_read_chunks`, feeds two
+passes, each its own loop: the count pass (:func:`count_pairs`, and so :func:`multiply`) and the
+array pass (:func:`~hybridmul.datapath.simulate_configs`).  It reads chunks of :data:`STREAM_CHUNK`
 pairs, each decoded once and packed one magnitude per lane of a Python integer (SWAR: Knuth, TAOCP
 4A, 7.1.3), so the pack is every chunk's one range check.  Every product is checked once, where it
-is made: by the array that runs it, else by the count's one product rule, :func:`unsigned_product`,
+is made: by the array that runs it, or by the count's one product rule, :func:`unsigned_product`,
 which gives a chunk's every ``|a * b|`` from the rows :func:`_pp_rows` builds, and its counts: closed
 forms for conventional and Booth, popcounts of the hybrid's lane routes for the hybrid.  Every entry
 point rejects a bad width, then an architecture that is not an :class:`Architecture` member, before
@@ -711,28 +712,15 @@ def _mismatch(chunk, wrong: Sequence[int], expected: int, lay: _Layout) -> Produ
     return ProductMismatchError(a, b, -magnitude if (a < 0) != (b < 0) else magnitude, a * b)
 
 
-def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step=None) -> tuple[OpCounts, ...]:
-    """The one chunk loop of the count pass and the arrays; returns ``count``'s summed counts, in its order.
+def _read_chunks(pairs, width: int):
+    """Yield ``(chunk, multiplicand, multiplier, expected)`` for every chunk of :data:`STREAM_CHUNK` pairs.
 
-    Each chunk of :data:`STREAM_CHUNK` pairs is decoded once and packed once into two :class:`Lanes`
-    and, when a count or an array reads it, a packed ``|a * b|``.  Every product is checked once, where
-    it is made.  A counted architecture that no array runs is one :func:`unsigned_product` call per
-    chunk, its products checked against ``|a * b|`` as one integer; one in ``archs`` takes its chunk's
-    counts (:func:`_chunk_counts`) and is checked by its array.  When ``archs`` is not empty,
-    ``step(start, multiplicand, multiplier)`` builds their rows from the chunk's :class:`Lanes`, runs
-    the arrays and yields each array's packed products; a pass with a step must not be empty.
-
-    The error order: the width, then each counted architecture, is checked first.  Then, chunk by
-    chunk, the chunk's operands are range-checked by its :class:`Lanes`; a chunk they refuse is decoded
-    pair by pair, so the first bad pair raises the sign-magnitude decode's own error.  Then the count
-    raises for the first bad pair and its first wrong architecture in ``count`` order, then the arrays
-    for the first wrong one.  So an earlier chunk's error comes before a later chunk's.
+    The width is checked first, so an empty run raises the width error too.  Each chunk is decoded once
+    into two :class:`Lanes`, whose pack is its one range check, and its every ``|a * b|`` is packed once.
+    A chunk the pack refuses is decoded pair by pair, so its first bad pair raises the sign-magnitude
+    decode's own error before a later chunk is read.  No pair's data is kept from one chunk to the next.
     """
     check_operand_width(width)
-    for arch in count:
-        ArrayGeometry.create(width, arch)  # refuses anything but an Architecture
-    totals = [None] * len(count)  # a one-chunk pass returns the records as the chunk made them
-    seen = 0
     stream = iter(pairs)
     for first in stream:
         chunk = [first, *islice(stream, STREAM_CHUNK - 1)]
@@ -745,46 +733,46 @@ def _chunk_pass(pairs, width: int, count: Sequence[Architecture], archs=(), step
                 to_sign_magnitude(a, width)
                 to_sign_magnitude(b, width)
             raise
-        lay = multiplicand.layout
-        expected = _pack(list(map(mul, ma, mb)), lay.lane) if count or archs else None
-        wrong = []
-        for i, arch in enumerate(count):
-            if arch in archs:
-                counts = _chunk_counts(multiplier, arch)
-            else:
-                products, counts = unsigned_product(multiplicand, multiplier, arch)
-                if products != expected:
-                    wrong.append(products)
-            if totals[i] is not None:  # a later chunk: its counts add to the earlier chunks'
-                counts = OpCounts(*map(add, astuple(totals[i]), astuple(counts)))
-            totals[i] = counts
-        if wrong:
-            raise _mismatch(chunk, wrong, expected, lay)
-        if archs:
-            for products in step(seen, multiplicand, multiplier):
-                if products != expected:
-                    raise _mismatch(chunk, (products,), expected, lay)
-        seen += len(chunk)
-    if step is not None and not seen:
-        raise ValueError("input stream must not be empty")
-    return tuple(totals) if seen else (OpCounts(0, 0, 0),) * len(count)
+        yield chunk, multiplicand, multiplier, _pack(list(map(mul, ma, mb)), multiplicand.layout.lane)
+
+
+def _summed(totals, counts) -> tuple[OpCounts, ...]:
+    """``counts`` added record by record to ``totals``; with no totals yet, a first chunk's records as it made them."""
+    if totals is None:
+        return tuple(counts)
+    return tuple(OpCounts(*map(add, astuple(total), astuple(more))) for total, more in zip(totals, counts))
 
 
 def count_pairs(pairs: Sequence[tuple[int, int]], archs: Sequence[Architecture], width: int) -> tuple[OpCounts, ...]:
     """Multiply every pair (b is the multiplier) on every architecture and sum the counts.
 
-    Returns one record per architecture, in ``archs`` order: :func:`_chunk_pass` with no array step,
-    so it calls no array code, and one :func:`unsigned_product` call per chunk and architecture.
+    Returns one record per architecture, in ``archs`` order.  The width, then each architecture, is
+    checked before any pair is read.  Each chunk of :func:`_read_chunks` is one :func:`unsigned_product`
+    call per architecture, checked against the chunk's packed ``|a * b|`` as one integer; a chunk's
+    first bad pair is named with its first wrong architecture in ``archs`` order.  No array code runs.
     """
-    return _chunk_pass(pairs, width, archs)
+    for arch in archs:
+        ArrayGeometry.create(width, arch)  # refuses a bad width, then anything but an Architecture
+    totals = None
+    for chunk, multiplicand, multiplier, expected in _read_chunks(pairs, width):
+        wrong, counts = [], []
+        for arch in archs:
+            products, made = unsigned_product(multiplicand, multiplier, arch)
+            if products != expected:
+                wrong.append(products)
+            counts.append(made)
+        if wrong:
+            raise _mismatch(chunk, wrong, expected, multiplicand.layout)
+        totals = _summed(totals, counts)
+    return totals or (OpCounts(0, 0, 0),) * len(archs)
 
 
 def multiply(a: int, b: int, arch: Architecture, width: int) -> MultiplyResult:
     """Multiply a * b (b is the multiplier) and report operation counts.
 
-    The one-pair, one-architecture case of :func:`count_pairs`, through the
-    same loop, so it raises what that raises: the error of a bad width, else
-    of a bad operand, and :class:`ProductMismatchError` if the core's signed
-    product is not ``a * b``.  The product it returns is that checked ``a * b``.
+    The one-pair, one-architecture call of :func:`count_pairs`, so it raises what that raises: the
+    error of a bad width, else of a value that is not an :class:`Architecture`, else of a bad operand,
+    and :class:`ProductMismatchError` if the core's signed product is not ``a * b``.  The product it
+    returns is that checked ``a * b``.
     """
-    return MultiplyResult(a * b, *_chunk_pass(((a, b),), width, (arch,)))
+    return MultiplyResult(a * b, *count_pairs(((a, b),), (arch,), width))

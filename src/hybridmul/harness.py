@@ -4,8 +4,8 @@ A campaign multiplies a deterministic stream of operand pairs on each selected a
 verifying every product against the native-multiply oracle, and aggregates operation counts,
 optional cell-level toggle totals, and cost-model power/delay figures into one report that can be
 emitted as ASCII, CSV, JSON, or an SVG chart.  The operation counts come from one pass over the pairs
-for all selected architectures, which decodes each pair once; with toggles, the same chunk pass also
-drives every architecture's array.
+for all selected architectures, which decodes each pair once; with toggles, that one pass is the array
+pass, which drives every architecture's array and counts.
 
 Random streams use the Mersenne Twister as exposed by ``random.Random(seed)``, so a (count, seed,
 distribution) triple always reproduces the same pairs.
@@ -306,7 +306,7 @@ def run_campaign(campaign: Campaign, trace=None, read=None) -> CampaignReport:
         reports, arch_counts = {}, count_pairs(pairs, archs, width)
     else:
         each = None if trace is None else (lambda config, index, one: trace(config[0], index, one))
-        reports, arch_counts = simulate_configs(pairs, width, [(arch, campaign.ssst) for arch in archs], archs, each)
+        reports, arch_counts = simulate_configs(pairs, width, [(arch, campaign.ssst) for arch in archs], True, each)
     summaries = []
     for arch, counts in zip(archs, arch_counts):
         toggled = reports.get((arch, campaign.ssst))

@@ -759,18 +759,17 @@ CONFIGS = [(arch, gated) for arch in Architecture for gated in (False, True)]
 
 @st.composite
 def config_runs(draw):
-    """(width, signed pairs, configurations, count architectures), repeats and every order drawn."""
+    """(width, signed pairs, configurations, count), repeats and every order drawn; ``count`` is a bool."""
     width = draw(st.integers(4, 32))
     top = (1 << width) - 1
     operand = st.one_of(st.sampled_from([0, top, -top]), st.integers(-top, top))
     pairs = draw(st.lists(st.tuples(operand, operand), min_size=1, max_size=10))
     configs = draw(st.lists(st.sampled_from(CONFIGS), min_size=1, max_size=8))
-    count = draw(st.lists(st.sampled_from(list(Architecture)), max_size=4))
-    return width, pairs, configs, count
+    return width, pairs, configs, draw(st.booleans())
 
 
 def _chunks_of(mp, chunk):
-    """Set the chunk size of the one chunk loop, which the array stream and the count pass share."""
+    """Set the chunk size of the one chunk reader, which the array pass and the count pass share."""
     mp.setattr(encoding, "STREAM_CHUNK", chunk)
 
 
@@ -782,13 +781,17 @@ def _outcome(call):
         return type(exc), getattr(exc, "pair", None), str(exc)
 
 
+def _archs_of(configs):
+    """The configurations' architectures, in first-seen order: what an array pass counts."""
+    return list(dict.fromkeys(arch for arch, _ in configs))
+
+
 def _one_call_per_step(pairs, width, configs, count):
-    """The count pass over the counted architectures no array runs, one stream per distinct configuration
-    in order, then the counts: every product is checked once, where it is made."""
+    """One stream per distinct configuration, in order, then, when counted, the count pass over their
+    architectures."""
     configs = dict.fromkeys(configs)
-    count_pairs(pairs, [arch for arch in count if arch not in {arch for arch, _ in configs}], width)
     reports = {(arch, gated): simulate_stream(pairs, arch, width, gated) for arch, gated in configs}
-    return reports, count_pairs(pairs, count, width)
+    return reports, count_pairs(pairs, _archs_of(configs), width) if count else ()
 
 
 # the bit a test fault flips in one architecture's products, so its error names the architecture
@@ -801,7 +804,7 @@ def _flip_lanes(x, lanes, lay, arch):
 
 
 class TestOneChunkPass:
-    """``simulate_configs``: one pass over the chunks counts and drives every configuration."""
+    """``simulate_configs``: one pass over the chunks drives every configuration and counts their architectures."""
 
     @given(config_runs(), st.sampled_from([1, 3, 7]))
     @settings(max_examples=60, deadline=None)
@@ -814,17 +817,17 @@ class TestOneChunkPass:
             for (arch, gated), report in reports.items():
                 assert report == simulate_stream(pairs, arch, width, gated)
                 assert report.operations_simulated == len(pairs)
-            assert counts == count_pairs(pairs, count, width)
+            assert counts == (count_pairs(pairs, _archs_of(configs), width) if count else ())
 
-    @pytest.mark.parametrize("count", [(), tuple(Architecture)])
+    @pytest.mark.parametrize("count", [False, True])
     def test_takes_a_one_shot_iterator(self, count):
         pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "sparse3"), 8, seed=4)
         listed = dp.simulate_configs(pairs, 8, CONFIGS, count)
         assert dp.simulate_configs(iter(pairs), 8, CONFIGS, count) == listed
-        assert listed[1] == count_pairs(pairs, count, 8)
+        assert listed[1] == (count_pairs(pairs, tuple(Architecture), 8) if count else ())
 
     def test_rows_are_built_once_per_chunk_and_architecture(self, monkeypatch):
-        """The count builds the rows it checks, each array step its own; a count pass alone calls no ``build_pp``."""
+        """An array pass builds its architectures' rows through ``build_pp``; a count pass calls no ``build_pp``."""
         rule, build, rows, built = encoding._pp_rows, dp.build_pp, [], []
 
         def rows_spy(a, b, width, arch, lay):
@@ -840,17 +843,17 @@ class TestOneChunkPass:
         _chunks_of(monkeypatch, 3)
         pairs = [(a, (7 * a) % 256) for a in range(1, 9)]  # chunks of 3, 3 and 2 pairs
         H, B, C = Architecture.HYBRID, Architecture.BOOTH, Architecture.CONVENTIONAL
-        # the hybrid runs gated and plain, Booth is counted and run, conventional only counted
-        dp.simulate_configs(pairs, 8, [(H, True), (H, False), (B, False)], (C, B))
-        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, H, B)]
-        assert built == [(arch, n) for n in (3, 3, 2) for arch in (H, B)]
+        # the hybrid runs gated and plain, Booth plain, and the pass counts both
+        dp.simulate_configs(pairs, 8, [(H, True), (H, False), (B, False)], True)
+        assert rows == [(arch, n) for n in (3, 3, 2) for arch in (H, B)]
+        assert built == rows
         rows.clear()
         built.clear()
         count_pairs(pairs, tuple(Architecture), 8)
         assert rows == [(arch, n) for n in (3, 3, 2) for arch in (C, B, H)]  # one rule call per chunk and arch
         assert built == []
 
-    @pytest.mark.parametrize("count", [(), (Architecture.HYBRID,), tuple(Architecture)])
+    @pytest.mark.parametrize("count", [False, True])
     @pytest.mark.parametrize("configs", [(), CONFIGS])
     def test_empty_stream_rejected(self, configs, count):
         with pytest.raises(ValueError, match="^input stream must not be empty$"):
@@ -865,11 +868,18 @@ class TestOneChunkPass:
             alone = []
             simulate_stream(pairs, arch, 8, gated, trace=lambda i, one: alone.append((i, one)))
             assert [(i, one) for config, i, one in seen if config == (arch, gated)] == alone
+        # a wrong product raises before its run is traced: the hybrid's wrong chunk reaches no trace
+        seen.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            self._wrong_array(mp, Architecture.HYBRID, 0)
+            with pytest.raises(ProductMismatchError):
+                dp.simulate_configs(pairs, 8, configs, trace=lambda config, i, one: seen.append((config, i, one)))
+        assert [(config, i) for config, i, _ in seen] == [(configs[0], i) for i in range(len(pairs))]
 
     @given(
         config_runs(),
         st.sampled_from([1, 3, 7]),
-        st.sampled_from(["_pp_rows", "unsigned_product", "evaluate"]),
+        st.sampled_from(["_pp_rows", "evaluate"]),
         st.one_of(st.none(), st.sampled_from(list(Architecture))),
         st.integers(0, 9),
     )
@@ -877,15 +887,13 @@ class TestOneChunkPass:
     def test_a_fault_in_one_place_raises_what_one_call_per_step_raises(self, run, chunk, site, target, at):
         """A wrong product in one architecture, or all of them, at one multiplicand value or one lane.
 
-        A counted architecture whose array runs is checked by its array and never reaches the count's
-        product rule, so a fault in the rule is aimed only at the counted architectures with no array.
+        An array pass checks every product by its array, so it never calls the count's product rule.
         """
         width, pairs, configs, count = run
         hit = at % len(pairs)
         value = abs(pairs[hit][0])
         rule, core, evaluate = encoding._pp_rows, encoding.unsigned_product, ArrayState.evaluate
         core_calls = []
-        arrays = {arch for arch, _ in configs}
 
         def aimed(arch):
             return target is None or arch is target
@@ -897,13 +905,9 @@ class TestOneChunkPass:
             lanes = [i for i in range(lay.count) if lane(a, i, lay) == value]
             return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
 
-        def wrong_core(multiplicand, multiplier, arch):
+        def core_spy(multiplicand, multiplier, arch):
             core_calls.append(arch)
-            product, counts = core(multiplicand, multiplier, arch)
-            if aimed(arch) and arch not in arrays:
-                lane = multiplicand.layout.lane
-                product += sum(3 << i * lane for i, x in enumerate(multiplicand.values) if x == value)
-            return product, counts
+            return core(multiplicand, multiplier, arch)
 
         def wrong_evaluate(self, pp, gated=False):
             # lane ``hit % chunk`` of every chunk long enough, so chunk 0 holds the first wrong pair
@@ -916,15 +920,13 @@ class TestOneChunkPass:
             _chunks_of(mp, chunk)
             if site == "_pp_rows":
                 mp.setattr(encoding, "_pp_rows", wrong_rows)
-            elif site == "unsigned_product":
-                mp.setattr(encoding, "unsigned_product", wrong_core)
             else:
                 mp.setattr(ArrayState, "evaluate", wrong_evaluate)
             want = _outcome(lambda: _one_call_per_step(pairs, width, configs, count))
-            core_calls.clear()
+            mp.setattr(encoding, "unsigned_product", core_spy)
             got = _outcome(lambda: dp.simulate_configs(pairs, width, configs, count))
         assert got == want
-        assert arrays.isdisjoint(core_calls)
+        assert core_calls == []
 
     @staticmethod
     def _wrong_array(mp, arch, lane):
@@ -962,95 +964,63 @@ class TestOneChunkPass:
             with pytest.MonkeyPatch.context() as mp:
                 _chunks_of(mp, chunk)
                 for count in counts:
-                    for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
-                                 lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
-                        assert _outcome(call) == range_error
+                    assert _outcome(lambda: count_pairs(self.RANGE_PAIRS, count, 8)) == range_error
                 # chunk 0's wrong product comes before a later chunk's bad operand; a chunk of 7 holds
                 # both, and its range check comes first
                 self._wrong_rows_at(mp, 65)
                 for count, got in zip(counts, (2214, 2211, 2211)):
                     fault = (ProductMismatchError, (65, 34), f"product mismatch for 65 * 34: got {got}, expected 2210")
-                    for call in (lambda: count_pairs(self.RANGE_PAIRS, count, 8),
-                                 lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, (), count)):
-                        assert _outcome(call) == (fault if chunk < len(self.RANGE_PAIRS) else range_error)
+                    assert _outcome(lambda: count_pairs(self.RANGE_PAIRS, count, 8)) == (
+                        fault if chunk < len(self.RANGE_PAIRS) else range_error
+                    )
 
     def test_with_arrays_each_chunk_is_range_checked_by_its_lanes(self):
         configs = [(Architecture.CONVENTIONAL, False)]
-        counts = [(), (Architecture.HYBRID,), tuple(Architecture)]
         with pytest.raises(OverflowError) as want:
             multiply(300, 1, Architecture.CONVENTIONAL, 8)
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)
-            for count in counts:
+            for count in (False, True):
                 assert _outcome(lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, configs, count)) == (
                     OverflowError, None, str(want.value)
                 )
             # chunk 0's wrong product comes before chunk 1's bad operand, with a count or without
             self._wrong_array(mp, Architecture.CONVENTIONAL, 0)
-            for count in counts:
+            for count in (False, True):
                 assert _outcome(lambda: dp.simulate_configs(self.RANGE_PAIRS, 8, configs, count)) == (
                     ProductMismatchError, (65, 34), "product mismatch for 65 * 34: got 2211, expected 2210"
                 )
 
-    @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
-    def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
-        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too.  An
-        # architecture whose array runs never reaches the count's rule, so that fault runs without the
-        # hybrid's array.
+    def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self):
+        # Booth's array is wrong at pair 1 (chunk 0); every row rule is wrong at pair 4 (chunk 1)
         pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (-6, 7), (2, 2)]
-        rule, core = encoding._pp_rows, encoding.unsigned_product
-
-        def wrong_rows(a, b, w, arch, lay):
-            rows = rule(a, b, w, arch, lay)
-            lanes = [i for i in range(lay.count) if lane(a, i, lay) == 6]
-            return (_flip_lanes(rows[0], lanes, lay, arch),) + rows[1:]
-
-        def wrong_core(multiplicand, multiplier, arch):
-            product, counts = core(multiplicand, multiplier, arch)
-            lane = multiplicand.layout.lane
-            return product + sum(3 << i * lane for i, x in enumerate(multiplicand.values) if x == 6), counts
-
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)
             self._wrong_array(mp, Architecture.BOOTH, 1)
-            if count_fault == "_pp_rows":
-                mp.setattr(encoding, "_pp_rows", wrong_rows)
-            else:
-                mp.setattr(encoding, "unsigned_product", wrong_core)
-            arrays = Architecture if count_fault == "_pp_rows" else (Architecture.CONVENTIONAL, Architecture.BOOTH)
-            configs = [(arch, True) for arch in arrays]
-            got = _outcome(lambda: dp.simulate_configs(pairs, 8, configs, tuple(Architecture)))
+            self._wrong_rows_at(mp, 6)
+            configs = [(arch, True) for arch in Architecture]
+            got = _outcome(lambda: dp.simulate_configs(pairs, 8, configs, True))
             # one call per step would name the count's pair 4 first
             assert _outcome(lambda: count_pairs(pairs, tuple(Architecture), 8))[1] == (-6, 7)
         assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")
 
-    def test_a_chunks_count_checks_come_before_its_arrays(self):
-        # every row rule is wrong at multiplicand 3; Booth has no array, so its count fails (3, 5) first
-        with pytest.MonkeyPatch.context() as mp:
-            self._wrong_rows_at(mp, 3)
-            configs = [(Architecture.CONVENTIONAL, False)]
-            got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, [Architecture.BOOTH]))
-        assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 13, expected 15")
-
     def test_an_architecture_whose_array_runs_is_checked_by_its_array_alone(self):
-        # every row rule is wrong at multiplicand 3: the count checks neither architecture, so the
-        # first array, conventional's, names the pair with its own fault bit
+        # every row rule is wrong at multiplicand 3: the count checks no product, so the first
+        # array, conventional's, names the pair with its own fault bit
         with pytest.MonkeyPatch.context() as mp:
             self._wrong_rows_at(mp, 3)
             configs = [(Architecture.CONVENTIONAL, False), (Architecture.BOOTH, False)]
-            count = (Architecture.BOOTH, Architecture.CONVENTIONAL)
-            got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, count))
+            got = _outcome(lambda: dp.simulate_configs([(65, 34), (3, 5)], 8, configs, True))
         assert got == (ProductMismatchError, (3, 5), "product mismatch for 3 * 5: got 14, expected 15")
 
     def test_a_counted_architecture_whose_array_runs_gets_no_lane_sum(self, monkeypatch):
         lane_sum, summed = encoding._lane_sum, []
         monkeypatch.setattr(encoding, "_lane_sum", lambda rows, lay: summed.append(len(rows)) or lane_sum(rows, lay))
         pairs = gen_inputs(RandomSource(STREAM_CHUNK + 5, "uniform"), 8, seed=4)  # two chunks
-        count = (Architecture.CONVENTIONAL, Architecture.BOOTH)
-        dp.simulate_configs(pairs, 8, CONFIGS, count)
+        dp.simulate_configs(pairs, 8, CONFIGS, True)
         # only the hybrid's row rule sums rows: its Booth routes' 5 digits and correction row
         assert set(summed) <= {6}
         summed.clear()
-        count_pairs(pairs, count, 8)
+        count_pairs(pairs, (Architecture.CONVENTIONAL, Architecture.BOOTH), 8)
         # with no array, the count sums each chunk's 8 conventional and 6 Booth rows
         assert summed == [8, 6] * 2

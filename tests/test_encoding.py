@@ -533,7 +533,7 @@ class TestArchitecturePrecedence:
             lambda: count_pairs([(300, 1)], ("booth",), 8),
             lambda: simulate_stream(self.PAIRS, "booth", 8, False),
             lambda: simulate_stream([(300, 1)], "booth", 8, True),
-            lambda: simulate_configs(self.PAIRS, 8, [(Architecture.CONVENTIONAL, False)], ["booth"]),
+            lambda: simulate_configs(self.PAIRS, 8, [(Architecture.CONVENTIONAL, False), ("booth", False)], True),
         ]
         for call in calls:
             assert _raised(call) == (ValueError, "architecture must be an Architecture member, got 'booth'")
@@ -802,9 +802,6 @@ class TestLaneCountPass:
             packed.clear()
             count_pairs(pairs, archs, 8)
             assert packed == [3] * 6 + [2]  # |a * b|, whatever the count checks
-        packed.clear()
-        count_pairs(pairs, (), 8)  # a count of nothing reads no product
-        assert packed == []
 
     def test_row_rule_sees_at_most_one_chunk_of_lanes(self, monkeypatch):
         rule = encoding._pp_rows
@@ -837,7 +834,8 @@ class TestLaneCountPassInSmallChunks(TestLaneCountPass):
 
 class TestHybridSeamWords:
     """The count's product rule, the seam a replacement core is patched in at: one call per chunk and
-    counted architecture that no array runs, on the chunk's two :class:`Lanes`, and no Word built."""
+    architecture of a count pass, on the chunk's two :class:`Lanes`, none in an array pass, and no Word
+    built."""
 
     @pytest.mark.parametrize("chunk", [1, 3, 7, 256])
     @pytest.mark.parametrize("archs", [(Architecture.HYBRID,), tuple(Architecture)])
@@ -859,11 +857,12 @@ class TestHybridSeamWords:
         monkeypatch.setattr(encoding, "unsigned_product", spy)
         monkeypatch.setattr(Word, "__post_init__", counting_post_init)
         monkeypatch.setattr(encoding, "STREAM_CHUNK", chunk)
-        configs = [(Architecture.HYBRID, False), (Architecture.BOOTH, True)]
-        _, counts = simulate_configs(pairs, width, configs, archs)
+        # every architecture runs its array, plain and gated, and is counted
+        configs = [(arch, gated) for arch in archs for gated in (False, True)]
+        _, counts = simulate_configs(pairs, width, configs, True)
         chunks = -(-len(pairs) // chunk)
-        # only a counted architecture that no array runs reaches the rule: conventional, when counted
-        assert calls == [Architecture.CONVENTIONAL] * (chunks * (Architecture.CONVENTIONAL in archs))
+        # an array checks its own products, so an array pass never reaches the rule
+        assert calls == []
         assert built == []
         # the count pass alone, on the same run, calls the rule once per chunk and architecture
         calls.clear()
@@ -1147,7 +1146,7 @@ class TestLaneHybrid:
         want = count_pairs(pairs, archs, width)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(encoding, "STREAM_CHUNK", chunk)
-            assert simulate_configs(pairs, width, [(Architecture.HYBRID, gated)], archs)[1] == want
+            assert simulate_configs(pairs, width, [(arch, gated) for arch in archs], True)[1] == want
 
     @pytest.mark.parametrize("chunk", [1, 3, 7])
     def test_a_pass_with_the_hybrid_array_works_out_each_chunks_routes_once(self, chunk, monkeypatch):
@@ -1155,7 +1154,7 @@ class TestLaneHybrid:
         pairs = [(a - 10, 37 * a % 256) for a in range(1, 21)]  # no two multipliers alike
         configs = [(Architecture.HYBRID, False), (Architecture.HYBRID, True)]
         encoding._hybrid_routes.cache_clear()
-        simulate_configs(pairs, 8, configs, tuple(Architecture))
+        simulate_configs(pairs, 8, configs, True)
         chunks = -(-len(pairs) // chunk)
         # the row rule works the routes out once per chunk and the count reads them
         assert encoding._hybrid_routes.cache_info()[:2] == (chunks, chunks)  # hits, misses
