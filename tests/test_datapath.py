@@ -854,7 +854,7 @@ class TestOneChunkPass:
         assert built == []
 
     @pytest.mark.parametrize("count", [False, True])
-    @pytest.mark.parametrize("configs", [(), CONFIGS])
+    @pytest.mark.parametrize("configs", [(), CONFIGS, [(Architecture.HYBRID, True)]])
     def test_empty_stream_rejected(self, configs, count):
         with pytest.raises(ValueError, match="^input stream must not be empty$"):
             dp.simulate_configs([], 8, configs, count)
@@ -991,13 +991,35 @@ class TestOneChunkPass:
                     ProductMismatchError, (65, 34), "product mismatch for 65 * 34: got 2211, expected 2210"
                 )
 
-    def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self):
-        # Booth's array is wrong at pair 1 (chunk 0); every row rule is wrong at pair 4 (chunk 1)
+    def test_a_count_of_no_architectures_range_checks_every_chunk(self):
+        with pytest.raises(OverflowError) as want:
+            multiply(300, 1, Architecture.CONVENTIONAL, 8)
+        for chunk in (1, 3, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                _chunks_of(mp, chunk)
+                assert count_pairs(self.RANGE_PAIRS[:-1], (), 8) == ()
+                # the bad operand is the last pair, in a later chunk than the first whenever chunk < 5
+                assert _outcome(lambda: count_pairs(self.RANGE_PAIRS, (), 8)) == (OverflowError, None, str(want.value))
+
+    @pytest.mark.parametrize("count_fault", ["_pp_rows", "unsigned_product"])
+    def test_two_faults_in_different_chunks_raise_the_earlier_chunks(self, count_fault):
+        # Booth's array is wrong at pair 1 (chunk 0); the count of pair 4 (chunk 1) is wrong too, through
+        # every row rule or through the count's own product rule, which an array pass never calls
         pairs = [(65, 34), (3, 5), (7, 9), (11, 13), (-6, 7), (2, 2)]
+        core = encoding.unsigned_product
+
+        def wrong_core(multiplicand, multiplier, arch):
+            product, counts = core(multiplicand, multiplier, arch)
+            lane = multiplicand.layout.lane
+            return product + sum(3 << i * lane for i, x in enumerate(multiplicand.values) if x == 6), counts
+
         with pytest.MonkeyPatch.context() as mp:
             _chunks_of(mp, 3)
             self._wrong_array(mp, Architecture.BOOTH, 1)
-            self._wrong_rows_at(mp, 6)
+            if count_fault == "_pp_rows":
+                self._wrong_rows_at(mp, 6)
+            else:
+                mp.setattr(encoding, "unsigned_product", wrong_core)
             configs = [(arch, True) for arch in Architecture]
             got = _outcome(lambda: dp.simulate_configs(pairs, 8, configs, True))
             # one call per step would name the count's pair 4 first
