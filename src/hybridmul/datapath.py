@@ -383,12 +383,11 @@ def simulate_configs(
     return reports, totals or ()
 
 
-def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool, trace=None) -> ToggleReport:
+def simulate_stream(pairs, arch: Architecture, width: int, ssst_enabled: bool) -> ToggleReport:
     """Drive one array, gated when ``ssst_enabled``, through a stream: :func:`simulate_configs` for one configuration.
 
-    A bad operand or a wrong product raises its error for the first bad pair.  ``trace``, if given, is
-    called as ``trace(index, record)`` with each evaluation's :class:`ToggleReport`.
+    A bad operand or a wrong product raises its error for the first bad pair.  A per-evaluation trace
+    is :func:`simulate_configs`' ``trace``.
     """
-    each = None if trace is None else (lambda _, index, one: trace(index, one))
-    (report,) = simulate_configs(pairs, width, ((arch, ssst_enabled),), trace=each)[0].values()
+    (report,) = simulate_configs(pairs, width, ((arch, ssst_enabled),))[0].values()
     return report

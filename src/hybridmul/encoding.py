@@ -602,31 +602,22 @@ def _booth_flags(a: int, b: int, lay: _Layout) -> tuple[int, int, int]:
     return one, (b2 ^ b1) & ~one, b2 & ~(b1 & b0) & _spread(_nonzero(a, lay), lay)
 
 
-def _shift_adds(a: int, bits: int) -> int:
-    """``a << p`` summed over the set bits p of ``bits``: one lane's shift/add terms."""
-    total = 0
-    while bits:
-        low = bits & -bits
-        total += a * low
-        bits ^= low
-    return total
+def _booth_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, ...]:
+    """Booth rows of every radix-4 digit of ``width``-bit ``b`` times ``a``, then the correction row.
 
-
-def _booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
-    """Booth rows of ``digits`` radix-4 digits of ``b`` times ``width``-bit ``a``, then the correction row.
-
-    The top digit must read only zeros above ``b``'s top bit, so it is never negative.  The one, two
-    and negate flags of every digit of every lane are three words (:func:`_booth_flags`), worked out
-    once (SWAR across digits as across lanes); each row reads its flags with one shift.  A negated row
-    enters as 2**(w+1) - |d|*M, that is |d|*M with its w+1 field bits flipped, plus one, and owes
-    2**(w+1+2k) to the correction row, so the debts of all rows together are the negate word shifted
-    up by w+1.
+    A ``width``-bit multiplier has ``width // 2 + 1`` digits, digit k at column 2k up to ``width``; the
+    top one reads only zeros above ``b``'s top bit, so it is never negative.  :class:`ArrayGeometry`
+    gives Booth these rows and the correction row.  The one, two and negate flags of every digit of
+    every lane are three words (:func:`_booth_flags`), worked out once (SWAR across digits as across
+    lanes); each row reads its flags with one shift.  A negated row enters as 2**(w+1) - |d|*M, that
+    is |d|*M with its w+1 field bits flipped, plus one, and owes 2**(w+1+2k) to the correction row, so
+    the debts of all rows together are the negate word shifted up by w+1.
     """
     ones, cols = lay.ones, lay.cols
     one_all, two_all, neg_all = _booth_flags(a, b, lay)
     double_a, field = a << 1, (1 << (width + 1)) - 1
     rows = []
-    for k in range(0, 2 * digits, 2):
+    for k in range(0, width + 1, 2):
         one, two, neg = (one_all >> k) & ones, (two_all >> k) & ones, (neg_all >> k) & ones
         mag = (a & ((one << cols) - one)) | (double_a & ((two << cols) - two))
         rows.append(((mag ^ (neg * field)) + neg) << k)
@@ -643,13 +634,14 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     (:func:`_spread` of a flag per lane) is written out inline.  The hybrid's row 0 is its product and
     its other rows are zero: the chain's bits of both halves (:func:`_hybrid_routes`) as conventional
     rows, and the Booth routes' bits of both halves as one Booth row set, as Booth digits sum to the
-    bits they recode.  One lane builds no row set: its row 0 sums ``+/-M << p`` over the chain's bits
-    and the bits of each Booth digit's magnitude, read from the row set's own flags.
+    bits they recode.  One lane builds no row set: its row 0 is one multiply of ``a`` by the chain's
+    bits plus the Booth digits' magnitudes, the negated ones subtracted, read from the row set's own
+    flags, so the product is still checked against both the routes and the digits.
     """
     if arch is _CONVENTIONAL:
         return _conventional_rows(a, b, width, lay)
     if arch is _BOOTH:
-        return _booth_rows(a, b, width // 2 + 1, width, lay)
+        return _booth_rows(a, b, width, lay)
     half = width // 2
     chain, chain_hi, booth, booth_hi = _hybrid_routes(b, width, lay)
     chain |= chain_hi << half
@@ -657,11 +649,11 @@ def _pp_rows(a: int, b: int, width: int, arch: Architecture, lay: _Layout) -> tu
     if lay.count == 1:
         one, two, neg = _booth_flags(a, booth, lay)
         magnitudes, negated = one | two << 1, neg * 3  # a digit's negate flag covers both its bits
-        row = _shift_adds(a, chain) + _shift_adds(a, magnitudes & ~negated) - _shift_adds(a, magnitudes & negated)
+        row = a * (chain + (magnitudes & ~negated) - (magnitudes & negated))
     else:  # the chain's terms M << (p - 1) are the conventional rows of its bits
         row = sum(_conventional_rows(a, chain, width, lay)) if chain else 0
         if booth:
-            row += _lane_sum(_booth_rows(a, booth, width // 2 + 1, width, lay), lay)
+            row += _lane_sum(_booth_rows(a, booth, width, lay), lay)
     return (row,) + (0,) * (width - 1)
 
 

@@ -78,7 +78,7 @@ class CostModel:
         """Load unit costs from a config file.
 
         Each non-comment line holds ``vdd power_uW delay_ns`` separated by
-        whitespace; ``#`` starts a comment.
+        whitespace; ``#`` starts a comment.  A file with no such line is refused.
         """
         units: dict[float, tuple[float, float]] = {}
         line_of: dict[float, int] = {}
@@ -104,6 +104,8 @@ class CostModel:
                 raise ValueError(f"{path}:{lineno}: {vdd} V repeats line {line_of[vdd]}")
             line_of[vdd] = lineno
             units[vdd] = (p, d)
+        if not units:
+            raise ValueError(f"{path}: no supply voltages found")
         return cls(MappingProxyType(units))
 
     @property

@@ -189,6 +189,9 @@ PINS = (
           ("vdd-inf", b"inf 1 1\n", "1: vdd must be positive and finite, got inf"),
           ("vdd-nan", b"nan 1 1\n", "1: vdd must be positive and finite, got nan"),
           ("repeat-after-comment", b"1.2 1 1\n# again\n1.2 2 2\n", "3: 1.2 V repeats line 1"))),
+    # a model file with no voltage line names itself, as a pairs file with no pairs does
+    refused("model-empty", "table2 --model {d}/empty.cfg", "error: {d}/empty.cfg: no supply voltages found",
+            {"empty.cfg": b"# vdd power_uW delay_ns\n\n"}),
     refused("model-compare-delay-negative", "compare --inputs random:5 --model {d}/model.cfg",
             "error: {d}/model.cfg:2: delay_ns must be positive and finite, got -0.734",
             {"model.cfg": b"1.2 17.50 0.595\n1.0 12.08 -0.734\n"}),

@@ -133,11 +133,11 @@ def hybrid_routes(bits: int, width: int) -> tuple[int, int, int, int]:
     return chain, chain_hi, booth, booth_hi
 
 
-def booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[int, ...]:
+def booth_rows(a: int, b: int, width: int, lay: _Layout) -> tuple[int, ...]:
     """The lane Booth rows built digit by digit, a window of ``b`` shifted down two bits per digit.
 
-    Same contract as ``hybridmul.encoding._booth_rows``: ``digits`` radix-4 digits of ``b`` times
-    ``width``-bit ``a``, then the correction row.  Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1
+    Same contract as ``hybridmul.encoding._booth_rows``: the ``width // 2 + 1`` radix-4 digits of
+    ``width``-bit ``b`` times ``a``, then the correction row.  Digit k reads bits (2k+1, 2k, 2k-1) of ``b``, bit -1
     zero; the top digit must read only zeros above ``b``'s top bit, so it is never negative.  Negated
     rows enter as 2**(w+1) - |d|*M and owe 2**(w+1+2k) to the correction row.
     """
@@ -147,7 +147,7 @@ def booth_rows(a: int, b: int, digits: int, width: int, lay: _Layout) -> tuple[i
     window = b << 1
     rows = []
     debt = 0
-    for k in range(digits):
+    for k in range(width // 2 + 1):
         b0 = window & ones
         b1 = (window >> 1) & ones
         b2 = (window >> 2) & ones

@@ -135,6 +135,9 @@ class TestEvaluate:
         pp = build_pp(*magnitudes(65, 34), Architecture.CONVENTIONAL)  # 8 rows
         with pytest.raises(GeometryError):
             state.evaluate(pp)
+        # the same rows refused as a matrix, before they are folded: Booth's last row is its correction
+        with pytest.raises(GeometryError, match="^8 PP rows offered to a 5-row array$"):
+            _fold_rows(conventional_pp(*magnitudes(65, 34)), state.geometry)
 
     def test_geometry_mismatch_negated_row_outside_booth(self):
         state = ArrayState(8, Architecture.CONVENTIONAL)
@@ -366,12 +369,11 @@ class TestSimulateStream:
 
     def test_per_eval_trace_hook(self):
         seen = []
-        simulate_stream(
+        dp.simulate_configs(
             [(65, 34), (2, 3)],
-            Architecture.CONVENTIONAL,
             8,
-            ssst_enabled=False,
-            trace=lambda index, delta: seen.append((index, delta.total_toggles)),
+            [(Architecture.CONVENTIONAL, False)],
+            trace=lambda config, index, delta: seen.append((index, delta.total_toggles)),
         )
         assert [index for index, _ in seen] == [0, 1]
 
@@ -423,7 +425,7 @@ class TestLaneKernel:
     def test_stream_matches_reference_pair_by_pair(self, stream):
         width, arch, gated, pairs = stream
         seen = []
-        report = simulate_stream(pairs, arch, width, gated, trace=lambda i, d: seen.append(d))
+        (report,) = dp.simulate_configs(pairs, width, [(arch, gated)], trace=lambda c, i, d: seen.append(d))[0].values()
         totals, per_pair = reference_run(pairs, arch, width, gated)
         assert (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations) == totals
         assert [(d.total_toggles, d.per_row_toggles, d.frozen_cell_evaluations) for d in seen] == per_pair
@@ -464,7 +466,7 @@ class TestLaneKernel:
     def test_trace_deltas_equal_successive_evaluations(self, stream):
         width, arch, gated, pairs = stream
         seen = []
-        simulate_stream(pairs, arch, width, gated, trace=lambda i, d: seen.append((i, d)))
+        dp.simulate_configs(pairs, width, [(arch, gated)], trace=lambda c, i, d: seen.append((i, d)))
         state = ArrayState(width, arch)
         expected = []
         for index, (a, b) in enumerate(pairs):
@@ -866,7 +868,7 @@ class TestOneChunkPass:
         dp.simulate_configs(pairs, 8, configs, trace=lambda config, i, one: seen.append((config, i, one)))
         for arch, gated in configs:
             alone = []
-            simulate_stream(pairs, arch, 8, gated, trace=lambda i, one: alone.append((i, one)))
+            dp.simulate_configs(pairs, 8, [(arch, gated)], trace=lambda c, i, one: alone.append((i, one)))
             assert [(i, one) for config, i, one in seen if config == (arch, gated)] == alone
         # a wrong product raises before its run is traced: the hybrid's wrong chunk reaches no trace
         seen.clear()

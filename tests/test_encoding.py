@@ -1029,12 +1029,12 @@ class TestLanes:
 
 @st.composite
 def booth_lane_runs(draw):
-    """(width, digits, multiplicands, multipliers) as the Booth row rule's callers shape them.
+    """(width, multiplicands, multipliers) as the Booth row rule's callers shape them.
 
-    Widths 4..32, odd ones included, and 1..256 lanes, both ends drawn often.  A full multiplier has
-    ``w // 2 + 1`` digits; a half-width one, as the hybrid's dense halves, ``(w // 2) // 2 + 1``.
-    Multiplicands 0 and 2**w - 1 and multipliers 0, all ones and with the top bit set come often;
-    lanes are drawn through one drawn random, so a run of 256 lanes stays cheap to draw.
+    Widths 4..32, odd ones included, and 1..256 lanes, both ends drawn often.  Half the runs draw
+    half-width multipliers, as a hybrid lane whose one dense half runs Booth, so every top digit reads
+    zeros.  Multiplicands 0 and 2**w - 1 and multipliers 0, all ones and with the top bit set come
+    often; lanes are drawn through one drawn random, so a run of 256 lanes stays cheap to draw.
     """
     width = draw(st.one_of(st.sampled_from([4, 5, 31, 32]), st.integers(4, 32)))
     bits = width // 2 if draw(st.booleans()) else width
@@ -1043,20 +1043,20 @@ def booth_lane_runs(draw):
     top_a, top_b, high = (1 << width) - 1, (1 << bits) - 1, 1 << (bits - 1)
     multiplicands = [rnd.choice([0, top_a, rnd.randint(0, top_a)]) for _ in range(count)]
     multipliers = [rnd.choice([0, top_b, rnd.randint(high, top_b), rnd.randint(0, top_b)]) for _ in range(count)]
-    return width, bits // 2 + 1, multiplicands, multipliers
+    return width, multiplicands, multipliers
 
 
 class TestLaneBoothRows:
     @given(booth_lane_runs())
     @settings(max_examples=150, deadline=None)
     def test_digit_flag_words_match_the_per_digit_rule(self, run):
-        """Every row and the correction row equal the rows built digit by digit."""
-        width, digits, ma, mb = run
+        """Every row and the correction row equal the rows built digit by digit, as many as the array has."""
+        width, ma, mb = run
         lay = encoding._layout(2 * width, len(ma))
         a, b = encoding._pack(ma, lay.lane), encoding._pack(mb, lay.lane)
-        rows = encoding._booth_rows(a, b, digits, width, lay)
-        assert len(rows) == digits + 1
-        assert rows == reference_booth_rows(a, b, digits, width, lay)
+        rows = encoding._booth_rows(a, b, width, lay)
+        assert len(rows) == ArrayGeometry.create(width, Architecture.BOOTH).rows
+        assert rows == reference_booth_rows(a, b, width, lay)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, strategies as st
 import hybridmul.cli as cli
 import hybridmul.encoding as encoding
 import hybridmul.harness as harness
-from hybridmul.datapath import GeometryError, simulate_stream
+from hybridmul.datapath import GeometryError, simulate_configs, simulate_stream
 from hybridmul.encoding import Architecture, CategoryKind, ProductMismatchError
 from hybridmul.harness import (
     ALL_ARCHITECTURES,
@@ -572,6 +573,15 @@ class TestEmitters:
         with pytest.raises(ValueError, match="no NaN or infinity"):
             harness._json({"archs": [{"power_uW": bad}]})
 
+    @pytest.mark.parametrize("bad", [{1}, b"x", 1j, object()], ids=["set", "bytes", "complex", "object"])
+    def test_emitter_refuses_what_json_dumps_refuses(self, bad):
+        """A value of a type ``json.dumps`` refuses raises its TypeError, with its words."""
+        value = {"archs": [bad]}
+        with pytest.raises(TypeError) as refused:
+            json.dumps(value)
+        with pytest.raises(TypeError, match=f"^{re.escape(str(refused.value))}$"):
+            harness._json(value)
+
     def test_ascii_mentions_archs(self, report):
         text = render_ascii(report)
         for arch in ALL_ARCHITECTURES:
@@ -582,6 +592,11 @@ class TestEmitters:
         assert text.startswith("<svg")
         assert "polyline" in text
         assert text.rstrip().endswith("</svg>")
+
+    @pytest.mark.parametrize("costs", [{}, {"booth": {}}], ids=["no-series", "empty-series"])
+    def test_svg_refuses_a_chart_without_points(self, costs):
+        with pytest.raises(ValueError, match="^no data points to chart$"):
+            harness.svg_power_chart(costs, title="empty")
 
 
 class TestTrace:
@@ -914,7 +929,7 @@ class TestCli:
         lines = ["operation,row,toggles,arch"]
         for arch in sorted(Architecture, key=str):  # the CLI's default order
             records = []
-            simulate_stream(pairs, arch, 8, True, trace=lambda i, one: records.append((i, one)))
+            simulate_configs(pairs, 8, [(arch, True)], trace=lambda c, i, one: records.append((i, one)))
             for i, one in records:
                 *rows, final = one.per_row_toggles
                 lines += [f"{i},{row},{toggles},{arch}" for row, toggles in enumerate(rows)]

@@ -134,9 +134,19 @@ class TestCostModel:
         with pytest.raises(ValueError, match="model.cfg:1"):
             CostModel.load(config)
 
+    @pytest.mark.parametrize("text", ["", "# vdd power_uW delay_ns\n\n   # none yet\n"], ids=["empty", "comments"])
+    def test_load_rejects_a_file_without_voltages(self, tmp_path, text):
+        """The error names the file, as a pairs file with no pairs does."""
+        config = tmp_path / "model.cfg"
+        config.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config))}: no supply voltages found$"):
+            CostModel.load(config)
+
     def test_tables_must_be_positive(self):
         with pytest.raises(ValueError):
             CostModel({1.2: (0.0, 1.0)})
+        with pytest.raises(ValueError, match="^cost model must define at least one voltage$"):
+            CostModel({})
 
     @pytest.mark.parametrize("cost", [5.0, (1.0,), (1.0, 2.0, 3.0), [1.0, 2.0], ("1.0", 2.0), None])
     def test_each_entry_must_be_a_pair(self, cost):

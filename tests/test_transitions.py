@@ -4,7 +4,7 @@ With ungated zero-delay switching an evaluation's toggles depend only on the pai
 Width 4 has 256 magnitude pairs, and a de Bruijn sequence B(256, 2), closed with its first symbol, is a
 stream of 65537 pairs that holds every ordered pair of them exactly once.  The reference evaluates each
 pair once; a transition's toggles are then the Hamming distance between two node snapshots, split by
-row as the reference splits them.  So comparing ``simulate_stream``'s record of every evaluation with
+row as the reference splits them.  So comparing the array's record of every evaluation with
 that split covers the whole input space of the ungated model at width 4, chunk boundaries included.
 
 ``python tests/transitions_long.py`` runs the longer streams: width 5 ungated, and width 4 gated.
@@ -23,7 +23,7 @@ from test_datapath import REFERENCE_PP
 
 import hybridmul.encoding as encoding
 from hybridmul.bitnum import Word
-from hybridmul.datapath import simulate_stream
+from hybridmul.datapath import simulate_configs
 from hybridmul.encoding import Architecture
 
 
@@ -94,7 +94,7 @@ def ungated_reference(pairs, width: int, arch: Architecture):
 
 
 def mismatches(pairs, width: int, arch: Architecture, gated: bool, expected) -> list:
-    """The evaluations whose ``simulate_stream`` record differs from ``expected``'s, which yields one per pair.
+    """The evaluations whose ``simulate_configs`` record differs from ``expected``'s, which yields one per pair.
 
     Both are compared as they come, so a stream of any length needs no list of records.  An evaluation's
     record is split from its run's lanes; the stream's summed record comes from each run's own counts, so
@@ -103,7 +103,7 @@ def mismatches(pairs, width: int, arch: Architecture, gated: bool, expected) -> 
     want, bad = iter(expected), []
     total, rows, frozen = 0, (), 0
 
-    def check(index, record):
+    def check(config, index, record):
         nonlocal total, rows, frozen
         one = next(want, None)
         if (record.total_toggles, record.per_row_toggles, record.frozen_cell_evaluations) != one:
@@ -111,7 +111,7 @@ def mismatches(pairs, width: int, arch: Architecture, gated: bool, expected) -> 
         else:
             total, rows, frozen = total + one[0], list(map(add, rows, one[1])) if rows else one[1], frozen + one[2]
 
-    report = simulate_stream(pairs, arch, width, gated, trace=check)
+    (report,) = simulate_configs(pairs, width, [(arch, gated)], trace=check)[0].values()
     assert next(want, None) is None, "the stream made fewer evaluations than it has pairs"
     summed = (report.total_toggles, report.per_row_toggles, report.frozen_cell_evaluations)
     if not bad and summed != (total, rows, frozen):
